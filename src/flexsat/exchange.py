@@ -259,37 +259,22 @@ def commutative_hash(lits: Iterable[int]) -> int:
 
 
 class ClauseFilter:
-    """Per-solver duplicate filter: exact set for units, AMQ for the rest.
+    """Per-solver duplicate filter: exact set for units, fingerprints for the rest.
 
-    The approximate part is a Bloom filter over commutative clause hashes.
+    A non-unit clause is remembered by its 64-bit commutative hash in one
+    of two generations of fingerprint sets, so memory grows with the
+    clauses actually seen; clauses with equal fingerprints count as one.
     Forgetting is probabilistic with a half life: each call removes each
-    unit with probability 1/2 and retires one Bloom generation, so a
+    unit with probability 1/2 and retires one fingerprint generation, so a
     non-unit clause becomes admittable again after at most two calls.
 
     Single-owner: exactly one execution context may mutate a filter.
     """
 
-    def __init__(self, amq_bits: int = 1 << 24, num_hashes: int = 4):
-        if amq_bits < 8 or amq_bits & (amq_bits - 1):
-            raise ValueError("amq_bits must be a power of two >= 8")
-        self.amq_bits = amq_bits
-        self.num_hashes = num_hashes
+    def __init__(self):
         self.unit_set: set[int] = set()
-        self._cur: bytearray | None = None
-        self._old: bytearray | None = None
-
-    # -- bloom internals ---------------------------------------------------
-    def _indices(self, lits: tuple[int, ...]) -> list[int]:
-        h = commutative_hash(lits)
-        h1 = h & (self.amq_bits - 1)
-        h2 = mix64(h) | 1
-        return [(h1 + i * h2) & (self.amq_bits - 1) for i in range(self.num_hashes)]
-
-    @staticmethod
-    def _test(gen: bytearray | None, idxs: list[int]) -> bool:
-        if gen is None:
-            return False
-        return all(gen[i >> 3] & (1 << (i & 7)) for i in idxs)
+        self._cur: set[int] = set()
+        self._old: set[int] = set()
 
     def _test_and_add(self, lits: tuple[int, ...]) -> bool:
         """Return True iff the clause was absent; inserts it either way."""
@@ -299,14 +284,11 @@ class ClauseFilter:
                 return False
             self.unit_set.add(lit)
             return True
-        idxs = self._indices(lits)
-        present = self._test(self._cur, idxs) or self._test(self._old, idxs)
-        if self._cur is None:
-            self._cur = bytearray(self.amq_bits >> 3)
-        cur = self._cur
-        for i in idxs:
-            cur[i >> 3] |= 1 << (i & 7)
-        return not present
+        h = commutative_hash(lits)
+        if h in self._cur:
+            return False
+        self._cur.add(h)
+        return h not in self._old
 
     # -- public surface ----------------------------------------------------
     def register_export(self, clause: Clause) -> bool:
@@ -318,11 +300,11 @@ class ClauseFilter:
         return self._test_and_add(clause.lits)
 
     def forget_half(self, rng: Random) -> None:
-        """Half-life step: drop each unit with p=1/2, retire one AMQ generation."""
+        """Half-life step: drop each unit with p=1/2, retire one fingerprint generation."""
         kept = {u for u in sorted(self.unit_set) if rng.getrandbits(1)}
         self.unit_set = kept
         self._old = self._cur
-        self._cur = None
+        self._cur = set()
 
 
 @dataclass

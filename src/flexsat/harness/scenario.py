@@ -36,6 +36,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     """Parse one JSON object per line; blank lines and # comments skipped."""
     out = Scenario()
     auto_id = 0
+    demand_lines: list[tuple[int, int]] = []   # (line number, job id)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -74,16 +75,19 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
                 raise ScenarioError(f"line {lineno}: {exc}") from None
         elif kind == "demand":
             try:
-                out.demand_changes.append(
-                    (float(obj["at"]), int(obj["job"]), int(obj["demand"])))
+                at, job, demand = float(obj["at"]), int(obj["job"]), int(obj["demand"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ScenarioError(f"line {lineno}: {exc}") from None
+            out.demand_changes.append((at, job, demand))
+            demand_lines.append((lineno, job))
         elif kind == "config":
-            if "max_jobs" in obj:
-                out.max_jobs = int(obj["max_jobs"])
             for key, value in obj.items():
-                if key in _CONFIG_KEYS:
+                if key == "max_jobs":
+                    out.max_jobs = int(value)
+                elif key in _CONFIG_KEYS:
                     out.overrides[key] = value
+                elif key != "type":
+                    raise ScenarioError(f"line {lineno}: unknown config key {key!r}")
         else:
             raise ScenarioError(f"line {lineno}: unknown type {kind!r}")
     if not out.jobs:
@@ -93,6 +97,9 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         if desc.job in seen:
             raise ScenarioError(f"duplicate job id {desc.job}")
         seen.add(desc.job)
+    for lineno, job in demand_lines:
+        if job not in seen:
+            raise ScenarioError(f"line {lineno}: demand change for unknown job {job}")
     return out
 
 

@@ -80,6 +80,8 @@ class RunShared:
     seed: int
     sharing: bool
     ramp: str                      # "double" | "full"
+    # (job, x, pe, stats, control) of every solver slot the run started;
+    # not the slot itself, so a torn-down node frees its solvers and filters.
     registry: list = field(default_factory=list)
 
 
@@ -455,7 +457,8 @@ class WorkerPE(BasePE):
             if self.shared.filter_halflife_us and slot.filt is not None:
                 slot.next_forget_us = self.ctx.now_us() + self.shared.filter_halflife_us
             node.slots.append(slot)
-            self.shared.registry.append((node.job, node.x, self.pe_id, slot))
+            self.shared.registry.append(
+                (node.job, node.x, self.pe_id, slot.solver.stats, control))
             if not self.shared.sim:
                 slot.thread = threading.Thread(
                     target=self._solver_thread, args=(node, slot), daemon=True)
@@ -946,13 +949,8 @@ class ClientPE(BasePE):
     # -- completion --------------------------------------------------------
     def _record(self, job: int, verdict: str, model_state: str, detail: str,
                 assignment=None) -> None:
-        desc = self.descs[job]
-        response_us = self.ctx.now_us() - int(desc.arrival_s * 1e6)
-        self.results[job] = {"verdict": verdict, "response_us": response_us,
-                             "model": model_state, "assignment": assignment}
-        self.log("DONE", job,
-                 f"verdict={verdict} response_ms={response_us / 1000:.3f} "
-                 f"model={model_state}" + (" " + detail if detail else ""))
+        self._log_done(job, verdict, model_state, detail, self.ctx.now_us(),
+                       assignment)
         self.active.discard(job)
         self.root_pe.pop(job, None)
         self.outstanding.discard(job)
@@ -997,11 +995,18 @@ class ClientPE(BasePE):
         if root is not None and job not in self.results:
             self.send(root, tp.DEMAND_SET, job, {"x": 0, "demand": demand})
 
+    def _log_done(self, job: int, verdict: str, model_state: str, detail: str,
+                  stop_us: int, assignment=None) -> None:
+        response_us = max(0, stop_us - int(self.descs[job].arrival_s * 1e6))
+        self.results[job] = {"verdict": verdict, "response_us": response_us,
+                             "model": model_state, "assignment": assignment}
+        self.log("DONE", job,
+                 f"verdict={verdict} response_ms={response_us / 1000:.3f} "
+                 f"model={model_state}" + (" " + detail if detail else ""))
+
     def finalize(self, now_us: int) -> None:
-        """Mark whatever is still unresolved when the run stops."""
-        for job, desc in self.descs.items():
+        """Log whatever is still unresolved when the run stops as UNKNOWN."""
+        for job in self.descs:
             if job not in self.results:
-                response_us = max(0, now_us - int(desc.arrival_s * 1e6))
-                self.results[job] = {"verdict": UNKNOWN,
-                                     "response_us": response_us, "model": "-"}
+                self._log_done(job, UNKNOWN, "-", "reason=timeout", now_us)
         self.finished = True

@@ -40,6 +40,8 @@ class JobDescriptor:
             raise ValueError(f"priority {self.priority} out of (0,1)")
         if (self.cnf is None) == (self.synthetic_s is None):
             raise ValueError("job needs exactly one of cnf or synthetic_s")
+        if self.demand is not None and (type(self.demand) is not int or self.demand < 1):
+            raise ValueError(f"demand {self.demand!r} is not an integer >= 1")
 
 
 @dataclass(frozen=True)

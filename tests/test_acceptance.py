@@ -143,7 +143,7 @@ def test_c03_buffer_limit_exact(capsys):
 
 def test_c04_filter_exact_and_forgetting(capsys):
     with criterion(capsys, 4, "duplicate filter and half-life") as c:
-        filt = ClauseFilter(amq_bits=1 << 20)
+        filt = ClauseFilter()
         mirror: set[int] = set()
         rng = Random(404)
         for op in range(100_000):
@@ -154,7 +154,7 @@ def test_c04_filter_exact_and_forgetting(capsys):
             assert fresh == (lit not in mirror), f"op {op} lit {lit}"
             mirror.add(lit)
 
-        filt = ClauseFilter(amq_bits=1 << 20)
+        filt = ClauseFilter()
         for v in range(1, 5001):
             filt.register_export(Clause.make([v]))
             filt.register_export(Clause.make([-v]))
@@ -165,7 +165,7 @@ def test_c04_filter_exact_and_forgetting(capsys):
 
         # a forgotten clause is admittable again: non-unit after two quiet
         # half-life steps, unit as soon as the coin drops it
-        filt = ClauseFilter(amq_bits=1 << 20)
+        filt = ClauseFilter()
         two = Clause.make([7, -9])
         assert filt.register_export(two)
         assert not filt.check_import(two)

@@ -237,7 +237,7 @@ def test_filter_units_are_exact():
 
 
 def test_filter_nonunit_blocks_repeat():
-    f = ClauseFilter(amq_bits=1 << 16)
+    f = ClauseFilter()
     c = Clause.make([2, -9, 14])
     assert f.check_import(c) is True
     assert f.check_import(c) is False
@@ -245,7 +245,7 @@ def test_filter_nonunit_blocks_repeat():
 
 
 def test_filter_two_generation_forgetting():
-    f = ClauseFilter(amq_bits=1 << 16)
+    f = ClauseFilter()
     c = Clause.make([1, 2, 3])
     assert f.check_import(c) is True
     f.forget_half(Random(0))
@@ -258,7 +258,7 @@ def test_filter_two_generation_forgetting():
 
 
 def test_filter_forget_half_drops_about_half_units():
-    f = ClauseFilter(amq_bits=1 << 16)
+    f = ClauseFilter()
     for v in range(1, 2001):
         f.register_export(Clause.make([v]))
     f.forget_half(Random(42))
@@ -269,7 +269,7 @@ def test_filter_forget_half_drops_about_half_units():
 
 def test_filter_forget_half_deterministic_per_seed():
     def survivors(seed):
-        f = ClauseFilter(amq_bits=1 << 16)
+        f = ClauseFilter()
         for v in range(1, 301):
             f.register_export(Clause.make([v]))
         f.forget_half(Random(seed))
@@ -280,7 +280,7 @@ def test_filter_forget_half_deterministic_per_seed():
 
 
 def test_filter_low_false_positive_rate():
-    f = ClauseFilter()  # default 2^24 bits
+    f = ClauseFilter()
     rng = Random(99)
     for _ in range(2000):
         vs = rng.sample(range(1, 500), 3)
@@ -293,11 +293,16 @@ def test_filter_low_false_positive_rate():
     assert blocked <= 3
 
 
-def test_filter_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        ClauseFilter(amq_bits=1000)  # not a power of two
-    with pytest.raises(ValueError):
-        ClauseFilter(amq_bits=4)
+def test_filter_memory_follows_traffic():
+    f = ClauseFilter()
+    assert not f._cur and not f._old and not f.unit_set
+    rng = Random(5)
+    clauses = {Clause.make(rng.sample(range(1, 200), rng.randint(2, 6)))
+               for _ in range(500)}
+    for c in clauses:
+        assert f.register_export(c)
+    assert len(f._cur) + len(f._old) == len(clauses)
+    assert not f.unit_set
 
 
 def test_lbd_gate_disabled_admits_everything():

@@ -156,7 +156,7 @@ def test_parse_scenario_full(tmp_path):
     (tmp_path / "f.cnf").write_text("p cnf 2 1\n1 2 0\n")
     text = "\n".join([
         '# comment line',
-        '{"type": "config", "max_jobs": 2, "seed": 9, "bogus": 1}',
+        '{"type": "config", "max_jobs": 2, "seed": 9}',
         '{"type": "job", "file": "f.cnf", "priority": 0.7}',
         '{"type": "job", "synthetic": 1.5, "arrival": 2.0, "demand": 4}',
         '{"type": "demand", "at": 3.0, "job": 2, "demand": 1}',
@@ -167,7 +167,7 @@ def test_parse_scenario_full(tmp_path):
     assert sc.jobs[1].job == 2 and sc.jobs[1].synthetic_s == 1.5
     assert sc.demand_changes == [(3.0, 2, 1)]
     assert sc.max_jobs == 2
-    assert sc.overrides == {"seed": 9}  # unknown keys dropped
+    assert sc.overrides == {"seed": 9}
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -184,6 +184,28 @@ def test_parse_scenario_full(tmp_path):
 def test_parse_scenario_errors(text, msg, tmp_path):
     with pytest.raises(ScenarioError, match=msg):
         parse_scenario(text, base_dir=str(tmp_path))
+
+
+def test_parse_scenario_rejects_unknown_config_key():
+    text = ('{"type": "job", "synthetic": 1.0}\n'
+            '{"type": "config", "num_pez": 8}')
+    with pytest.raises(ScenarioError, match="line 2: unknown config key 'num_pez'"):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize("demand", ['"3"', "0", "true"])
+def test_parse_scenario_rejects_bad_job_demand(demand):
+    text = ('{"type": "job", "synthetic": 1.0}\n'
+            '{"type": "job", "synthetic": 1.0, "demand": %s}' % demand)
+    with pytest.raises(ScenarioError, match="line 2: demand .* is not an integer >= 1"):
+        parse_scenario(text)
+
+
+def test_parse_scenario_rejects_demand_for_unknown_job():
+    text = ('{"type": "demand", "at": 1.0, "job": 7, "demand": 2}\n'
+            '{"type": "job", "synthetic": 1.0}')
+    with pytest.raises(ScenarioError, match="line 1: demand change for unknown job 7"):
+        parse_scenario(text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Cluster runtime: transports, mono runs, malleability, determinism."""
+import gc
+import weakref
 from random import Random
 
 import pytest
 
+from flexsat.exchange import ClauseFilter
 from flexsat.formula import check_model
 from flexsat.runtime import Cluster, ClusterConfig, Envelope, mono_mode
 from flexsat.runtime import pe as pe_mod
@@ -217,6 +220,31 @@ def test_timeout_reports_unsolved():
     assert report.aggregates["end_reason"] == "timeout"
     assert report.aggregates["unsolved"] == 1
     assert report.aggregates["makespan_ms"] == pytest.approx(400.0)
+    assert report.jobs[1]["verdict"] == "UNKNOWN"
+    assert report.jobs[1]["response_ms"] == pytest.approx(400.0)
+
+
+def test_torn_down_nodes_free_their_filters(monkeypatch):
+    refs = []
+    orig_init = ClauseFilter.__init__
+
+    def tracking_init(self):
+        orig_init(self)
+        refs.append(weakref.ref(self))
+    monkeypatch.setattr(ClauseFilter, "__init__", tracking_init)
+    cfg = small_cfg(num_pes=6, threads=2, max_jobs=1)
+    jobs = [JobDescriptor(job=j, priority=0.5, arrival_s=0.05 * j,
+                          cnf=random_3cnf(Random(j), 40, 170)) for j in range(1, 5)]
+    cluster = Cluster(cfg, jobs)
+    report = cluster.run()
+    assert report.aggregates["solved"] == 4
+    gc.collect()
+    held = {id(slot.filt) for w in cluster.workers.values()
+            for node in w.nodes.values() for slot in node.slots or ()
+            if slot.filt is not None}
+    alive = [f for f in (r() for r in refs) if f is not None]
+    assert len(alive) < len(refs)
+    assert all(id(f) in held for f in alive)
 
 
 def test_priority_shapes_volumes():
