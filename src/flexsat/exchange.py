@@ -263,13 +263,19 @@ class ClauseFilter:
 
     A non-unit clause is remembered by its 64-bit commutative hash in one
     of two generations of fingerprint sets, so memory grows with the
-    clauses actually seen; clauses with equal fingerprints count as one.
+    clauses actually seen, up to GEN_CAP fingerprints per generation;
+    clauses with equal fingerprints count as one.  A full generation is
+    retired on the next insert, so without forgetting a non-unit clause
+    becomes admittable again after GEN_CAP to 2 * GEN_CAP newer distinct
+    clauses.
     Forgetting is probabilistic with a half life: each call removes each
     unit with probability 1/2 and retires one fingerprint generation, so a
     non-unit clause becomes admittable again after at most two calls.
 
     Single-owner: exactly one execution context may mutate a filter.
     """
+
+    GEN_CAP = 1 << 15
 
     def __init__(self):
         self.unit_set: set[int] = set()
@@ -287,6 +293,9 @@ class ClauseFilter:
         h = commutative_hash(lits)
         if h in self._cur:
             return False
+        if len(self._cur) >= self.GEN_CAP:
+            self._old = self._cur
+            self._cur = set()
         self._cur.add(h)
         return h not in self._old
 

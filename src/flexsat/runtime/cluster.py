@@ -167,7 +167,7 @@ class Cluster:
         totals = {"slots": 0, "conflicts": 0, "propagations": 0, "decisions": 0,
                   "restarts": 0, "flips": 0, "learned": 0, "exported": 0,
                   "imported": 0}
-        for _job, _x, _pe, stats, _control in self.shared.registry:
+        for stats, _control in self.shared.registry:
             totals["slots"] += 1
             for key in ("conflicts", "propagations", "decisions", "restarts",
                         "flips", "learned", "exported", "imported"):
@@ -253,7 +253,7 @@ class Cluster:
         router.stop.set()
         for t in threads:
             t.join(timeout=2.0)
-        for _job, _x, _pe, _stats, control in self.shared.registry:
+        for _stats, control in self.shared.registry:
             if control.state != TERMINATED:
                 control.terminate()
         sampler.join(timeout=2.0)

@@ -80,8 +80,8 @@ class RunShared:
     seed: int
     sharing: bool
     ramp: str                      # "double" | "full"
-    # (job, x, pe, stats, control) of every solver slot the run started;
-    # not the slot itself, so a torn-down node frees its solvers and filters.
+    # (stats, control) of every solver slot the run started; not the slot
+    # itself, so a torn-down node frees its solvers and filters.
     registry: list = field(default_factory=list)
 
 
@@ -165,8 +165,9 @@ class BasePE:
              extra_delay_us: int = 0) -> None:
         self.ctx.send(Envelope(kind, self.pe_id, dst, job, payload), extra_delay_us)
 
-    def log(self, kind: str, job: Optional[int], detail: str = "") -> None:
-        self.ctx.log(kind, job, detail)
+    def log(self, kind: str, job: Optional[int], detail: str = "",
+            at_us: Optional[int] = None) -> None:
+        self.ctx.log(kind, job, detail, at_us)
 
     def on_start(self) -> None:
         self.ctx.set_timer(self.shared.e_us, "balance", 1)
@@ -457,8 +458,7 @@ class WorkerPE(BasePE):
             if self.shared.filter_halflife_us and slot.filt is not None:
                 slot.next_forget_us = self.ctx.now_us() + self.shared.filter_halflife_us
             node.slots.append(slot)
-            self.shared.registry.append(
-                (node.job, node.x, self.pe_id, slot.solver.stats, control))
+            self.shared.registry.append((slot.solver.stats, control))
             if not self.shared.sim:
                 slot.thread = threading.Thread(
                     target=self._solver_thread, args=(node, slot), daemon=True)
@@ -1002,7 +1002,8 @@ class ClientPE(BasePE):
                              "model": model_state, "assignment": assignment}
         self.log("DONE", job,
                  f"verdict={verdict} response_ms={response_us / 1000:.3f} "
-                 f"model={model_state}" + (" " + detail if detail else ""))
+                 f"model={model_state}" + (" " + detail if detail else ""),
+                 at_us=stop_us)
 
     def finalize(self, now_us: int) -> None:
         """Log whatever is still unresolved when the run stops as UNKNOWN."""

@@ -59,7 +59,9 @@ class Context:
     def set_timer(self, delay_us: int, tag: str, data: Any = None) -> None:
         raise NotImplementedError
 
-    def log(self, kind: str, job: Optional[int], detail: str = "") -> None:
+    def log(self, kind: str, job: Optional[int], detail: str = "",
+            at_us: Optional[int] = None) -> None:
+        """Trace one event, stamped now unless at_us gives its time."""
         raise NotImplementedError
 
 
@@ -160,8 +162,10 @@ class SimContext(Context):
     def set_timer(self, delay_us: int, tag: str, data: Any = None) -> None:
         self._loop.post_timer(self.pe_id, delay_us, tag, data)
 
-    def log(self, kind: str, job: Optional[int], detail: str = "") -> None:
-        self._trace.add(self._loop.now, self.pe_id, kind, job, detail)
+    def log(self, kind: str, job: Optional[int], detail: str = "",
+            at_us: Optional[int] = None) -> None:
+        self._trace.add(self._loop.now if at_us is None else at_us,
+                        self.pe_id, kind, job, detail)
 
 
 # --- threaded transport ----------------------------------------------------
@@ -209,8 +213,10 @@ class RealContext(Context):
         self._tseq += 1
         heapq.heappush(self._timers, (self.now_us() + delay_us, self._tseq, tag, data))
 
-    def log(self, kind: str, job: Optional[int], detail: str = "") -> None:
-        self._trace.add(self.now_us(), self.pe_id, kind, job, detail)
+    def log(self, kind: str, job: Optional[int], detail: str = "",
+            at_us: Optional[int] = None) -> None:
+        self._trace.add(self.now_us() if at_us is None else at_us,
+                        self.pe_id, kind, job, detail)
 
     def pump(self, on_message: Callable[[Envelope], None],
              on_timer: Callable[[str, Any], None]) -> None:

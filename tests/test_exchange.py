@@ -305,6 +305,17 @@ def test_filter_memory_follows_traffic():
     assert not f.unit_set
 
 
+def test_filter_generations_are_capped():
+    f = ClauseFilter()
+    f.GEN_CAP = 4
+    clauses = [Clause.make([i, i + 1]) for i in range(1, 24, 2)]
+    for c in clauses:
+        assert f.register_export(c)
+    assert len(f._cur) <= 4 and len(f._old) <= 4
+    assert not any(f.check_import(c) for c in clauses[8:])
+    assert f.check_import(clauses[0])   # two generations back: forgotten
+
+
 def test_lbd_gate_disabled_admits_everything():
     g = LbdGate(enabled=False)
     assert g.admits(10, 99) and g.admits(1, None)

@@ -7,6 +7,7 @@ import pytest
 
 from flexsat.exchange import ClauseFilter
 from flexsat.formula import check_model
+from flexsat.harness.report import parse_trace_line
 from flexsat.runtime import Cluster, ClusterConfig, Envelope, mono_mode
 from flexsat.runtime import pe as pe_mod
 from flexsat.runtime.transport import SimLoop, Trace, format_time_ms
@@ -222,6 +223,16 @@ def test_timeout_reports_unsolved():
     assert report.aggregates["makespan_ms"] == pytest.approx(400.0)
     assert report.jobs[1]["verdict"] == "UNKNOWN"
     assert report.jobs[1]["response_ms"] == pytest.approx(400.0)
+
+
+def test_real_mode_timeout_done_stamped_at_run_end():
+    cfg = small_cfg(num_pes=3, seed=3, sim=False, timeout_s=0.3)
+    report = Cluster(cfg, [synth_job(1, 50.0, 2)]).run()
+    assert report.jobs[1]["verdict"] == "UNKNOWN"
+    times = {kind: t for t, _pe, kind, _job, _detail
+             in map(parse_trace_line, report.trace) if kind in ("DONE", "RUN_END")}
+    assert times["DONE"] == times["RUN_END"]
+    assert report.jobs[1]["response_ms"] == pytest.approx(times["RUN_END"])
 
 
 def test_torn_down_nodes_free_their_filters(monkeypatch):
