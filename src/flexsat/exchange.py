@@ -16,6 +16,7 @@ beta, i.e. the root broadcast never exceeds a constant.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import struct
 from dataclasses import dataclass
@@ -38,16 +39,14 @@ class ExchangeConfig:
     beta: base buffer size in integers contributed by a single PE.
     alpha: per-level discount in [0.5, 1.0] applied as alpha^log2(u).
     share_period_s: seconds between sharing epochs of a job tree.
-    export_max_len: solvers only export clauses up to this many literals.
-    lbd_gate_*: optional export gate on LBD scores (off by default).
+    export_max_len: solvers only export clauses up to this many literals
+        (None: no length cap).
     """
 
     beta: int = 1500
     alpha: float = 0.875
     share_period_s: float = 1.0
     export_max_len: int | None = 30
-    lbd_gate_enabled: bool = False
-    lbd_gate_init: int = 2
 
     def validate(self) -> None:
         if self.beta < 1:
@@ -81,7 +80,30 @@ def buffer_limit(u: int, cfg: ExchangeConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization and merging
+
+def _write(ordered: Iterable[tuple[int, ...]], limit: int | None) -> list[int]:
+    """Length-grouped buffer of clauses given in (length, canonical) order.
+
+    Whole clauses are added until the next one would push the size, group
+    counts included, past the limit; everything from there on is dropped.
+    """
+    out: list[int] = []
+    head = 0
+    cur_len = 0
+    for lits in ordered:
+        n = len(lits)
+        cost = n + (n - cur_len if n > cur_len else 0)  # zero counts for skipped lengths + own
+        if limit is not None and len(out) + cost > limit:
+            break
+        while cur_len < n:
+            cur_len += 1
+            head = len(out)
+            out.append(0)
+        out[head] += 1
+        out.extend(lits)
+    return out
+
 
 def serialize(clauses: Iterable[Clause], limit: int | None = None) -> list[int]:
     """Flatten a clause set into the length-grouped integer format.
@@ -92,31 +114,15 @@ def serialize(clauses: Iterable[Clause], limit: int | None = None) -> list[int]:
     that point is discarded.
     """
     ordered = sorted(set(clauses), key=lambda c: (len(c), c.sort_key))
-    out: list[int] = []
-    count_pos: dict[int, int] = {}
-    cur_len = 0
-    for c in ordered:
-        n = len(c)
-        new_headers = n - cur_len  # zero counts for skipped lengths + own
-        cost = n + (new_headers if n > cur_len else 0)
-        if limit is not None and len(out) + cost > limit:
-            break
-        while cur_len < n:
-            cur_len += 1
-            count_pos[cur_len] = len(out)
-            out.append(0)
-        out[count_pos[n]] += 1
-        out.extend(c.lits)
-    return out
+    return _write((c.lits for c in ordered), limit)
 
 
-def deserialize(buf: Sequence[int]) -> list[Clause]:
-    """Exact inverse of serialize for well-formed buffers.
+def _stream(buf: Sequence[int]):
+    """Yield (length, sort_key, lits) per clause of a flat buffer, validating.
 
-    Validates group counts, literal ranges, canonical order within each
-    group and within each clause; raises BufferFormatError otherwise.
+    Checks group counts, zero literals, canonical order within each group
+    and within each clause; raises BufferFormatError otherwise.
     """
-    clauses: list[Clause] = []
     pos = 0
     length = 0
     total = len(buf)
@@ -126,14 +132,13 @@ def deserialize(buf: Sequence[int]) -> list[Clause]:
         pos += 1
         if n < 0:
             raise BufferFormatError(f"negative count {n} for length {length}")
-        need = n * length
-        if pos + need > total:
+        if pos + n * length > total:
             raise BufferFormatError(f"truncated group of length {length}")
         prev_key = None
         for _ in range(n):
             lits = tuple(buf[pos:pos + length])
             pos += length
-            if any(l == 0 for l in lits):
+            if 0 in lits:
                 raise BufferFormatError("zero literal inside clause")
             keys = tuple(literal_key(l) for l in lits)
             if any(keys[i] >= keys[i + 1] for i in range(length - 1)):
@@ -141,8 +146,12 @@ def deserialize(buf: Sequence[int]) -> list[Clause]:
             if prev_key is not None and keys <= prev_key:
                 raise BufferFormatError("group not in canonical order")
             prev_key = keys
-            clauses.append(Clause(lits))
-    return clauses
+            yield length, keys, lits
+
+
+def deserialize(buf: Sequence[int]) -> list[Clause]:
+    """Exact inverse of serialize for well-formed buffers (see _stream)."""
+    return [Clause(lits) for _length, _keys, lits in _stream(buf)]
 
 
 def buffer_to_bytes(buf: Sequence[int]) -> bytes:
@@ -156,36 +165,28 @@ def buffer_from_bytes(raw: bytes) -> list[int]:
     return list(struct.unpack(f"<{len(raw) // 4}i", raw))
 
 
-# ---------------------------------------------------------------------------
-# merging
+def _merged(streams: list) -> Iterable[tuple[int, ...]]:
+    """Clauses of canonical streams in (length, canonical) order, each once.
 
-def _stream(buf: Sequence[int]):
-    """Yield (length, sort_key, lits) triples from a flat buffer, validating."""
-    pos = 0
-    length = 0
-    total = len(buf)
-    prev_key = None
-    while pos < total:
-        length += 1
-        n = buf[pos]
-        pos += 1
-        if n < 0:
-            raise BufferFormatError(f"negative count {n}")
-        if pos + n * length > total:
-            raise BufferFormatError(f"truncated group of length {length}")
-        prev_key = None
-        for _ in range(n):
-            lits = tuple(buf[pos:pos + length])
-            pos += length
-            keys = tuple(literal_key(l) for l in lits)
-            if any(l == 0 for l in lits) or any(
-                keys[i] >= keys[i + 1] for i in range(length - 1)
-            ):
-                raise BufferFormatError(f"clause {lits} not canonical")
-            if prev_key is not None and keys <= prev_key:
-                raise BufferFormatError("group not in canonical order")
-            prev_key = keys
-            yield (length, keys, lits)
+    literal_key is injective, so equal clauses leave the heap one after
+    another and comparing with the last one popped removes duplicates.  A
+    stream is advanced as soon as its clause is popped, before the caller
+    decides whether that clause still fits.
+    """
+    heap: list[tuple[int, tuple, tuple, int]] = []
+    for idx, st in enumerate(streams):
+        first = next(st, None)
+        if first is not None:
+            heapq.heappush(heap, (*first, idx))
+    prev = None
+    while heap:
+        _length, _keys, lits, idx = heapq.heappop(heap)
+        nxt = next(streams[idx], None)
+        if nxt is not None:
+            heapq.heappush(heap, (*nxt, idx))
+        if lits != prev:
+            prev = lits
+            yield lits
 
 
 def merge(
@@ -200,41 +201,10 @@ def merge(
     output is truncated at buffer_limit(u_out): whole clauses only, and
     once one clause does not fit nothing longer is admitted either.
     """
-    import heapq
-
     u_out = 1 + sum(u for _, u in buffers)
-    limit = buffer_limit(u_out, cfg)
-
     streams = [_stream(buf) for buf, _ in buffers]
     streams.append(_stream(own_export))
-    heap: list[tuple[int, tuple, tuple, int]] = []
-    for idx, st in enumerate(streams):
-        first = next(st, None)
-        if first is not None:
-            heapq.heappush(heap, (first[0], first[1], first[2], idx))
-
-    out: list[int] = []
-    count_pos: dict[int, int] = {}
-    cur_len = 0
-    seen: set[tuple[int, ...]] = set()
-    while heap:
-        length, _keys, lits, idx = heapq.heappop(heap)
-        nxt = next(streams[idx], None)
-        if nxt is not None:
-            heapq.heappush(heap, (nxt[0], nxt[1], nxt[2], idx))
-        if lits in seen:
-            continue
-        cost = length + (length - cur_len if length > cur_len else 0)
-        if len(out) + cost > limit:
-            break  # whole-clause truncation: everything longer is dropped too
-        seen.add(lits)
-        while cur_len < length:
-            cur_len += 1
-            count_pos[cur_len] = len(out)
-            out.append(0)
-        out[count_pos[length]] += 1
-        out.extend(lits)
-    return out, u_out
+    return _write(_merged(streams), buffer_limit(u_out, cfg)), u_out
 
 
 # ---------------------------------------------------------------------------
@@ -315,24 +285,3 @@ class ClauseFilter:
         self._old = self._cur
         self._cur = set()
 
-
-@dataclass
-class LbdGate:
-    """Export admission by LBD score, loosened when sharing runs underfull.
-
-    Disabled means everything passes.  Unit clauses always pass.  After a
-    sharing round that filled less than 80% of the base buffer the limit
-    is incremented.
-    """
-
-    enabled: bool = False
-    limit: int = 2
-
-    def admits(self, length: int, lbd: int | None) -> bool:
-        if not self.enabled or length == 1 or lbd is None:
-            return True
-        return lbd <= self.limit
-
-    def update(self, fill_ratio: float) -> None:
-        if self.enabled and fill_ratio < 0.8:
-            self.limit += 1

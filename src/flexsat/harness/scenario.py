@@ -31,6 +31,12 @@ _CONFIG_KEYS = {
     "ramp", "cache_size", "slice_ms", "cdcl_rate", "sls_rate",
 }
 
+# Keys a "job" line may carry.
+_JOB_KEYS = {
+    "type", "job", "priority", "arrival", "demand", "file", "synthetic",
+    "wallclock_limit", "max_volume",
+}
+
 
 def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     """Parse one JSON object per line; blank lines and # comments skipped."""
@@ -49,6 +55,9 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
             raise ScenarioError(f"line {lineno}: expected an object with a type")
         kind = obj["type"]
         if kind == "job":
+            for key in obj:
+                if key not in _JOB_KEYS:
+                    raise ScenarioError(f"line {lineno}: unknown job key {key!r}")
             auto_id += 1
             cnf = None
             if "file" in obj:
@@ -67,9 +76,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
                     cnf=cnf,
                     synthetic_s=obj.get("synthetic"),
                     wallclock_limit_s=obj.get("wallclock_limit"),
-                    cpu_limit_s=obj.get("cpu_limit"),
                     max_volume=obj.get("max_volume"),
-                    seq_time_s=obj.get("seq_time"),
                 ))
             except (TypeError, ValueError) as exc:
                 raise ScenarioError(f"line {lineno}: {exc}") from None

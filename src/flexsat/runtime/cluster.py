@@ -37,7 +37,6 @@ class ClusterConfig:
     alpha: float = 0.875
     beta: int = 1500
     export_max_len: int = 30
-    lbd_gate: bool = False
     filter_halflife_s: Optional[float] = None
     cache_size: int = 3
     degree: int = 4
@@ -79,14 +78,15 @@ class ClusterConfig:
             raise ValueError("simulation rates must be positive")
         if self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
+        if self.cache_size < 1:
+            raise ValueError("cache_size must be >= 1")
         self.exchange_config().validate()
 
     def exchange_config(self) -> ExchangeConfig:
         return ExchangeConfig(
             beta=self.beta, alpha=self.alpha,
             share_period_s=self.share_period_s,
-            export_max_len=self.export_max_len,
-            lbd_gate_enabled=self.lbd_gate)
+            export_max_len=self.export_max_len)
 
     def public_dict(self) -> dict:
         return {

@@ -17,7 +17,6 @@ from typing import Any, Optional
 from ..exchange import (
     ExchangeConfig,
     ClauseFilter,
-    LbdGate,
     buffer_limit,
     deserialize,
     merge,
@@ -41,7 +40,8 @@ from ..sched import (
 from ..solver import SAT, UNKNOWN
 from ..solver.cdcl import CdclSolver
 from ..solver.config import make_portfolio_config, throttled_thread_count
-from ..solver.control import RUNNING, SUSPENDED as S_SUSPENDED, TERMINATED, SolverControl
+from ..solver.control import (RUNNING, SUSPENDED as S_SUSPENDED, TERMINATED,
+                              SolverControl, drive)
 from ..solver.ring import ImportRing
 from ..solver.sls import SlsSolver
 from ..util import derive_seed
@@ -117,7 +117,7 @@ class SolverSlot:
 class JobNode:
     """One cached job-tree node on a PE."""
 
-    def __init__(self, job: int, x: int, gate: LbdGate):
+    def __init__(self, job: int, x: int):
         self.job = job
         self.x = x
         self.key = (job, x)
@@ -129,7 +129,6 @@ class JobNode:
         self.volume = 0
         self.slots: Optional[list[SolverSlot]] = None
         self.sink: deque = deque()
-        self.gate = gate
         self.epochs: dict[int, EpochState] = {}
         self.share_count = 0
         self.last_active = 0
@@ -275,19 +274,13 @@ class WorkerPE(BasePE):
         else:  # park or forward: both just move the request along
             self.send(dec.dst, tp.JOB_REQUEST, req.job, {"req": req})
 
-    def _cache_admits(self) -> bool:
-        if len(self.nodes) < self.shared.cache_size:
-            return True
-        return any(n.state == SUSPENDED and not n.epochs and n.key != self.occupied
-                   for n in self.nodes.values())
+    def _evictable(self) -> list[tuple[int, int, int]]:
+        """(last_active, job, x) of the cached nodes an adoption may evict."""
+        return [(n.last_active, n.job, n.x) for n in self.nodes.values()
+                if n.state == SUSPENDED and not n.epochs and n.key != self.occupied]
 
-    def _route_onward(self, req: JobRequest) -> None:
-        if req.hops >= self.shared.h_max or not self.neighbors:
-            self.send(req.origin, tp.JOB_REQUEST, req.job, {"req": req})
-            return
-        req.hops += 1
-        dst = self.neighbors[self.rng.randrange(len(self.neighbors))]
-        self.send(dst, tp.JOB_REQUEST, req.job, {"req": req})
+    def _cache_admits(self) -> bool:
+        return len(self.nodes) < self.shared.cache_size or bool(self._evictable())
 
     def _do_resume(self, node: JobNode, req: JobRequest) -> None:
         node.parent_pe = req.origin
@@ -300,25 +293,18 @@ class WorkerPE(BasePE):
         self._activate(node)
 
     def _do_adopt(self, req: JobRequest) -> None:
-        while len(self.nodes) >= self.shared.cache_size:
-            cands = [(n.last_active, n.job, n.x) for n in self.nodes.values()
-                     if n.state == SUSPENDED and not n.epochs and n.key != self.occupied]
-            victim = pick_eviction(cands)
-            if victim is None:
-                self._route_onward(req)
-                return
-            self.teardown_node(victim[0], victim[1], "evict", abort_children=False)
-        node = JobNode(req.job, req.x, self._new_gate())
+        # Runs only after route_request chose "adopt", so _cache_admits() held:
+        # a full cache (nodes never exceed cache_size) has a victim.
+        if len(self.nodes) >= self.shared.cache_size:
+            job, x = pick_eviction(self._evictable())
+            self.teardown_node(job, x, "evict", abort_children=False)
+        node = JobNode(req.job, req.x)
         node.parent_pe = req.origin
         node.last_active = self.ctx.now_us()
         self.nodes[node.key] = node
         self.occupied = node.key
         self.send(req.origin, tp.ADOPT_ACK, req.job, {"x": req.x, "mode": "fresh"})
         self.log("ADOPT", req.job, f"x={req.x} mode=fresh hops={req.hops}")
-
-    def _new_gate(self) -> LbdGate:
-        cfg = self.shared.excfg
-        return LbdGate(enabled=cfg.lbd_gate_enabled, limit=cfg.lbd_gate_init)
 
     def _request_returned(self, req: JobRequest) -> None:
         if req.x == 0:
@@ -468,8 +454,6 @@ class WorkerPE(BasePE):
         sink_cap = self.shared.sink_cap
 
         def export_fn(lits, lbd):
-            if not node.gate.admits(len(lits), lbd):
-                return
             clause = Clause(tuple(lits), lbd)
             if not slot.filt.register_export(clause):
                 return
@@ -487,15 +471,19 @@ class WorkerPE(BasePE):
                     return lits
         return import_fn
 
+    def _release_child(self, node: JobNode, side: int, cx: int) -> None:
+        """Hand child cx its new volume, unlink it and keep it as a hint."""
+        link = node.links[side]
+        if link is not None:
+            self.send(link, tp.VOLUME_UPDATE, node.job, {"x": cx, "v": node.volume})
+            self.hints[(node.job, cx)] = link
+            node.links[side] = None
+        node.pending_req[side] = False
+
     def _suspend_node(self, node: JobNode) -> None:
         job, x = node.key
         for side, cx in zip((1, 2), child_indices(x)):
-            link = node.links[side]
-            if link is not None:
-                self.send(link, tp.VOLUME_UPDATE, job, {"x": cx, "v": node.volume})
-                self.hints[(job, cx)] = link
-                node.links[side] = None
-            node.pending_req[side] = False
+            self._release_child(node, side, cx)
         if node.slots:
             for slot in node.slots:
                 if slot.control.state == RUNNING:
@@ -523,11 +511,7 @@ class WorkerPE(BasePE):
                 elif not node.pending_req[side]:
                     self._emit_child_request(node, side, cx)
             else:
-                if link is not None:
-                    self.send(link, tp.VOLUME_UPDATE, job, {"x": cx, "v": v})
-                    self.hints[(job, cx)] = link
-                    node.links[side] = None
-                node.pending_req[side] = False
+                self._release_child(node, side, cx)
 
     def _h_volume_update(self, env: Envelope) -> None:
         node = self.nodes.get((env.job, env.payload["x"]))
@@ -626,7 +610,7 @@ class WorkerPE(BasePE):
             return  # tree left this PE; the timer chain ends here
         if node.state == ACTIVE and node.desc is not None and node.desc.cnf is not None:
             node.share_count += 1
-            self._begin_epoch(node, node.share_count)
+            self._open_epoch(node, node.share_count)
         self.ctx.set_timer(self.shared.share_us, "share", job)
 
     def _drain_exports(self, node: JobNode) -> list[int]:
@@ -637,27 +621,25 @@ class WorkerPE(BasePE):
                 out.append(sink.popleft())
             except IndexError:
                 break
-        limit = buffer_limit(1, self.shared.excfg)
-        buf = serialize(out, limit)
-        node.gate.update(len(buf) / limit if limit else 1.0)
-        return buf
+        return serialize(out, buffer_limit(1, self.shared.excfg))
 
     def _prune_epochs(self, node: JobNode, n: int) -> None:
         for old in [e for e in node.epochs if e <= n - 4]:
             del node.epochs[old]
 
-    def _begin_epoch(self, node: JobNode, n: int) -> None:
+    def _open_epoch(self, node: JobNode, n: int,
+                    reply_to: Optional[tuple[int, int]] = None) -> None:
+        """Start epoch n at a node; reply_to is (PE, parent index), None at the root."""
         self._prune_epochs(node, n)
-        own = self._drain_exports(node)
         links = [(cx, node.links[side])
                  for side, cx in zip((1, 2), child_indices(node.x))
                  if node.links[side] is not None]
-        if not links:
-            merged, u_out = merge([], own, self.shared.excfg)
-            self._apply_import(node, merged)
-            self.log("SHARE", node.job, f"epoch={n} u={u_out} lits={len(merged)}")
+        st = EpochState(own=self._drain_exports(node), expected=dict(links),
+                        reply_to=reply_to)
+        if not links:  # a leaf completes at once
+            self._complete_epoch(node, n, st)
             return
-        node.epochs[n] = EpochState(own=own, expected=dict(links))
+        node.epochs[n] = st
         for cx, pe in links:
             self.send(pe, tp.CLAUSES_BEGIN, node.job, {"x": cx, "epoch": n})
 
@@ -672,20 +654,7 @@ class WorkerPE(BasePE):
                       {"x": parent_index(x), "child_x": x, "epoch": n,
                        "buf": [], "u": 0})
             return
-        self._prune_epochs(node, n)
-        own = self._drain_exports(node)
-        links = [(cx, node.links[side])
-                 for side, cx in zip((1, 2), child_indices(x))
-                 if node.links[side] is not None]
-        if not links:
-            self.send(env.src, tp.CLAUSES_UP, job,
-                      {"x": parent_index(x), "child_x": x, "epoch": n,
-                       "buf": own, "u": 1})
-            return
-        node.epochs[n] = EpochState(own=own, expected=dict(links),
-                                    reply_to=(env.src, parent_index(x)))
-        for cx, pe in links:
-            self.send(pe, tp.CLAUSES_BEGIN, job, {"x": cx, "epoch": n})
+        self._open_epoch(node, n, reply_to=(env.src, parent_index(x)))
 
     def _h_clauses_up(self, env: Envelope) -> None:
         job = env.job
@@ -710,7 +679,7 @@ class WorkerPE(BasePE):
                 self.send(pe, tp.CLAUSES_BCAST, node.job,
                           {"x": cx, "epoch": n, "buf": merged})
             self._apply_import(node, merged)
-            del node.epochs[n]
+            node.epochs.pop(n, None)
             self.log("SHARE", node.job, f"epoch={n} u={u_out} lits={len(merged)}")
         else:
             pe, px = st.reply_to
@@ -747,44 +716,35 @@ class WorkerPE(BasePE):
         slot.done = True
         if node.result_reported:
             return
-        node.result_reported = True
-        model = slot.solver.model if verdict == SAT else None
-        stats = slot.solver.stats
-        winner = f"pe{self.pe_id}.x{node.x}.s{slot.index}.{slot.kind}"
         if node.slots:
             for other in node.slots:
                 if other.control.state != TERMINATED:
                     other.control.terminate()
-        if node.x == 0:
-            self._finish_root(node, verdict, model, stats, winner, delay_us)
-        else:
+        if node.x != 0:
             self.log("RESULT", node.job, f"verdict={verdict} x={node.x}")
-            self.send(node.parent_pe, tp.RESULT, node.job,
-                      {"x": parent_index(node.x), "verdict": verdict,
-                       "model": model, "stats": stats, "winner": winner},
-                      extra_delay_us=delay_us)
+        model = slot.solver.model if verdict == SAT else None
+        winner = f"pe{self.pe_id}.x{node.x}.s{slot.index}.{slot.kind}"
+        self._pass_result(node, verdict, model, slot.solver.stats, winner, delay_us)
 
     def _h_result(self, env: Envelope) -> None:
-        job = env.job
-        node = self.nodes.get((job, env.payload["x"]))
+        node = self.nodes.get((env.job, env.payload["x"]))
         if node is None or node.result_reported:
             return
-        node.result_reported = True
         p = env.payload
-        if node.x == 0:
-            self._finish_root(node, p["verdict"], p["model"], p["stats"], p["winner"])
-        else:
-            self.send(node.parent_pe, tp.RESULT, job,
-                      {"x": parent_index(node.x), "verdict": p["verdict"],
-                       "model": p["model"], "stats": p["stats"],
-                       "winner": p["winner"]})
+        self._pass_result(node, p["verdict"], p["model"], p["stats"], p["winner"])
 
-    def _finish_root(self, node: JobNode, verdict: str, model, stats, winner: str,
+    def _pass_result(self, node: JobNode, verdict: str, model, stats, winner: str,
                      delay_us: int = 0) -> None:
+        """Forward a node's first result up the tree; the root hands it to the client."""
+        node.result_reported = True
+        payload = {"verdict": verdict, "model": model, "stats": stats, "winner": winner}
+        if node.x != 0:
+            payload["x"] = parent_index(node.x)
+            self.send(node.parent_pe, tp.RESULT, node.job, payload,
+                      extra_delay_us=delay_us)
+            return
         self.log("RESULT", node.job, f"verdict={verdict} x=0")
-        self.send(CLIENT_ID, tp.RESULT, node.job,
-                  {"verdict": verdict, "model": model, "stats": stats,
-                   "winner": winner}, extra_delay_us=delay_us)
+        self.send(CLIENT_ID, tp.RESULT, node.job, payload, extra_delay_us=delay_us)
         self._emit_event(node, 0)  # completion: drop the job at the next epoch
         self.teardown_node(node.job, 0, "done")
 
@@ -792,8 +752,7 @@ class WorkerPE(BasePE):
         node = self.nodes.get((job, 0))
         if node is None or node.result_reported:
             return
-        node.result_reported = True
-        self._finish_root(node, "DONE", None, None, f"pe{self.pe_id}.x0.synth")
+        self._pass_result(node, "DONE", None, None, f"pe{self.pe_id}.x0.synth")
 
     def _h_solver_done(self, env: Envelope) -> None:
         # real mode: a solver thread reports in via the mailbox
@@ -851,19 +810,10 @@ class WorkerPE(BasePE):
 
     def _solver_thread(self, node: JobNode, slot: SolverSlot) -> None:
         chunk = 1000 if slot.kind == "cdcl" else 20000
-        while True:
-            state = slot.control.state
-            if state == TERMINATED:
-                return
-            if state == S_SUSPENDED:
-                slot.control.park_while_suspended()
-                continue
-            self._forget_check(slot)
-            verdict = slot.solver.step(chunk)
-            if verdict is not None:
-                self.send(self.pe_id, tp.SOLVER_DONE, node.job,
-                          {"x": node.x, "slot": slot.index, "verdict": verdict})
-                return
+        verdict = drive(slot.solver, chunk, lambda: self._forget_check(slot))
+        if verdict is not None:
+            self.send(self.pe_id, tp.SOLVER_DONE, node.job,
+                      {"x": node.x, "slot": slot.index, "verdict": verdict})
 
 
 class ClientPE(BasePE):

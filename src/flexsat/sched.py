@@ -31,9 +31,7 @@ class JobDescriptor:
     cnf: Cnf | None = None
     synthetic_s: float | None = None  # fixed-duration workload instead of a CNF
     wallclock_limit_s: float | None = None
-    cpu_limit_s: float | None = None
     max_volume: int | None = None
-    seq_time_s: float | None = None   # optional reference for speedup reports
 
     def __post_init__(self) -> None:
         if not (0.0 < self.priority < 1.0):

@@ -2,7 +2,8 @@
 
 Both backends run cooperatively: work happens in bounded step() calls so a
 simulated cluster can interleave many solvers on one thread, while real
-threads just call step() in a loop and park on the shared control cell.
+threads run control.drive, which steps in chunks and parks on the shared
+control cell.
 """
 from __future__ import annotations
 
@@ -44,7 +45,6 @@ class SolveResult:
     verdict: str  # SAT | UNSAT | UNKNOWN
     model: dict[int, bool] | None = None
     stats: SolverStats = field(default_factory=SolverStats)
-    wallclock_s: float | None = None
 
 
 from .control import RUNNING, SUSPENDED, TERMINATED, SolverControl  # noqa: E402

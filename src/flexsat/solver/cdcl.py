@@ -16,7 +16,7 @@ from ..formula import Cnf, literal_key
 from ..util import luby
 from . import SAT, UNKNOWN, UNSAT, SolveResult, SolverStats
 from .config import CdclParams
-from .control import RUNNING, SUSPENDED, TERMINATED, SolverControl
+from .control import RUNNING, SolverControl, drive
 
 ImportFn = Callable[[], "tuple[int, ...] | None"]
 ExportFn = Callable[[tuple[int, ...], int], None]
@@ -447,18 +447,9 @@ class CdclSolver:
                 self._decide()
 
     def solve(self, step_conflicts: int = 512) -> SolveResult:
-        """Blocking loop for threaded use; parks while suspended."""
-        while True:
-            if self.control is not None:
-                st = self.control.state
-                if st == TERMINATED:
-                    return self.result()
-                if st == SUSPENDED:
-                    self.control.park_while_suspended()
-                    continue
-            verdict = self.step(step_conflicts)
-            if verdict is not None:
-                return self.result()
+        """Blocking solve (see control.drive); UNKNOWN if terminated first."""
+        drive(self, step_conflicts)
+        return self.result()
 
 
 def cdcl_solve(

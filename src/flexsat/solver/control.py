@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import threading
+from typing import Callable, Optional
 
 RUNNING = "RUNNING"
 SUSPENDED = "SUSPENDED"
@@ -58,3 +59,31 @@ class SolverControl:
             self.parked = True
             self._wake.wait(timeout=1.0)
         self.parked = False
+
+
+def drive(solver, chunk: int, before_chunk: Optional[Callable[[], None]] = None,
+          max_work: Optional[int] = None) -> Optional[str]:
+    """Step a solver in chunks until it answers; the one blocking drive loop.
+
+    Parks while the solver's control cell is suspended.  Returns the
+    verdict, or None once the control is terminated or max_work units
+    (conflicts or flips) have been stepped without an answer.
+    before_chunk runs ahead of every step.
+    """
+    control = solver.control
+    done = 0
+    while max_work is None or done < max_work:
+        if control is not None:
+            if control.state == TERMINATED:
+                return None
+            if control.state == SUSPENDED:
+                control.park_while_suspended()
+                continue
+        if before_chunk is not None:
+            before_chunk()
+        n = chunk if max_work is None else min(chunk, max_work - done)
+        verdict = solver.step(n)
+        if verdict is not None:
+            return verdict
+        done += n
+    return None

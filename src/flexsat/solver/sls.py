@@ -13,7 +13,7 @@ from random import Random
 from ..formula import Cnf, check_model
 from . import SAT, UNKNOWN, SolveResult, SolverStats
 from .config import SlsParams
-from .control import RUNNING, SUSPENDED, TERMINATED, SolverControl
+from .control import RUNNING, SolverControl, drive
 
 
 def _preprocess(cnf: Cnf) -> tuple[dict[int, bool] | None, list[list[int]]]:
@@ -212,22 +212,11 @@ class SlsSolver:
         return SolveResult(SAT if self._done else UNKNOWN, self.model, self.stats)
 
     def solve(self, max_flips: int = 1_000_000, step_flips: int = 10_000) -> SolveResult:
-        """Blocking loop with a total flip budget; parks while suspended."""
-        done = 0
-        while done < max_flips:
-            if self.control is not None:
-                st = self.control.state
-                if st == TERMINATED:
-                    return self.result()
-                if st == SUSPENDED:
-                    self.control.park_while_suspended()
-                    continue
-            if self._blocked:
-                return self.result()
-            chunk = min(step_flips, max_flips - done)
-            if self.step(chunk) is not None:
-                return self.result()
-            done += chunk
+        """Blocking solve of at most max_flips flips (see control.drive).
+
+        SAT, or UNKNOWN when the budget runs out or the solver is terminated.
+        """
+        drive(self, step_flips, max_work=max_flips)
         return self.result()
 
 

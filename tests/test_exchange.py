@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from flexsat.exchange import (BufferFormatError, ClauseFilter, ExchangeConfig,
-                              LbdGate, buffer_from_bytes, buffer_limit,
+                              buffer_from_bytes, buffer_limit,
                               buffer_to_bytes, commutative_hash, deserialize,
                               merge, serialize)
 from flexsat.formula import Clause
@@ -126,31 +126,35 @@ def test_roundtrip_randomized():
         assert serialize(back) == buf
 
 
+# deserialize and merge read buffers through one decoder; both must reject.
+DECODERS = (deserialize, lambda buf: merge([(buf, 1)], [], ExchangeConfig()))
+
+
+def assert_rejected(buf, match):
+    for decode in DECODERS:
+        with pytest.raises(BufferFormatError, match=match):
+            decode(buf)
+
+
 def test_deserialize_rejects_negative_count():
-    with pytest.raises(BufferFormatError, match="negative count"):
-        deserialize([-1])
+    assert_rejected([-1], "negative count -1 for length 1")
 
 
 def test_deserialize_rejects_truncated_group():
-    with pytest.raises(BufferFormatError, match="truncated"):
-        deserialize([2, 5])
+    assert_rejected([2, 5], "truncated")
 
 
 def test_deserialize_rejects_zero_literal():
-    with pytest.raises(BufferFormatError, match="zero literal"):
-        deserialize([1, 0])
+    assert_rejected([1, 0], "zero literal")
 
 
 def test_deserialize_rejects_noncanonical_clause():
-    with pytest.raises(BufferFormatError, match="not canonical"):
-        deserialize([0, 1, 2, 1])  # (2, 1) is out of order
+    assert_rejected([0, 1, 2, 1], "not canonical")  # (2, 1) is out of order
 
 
 def test_deserialize_rejects_group_order_violation():
-    with pytest.raises(BufferFormatError, match="group not in canonical order"):
-        deserialize([0, 2, 1, 3, 1, 2])
-    with pytest.raises(BufferFormatError, match="group not in canonical order"):
-        deserialize([0, 2, 1, 2, 1, 2])  # duplicate clause
+    assert_rejected([0, 2, 1, 3, 1, 2], "group not in canonical order")
+    assert_rejected([0, 2, 1, 2, 1, 2], "group not in canonical order")  # duplicate clause
 
 
 def test_bytes_roundtrip():
@@ -315,25 +319,3 @@ def test_filter_generations_are_capped():
     assert not any(f.check_import(c) for c in clauses[8:])
     assert f.check_import(clauses[0])   # two generations back: forgotten
 
-
-def test_lbd_gate_disabled_admits_everything():
-    g = LbdGate(enabled=False)
-    assert g.admits(10, 99) and g.admits(1, None)
-
-
-def test_lbd_gate_enabled_rules():
-    g = LbdGate(enabled=True, limit=2)
-    assert g.admits(1, 50)       # units always pass
-    assert g.admits(4, None)     # unscored clauses pass
-    assert g.admits(4, 2)
-    assert not g.admits(4, 3)
-    g.update(0.5)                # underfull round loosens the gate
-    assert g.limit == 3 and g.admits(4, 3)
-    g.update(0.95)
-    assert g.limit == 3
-
-
-def test_lbd_gate_update_noop_when_disabled():
-    g = LbdGate(enabled=False, limit=2)
-    g.update(0.1)
-    assert g.limit == 2

@@ -180,6 +180,12 @@ def test_parse_scenario_full(tmp_path):
      '{"type": "job", "synthetic": 1.0, "job": 3}', "duplicate job id"),
     ('{"type": "job", "file": "missing.cnf"}', "missing.cnf"),
     ('{"type": "job", "synthetic": 1.0, "priority": 2.0}', "priority"),
+    ('{"type": "job", "synthetic": 0.5, "prioirty": 0.9}',
+     "line 1: unknown job key 'prioirty'"),
+    ('{"type": "job", "synthetic": 1.0}\n{"type": "job", "synthetic": 1.0, "cpu_limit": 5}',
+     "line 2: unknown job key 'cpu_limit'"),
+    ('{"type": "job", "synthetic": 1.0, "seq_time": 9.0}',
+     "line 1: unknown job key 'seq_time'"),
 ])
 def test_parse_scenario_errors(text, msg, tmp_path):
     with pytest.raises(ScenarioError, match=msg):

@@ -1,5 +1,6 @@
 """Cluster runtime: transports, mono runs, malleability, determinism."""
 import gc
+import hashlib
 import weakref
 from random import Random
 
@@ -45,6 +46,8 @@ def test_config_validation():
         ClusterConfig(alpha=0.3).validate()
     with pytest.raises(ValueError, match="timeout"):
         ClusterConfig(timeout_s=0).validate()
+    with pytest.raises(ValueError, match="cache_size must be >= 1"):
+        ClusterConfig(cache_size=0).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +259,57 @@ def test_torn_down_nodes_free_their_filters(monkeypatch):
     alive = [f for f in (r() for r in refs) if f is not None]
     assert len(alive) < len(refs)
     assert all(id(f) in held for f in alive)
+
+
+def eviction_run():
+    """Three wide jobs on a one-node cache: adoptions must evict suspended nodes."""
+    cfg = small_cfg(num_pes=8, epsilon=0.0, seed=5, cache_size=1)
+    jobs = [synth_job(j, 1.0, 6, arrival=0.2 * (j - 1)) for j in (1, 2, 3)]
+    return Cluster(cfg, jobs, demand_changes=[(0.6, 2, 1)]).run()
+
+
+def test_full_cache_evicts_suspended_nodes():
+    report = eviction_run()
+    evictions = [l for l in report.trace if " END " in l and "reason=evict" in l]
+    assert len(evictions) >= 1
+    assert all(report.jobs[j]["verdict"] == "DONE" for j in (1, 2, 3))
+
+
+def criterion9_run():
+    """The scenario of acceptance criterion 9: CNF and synthetic jobs, shrink/regrow."""
+    descs = [
+        JobDescriptor(job=1, priority=0.7, demand=6,
+                      cnf=random_3cnf(Random(301), 50, 210)),
+        JobDescriptor(job=2, priority=0.4, arrival_s=0.15, demand=6,
+                      cnf=random_3cnf(Random(302), 50, 230)),
+        JobDescriptor(job=3, priority=0.5, arrival_s=0.1, demand=4,
+                      synthetic_s=0.9),
+    ]
+    cfg = ClusterConfig(num_pes=8, threads=2, seed=3, balance_period_s=0.05,
+                        share_period_s=0.1, timeout_s=30.0)
+    return Cluster(cfg, descs, demand_changes=[(0.3, 1, 2), (0.5, 1, 6)]).run()
+
+
+def sharing_mono_run():
+    """Slow simulated solvers: three sharing epochs, then x=3 wins and x=1 forwards."""
+    cfg = ClusterConfig(num_pes=8, threads=2, seed=1, share_period_s=0.05,
+                        timeout_s=30.0, cdcl_rate=1.0, sls_rate=20.0)
+    return mono_mode(random_3cnf(Random(11), 90, 405), cfg)
+
+
+@pytest.mark.parametrize("run,digest", [
+    (criterion9_run, "d744f22b08375ff7b1ce9f618af4ab8c3cce5cff70ea81d6d9276eb4b6894b12"),
+    (eviction_run, "5e5717521ed47b1d8a28c51d436ea1cd3474b11a2187966ae86387f61bd2a1c6"),
+    (sharing_mono_run, "db895bddba634d0dae04ffcaaf223ab5a244c5c0f18d680455acaf16198580fa"),
+], ids=["criterion9", "eviction", "sharing_mono"])
+def test_trace_digests_pinned(run, digest):
+    """Simulated traces are part of the contract: a refactor must keep them byte-exact.
+
+    A digest changes only with a deliberate change of behaviour; re-pin it
+    then and say why.
+    """
+    trace = run().trace
+    assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == digest
 
 
 def test_priority_shapes_volumes():

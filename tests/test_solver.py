@@ -11,6 +11,7 @@ from flexsat.solver import (CDCL_PRESETS, PORTFOLIO_CYCLE, SAT, UNKNOWN,
                             SlsParams, SlsSolver, SolverControl, SolverStats,
                             cdcl_solve, make_portfolio_config, sls_solve,
                             throttled_thread_count)
+from flexsat.solver.control import drive
 from flexsat.solver.sls import _preprocess
 from flexsat.util import luby
 from helpers import oracle_verdict, php_cnf, random_3cnf, xor_chain_cnf
@@ -294,6 +295,56 @@ def test_threaded_solver_parks_then_terminates():
     t.join(timeout=5.0)
     assert not t.is_alive()
     assert s.result().verdict == UNKNOWN
+
+
+class ScriptedSolver:
+    """Records each step budget and answers SAT on step number answer_at."""
+
+    def __init__(self, control=None, answer_at=None):
+        self.control = control
+        self.answer_at = answer_at
+        self.steps = []
+
+    def step(self, n):
+        self.steps.append(n)
+        return SAT if len(self.steps) == self.answer_at else None
+
+
+def _drive_in_thread(solver, chunk):
+    out = []
+    t = threading.Thread(target=lambda: out.append(drive(solver, chunk)))
+    t.start()
+    deadline = time.monotonic() + 2.0
+    while not solver.control.parked and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert solver.control.parked and solver.steps == []
+    return t, out
+
+
+def test_drive_parks_resumes_terminates_and_caps_work():
+    s = ScriptedSolver()
+    assert drive(s, 4, max_work=10) is None  # budget spent, no answer
+    assert s.steps == [4, 4, 2]
+    calls = []
+    s = ScriptedSolver(answer_at=3)
+    assert drive(s, 5, before_chunk=lambda: calls.append(len(s.steps))) == SAT
+    assert calls == [0, 1, 2] and s.steps == [5, 5, 5]
+
+    ctl = SolverControl()
+    ctl.suspend()
+    s = ScriptedSolver(ctl, answer_at=2)
+    t, out = _drive_in_thread(s, 3)
+    ctl.resume()
+    t.join(timeout=2.0)
+    assert not t.is_alive() and out == [SAT] and s.steps == [3, 3]
+
+    ctl = SolverControl()
+    ctl.suspend()
+    s = ScriptedSolver(ctl)
+    t, out = _drive_in_thread(s, 3)
+    ctl.terminate()
+    t.join(timeout=2.0)
+    assert not t.is_alive() and out == [None] and s.steps == []
 
 
 # ---------------------------------------------------------------------------
