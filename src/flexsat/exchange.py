@@ -21,10 +21,11 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt
 from random import Random
 from typing import Iterable, Sequence
 
-from .formula import Clause, literal_key
+from .formula import Clause
 from .util import MASK64, mix64
 
 
@@ -140,8 +141,8 @@ def _stream(buf: Sequence[int]):
             pos += length
             if 0 in lits:
                 raise BufferFormatError("zero literal inside clause")
-            keys = tuple(literal_key(l) for l in lits)
-            if any(keys[i] >= keys[i + 1] for i in range(length - 1)):
+            keys = tuple([2 * l if l > 0 else 1 - 2 * l for l in lits])  # literal_key
+            if not all(map(lt, keys, keys[1:])):
                 raise BufferFormatError(f"clause {lits} not canonical")
             if prev_key is not None and keys <= prev_key:
                 raise BufferFormatError("group not in canonical order")
@@ -213,19 +214,28 @@ def merge(
 _LEN_SALT = 0xC2B2AE3D27D4EB4F
 
 
-def commutative_hash(lits: Iterable[int]) -> int:
+class LiteralMix(dict):
+    """mix64 of each literal looked up so far, filled on first use.
+
+    Owned by one filter and freed with it, so it never outgrows the
+    literals that filter has seen.
+    """
+
+    def __missing__(self, lit: int) -> int:
+        m = self[lit] = mix64(lit)
+        return m
+
+
+def commutative_hash(lits: Sequence[int], mix: LiteralMix | None = None) -> int:
     """Order-independent 64-bit clause hash.
 
     Sum (mod 2^64) of an avalanche mix of each literal, xored with a mix
     of the clause length, so permutations collide and sub/superset
-    clauses do not collide trivially.
+    clauses do not collide trivially.  mix caches the literal mixes.
     """
-    h = 0
-    n = 0
-    for lit in lits:
-        h = (h + mix64(lit)) & MASK64
-        n += 1
-    return h ^ mix64(n ^ _LEN_SALT)
+    if mix is None:
+        mix = LiteralMix()
+    return (sum(map(mix.__getitem__, lits)) & MASK64) ^ mix64(len(lits) ^ _LEN_SALT)
 
 
 class ClauseFilter:
@@ -248,6 +258,7 @@ class ClauseFilter:
     GEN_CAP = 1 << 15
 
     def __init__(self):
+        self._mix = LiteralMix()
         self.unit_set: set[int] = set()
         self._cur: set[int] = set()
         self._old: set[int] = set()
@@ -260,7 +271,7 @@ class ClauseFilter:
                 return False
             self.unit_set.add(lit)
             return True
-        h = commutative_hash(lits)
+        h = commutative_hash(lits, self._mix)
         if h in self._cur:
             return False
         if len(self._cur) >= self.GEN_CAP:

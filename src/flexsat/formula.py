@@ -28,9 +28,12 @@ class ModelError(ValueError):
     """An assignment left a variable of the formula unassigned."""
 
 
-def literal_key(lit: int) -> tuple[int, bool]:
-    """Canonical sort key: by variable, positive literal before negative."""
-    return (abs(lit), lit < 0)
+def literal_key(lit: int) -> int:
+    """Canonical sort key of a nonzero literal: 2*|lit| + (lit < 0).
+
+    Orders by variable, positive literal before negative, and is injective.
+    """
+    return 2 * lit if lit > 0 else 1 - 2 * lit
 
 
 def canonical_literals(lits: Iterable[int]) -> tuple[int, ...] | None:
@@ -73,7 +76,7 @@ class Clause:
         return Clause(canon, lbd)
 
     @property
-    def sort_key(self) -> tuple[tuple[int, bool], ...]:
+    def sort_key(self) -> tuple[int, ...]:
         return tuple(literal_key(l) for l in self.lits)
 
     def __len__(self) -> int:

@@ -785,7 +785,7 @@ class WorkerPE(BasePE):
             return
         any_live = False
         for slot in node.slots:
-            if slot.done or slot.control.state != RUNNING:
+            if slot.done or slot.solver.blocked or slot.control.state != RUNNING:
                 continue
             self._forget_check(slot)
             stats = slot.solver.stats

@@ -12,7 +12,7 @@ from heapq import heapify, heappop, heappush
 from random import Random
 from typing import Callable, Sequence
 
-from ..formula import Cnf, literal_key
+from ..formula import Cnf
 from ..util import luby
 from . import SAT, UNKNOWN, UNSAT, SolveResult, SolverStats
 from .config import CdclParams
@@ -34,6 +34,8 @@ class _Clause:
 
 
 class CdclSolver:
+    blocked = False  # a contradiction is an UNSAT verdict, never a block
+
     def __init__(
         self,
         cnf: Cnf,
@@ -65,8 +67,12 @@ class CdclSolver:
         self.qhead = 0
         self.dlevel = 0
         self.var_inc = 1.0
-        self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, nv + 1)]
-        heapify(self.heap)
+        # Lazy max-activity heap of (-activity, var).  An entry is current
+        # while its activity equals act[var]; in_heap[var] is 1 iff var has
+        # a current entry, and no second one is pushed while it has.
+        self.heap: list[tuple[float, int]] = []
+        self.in_heap = bytearray(nv + 1)
+        self._rebuild_heap()
         self.learned_clauses: list[_Clause] = []
         self.reduce_limit = self.params.reduce_base
         self.restart_count = 0
@@ -119,20 +125,29 @@ class CdclSolver:
         self.reason[var] = reason
         self.trail.append(lit)
 
-    def _bump(self, var: int) -> None:
-        a = self.act[var] + self.var_inc
-        self.act[var] = a
-        if a > _RESCALE:
-            inv = 1.0 / _RESCALE
-            act = self.act
-            for v in range(1, self.nv + 1):
-                act[v] *= inv
-            self.var_inc *= inv
-            self.heap = [(-act[v], v) for v in range(1, self.nv + 1)
-                         if self.val[v + self.nv] == 0]
-            heapify(self.heap)
-        else:
-            heappush(self.heap, (-a, var))
+    def _rescale(self) -> None:
+        """Scale every activity and the increment down; rebuild the heap."""
+        inv = 1.0 / _RESCALE
+        act = self.act
+        for v in range(1, self.nv + 1):
+            act[v] *= inv
+        self.var_inc *= inv
+        self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """One current entry per unassigned variable, none for the others."""
+        nv = self.nv
+        val = self.val
+        act = self.act
+        in_heap = self.in_heap
+        heap = []
+        for v in range(1, nv + 1):
+            free = val[v + nv] == 0
+            in_heap[v] = free
+            if free:
+                heap.append((-act[v], v))
+        heapify(heap)
+        self.heap = heap
 
     # -- propagation -------------------------------------------------------
     def _propagate(self) -> _Clause | None:
@@ -140,15 +155,18 @@ class CdclSolver:
         nv = self.nv
         watches = self.watches
         trail = self.trail
+        level_a = self.level_a
+        reason = self.reason
+        dlevel = self.dlevel
+        qhead = self.qhead
         props = 0
-        while self.qhead < len(trail):
-            lit = trail[self.qhead]
-            self.qhead += 1
-            false_lit = -lit
+        confl = None
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
             wl = watches[false_lit + nv]
             i = j = 0
             n_wl = len(wl)
-            confl = None
             while i < n_wl:
                 c = wl[i]
                 i += 1
@@ -162,34 +180,34 @@ class CdclSolver:
                     wl[j] = c
                     j += 1
                     continue
-                found = False
                 for k in range(2, len(lits)):
                     lk = lits[k]
                     if val[lk + nv] >= 0:
                         lits[1] = lk
                         lits[k] = false_lit
                         watches[lk + nv].append(c)
-                        found = True
                         break
-                if found:
-                    continue
-                wl[j] = c
-                j += 1
-                if fv < 0:
-                    confl = c
-                    while i < n_wl:  # keep the untouched tail
-                        wl[j] = wl[i]
-                        j += 1
-                        i += 1
-                    break
-                self._enqueue(first, c)
-                props += 1
-            del wl[j:]
+                else:
+                    wl[j] = c
+                    j += 1
+                    if fv < 0:
+                        confl = c
+                        break
+                    # enqueue first, implied by c
+                    val[first + nv] = 1
+                    val[nv - first] = -1
+                    var = first if first > 0 else -first
+                    level_a[var] = dlevel
+                    reason[var] = c
+                    trail.append(first)
+                    props += 1
             if confl is not None:
-                self.stats.propagations += props
-                return confl
+                del wl[j:i]  # keep the untouched tail
+                break
+            del wl[j:]
+        self.qhead = qhead
         self.stats.propagations += props
-        return None
+        return confl
 
     # -- conflict analysis -------------------------------------------------
     def _analyze(self, confl: _Clause) -> tuple[list[int], int, int]:
@@ -197,6 +215,10 @@ class CdclSolver:
         seen = self.seen
         level_a = self.level_a
         trail = self.trail
+        act = self.act
+        heap = self.heap
+        in_heap = self.in_heap
+        var_inc = self.var_inc
         learnt = [0]
         to_clear: list[int] = []
         counter = 0
@@ -212,7 +234,15 @@ class CdclSolver:
                     if lv > 0:
                         seen[v] = 1
                         to_clear.append(v)
-                        self._bump(v)
+                        a = act[v] + var_inc
+                        act[v] = a
+                        if a > _RESCALE:
+                            self._rescale()
+                            heap = self.heap
+                            var_inc = self.var_inc
+                        else:
+                            heappush(heap, (-a, v))
+                            in_heap[v] = 1
                         if lv >= dlevel:
                             counter += 1
                         else:
@@ -275,7 +305,8 @@ class CdclSolver:
             self.export_fn is not None
             and (self.export_max_len is None or len(learnt) <= self.export_max_len)
         ):
-            canon = tuple(sorted(learnt, key=literal_key))
+            # learnt holds one literal per variable, so |lit| orders it canonically
+            canon = tuple(sorted(learnt, key=abs))
             self.stats.exported += 1
             self.export_fn(canon, max(1, lbd))
         self.var_inc /= self.params.decay
@@ -288,6 +319,7 @@ class CdclSolver:
         trail = self.trail
         tl = self.trail_lim[lvl]
         heap = self.heap
+        in_heap = self.in_heap
         act = self.act
         for idx in range(len(trail) - 1, tl - 1, -1):
             lit = trail[idx]
@@ -296,7 +328,9 @@ class CdclSolver:
             val[lit + nv] = 0
             val[nv - lit] = 0
             self.reason[var] = None
-            heappush(heap, (-act[var], var))
+            if not in_heap[var]:
+                heappush(heap, (-act[var], var))
+                in_heap[var] = 1
         del trail[tl:]
         del self.trail_lim[lvl:]
         self.qhead = tl
@@ -320,12 +354,18 @@ class CdclSolver:
         keep_n = len(learned) // 2
         nv = self.nv
         kept = []
+        dropped = set()
+        touched = set()
         for i, c in enumerate(learned):
             if i < keep_n or c.lbd <= 2 or id(c) in locked:
                 kept.append(c)
             else:
-                self.watches[c.lits[0] + nv].remove(c)
-                self.watches[c.lits[1] + nv].remove(c)
+                dropped.add(id(c))
+                touched.add(c.lits[0] + nv)
+                touched.add(c.lits[1] + nv)
+        watches = self.watches
+        for w in touched:
+            watches[w] = [c for c in watches[w] if id(c) not in dropped]
         self.learned_clauses = kept
         self.reduce_limit += self.params.reduce_base // 2
 
@@ -377,16 +417,18 @@ class CdclSolver:
         if var == 0:
             heap = self.heap
             act = self.act
+            in_heap = self.in_heap
             while heap:
                 a, v = heappop(heap)
-                if val[v + nv] == 0 and -a == act[v]:
-                    var = v
-                    break
+                if -a == act[v]:  # current entry; stale ones are dropped
+                    in_heap[v] = 0
+                    if val[v + nv] == 0:
+                        var = v
+                        break
             if var == 0:
-                self.heap = [(-act[v], v) for v in range(1, nv + 1)
-                             if val[v + nv] == 0]
-                heapify(self.heap)
+                self._rebuild_heap()
                 a, var = heappop(self.heap)
+                self.in_heap[var] = 0
         self.stats.decisions += 1
         self.dlevel += 1
         self.trail_lim.append(len(self.trail))

@@ -22,24 +22,21 @@ class SolverControl:
     The owner flips the state; the solver observes it at conflict/flip
     boundaries.  In threaded mode a suspended solver parks on an event and
     burns no CPU beyond the poll; terminate() wakes it for a final exit.
+    `state` is a plain attribute for a cheap poll; only _move writes it.
     """
 
     def __init__(self) -> None:
-        self._state = RUNNING
+        self.state = RUNNING
         self._wake = threading.Event()
         self._wake.set()
         self.parked = False
 
-    @property
-    def state(self) -> str:
-        return self._state
-
     def _move(self, new: str) -> None:
-        if self._state == new:
+        if self.state == new:
             return
-        if (self._state, new) not in _VALID:
-            raise ValueError(f"bad transition {self._state} -> {new}")
-        self._state = new
+        if (self.state, new) not in _VALID:
+            raise ValueError(f"bad transition {self.state} -> {new}")
+        self.state = new
 
     def suspend(self) -> None:
         self._move(SUSPENDED)
@@ -55,7 +52,7 @@ class SolverControl:
 
     def park_while_suspended(self) -> None:
         """Called from the solver thread; blocks until resumed or terminated."""
-        while self._state == SUSPENDED:
+        while self.state == SUSPENDED:
             self.parked = True
             self._wake.wait(timeout=1.0)
         self.parked = False
@@ -66,10 +63,13 @@ def drive(solver, chunk: int, before_chunk: Optional[Callable[[], None]] = None,
     """Step a solver in chunks until it answers; the one blocking drive loop.
 
     Parks while the solver's control cell is suspended.  Returns the
-    verdict, or None once the control is terminated or max_work units
-    (conflicts or flips) have been stepped without an answer.
-    before_chunk runs ahead of every step.
+    verdict, or None once the control is terminated, the solver is
+    blocked (it can never answer), or max_work units (conflicts or flips)
+    have been stepped without an answer.  before_chunk runs ahead of every
+    step.
     """
+    if solver.blocked:
+        return None
     control = solver.control
     done = 0
     while max_work is None or done < max_work:

@@ -35,8 +35,14 @@ class ImportRing:
             return False
         buf, cap, tail = self._buf, self.capacity, self._tail
         buf[tail % cap] = len(lits)
-        for i, lit in enumerate(lits, start=1):
-            buf[(tail + i) % cap] = lit
+        start = (tail + 1) % cap
+        end = start + len(lits)
+        if end <= cap:
+            buf[start:end] = lits
+        else:  # the record wraps around the end of the ring
+            split = cap - start
+            buf[start:] = lits[:split]
+            buf[:end - cap] = lits[split:]
         self._tail = tail + n  # publish after the payload is in place
         return True
 
@@ -48,7 +54,12 @@ class ImportRing:
             return None
         buf, cap = self._buf, self.capacity
         n = buf[head % cap]
-        lits = tuple(buf[(head + 1 + i) % cap] for i in range(n))
+        start = (head + 1) % cap
+        end = start + n
+        if end <= cap:
+            lits = tuple(buf[start:end])
+        else:  # the record wraps around the end of the ring
+            lits = tuple(buf[start:] + buf[:end - cap])
         self._head = head + n + 1  # publish after the payload is read
         return lits
 

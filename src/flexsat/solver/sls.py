@@ -75,7 +75,27 @@ def _preprocess(cnf: Cnf) -> tuple[dict[int, bool] | None, list[list[int]]]:
     return fixed, clauses
 
 
+def _below(getrandbits, n: int) -> int:
+    """Random.randrange(n) for n >= 1, drawing the same getrandbits calls."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 class SlsSolver:
+    """WalkSAT over the residual clauses, with incremental break counts.
+
+    Per clause it keeps the number of true literals and the sum of the
+    variables of those literals: when exactly one literal is true, that sum
+    is the clause's critical variable.  brk[v] counts the clauses for which
+    v is critical, i.e. the clauses that flipping v would break.  Arrays
+    indexed by a literal hold 2n+1 entries, so -l indexes from the end.
+    """
+
+    blocked = False  # preprocessing found a contradiction: SAT is unreachable
+
     def __init__(
         self,
         cnf: Cnf,
@@ -92,115 +112,148 @@ class SlsSolver:
         self.model: dict[int, bool] | None = None
 
         self.fixed: dict[int, bool] = {}
-        if self.params.preprocess:
+        self.clauses: list[list[int]] = []
+        if not self.params.preprocess:
+            self.clauses = [list(c.lits) for c in cnf.clauses]
+        else:
             fixed, residual = _preprocess(cnf)
             if fixed is None:
-                self._blocked = True  # contradiction: SAT is unreachable
-                self.clauses: list[list[int]] = []
+                self.blocked = True
             else:
-                self._blocked = False
                 self.fixed = fixed
                 self.clauses = residual
-        else:
-            self._blocked = False
-            self.clauses = [list(c.lits) for c in cnf.clauses]
 
-        self.vars = sorted({abs(l) for cl in self.clauses for l in cl})
-        self.occ: dict[int, list[int]] = {}  # literal -> clause indexes
+        nv = cnf.num_vars
+        self.cvars = [[abs(l) for l in cl] for cl in self.clauses]
+        self.vars = sorted({v for vs in self.cvars for v in vs})
+        self.occ: list[list[int]] = [[] for _ in range(2 * nv + 1)]  # literal -> clauses
         for ci, cl in enumerate(self.clauses):
             for lit in cl:
-                self.occ.setdefault(lit, []).append(ci)
-        self.assign: dict[int, bool] = {}
+                self.occ[lit].append(ci)
+        self.value = [False] * (nv + 1)       # variable -> current value
         self.ntrue = [0] * len(self.clauses)
+        self.tsum = [0] * len(self.clauses)   # sum of the variables of true literals
+        self.brk = [0] * (nv + 1)
         self.unsat: list[int] = []
-        self.unsat_pos: dict[int, int] = {}
+        self.unsat_pos = [0] * len(self.clauses)
         self.flips_since_restart = 0
-        if not self._blocked:
+        if not self.blocked:
             self._random_assignment()
 
     # -- bookkeeping -------------------------------------------------------
     def _random_assignment(self) -> None:
+        value = self.value
+        getrandbits = self.rng.getrandbits
         for v in self.vars:
-            self.assign[v] = bool(self.rng.getrandbits(1))
-        self.unsat = []
-        self.unsat_pos = {}
+            value[v] = bool(getrandbits(1))
+        ntrue, tsum, brk = self.ntrue, self.tsum, self.brk
+        unsat, unsat_pos = self.unsat, self.unsat_pos
+        unsat.clear()
+        for v in self.vars:
+            brk[v] = 0
         for ci, cl in enumerate(self.clauses):
-            n = sum(1 for lit in cl if self._lit_true(lit))
-            self.ntrue[ci] = n
+            n = s = 0
+            for lit in cl:
+                v = lit if lit > 0 else -lit
+                if value[v] == (lit > 0):
+                    n += 1
+                    s += v
+            ntrue[ci] = n
+            tsum[ci] = s
             if n == 0:
-                self.unsat_pos[ci] = len(self.unsat)
-                self.unsat.append(ci)
+                unsat_pos[ci] = len(unsat)
+                unsat.append(ci)
+            elif n == 1:
+                brk[s] += 1
         self.flips_since_restart = 0
-
-    def _lit_true(self, lit: int) -> bool:
-        return self.assign[abs(lit)] == (lit > 0)
-
-    def _mark_sat(self, ci: int) -> None:
-        pos = self.unsat_pos.pop(ci)
-        last = self.unsat.pop()
-        if last != ci:
-            self.unsat[pos] = last
-            self.unsat_pos[last] = pos
-
-    def _mark_unsat(self, ci: int) -> None:
-        self.unsat_pos[ci] = len(self.unsat)
-        self.unsat.append(ci)
-
-    def _break_count(self, v: int) -> int:
-        lit = v if self.assign[v] else -v
-        return sum(1 for ci in self.occ.get(lit, ()) if self.ntrue[ci] == 1)
-
-    def _flip(self, v: int) -> None:
-        old_lit = v if self.assign[v] else -v
-        self.assign[v] = not self.assign[v]
-        for ci in self.occ.get(old_lit, ()):
-            self.ntrue[ci] -= 1
-            if self.ntrue[ci] == 0:
-                self._mark_unsat(ci)
-        for ci in self.occ.get(-old_lit, ()):
-            if self.ntrue[ci] == 0:
-                self._mark_sat(ci)
-            self.ntrue[ci] += 1
-        self.stats.flips += 1
-        self.flips_since_restart += 1
 
     # -- main loop ---------------------------------------------------------
     def step(self, max_flips: int) -> str | None:
-        """Run up to max_flips flips; SAT verdict or None."""
+        """Run up to max_flips flips; SAT verdict or None.
+
+        A flip of v moves one true literal per clause of its old literal to
+        the clauses of its new one, updating true counts, sums, break counts
+        and the unsat list in place.
+        """
         if self._done:
             return SAT
-        if self._blocked:
+        if self.blocked:
             return None
         control = self.control
-        rng = self.rng
+        random = self.rng.random
+        getrandbits = self.rng.getrandbits
         noise = self.params.noise
-        for _ in range(max_flips):
-            if control is not None and control.state != RUNNING:
-                return None
-            if not self.unsat:
-                return self._finish()
-            cl = self.clauses[self.unsat[rng.randrange(len(self.unsat))]]
-            if rng.random() < noise:
-                v = abs(cl[rng.randrange(len(cl))])
-            else:
-                best, best_break = [], None
-                for lit in cl:
-                    b = self._break_count(abs(lit))
-                    if best_break is None or b < best_break:
-                        best, best_break = [abs(lit)], b
-                    elif b == best_break:
-                        best.append(abs(lit))
-                v = best[rng.randrange(len(best))]
-            self._flip(v)
-            if self.flips_since_restart >= self.params.restart_flips:
-                self._random_assignment()
-        if not self.unsat:
+        restart_flips = self.params.restart_flips
+        cvars, occ, value = self.cvars, self.occ, self.value
+        ntrue, tsum, brk = self.ntrue, self.tsum, self.brk
+        unsat, unsat_pos = self.unsat, self.unsat_pos
+        above = len(self.clauses) + 1  # above every break count
+        left = restart_flips - self.flips_since_restart
+        flips = 0
+        try:
+            for _ in range(max_flips):
+                if control is not None and control.state != RUNNING:
+                    return None
+                if not unsat:
+                    return self._finish()
+                vs = cvars[unsat[_below(getrandbits, len(unsat))]]
+                if random() < noise:
+                    v = vs[_below(getrandbits, len(vs))]
+                else:
+                    best: list[int] = []
+                    best_break = above
+                    for u in vs:
+                        b = brk[u]
+                        if b < best_break:
+                            best = [u]
+                            best_break = b
+                        elif b == best_break:
+                            best.append(u)
+                    v = best[_below(getrandbits, len(best))]
+
+                old_lit = v if value[v] else -v
+                value[v] = not value[v]
+                for ci in occ[old_lit]:
+                    n = ntrue[ci] - 1
+                    ntrue[ci] = n
+                    s = tsum[ci] - v
+                    tsum[ci] = s
+                    if n == 0:
+                        brk[v] -= 1
+                        unsat_pos[ci] = len(unsat)
+                        unsat.append(ci)
+                    elif n == 1:
+                        brk[s] += 1
+                for ci in occ[-old_lit]:
+                    n = ntrue[ci]
+                    if n == 0:
+                        brk[v] += 1
+                        last = unsat.pop()
+                        if last != ci:
+                            pos = unsat_pos[ci]
+                            unsat[pos] = last
+                            unsat_pos[last] = pos
+                    elif n == 1:
+                        brk[tsum[ci]] -= 1
+                    ntrue[ci] = n + 1
+                    tsum[ci] += v
+
+                flips += 1
+                left -= 1
+                if left <= 0:
+                    self._random_assignment()
+                    left = restart_flips
+        finally:
+            self.stats.flips += flips
+            self.flips_since_restart = restart_flips - left
+        if not unsat:
             return self._finish()
         return None
 
     def _finish(self) -> str:
         model = dict(self.fixed)
-        model.update(self.assign)
+        value = self.value
+        model.update((v, value[v]) for v in self.vars)
         for v in range(1, self.cnf.num_vars + 1):
             model.setdefault(v, False)
         assert check_model(self.cnf, model)
@@ -214,7 +267,8 @@ class SlsSolver:
     def solve(self, max_flips: int = 1_000_000, step_flips: int = 10_000) -> SolveResult:
         """Blocking solve of at most max_flips flips (see control.drive).
 
-        SAT, or UNKNOWN when the budget runs out or the solver is terminated.
+        SAT, or UNKNOWN when the budget runs out, the solver is terminated
+        or preprocessing blocked it.
         """
         drive(self, step_flips, max_work=max_flips)
         return self.result()

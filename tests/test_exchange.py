@@ -5,10 +5,10 @@ from random import Random
 import pytest
 
 from flexsat.exchange import (BufferFormatError, ClauseFilter, ExchangeConfig,
-                              buffer_from_bytes, buffer_limit,
-                              buffer_to_bytes, commutative_hash, deserialize,
-                              merge, serialize)
-from flexsat.formula import Clause
+                              LiteralMix, _stream, buffer_from_bytes,
+                              buffer_limit, buffer_to_bytes, commutative_hash,
+                              deserialize, merge, serialize)
+from flexsat.formula import Clause, literal_key
 from helpers import limit_oracle, merge_oracle
 
 
@@ -228,6 +228,29 @@ def test_commutative_hash_length_sensitive():
     assert commutative_hash([1, 2]) != commutative_hash([1, 2, 3])
     assert commutative_hash([1]) != commutative_hash([1, 1])
     assert commutative_hash([4, -9]) != commutative_hash([4, 9])
+
+
+def test_commutative_hash_mix_table_holds_seen_literals_only():
+    mix = LiteralMix()
+    assert commutative_hash([1, -2, 30], mix) == commutative_hash([30, 1, -2])
+    assert commutative_hash((-2, 5), mix) == commutative_hash((5, -2))
+    assert set(mix) == {1, -2, 30, 5}
+    f = ClauseFilter()
+    f.check_import(Clause((3, -4)))
+    f.check_import(Clause((7,)))  # units stay in the exact set, unhashed
+    assert set(f._mix) == {3, -4}
+
+
+def test_stream_keys_are_literal_keys():
+    rng = Random(17)
+    cs = rand_clauses(rng, 300)
+    buf = serialize(cs)
+    got = [(length, keys, lits) for length, keys, lits in _stream(buf)]
+    expect = sorted(set(cs), key=lambda c: (len(c), c.sort_key))
+    assert [lits for _l, _k, lits in got] == [c.lits for c in expect]
+    for length, keys, lits in got:
+        assert keys == tuple(literal_key(l) for l in lits) == Clause(lits).sort_key
+        assert length == len(lits)
 
 
 def test_filter_units_are_exact():

@@ -13,6 +13,15 @@ def test_literal_key_orders_positive_first():
     assert sorted(lits, key=literal_key) == [1, -1, 2, 3, -3]
 
 
+def test_literal_key_int_sorts_like_variable_then_sign():
+    lits = [l for v in range(1, 60) for l in (v, -v)]
+    Random(2).shuffle(lits)
+    assert (sorted(lits, key=literal_key)
+            == sorted(lits, key=lambda l: (abs(l), l < 0)))
+    assert [literal_key(l) for l in (1, -1, 2, -2, 7, -7)] == [2, 3, 4, 5, 14, 15]
+    assert len({literal_key(l) for l in lits}) == len(lits)
+
+
 def test_canonical_literals_dedup_and_sort():
     assert canonical_literals([4, -2, 4, 1, -2]) == (1, -2, 4)
 

@@ -1,19 +1,20 @@
 """Cluster runtime: transports, mono runs, malleability, determinism."""
 import gc
 import hashlib
+import time
 import weakref
 from random import Random
 
 import pytest
 
 from flexsat.exchange import ClauseFilter
-from flexsat.formula import check_model
+from flexsat.formula import Cnf, check_model
 from flexsat.harness.report import parse_trace_line
 from flexsat.runtime import Cluster, ClusterConfig, Envelope, mono_mode
 from flexsat.runtime import pe as pe_mod
 from flexsat.runtime.transport import SimLoop, Trace, format_time_ms
 from flexsat.sched import JobDescriptor
-from flexsat.solver import cdcl_solve
+from flexsat.solver import CdclSolver, SlsSolver, cdcl_solve
 from helpers import php_cnf, random_3cnf
 
 
@@ -328,3 +329,55 @@ def test_real_mode_smoke():
     assert report.jobs[1]["verdict"] == direct.verdict
     if direct.verdict == "SAT":
         assert check_model(cnf, report.models[1])
+
+
+# A contradiction that local search's preprocessing finds: the SLS slot is
+# blocked.  The CDCL slots are stalled so that the job runs to its timeout.
+BLOCKED_CNF = Cnf.from_clauses(2, [[1], [-1], [1, 2]])
+
+
+def _count_sls_steps(monkeypatch) -> list:
+    calls = []
+    orig_step = SlsSolver.step
+
+    def counting_step(self, n):
+        calls.append(n)
+        return orig_step(self, n)
+    monkeypatch.setattr(SlsSolver, "step", counting_step)
+    return calls
+
+
+def test_sim_never_steps_blocked_sls(monkeypatch):
+    calls = _count_sls_steps(monkeypatch)
+    monkeypatch.setattr(CdclSolver, "step", lambda self, n: None)
+    cfg = small_cfg(num_pes=2, threads=14, timeout_s=0.3)  # slot 13 of each node is SLS
+    report = mono_mode(BLOCKED_CNF, cfg)
+    assert report.jobs[1]["verdict"] == "UNKNOWN"
+    assert report.aggregates["end_reason"] == "timeout"
+    assert calls == []
+
+
+def test_real_mode_blocked_sls_thread_exits_before_run_end(monkeypatch):
+    calls = _count_sls_steps(monkeypatch)
+    exits = {}
+    orig_drive = pe_mod.drive
+
+    def timed_drive(solver, *args, **kwargs):
+        verdict = orig_drive(solver, *args, **kwargs)
+        exits.setdefault(type(solver).__name__, (time.monotonic(), verdict))
+        return verdict
+
+    def stalled_step(self, n):
+        time.sleep(0.002)
+        return None
+    monkeypatch.setattr(pe_mod, "drive", timed_drive)
+    monkeypatch.setattr(CdclSolver, "step", stalled_step)
+    cfg = small_cfg(num_pes=2, threads=14, sim=False, timeout_s=1.0)
+    start = time.monotonic()
+    report = mono_mode(BLOCKED_CNF, cfg)
+    end = time.monotonic()
+    assert report.jobs[1]["verdict"] == "UNKNOWN"
+    sls_exit, sls_verdict = exits["SlsSolver"]
+    assert sls_verdict is None and calls == []
+    assert sls_exit - start < 0.5 and end - start >= 1.0
+    assert sls_exit < exits["CdclSolver"][0]  # CDCL threads run until the timeout

@@ -1,6 +1,9 @@
 """Solver backends: CDCL and local search against an exhaustive oracle."""
 import threading
 import time
+from collections import deque
+from dataclasses import replace
+from heapq import heapify, heappop, heappush
 from random import Random
 
 import pytest
@@ -12,7 +15,7 @@ from flexsat.solver import (CDCL_PRESETS, PORTFOLIO_CYCLE, SAT, UNKNOWN,
                             cdcl_solve, make_portfolio_config, sls_solve,
                             throttled_thread_count)
 from flexsat.solver.control import drive
-from flexsat.solver.sls import _preprocess
+from flexsat.solver.sls import _below, _preprocess
 from flexsat.util import luby
 from helpers import oracle_verdict, php_cnf, random_3cnf, xor_chain_cnf
 
@@ -160,6 +163,89 @@ def test_cdcl_geometric_restarts_run():
     assert res.stats.restarts > 0
 
 
+class LazyHeapCdcl(CdclSolver):
+    """The earlier heap handling: push on every unassignment, pop until current."""
+
+    def _backtrack(self, lvl):
+        if self.dlevel <= lvl:
+            return
+        nv = self.nv
+        tl = self.trail_lim[lvl]
+        for idx in range(len(self.trail) - 1, tl - 1, -1):
+            lit = self.trail[idx]
+            var = abs(lit)
+            self.saved[var] = lit > 0
+            self.val[lit + nv] = 0
+            self.val[nv - lit] = 0
+            self.reason[var] = None
+            heappush(self.heap, (-self.act[var], var))
+        del self.trail[tl:]
+        del self.trail_lim[lvl:]
+        self.qhead = tl
+        self.dlevel = lvl
+
+    def _decide(self):
+        val, nv, act = self.val, self.nv, self.act
+        var = 0
+        p = self.params
+        if p.random_freq > 0.0 and self.rng.random() < p.random_freq:
+            for _ in range(8):
+                cand = self.rng.randrange(1, nv + 1)
+                if val[cand + nv] == 0:
+                    var = cand
+                    break
+        if var == 0:
+            while self.heap:
+                a, v = heappop(self.heap)
+                if val[v + nv] == 0 and -a == act[v]:
+                    var = v
+                    break
+            if var == 0:
+                self.heap = [(-act[v], v) for v in range(1, nv + 1) if val[v + nv] == 0]
+                heapify(self.heap)
+                a, var = heappop(self.heap)
+        self.stats.decisions += 1
+        self.dlevel += 1
+        self.trail_lim.append(len(self.trail))
+        self._enqueue(var if self.saved[var] else -var, None)
+
+
+def _decisions(cls, cnf, params, seed, conflicts):
+    solver = cls(cnf, params, seed=seed)
+    picked = []
+    decide = solver._decide
+
+    def recording_decide():
+        decide()
+        picked.append(solver.trail[-1])
+    solver._decide = recording_decide
+    verdict = solver.step(conflicts)
+    return picked, verdict, solver.stats
+
+
+@pytest.mark.parametrize("params", [
+    CDCL_PRESETS[0], CDCL_PRESETS[4], CDCL_PRESETS[12],
+    replace(CDCL_PRESETS[6], decay=0.5),  # activity rescales rebuild the heap
+], ids=["preset0", "preset4", "preset12", "rescale"])
+def test_cdcl_heap_flags_decide_like_lazy_heap(params):
+    """One heap entry per unassigned variable picks what duplicate pushes picked."""
+    cnf = random_3cnf(Random(41), 150, 640)
+    new = _decisions(CdclSolver, cnf, params, 7, 700)
+    old = _decisions(LazyHeapCdcl, cnf, params, 7, 700)
+    assert len(new[0]) > 500 and new[2].restarts > 0
+    assert new == old
+
+
+def test_cdcl_heap_has_one_current_entry_per_unassigned_var():
+    s = CdclSolver(random_3cnf(Random(41), 90, 420), CDCL_PRESETS[6], seed=2)
+    s.step(300)
+    nv = s.nv
+    current = [v for a, v in s.heap if -a == s.act[v]]
+    assert len(current) == len(set(current))
+    assert {v for v in range(1, nv + 1) if s.in_heap[v]} == set(current)
+    assert all(s.in_heap[v] for v in range(1, nv + 1) if s.val[v + nv] == 0)
+
+
 def test_luby_sequence_prefix():
     assert [luby(i) for i in range(1, 16)] == \
         [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
@@ -195,6 +281,58 @@ def test_sls_blocked_by_preprocess_contradiction():
     cnf = Cnf.from_clauses(2, [[1], [-1], [1, 2]])
     res = sls_solve(cnf, max_flips=10_000)
     assert res.verdict == UNKNOWN
+
+
+def test_sls_blocked_solver_is_never_stepped():
+    cnf = Cnf.from_clauses(2, [[1], [-1], [1, 2]])
+    solver = SlsSolver(cnf)
+    assert solver.blocked
+    steps = []
+    step = solver.step
+    solver.step = lambda n: steps.append(n) or step(n)
+    assert drive(solver, 100, max_work=10_000) is None
+    assert steps == []
+    assert solver.solve(max_flips=10_000).verdict == UNKNOWN
+    assert steps == [] and solver.stats.flips == 0
+
+
+def _recount(s: SlsSolver):
+    """True counts, true-variable sums and break counts from scratch."""
+    ntrue, tsum, brk = [], [], [0] * len(s.brk)
+    for cl in s.clauses:
+        true_vars = [abs(l) for l in cl if s.value[abs(l)] == (l > 0)]
+        ntrue.append(len(true_vars))
+        tsum.append(sum(true_vars))
+        if len(true_vars) == 1:
+            brk[true_vars[0]] += 1
+    return ntrue, tsum, brk
+
+
+def test_sls_incremental_state_matches_recount():
+    cnf = random_3cnf(Random(3), 60, 300)  # UNSAT: the walk never stops early
+    s = SlsSolver(cnf, SlsParams(restart_flips=500), seed=5)
+    restarts = 0
+    for chunk in (137, 363, 1, 499, 700, 1300):
+        before = s.flips_since_restart
+        assert s.step(chunk) is None
+        restarts += (before + chunk) // 500
+        ntrue, tsum, brk = _recount(s)
+        assert s.ntrue == ntrue and s.tsum == tsum and s.brk == brk
+        assert sorted(s.unsat) == [ci for ci, n in enumerate(ntrue) if n == 0]
+        assert all(s.unsat_pos[ci] == i for i, ci in enumerate(s.unsat))
+        for v in s.vars:  # break count as an occurrence-list rescan defines it
+            lit = v if s.value[v] else -v
+            assert s.brk[v] == sum(1 for ci in s.occ[lit] if ntrue[ci] == 1)
+    assert restarts >= 5 and s.stats.flips == 3000
+
+
+def test_below_draws_like_randrange():
+    for seed in (0, 1, 7, 2 ** 40 + 3):
+        mine, ref = Random(seed), Random(seed)
+        for n in range(1, 71):
+            for _ in range(5):
+                assert _below(mine.getrandbits, n) == ref.randrange(n)
+        assert mine.getstate() == ref.getstate()
 
 
 def test_sls_without_preprocess():
@@ -300,6 +438,8 @@ def test_threaded_solver_parks_then_terminates():
 class ScriptedSolver:
     """Records each step budget and answers SAT on step number answer_at."""
 
+    blocked = False
+
     def __init__(self, control=None, answer_at=None):
         self.control = control
         self.answer_at = answer_at
@@ -379,6 +519,27 @@ def test_ring_wraparound():
     r.try_push((1,))
     r.try_push((2,))
     assert r.drain() == [(1,), (2,)]
+
+
+def test_ring_matches_fifo_model_across_wraps():
+    rng = Random(9)
+    for cap in (4, 5, 7, 16, 33):
+        ring, model, words = ImportRing(cap), deque(), 0
+        for _ in range(400):
+            if rng.random() < 0.55:
+                lits = tuple(rng.choice([-1, 1]) * rng.randrange(1, 50)
+                             for _ in range(rng.randrange(1, cap)))
+                fits = words + len(lits) + 1 <= cap
+                assert ring.try_push(lits) is fits
+                if fits:
+                    model.append(lits)
+                    words += len(lits) + 1
+            else:
+                got = ring.try_pop()
+                assert got == (model.popleft() if model else None)
+                if got is not None:
+                    words -= len(got) + 1
+            assert len(ring) == words
 
 
 def test_ring_capacity_validation():
