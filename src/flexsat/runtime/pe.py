@@ -450,24 +450,29 @@ class WorkerPE(BasePE):
                     target=self._solver_thread, args=(node, slot), daemon=True)
                 slot.thread.start()
 
+    # The callbacks close over the node's sink and the slot's filter and
+    # ring, never the node or slot: a solver that held its slot would close
+    # a cycle, and a torn-down node would wait for a full collection.
     def _make_export(self, node: JobNode, slot: SolverSlot):
-        sink_cap = self.shared.sink_cap
+        sink, filt, sink_cap = node.sink, slot.filt, self.shared.sink_cap
 
         def export_fn(lits, lbd):
             clause = Clause(tuple(lits), lbd)
-            if not slot.filt.register_export(clause):
+            if not filt.register_export(clause):
                 return
-            if len(node.sink) < sink_cap:
-                node.sink.append(clause)
+            if len(sink) < sink_cap:
+                sink.append(clause)
         return export_fn
 
     def _make_import(self, slot: SolverSlot):
+        ring, filt = slot.ring, slot.filt
+
         def import_fn():
             while True:
-                lits = slot.ring.try_pop()
+                lits = ring.try_pop()
                 if lits is None:
                     return None
-                if slot.filt.check_import(Clause(lits)):
+                if filt.check_import(Clause(lits)):
                     return lits
         return import_fn
 

@@ -1,6 +1,7 @@
 """Cluster runtime: transports, mono runs, malleability, determinism."""
 import gc
 import hashlib
+import threading
 import time
 import weakref
 from random import Random
@@ -239,27 +240,69 @@ def test_real_mode_timeout_done_stamped_at_run_end():
     assert report.jobs[1]["response_ms"] == pytest.approx(times["RUN_END"])
 
 
-def test_torn_down_nodes_free_their_filters(monkeypatch):
-    refs = []
-    orig_init = ClauseFilter.__init__
+@pytest.fixture
+def collector_off():
+    """Collect once, then keep the cyclic collector off for the test."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
-    def tracking_init(self):
-        orig_init(self)
-        refs.append(weakref.ref(self))
-    monkeypatch.setattr(ClauseFilter, "__init__", tracking_init)
+
+def test_torn_down_nodes_free_their_filters(monkeypatch, collector_off):
+    refs = []
+
+    def tracking(cls):
+        orig_init = cls.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            orig_init(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+        monkeypatch.setattr(cls, "__init__", tracking_init)
+    tracking(ClauseFilter)
+    tracking(CdclSolver)
     cfg = small_cfg(num_pes=6, threads=2, max_jobs=1)
     jobs = [JobDescriptor(job=j, priority=0.5, arrival_s=0.05 * j,
                           cnf=random_3cnf(Random(j), 40, 170)) for j in range(1, 5)]
     cluster = Cluster(cfg, jobs)
     report = cluster.run()
     assert report.aggregates["solved"] == 4
-    gc.collect()
-    held = {id(slot.filt) for w in cluster.workers.values()
+    # With the collector off, only reference counting can have freed them.
+    held = {id(obj) for w in cluster.workers.values()
             for node in w.nodes.values() for slot in node.slots or ()
-            if slot.filt is not None}
-    alive = [f for f in (r() for r in refs) if f is not None]
+            for obj in (slot.filt, slot.solver) if obj is not None}
+    alive = [o for o in (r() for r in refs) if o is not None]
     assert len(alive) < len(refs)
-    assert all(id(f) in held for f in alive)
+    assert all(id(o) in held for o in alive)
+
+
+def test_runs_leave_no_cyclic_garbage(collector_off):
+    # Sharing, a shrink that suspends nodes, adoptions that evict them from
+    # a one-node cache, and a timeout with live solvers.
+    cfg = small_cfg(num_pes=6, threads=2, cache_size=1, share_period_s=0.05,
+                    timeout_s=0.45, cdcl_rate=1.0, sls_rate=20.0)
+    jobs = [JobDescriptor(job=1, priority=0.5, demand=5, cnf=php_cnf(6)),
+            JobDescriptor(job=2, priority=0.5, arrival_s=0.3, demand=5,
+                          cnf=random_3cnf(Random(2), 40, 170))]
+    cluster = Cluster(cfg, jobs, demand_changes=[(0.2, 1, 1)])
+    report = cluster.run()
+    del cluster
+    kinds = [(kind, detail) for _t, _pe, kind, _job, detail
+             in map(parse_trace_line, report.trace)]
+    assert any(k == "END" and "reason=evict" in d for k, d in kinds)
+    assert any(k == "SUSPEND" for k, _d in kinds)
+    assert any(k == "SHARE" for k, _d in kinds)
+    assert report.aggregates["end_reason"] == "timeout"
+    # Real mode: solver threads and PE threads, joined before collecting.
+    before = set(threading.enumerate())
+    report = mono_mode(random_3cnf(Random(11), 40, 160),
+                       small_cfg(num_pes=3, threads=2, sim=False, timeout_s=60.0))
+    assert report.jobs[1]["verdict"] in ("SAT", "UNSAT")
+    for t in set(threading.enumerate()) - before:
+        t.join(timeout=5.0)
+    assert gc.collect() == 0
 
 
 def eviction_run():
