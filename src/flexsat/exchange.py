@@ -112,9 +112,22 @@ def serialize(clauses: Iterable[Clause], limit: int | None = None) -> list[int]:
     Clauses are taken in (length, lexicographic) order.  If a limit is
     given, clauses are added greedily until the next one would push the
     serialized size (group counts included) past it; everything after
-    that point is discarded.
+    that point is discarded.  Only the length groups that can still
+    contribute a clause under the limit are sorted.
     """
-    ordered = sorted(set(clauses), key=lambda c: (len(c), c.sort_key))
+    groups: dict[int, list[Clause]] = {}
+    for c in set(clauses):
+        groups.setdefault(len(c.lits), []).append(c)
+    ordered: list[Clause] = []
+    size = prev = 0
+    for n in sorted(groups):
+        size += 2 * n - prev  # zero counts for skipped lengths, own count, first clause
+        if limit is not None and size > limit:
+            break  # not even one clause of this length fits
+        group = groups[n]
+        ordered += sorted(group, key=lambda c: c.sort_key)
+        size += n * (len(group) - 1)
+        prev = n
     return _write((c.lits for c in ordered), limit)
 
 

@@ -80,6 +80,14 @@ class ClusterConfig:
             raise ValueError("timeout must be positive")
         if self.cache_size < 1:
             raise ValueError("cache_size must be >= 1")
+        if self.ring_capacity < 4:
+            raise ValueError("ring_capacity must be >= 4")
+        if self.huge_size < 1:
+            raise ValueError("huge_size must be >= 1")
+        if self.latency_us < 0 or self.jitter_us < 0:
+            raise ValueError("latency_us and jitter_us must be >= 0")
+        if self.sink_cap < 0:
+            raise ValueError("sink_cap must be >= 0")
         self.exchange_config().validate()
 
     def exchange_config(self) -> ExchangeConfig:
@@ -167,7 +175,7 @@ class Cluster:
         totals = {"slots": 0, "conflicts": 0, "propagations": 0, "decisions": 0,
                   "restarts": 0, "flips": 0, "learned": 0, "exported": 0,
                   "imported": 0}
-        for stats, _control in self.shared.registry:
+        for stats, _control, _thread in self.shared.registry:
             totals["slots"] += 1
             for key in ("conflicts", "propagations", "decisions", "restarts",
                         "flips", "learned", "exported", "imported"):
@@ -253,9 +261,12 @@ class Cluster:
         router.stop.set()
         for t in threads:
             t.join(timeout=2.0)
-        for _stats, control in self.shared.registry:
+        registry = self.shared.registry
+        for _stats, control, _thread in registry:
             if control.state != TERMINATED:
                 control.terminate()
+        for _stats, _control, thread in registry:
+            thread.join(timeout=2.0)
         sampler.join(timeout=2.0)
         return self._finish_report(end_us, reason)
 

@@ -80,8 +80,9 @@ class RunShared:
     seed: int
     sharing: bool
     ramp: str                      # "double" | "full"
-    # (stats, control) of every solver slot the run started; not the slot
-    # itself, so a torn-down node frees its solvers and filters.
+    # (stats, control, thread) of every solver slot the run started, thread
+    # None when simulated; not the slot itself, so a torn-down node frees
+    # its solvers and filters.
     registry: list = field(default_factory=list)
 
 
@@ -444,11 +445,11 @@ class WorkerPE(BasePE):
             if self.shared.filter_halflife_us and slot.filt is not None:
                 slot.next_forget_us = self.ctx.now_us() + self.shared.filter_halflife_us
             node.slots.append(slot)
-            self.shared.registry.append((slot.solver.stats, control))
             if not self.shared.sim:
                 slot.thread = threading.Thread(
                     target=self._solver_thread, args=(node, slot), daemon=True)
                 slot.thread.start()
+            self.shared.registry.append((slot.solver.stats, control, slot.thread))
 
     # The callbacks close over the node's sink and the slot's filter and
     # ring, never the node or slot: a solver that held its slot would close

@@ -25,18 +25,6 @@ class SolverStats:
     exported: int = 0
     imported: int = 0
 
-    def merged_with(self, other: "SolverStats") -> "SolverStats":
-        return SolverStats(
-            self.conflicts + other.conflicts,
-            self.propagations + other.propagations,
-            self.decisions + other.decisions,
-            self.restarts + other.restarts,
-            self.flips + other.flips,
-            self.learned + other.learned,
-            self.exported + other.exported,
-            self.imported + other.imported,
-        )
-
 
 @dataclass
 class SolveResult:

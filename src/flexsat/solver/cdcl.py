@@ -24,15 +24,6 @@ ExportFn = Callable[[tuple[int, ...], int], None]
 _RESCALE = 1e100
 
 
-class _Clause:
-    __slots__ = ("lits", "learned", "lbd")
-
-    def __init__(self, lits: list[int], learned: bool, lbd: int):
-        self.lits = lits
-        self.learned = learned
-        self.lbd = lbd
-
-
 class CdclSolver:
     blocked = False  # a contradiction is an UNSAT verdict, never a block
 
@@ -57,9 +48,10 @@ class CdclSolver:
         nv = cnf.num_vars
         self.nv = nv
         self.val = [0] * (2 * nv + 1)       # index lit+nv: 1 true, -1 false
-        self.watches: list[list[_Clause]] = [[] for _ in range(2 * nv + 1)]
+        # A clause is its literal list, watched under its first two literals.
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * nv + 1)]
         self.level_a = [0] * (nv + 1)
-        self.reason: list[_Clause | None] = [None] * (nv + 1)
+        self.reason: list[list[int] | None] = [None] * (nv + 1)
         self.act = [0.0] * (nv + 1)
         self.seen = bytearray(nv + 1)
         self.trail: list[int] = []
@@ -73,7 +65,7 @@ class CdclSolver:
         self.heap: list[tuple[float, int]] = []
         self.in_heap = bytearray(nv + 1)
         self._rebuild_heap()
-        self.learned_clauses: list[_Clause] = []
+        self.learned_clauses: list[tuple[int, list[int]]] = []  # (lbd, clause)
         self.reduce_limit = self.params.reduce_base
         self.restart_count = 0
         self.conflicts_at_restart = 0
@@ -103,9 +95,8 @@ class CdclSolver:
                 elif lv == 0:
                     self._enqueue(lit, None)
             else:
-                c = _Clause(lits, False, 0)
-                self.watches[lits[0] + nv].append(c)
-                self.watches[lits[1] + nv].append(c)
+                self.watches[lits[0] + nv].append(lits)
+                self.watches[lits[1] + nv].append(lits)
         if broken:
             self._finish(UNSAT)
 
@@ -116,7 +107,7 @@ class CdclSolver:
             return p.restart_base * luby(self.restart_count + 1)
         return min(1 << 30, int(p.restart_base * p.restart_factor ** self.restart_count))
 
-    def _enqueue(self, lit: int, reason: _Clause | None) -> None:
+    def _enqueue(self, lit: int, reason: list[int] | None) -> None:
         nv = self.nv
         var = lit if lit > 0 else -lit
         self.val[lit + nv] = 1
@@ -150,7 +141,7 @@ class CdclSolver:
         self.heap = heap
 
     # -- propagation -------------------------------------------------------
-    def _propagate(self) -> _Clause | None:
+    def _propagate(self) -> list[int] | None:
         val = self.val
         nv = self.nv
         watches = self.watches
@@ -168,16 +159,15 @@ class CdclSolver:
             i = j = 0
             n_wl = len(wl)
             while i < n_wl:
-                c = wl[i]
+                lits = wl[i]
                 i += 1
-                lits = c.lits
                 if lits[0] == false_lit:
                     lits[0] = lits[1]
                     lits[1] = false_lit
                 first = lits[0]
                 fv = val[first + nv]
                 if fv > 0:
-                    wl[j] = c
+                    wl[j] = lits
                     j += 1
                     continue
                 for k in range(2, len(lits)):
@@ -185,20 +175,20 @@ class CdclSolver:
                     if val[lk + nv] >= 0:
                         lits[1] = lk
                         lits[k] = false_lit
-                        watches[lk + nv].append(c)
+                        watches[lk + nv].append(lits)
                         break
                 else:
-                    wl[j] = c
+                    wl[j] = lits
                     j += 1
                     if fv < 0:
-                        confl = c
+                        confl = lits
                         break
-                    # enqueue first, implied by c
+                    # enqueue first, implied by this clause
                     val[first + nv] = 1
                     val[nv - first] = -1
                     var = first if first > 0 else -first
                     level_a[var] = dlevel
-                    reason[var] = c
+                    reason[var] = lits
                     trail.append(first)
                     props += 1
             if confl is not None:
@@ -210,7 +200,7 @@ class CdclSolver:
         return confl
 
     # -- conflict analysis -------------------------------------------------
-    def _analyze(self, confl: _Clause) -> tuple[list[int], int, int]:
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int, int]:
         """1-UIP clause, backtrack level, LBD."""
         seen = self.seen
         level_a = self.level_a
@@ -227,7 +217,7 @@ class CdclSolver:
         dlevel = self.dlevel
         while True:
             start = 1 if p else 0  # reason clauses hold their asserted lit first
-            for q in confl.lits[start:]:
+            for q in confl[start:]:
                 v = q if q > 0 else -q
                 if not seen[v]:
                     lv = level_a[v]
@@ -267,7 +257,7 @@ class CdclSolver:
                 r = self.reason[v]
                 if r is not None and all(
                     level_a[x if x > 0 else -x] == 0 or seen[x if x > 0 else -x]
-                    for x in r.lits[1:]
+                    for x in r[1:]
                 ):
                     continue
                 kept.append(q)
@@ -295,11 +285,10 @@ class CdclSolver:
             self._enqueue(learnt[0], None)
         else:
             nv = self.nv
-            c = _Clause(learnt, True, lbd)
-            self.watches[learnt[0] + nv].append(c)
-            self.watches[learnt[1] + nv].append(c)
-            self.learned_clauses.append(c)
-            self._enqueue(learnt[0], c)
+            self.watches[learnt[0] + nv].append(learnt)
+            self.watches[learnt[1] + nv].append(learnt)
+            self.learned_clauses.append((lbd, learnt))
+            self._enqueue(learnt[0], learnt)
         self.stats.learned += 1
         if (
             self.export_fn is not None
@@ -348,21 +337,23 @@ class CdclSolver:
         learned = self.learned_clauses
         if len(learned) <= self.reduce_limit:
             return
-        locked = {id(self.reason[abs(c.lits[0])]) for c in learned
-                  if self.reason[abs(c.lits[0])] is not None}
-        learned.sort(key=lambda c: (c.lbd, len(c.lits)))
+        reason = self.reason
+        locked = {id(reason[abs(c[0])]) for _lbd, c in learned
+                  if reason[abs(c[0])] is not None}
+        learned.sort(key=lambda e: (e[0], len(e[1])))
         keep_n = len(learned) // 2
         nv = self.nv
         kept = []
         dropped = set()
         touched = set()
-        for i, c in enumerate(learned):
-            if i < keep_n or c.lbd <= 2 or id(c) in locked:
-                kept.append(c)
+        for i, entry in enumerate(learned):
+            lbd, c = entry
+            if i < keep_n or lbd <= 2 or id(c) in locked:
+                kept.append(entry)
             else:
                 dropped.add(id(c))
-                touched.add(c.lits[0] + nv)
-                touched.add(c.lits[1] + nv)
+                touched.add(c[0] + nv)
+                touched.add(c[1] + nv)
         watches = self.watches
         for w in touched:
             watches[w] = [c for c in watches[w] if id(c) not in dropped]
@@ -397,10 +388,9 @@ class CdclSolver:
             if len(live) == 1:
                 self._enqueue(live[0], None)
             else:
-                c = _Clause(live, True, max(1, len(live) - 1))
-                self.watches[live[0] + nv].append(c)
-                self.watches[live[1] + nv].append(c)
-                self.learned_clauses.append(c)
+                self.watches[live[0] + nv].append(live)
+                self.watches[live[1] + nv].append(live)
+                self.learned_clauses.append((max(1, len(live) - 1), live))
 
     # -- decisions ----------------------------------------------------------
     def _decide(self) -> None:

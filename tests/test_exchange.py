@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from flexsat.exchange import (BufferFormatError, ClauseFilter, ExchangeConfig,
-                              LiteralMix, _stream, buffer_from_bytes,
+                              LiteralMix, _stream, _write, buffer_from_bytes,
                               buffer_limit, buffer_to_bytes, commutative_hash,
                               deserialize, merge, serialize)
 from flexsat.formula import Clause, literal_key
@@ -113,6 +113,37 @@ def test_serialize_limit_counts_headers():
 def test_serialize_orders_canonically():
     cs = [Clause.make([5, -1]), Clause.make([2]), Clause.make([-1, 3])]
     assert serialize(cs) == [1, 2, 2, -1, 3, -1, 5]
+
+
+def serialize_full_sort(clauses, limit=None):
+    """Reference serialize: sort the whole clause set, then write under the limit."""
+    ordered = sorted(set(clauses), key=lambda c: (len(c), c.sort_key))
+    return _write((c.lits for c in ordered), limit)
+
+
+def test_serialize_matches_full_sort():
+    rng = Random(606)
+    mid_cuts = 0
+    for _ in range(300):
+        cs = rand_clauses(rng, rng.randrange(0, 60), max_len=8)
+        cs += cs[:rng.randrange(0, 5)]  # duplicates collapse
+        full = serialize_full_sort(cs)
+        limits = [None, 0, len(full), len(full) - 1, rng.randrange(len(full) + 2)]
+        ordered = sorted(set(cs), key=lambda c: (len(c), c.sort_key))
+        same_len = [i for i in range(len(ordered) - 1)
+                    if len(ordered[i]) == len(ordered[i + 1])]
+        if same_len:
+            # one literal short of a group's next clause: the cut falls
+            # inside that group, after its first i + 1 clauses overall
+            i = rng.choice(same_len)
+            prefix = serialize_full_sort(ordered[:i + 1])
+            cut = len(prefix) + len(ordered[i + 1]) - 1
+            assert serialize(cs, cut) == prefix
+            limits.append(cut)
+            mid_cuts += 1
+        for limit in limits:
+            assert serialize(cs, limit) == serialize_full_sort(cs, limit), limit
+    assert mid_cuts > 200
 
 
 def test_roundtrip_randomized():

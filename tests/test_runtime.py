@@ -50,6 +50,18 @@ def test_config_validation():
         ClusterConfig(timeout_s=0).validate()
     with pytest.raises(ValueError, match="cache_size must be >= 1"):
         ClusterConfig(cache_size=0).validate()
+    with pytest.raises(ValueError, match="ring_capacity"):
+        ClusterConfig(ring_capacity=3).validate()
+    with pytest.raises(ValueError, match="huge_size"):
+        ClusterConfig(huge_size=0).validate()
+    with pytest.raises(ValueError, match="latency_us"):
+        ClusterConfig(latency_us=-500).validate()
+    with pytest.raises(ValueError, match="jitter_us"):
+        ClusterConfig(jitter_us=-10).validate()
+    with pytest.raises(ValueError, match="sink_cap"):
+        ClusterConfig(sink_cap=-1).validate()
+    ClusterConfig(ring_capacity=4, huge_size=1, latency_us=0, jitter_us=0,
+                  sink_cap=0).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +315,20 @@ def test_runs_leave_no_cyclic_garbage(collector_off):
     for t in set(threading.enumerate()) - before:
         t.join(timeout=5.0)
     assert gc.collect() == 0
+
+
+def test_real_run_returns_after_its_solver_threads_exit():
+    # A hard formula and a short timeout: the solvers are mid-search when
+    # the run ends, so they exit only because the run terminates them.  A
+    # short tick keeps the sampler's join from giving them time to exit.
+    before = set(threading.enumerate())
+    report = mono_mode(php_cnf(9), small_cfg(num_pes=3, threads=2, sim=False,
+                                             timeout_s=0.5, balance_period_s=0.01))
+    assert report.jobs[1]["verdict"] == "UNKNOWN"
+    stats = [d for _t, _pe, kind, _job, d in map(parse_trace_line, report.trace)
+             if kind == "STATS"]
+    assert stats and "slots=4" in stats[-1]
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 def eviction_run():

@@ -1,7 +1,8 @@
 """Solver backends: CDCL and local search against an exhaustive oracle."""
 import threading
 import time
-from collections import deque
+import tracemalloc
+from collections import Counter, deque
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
 from random import Random
@@ -11,7 +12,7 @@ import pytest
 from flexsat.formula import Cnf, check_model
 from flexsat.solver import (CDCL_PRESETS, PORTFOLIO_CYCLE, SAT, UNKNOWN,
                             UNSAT, CdclParams, CdclSolver, ImportRing,
-                            SlsParams, SlsSolver, SolverControl, SolverStats,
+                            SlsParams, SlsSolver, SolverControl,
                             cdcl_solve, make_portfolio_config, sls_solve,
                             throttled_thread_count)
 from flexsat.solver.control import drive
@@ -244,6 +245,25 @@ def test_cdcl_heap_has_one_current_entry_per_unassigned_var():
     assert len(current) == len(set(current))
     assert {v for v in range(1, nv + 1) if s.in_heap[v]} == set(current)
     assert all(s.in_heap[v] for v in range(1, nv + 1) if s.val[v + nv] == 0)
+
+
+def test_cdcl_reduce_db_keeps_watches_exact():
+    s = CdclSolver(random_3cnf(Random(41), 90, 420),
+                   CdclParams(reduce_base=40), seed=2)
+    originals = {id(c): c for wl in s.watches for c in wl}
+    while len(s.learned_clauses) <= s.reduce_limit:
+        assert s.step(1) is None
+    n_learned = len(s.learned_clauses)
+    s._reduce_db()
+    assert len(s.learned_clauses) < n_learned
+    clauses = {**originals, **{id(c): c for _lbd, c in s.learned_clauses}}
+    nv = s.nv
+    seen = Counter((id(c), w) for w, wl in enumerate(s.watches) for c in wl)
+    assert {key for key, _w in seen} <= clauses.keys()
+    for key, c in clauses.items():
+        assert seen[key, c[0] + nv] == 1 and seen[key, c[1] + nv] == 1
+    assert len(seen) == sum(seen.values()) == 2 * len(clauses)
+    assert all(r is None or id(r) in clauses for r in s.reason)
 
 
 def test_luby_sequence_prefix():
@@ -518,7 +538,8 @@ def test_ring_wraparound():
         assert r.try_pop() == (rounds, -rounds - 1)
     r.try_push((1,))
     r.try_push((2,))
-    assert r.drain() == [(1,), (2,)]
+    assert r.try_pop() == (1,)
+    assert r.try_pop() == (2,)
 
 
 def test_ring_matches_fifo_model_across_wraps():
@@ -540,6 +561,27 @@ def test_ring_matches_fifo_model_across_wraps():
                 if got is not None:
                     words -= len(got) + 1
             assert len(ring) == words
+
+
+def test_ring_pops_the_pushed_tuple():
+    r = ImportRing(16)
+    lits = (4, -7, 9)
+    assert r.try_push(lits)
+    assert r.try_pop() is lits
+
+
+def test_ring_memory_follows_its_records():
+    clauses = [(1, -2), (3, 4, -5), (6,)]
+    tracemalloc.start()
+    try:
+        r = ImportRing(1 << 16)
+        for lits in clauses:
+            assert r.try_push(lits)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(r) == 9
+    assert held < 16 * 1024
 
 
 def test_ring_capacity_validation():
@@ -598,10 +640,3 @@ def test_throttled_thread_count():
         throttled_thread_count(-1, 1000, 4)
     with pytest.raises(ValueError):
         throttled_thread_count(100, 0, 4)
-
-
-def test_stats_merge():
-    a = SolverStats(conflicts=3, flips=7, exported=1)
-    b = SolverStats(conflicts=2, imported=4)
-    m = a.merged_with(b)
-    assert (m.conflicts, m.flips, m.exported, m.imported) == (5, 7, 1, 4)
