@@ -25,7 +25,6 @@ from operator import lt
 from random import Random
 from typing import Iterable, Sequence
 
-from .formula import Clause
 from .util import MASK64, mix64
 
 
@@ -106,29 +105,34 @@ def _write(ordered: Iterable[tuple[int, ...]], limit: int | None) -> list[int]:
     return out
 
 
-def serialize(clauses: Iterable[Clause], limit: int | None = None) -> list[int]:
+def _canonical_key(lits: Iterable[int]) -> list[int]:
+    return [2 * l if l > 0 else 1 - 2 * l for l in lits]  # literal_key per literal
+
+
+def serialize(clauses: Iterable[Sequence[int]], limit: int | None = None) -> list[int]:
     """Flatten a clause set into the length-grouped integer format.
 
+    Each clause is a canonical literal sequence: a tuple, or a Clause.
     Clauses are taken in (length, lexicographic) order.  If a limit is
     given, clauses are added greedily until the next one would push the
     serialized size (group counts included) past it; everything after
     that point is discarded.  Only the length groups that can still
     contribute a clause under the limit are sorted.
     """
-    groups: dict[int, list[Clause]] = {}
+    groups: dict[int, list[Sequence[int]]] = {}
     for c in set(clauses):
-        groups.setdefault(len(c.lits), []).append(c)
-    ordered: list[Clause] = []
+        groups.setdefault(len(c), []).append(c)
+    ordered: list[Sequence[int]] = []
     size = prev = 0
     for n in sorted(groups):
         size += 2 * n - prev  # zero counts for skipped lengths, own count, first clause
         if limit is not None and size > limit:
             break  # not even one clause of this length fits
         group = groups[n]
-        ordered += sorted(group, key=lambda c: c.sort_key)
+        ordered += sorted(group, key=_canonical_key)
         size += n * (len(group) - 1)
         prev = n
-    return _write((c.lits for c in ordered), limit)
+    return _write(ordered, limit)
 
 
 def _stream(buf: Sequence[int]):
@@ -163,9 +167,9 @@ def _stream(buf: Sequence[int]):
             yield length, keys, lits
 
 
-def deserialize(buf: Sequence[int]) -> list[Clause]:
-    """Exact inverse of serialize for well-formed buffers (see _stream)."""
-    return [Clause(lits) for _length, _keys, lits in _stream(buf)]
+def deserialize(buf: Sequence[int]) -> list[tuple[int, ...]]:
+    """Canonical literal tuples of a buffer; inverse of serialize (see _stream)."""
+    return [lits for _length, _keys, lits in _stream(buf)]
 
 
 def buffer_to_bytes(buf: Sequence[int]) -> bytes:
@@ -225,6 +229,7 @@ def merge(
 # duplicate filtering
 
 _LEN_SALT = 0xC2B2AE3D27D4EB4F
+_LEN_MIX = tuple(mix64(n ^ _LEN_SALT) for n in range(64))  # by clause length
 
 
 class LiteralMix(dict):
@@ -248,7 +253,9 @@ def commutative_hash(lits: Sequence[int], mix: LiteralMix | None = None) -> int:
     """
     if mix is None:
         mix = LiteralMix()
-    return (sum(map(mix.__getitem__, lits)) & MASK64) ^ mix64(len(lits) ^ _LEN_SALT)
+    n = len(lits)
+    return ((sum(map(mix.__getitem__, lits)) & MASK64)
+            ^ (_LEN_MIX[n] if n < 64 else mix64(n ^ _LEN_SALT)))
 
 
 class ClauseFilter:
@@ -276,10 +283,10 @@ class ClauseFilter:
         self._cur: set[int] = set()
         self._old: set[int] = set()
 
-    def _test_and_add(self, lits: tuple[int, ...]) -> bool:
+    def _test_and_add(self, lits: Sequence[int]) -> bool:
         """Return True iff the clause was absent; inserts it either way."""
         if len(lits) == 1:
-            lit = lits[0]
+            (lit,) = lits
             if lit in self.unit_set:
                 return False
             self.unit_set.add(lit)
@@ -294,13 +301,14 @@ class ClauseFilter:
         return h not in self._old
 
     # -- public surface ----------------------------------------------------
-    def register_export(self, clause: Clause) -> bool:
+    # Both take a canonical literal sequence: a tuple, or a Clause.
+    def register_export(self, lits: Sequence[int]) -> bool:
         """Admit a locally learned clause; False if it was already seen."""
-        return self._test_and_add(clause.lits)
+        return self._test_and_add(lits)
 
-    def check_import(self, clause: Clause) -> bool:
+    def check_import(self, lits: Sequence[int]) -> bool:
         """Admit an incoming clause; False blocks re-import of known ones."""
-        return self._test_and_add(clause.lits)
+        return self._test_and_add(lits)
 
     def forget_half(self, rng: Random) -> None:
         """Half-life step: drop each unit with p=1/2, retire one fingerprint generation."""

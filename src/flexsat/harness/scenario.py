@@ -90,7 +90,12 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         elif kind == "config":
             for key, value in obj.items():
                 if key == "max_jobs":
-                    out.max_jobs = int(value)
+                    try:
+                        out.max_jobs = int(value)
+                    except (TypeError, ValueError) as exc:
+                        raise ScenarioError(f"line {lineno}: max_jobs: {exc}") from None
+                    if out.max_jobs < 1:
+                        raise ScenarioError(f"line {lineno}: max_jobs must be >= 1")
                 elif key in _CONFIG_KEYS:
                     out.overrides[key] = value
                 elif key != "type":

@@ -80,6 +80,12 @@ class ClusterConfig:
             raise ValueError("timeout must be positive")
         if self.cache_size < 1:
             raise ValueError("cache_size must be >= 1")
+        if self.degree < 1:
+            raise ValueError("degree must be >= 1")
+        if self.max_jobs is not None and self.max_jobs < 1:
+            raise ValueError("max_jobs must be >= 1")
+        if self.filter_halflife_s is not None and self.filter_halflife_s < 0:
+            raise ValueError("filter_halflife_s must be >= 0 (None or 0: never forget)")
         if self.ring_capacity < 4:
             raise ValueError("ring_capacity must be >= 4")
         if self.huge_size < 1:
@@ -116,6 +122,8 @@ class Cluster:
     def __init__(self, cfg: ClusterConfig, jobs: list[JobDescriptor],
                  demand_changes: Optional[list[tuple[float, int, int]]] = None,
                  max_jobs: Optional[int] = None):
+        if max_jobs is not None:
+            cfg = replace(cfg, max_jobs=max_jobs)
         cfg.validate()
         self.cfg = cfg
         self.trace = Trace()
@@ -155,8 +163,7 @@ class Cluster:
             else:
                 self._ctxs[pe] = RealContext(pe, rng, self._router, self.trace)
         self.client = ClientPE(self._ctxs[CLIENT_ID], self.shared, jobs,
-                               demand_changes,
-                               max_jobs if max_jobs is not None else cfg.max_jobs)
+                               demand_changes, cfg.max_jobs)
         self.workers = {pe: WorkerPE(self._ctxs[pe], self.shared, tuple(graph[pe]))
                         for pe in workers}
         self.pes = {CLIENT_ID: self.client, **self.workers}

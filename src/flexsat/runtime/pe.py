@@ -22,7 +22,7 @@ from ..exchange import (
     merge,
     serialize,
 )
-from ..formula import Clause, ModelError, check_model
+from ..formula import ModelError, check_model
 from ..sched import (
     BalancingEvent,
     JobDescriptor,
@@ -142,8 +142,25 @@ class JobNode:
         self.share_timer_on = False
 
 
+def _dispatch_tables(cls) -> tuple[dict, dict]:
+    """Message kind -> _h_<kind> handler and timer tag -> _t_<tag> handler."""
+    handlers, timers = {}, {}
+    for name in dir(cls):
+        if name.startswith("_h_"):
+            handlers[name[3:].upper()] = getattr(cls, name)
+        elif name.startswith("_t_"):
+            timers[name[3:]] = getattr(cls, name)
+    return handlers, timers
+
+
 class BasePE:
     """Balancing-reduction participation shared by client and workers."""
+
+    # Each class resolves kinds and tags through tables built once from its
+    # _h_* and _t_* methods, so dispatch makes no per-event name string.
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._handlers, cls._timers = _dispatch_tables(cls)
 
     def __init__(self, ctx: Context, shared: RunShared):
         self.ctx = ctx
@@ -173,14 +190,14 @@ class BasePE:
         self.ctx.set_timer(self.shared.e_us, "balance", 1)
 
     def on_envelope(self, env: Envelope) -> None:
-        handler = getattr(self, "_h_" + env.kind.lower(), None)
+        handler = self._handlers.get(env.kind)
         if handler is not None:
-            handler(env)
+            handler(self, env)
 
     def on_timer(self, tag: str, data: Any) -> None:
-        handler = getattr(self, "_t_" + tag, None)
+        handler = self._timers.get(tag)
         if handler is not None:
-            handler(data)
+            handler(self, data)
 
     # -- balancing epochs --------------------------------------------------
     def _red_entry(self, k: int) -> dict:
@@ -237,6 +254,9 @@ class BasePE:
 
     def _after_volumes(self, k: int, events: dict[int, BalancingEvent]) -> None:
         pass
+
+
+BasePE._handlers, BasePE._timers = _dispatch_tables(BasePE)
 
 
 class WorkerPE(BasePE):
@@ -457,12 +477,9 @@ class WorkerPE(BasePE):
     def _make_export(self, node: JobNode, slot: SolverSlot):
         sink, filt, sink_cap = node.sink, slot.filt, self.shared.sink_cap
 
-        def export_fn(lits, lbd):
-            clause = Clause(tuple(lits), lbd)
-            if not filt.register_export(clause):
-                return
-            if len(sink) < sink_cap:
-                sink.append(clause)
+        def export_fn(lits, _lbd):
+            if filt.register_export(lits) and len(sink) < sink_cap:
+                sink.append(lits)
         return export_fn
 
     def _make_import(self, slot: SolverSlot):
@@ -473,7 +490,7 @@ class WorkerPE(BasePE):
                 lits = ring.try_pop()
                 if lits is None:
                     return None
-                if filt.check_import(Clause(lits)):
+                if filt.check_import(lits):
                     return lits
         return import_fn
 
@@ -713,8 +730,8 @@ class WorkerPE(BasePE):
         for slot in node.slots:
             if slot.ring is None:
                 continue
-            for clause in clauses:
-                slot.ring.try_push(clause.lits)
+            for lits in clauses:
+                slot.ring.try_push(lits)
 
     # -- results -----------------------------------------------------------
     def _solver_finished(self, node: JobNode, slot: SolverSlot, verdict: str,

@@ -5,6 +5,13 @@ work and keeps all state, so the simulator can interleave many solvers
 and a preempted solver stops within one conflict of the request.  Clause
 import happens only at decision level 0 (restart boundaries), clause
 export fires as clauses are learned.
+
+Inside the kernel a literal is its code 2*|lit| + (lit < 0), the
+formula's literal_key (MiniSat's encoding): negation is code ^ 1, the
+variable is code >> 1, and val/watches are indexed by code.  Signed
+literals appear only at the boundary: formula clauses are encoded at
+construction, imports as they are drained, exports are decoded, and the
+model is read back per variable.
 """
 from __future__ import annotations
 
@@ -47,9 +54,9 @@ class CdclSolver:
 
         nv = cnf.num_vars
         self.nv = nv
-        self.val = [0] * (2 * nv + 1)       # index lit+nv: 1 true, -1 false
-        # A clause is its literal list, watched under its first two literals.
-        self.watches: list[list[list[int]]] = [[] for _ in range(2 * nv + 1)]
+        self.val = [0] * (2 * nv + 2)       # by literal code: 1 true, -1 false
+        # A clause is its list of literal codes, watched under its first two.
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * nv + 2)]
         self.level_a = [0] * (nv + 1)
         self.reason: list[list[int] | None] = [None] * (nv + 1)
         self.act = [0.0] * (nv + 1)
@@ -86,17 +93,17 @@ class CdclSolver:
         # load the formula; contradictory units surface at the first step
         broken = False
         for clause in cnf.clauses:
-            lits = list(clause.lits)
+            lits = [2 * l if l > 0 else 1 - 2 * l for l in clause.lits]  # literal_key
             if len(lits) == 1:
                 lit = lits[0]
-                lv = self.val[lit + nv]
+                lv = self.val[lit]
                 if lv < 0:
                     broken = True
                 elif lv == 0:
                     self._enqueue(lit, None)
             else:
-                self.watches[lits[0] + nv].append(lits)
-                self.watches[lits[1] + nv].append(lits)
+                self.watches[lits[0]].append(lits)
+                self.watches[lits[1]].append(lits)
         if broken:
             self._finish(UNSAT)
 
@@ -108,10 +115,9 @@ class CdclSolver:
         return min(1 << 30, int(p.restart_base * p.restart_factor ** self.restart_count))
 
     def _enqueue(self, lit: int, reason: list[int] | None) -> None:
-        nv = self.nv
-        var = lit if lit > 0 else -lit
-        self.val[lit + nv] = 1
-        self.val[nv - lit] = -1
+        var = lit >> 1
+        self.val[lit] = 1
+        self.val[lit ^ 1] = -1
         self.level_a[var] = self.dlevel
         self.reason[var] = reason
         self.trail.append(lit)
@@ -127,13 +133,12 @@ class CdclSolver:
 
     def _rebuild_heap(self) -> None:
         """One current entry per unassigned variable, none for the others."""
-        nv = self.nv
         val = self.val
         act = self.act
         in_heap = self.in_heap
         heap = []
-        for v in range(1, nv + 1):
-            free = val[v + nv] == 0
+        for v in range(1, self.nv + 1):
+            free = val[2 * v] == 0
             in_heap[v] = free
             if free:
                 heap.append((-act[v], v))
@@ -143,7 +148,6 @@ class CdclSolver:
     # -- propagation -------------------------------------------------------
     def _propagate(self) -> list[int] | None:
         val = self.val
-        nv = self.nv
         watches = self.watches
         trail = self.trail
         level_a = self.level_a
@@ -153,9 +157,9 @@ class CdclSolver:
         props = 0
         confl = None
         while qhead < len(trail):
-            false_lit = -trail[qhead]
+            false_lit = trail[qhead] ^ 1
             qhead += 1
-            wl = watches[false_lit + nv]
+            wl = watches[false_lit]
             i = j = 0
             n_wl = len(wl)
             while i < n_wl:
@@ -165,17 +169,17 @@ class CdclSolver:
                     lits[0] = lits[1]
                     lits[1] = false_lit
                 first = lits[0]
-                fv = val[first + nv]
+                fv = val[first]
                 if fv > 0:
                     wl[j] = lits
                     j += 1
                     continue
                 for k in range(2, len(lits)):
                     lk = lits[k]
-                    if val[lk + nv] >= 0:
+                    if val[lk] >= 0:
                         lits[1] = lk
                         lits[k] = false_lit
-                        watches[lk + nv].append(lits)
+                        watches[lk].append(lits)
                         break
                 else:
                     wl[j] = lits
@@ -184,11 +188,10 @@ class CdclSolver:
                         confl = lits
                         break
                     # enqueue first, implied by this clause
-                    val[first + nv] = 1
-                    val[nv - first] = -1
-                    var = first if first > 0 else -first
-                    level_a[var] = dlevel
-                    reason[var] = lits
+                    val[first] = 1
+                    val[first ^ 1] = -1
+                    level_a[first >> 1] = dlevel
+                    reason[first >> 1] = lits
                     trail.append(first)
                     props += 1
             if confl is not None:
@@ -218,7 +221,7 @@ class CdclSolver:
         while True:
             start = 1 if p else 0  # reason clauses hold their asserted lit first
             for q in confl[start:]:
-                v = q if q > 0 else -q
+                v = q >> 1
                 if not seen[v]:
                     lv = level_a[v]
                     if lv > 0:
@@ -240,24 +243,23 @@ class CdclSolver:
             while True:
                 p = trail[idx]
                 idx -= 1
-                pv = p if p > 0 else -p
+                pv = p >> 1
                 if seen[pv]:
                     break
             counter -= 1
             if counter == 0:
                 break
             confl = self.reason[pv]  # type: ignore[assignment]
-        learnt[0] = -p
+        learnt[0] = p ^ 1
 
         # local minimization: drop lits whose reason is subsumed by the rest
         if len(learnt) > 2:
             kept = [learnt[0]]
+            reason = self.reason
             for q in learnt[1:]:
-                v = q if q > 0 else -q
-                r = self.reason[v]
+                r = reason[q >> 1]
                 if r is not None and all(
-                    level_a[x if x > 0 else -x] == 0 or seen[x if x > 0 else -x]
-                    for x in r[1:]
+                    level_a[x >> 1] == 0 or seen[x >> 1] for x in r[1:]
                 ):
                     continue
                 kept.append(q)
@@ -267,14 +269,14 @@ class CdclSolver:
             bt = 0
         else:
             mi = 1
-            ml = level_a[abs(learnt[1])]
+            ml = level_a[learnt[1] >> 1]
             for i in range(2, len(learnt)):
-                l = level_a[abs(learnt[i])]
+                l = level_a[learnt[i] >> 1]
                 if l > ml:
                     ml, mi = l, i
             learnt[1], learnt[mi] = learnt[mi], learnt[1]
             bt = ml
-        lbd = len({level_a[abs(q)] for q in learnt})
+        lbd = len({level_a[q >> 1] for q in learnt})
         for v in to_clear:
             seen[v] = 0
         return learnt, bt, lbd
@@ -284,9 +286,8 @@ class CdclSolver:
         if len(learnt) == 1:
             self._enqueue(learnt[0], None)
         else:
-            nv = self.nv
-            self.watches[learnt[0] + nv].append(learnt)
-            self.watches[learnt[1] + nv].append(learnt)
+            self.watches[learnt[0]].append(learnt)
+            self.watches[learnt[1]].append(learnt)
             self.learned_clauses.append((lbd, learnt))
             self._enqueue(learnt[0], learnt)
         self.stats.learned += 1
@@ -294,8 +295,8 @@ class CdclSolver:
             self.export_fn is not None
             and (self.export_max_len is None or len(learnt) <= self.export_max_len)
         ):
-            # learnt holds one literal per variable, so |lit| orders it canonically
-            canon = tuple(sorted(learnt, key=abs))
+            # code order is canonical order; decode to signed literals
+            canon = tuple([-(c >> 1) if c & 1 else c >> 1 for c in sorted(learnt)])
             self.stats.exported += 1
             self.export_fn(canon, max(1, lbd))
         self.var_inc /= self.params.decay
@@ -304,7 +305,8 @@ class CdclSolver:
         if self.dlevel <= lvl:
             return
         val = self.val
-        nv = self.nv
+        saved = self.saved
+        reason = self.reason
         trail = self.trail
         tl = self.trail_lim[lvl]
         heap = self.heap
@@ -312,11 +314,11 @@ class CdclSolver:
         act = self.act
         for idx in range(len(trail) - 1, tl - 1, -1):
             lit = trail[idx]
-            var = lit if lit > 0 else -lit
-            self.saved[var] = lit > 0
-            val[lit + nv] = 0
-            val[nv - lit] = 0
-            self.reason[var] = None
+            var = lit >> 1
+            saved[var] = not lit & 1
+            val[lit] = 0
+            val[lit ^ 1] = 0
+            reason[var] = None
             if not in_heap[var]:
                 heappush(heap, (-act[var], var))
                 in_heap[var] = 1
@@ -338,11 +340,10 @@ class CdclSolver:
         if len(learned) <= self.reduce_limit:
             return
         reason = self.reason
-        locked = {id(reason[abs(c[0])]) for _lbd, c in learned
-                  if reason[abs(c[0])] is not None}
+        locked = {id(reason[c[0] >> 1]) for _lbd, c in learned
+                  if reason[c[0] >> 1] is not None}
         learned.sort(key=lambda e: (e[0], len(e[1])))
         keep_n = len(learned) // 2
-        nv = self.nv
         kept = []
         dropped = set()
         touched = set()
@@ -352,8 +353,8 @@ class CdclSolver:
                 kept.append(entry)
             else:
                 dropped.add(id(c))
-                touched.add(c[0] + nv)
-                touched.add(c[1] + nv)
+                touched.add(c[0])
+                touched.add(c[1])
         watches = self.watches
         for w in touched:
             watches[w] = [c for c in watches[w] if id(c) not in dropped]
@@ -366,7 +367,6 @@ class CdclSolver:
         if self.import_fn is None:
             return None
         val = self.val
-        nv = self.nv
         while True:
             lits = self.import_fn()
             if lits is None:
@@ -375,12 +375,13 @@ class CdclSolver:
             live = []
             satisfied = False
             for lit in lits:
-                v = val[lit + nv]
+                c = 2 * lit if lit > 0 else 1 - 2 * lit  # literal_key
+                v = val[c]
                 if v > 0:
                     satisfied = True
                     break
                 if v == 0:
-                    live.append(lit)
+                    live.append(c)
             if satisfied:
                 continue
             if not live:
@@ -388,20 +389,19 @@ class CdclSolver:
             if len(live) == 1:
                 self._enqueue(live[0], None)
             else:
-                self.watches[live[0] + nv].append(live)
-                self.watches[live[1] + nv].append(live)
+                self.watches[live[0]].append(live)
+                self.watches[live[1]].append(live)
                 self.learned_clauses.append((max(1, len(live) - 1), live))
 
     # -- decisions ----------------------------------------------------------
     def _decide(self) -> None:
         val = self.val
-        nv = self.nv
         var = 0
         p = self.params
         if p.random_freq > 0.0 and self.rng.random() < p.random_freq:
             for _ in range(8):
-                cand = self.rng.randrange(1, nv + 1)
-                if val[cand + nv] == 0:
+                cand = self.rng.randrange(1, self.nv + 1)
+                if val[2 * cand] == 0:
                     var = cand
                     break
         if var == 0:
@@ -412,7 +412,7 @@ class CdclSolver:
                 a, v = heappop(heap)
                 if -a == act[v]:  # current entry; stale ones are dropped
                     in_heap[v] = 0
-                    if val[v + nv] == 0:
+                    if val[2 * v] == 0:
                         var = v
                         break
             if var == 0:
@@ -422,16 +422,15 @@ class CdclSolver:
         self.stats.decisions += 1
         self.dlevel += 1
         self.trail_lim.append(len(self.trail))
-        lit = var if self.saved[var] else -var
-        self._enqueue(lit, None)
+        self._enqueue(2 * var + (not self.saved[var]), None)
 
     # -- outcomes ----------------------------------------------------------
     def _finish(self, verdict: str) -> str:
         self._done = True
         self._verdict = verdict
         if verdict == SAT:
-            nv = self.nv
-            self.model = {v: self.val[v + nv] > 0 for v in range(1, nv + 1)}
+            val = self.val
+            self.model = {v: val[2 * v] > 0 for v in range(1, self.nv + 1)}
         return verdict
 
     def result(self) -> SolveResult:

@@ -13,7 +13,7 @@ from random import Random
 import mpmath as mp
 
 from flexsat.exchange import ExchangeConfig, buffer_limit, serialize
-from flexsat.formula import Clause, Cnf
+from flexsat.formula import Cnf, literal_key
 from flexsat.sched import JobInfo
 
 # ---------------------------------------------------------------------------
@@ -206,13 +206,13 @@ def merge_oracle(buffers, own_export, cfg: ExchangeConfig) -> tuple[list[int], i
     seen = set()
     clauses = []
     for buf, _u in list(buffers) + [(own_export, 1)]:
-        for c in deserialize(buf):
-            if c.lits not in seen:
-                seen.add(c.lits)
-                clauses.append(c)
-    clauses.sort(key=lambda c: (len(c), c.sort_key))
+        for lits in deserialize(buf):
+            if lits not in seen:
+                seen.add(lits)
+                clauses.append(lits)
+    clauses.sort(key=lambda c: (len(c), tuple(literal_key(l) for l in c)))
     out: list[int] = []
-    kept: list[Clause] = []
+    kept: list[tuple[int, ...]] = []
     for c in clauses:
         trial = serialize(kept + [c])
         if len(trial) > limit:

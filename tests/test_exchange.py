@@ -4,11 +4,12 @@ from random import Random
 
 import pytest
 
-from flexsat.exchange import (BufferFormatError, ClauseFilter, ExchangeConfig,
-                              LiteralMix, _stream, _write, buffer_from_bytes,
+from flexsat.exchange import (_LEN_MIX, _LEN_SALT, BufferFormatError, ClauseFilter,
+                              ExchangeConfig, LiteralMix, _stream, _write, buffer_from_bytes,
                               buffer_limit, buffer_to_bytes, commutative_hash,
                               deserialize, merge, serialize)
 from flexsat.formula import Clause, literal_key
+from flexsat.util import mix64
 from helpers import limit_oracle, merge_oracle
 
 
@@ -153,7 +154,7 @@ def test_roundtrip_randomized():
         buf = serialize(cs)
         back = deserialize(buf)
         expect = sorted(set(cs), key=lambda c: (len(c), c.sort_key))
-        assert back == expect
+        assert back == [c.lits for c in expect]
         assert serialize(back) == buf
 
 
@@ -223,7 +224,7 @@ def test_merge_dedups_across_sources():
     buf = serialize([c])
     out, u_out = merge([(buf, 1), (buf, 1)], buf, cfg)
     assert u_out == 3
-    assert deserialize(out) == [c]
+    assert deserialize(out) == [c.lits]
 
 
 def test_merge_truncates_whole_clauses():
@@ -373,3 +374,38 @@ def test_filter_generations_are_capped():
     assert not any(f.check_import(c) for c in clauses[8:])
     assert f.check_import(clauses[0])   # two generations back: forgotten
 
+
+
+# ---------------------------------------------------------------------------
+# literal tuples and Clause objects are interchangeable
+
+
+def test_serialize_tuples_equals_clauses():
+    rng = Random(31)
+    for _ in range(200):
+        cs = rand_clauses(rng, rng.randrange(0, 40))
+        limit = rng.choice([None, 0, 7, 40, 150])
+        assert serialize([c.lits for c in cs], limit) == serialize(cs, limit)
+
+
+def test_filter_same_for_tuple_and_clause():
+    rng = Random(33)
+    cs = rand_clauses(rng, 400, max_var=12, max_len=3)  # many repeats
+    by_tuple, by_clause = ClauseFilter(), ClauseFilter()
+    for i, c in enumerate(cs):
+        if i == 200:
+            by_tuple.forget_half(Random(5))
+            by_clause.forget_half(Random(5))
+        use = "register_export" if i % 3 else "check_import"
+        assert getattr(by_tuple, use)(c.lits) == getattr(by_clause, use)(c)
+        assert commutative_hash(c.lits) == commutative_hash(c)
+    assert by_tuple.unit_set == by_clause.unit_set
+    assert by_tuple._cur == by_clause._cur and by_tuple._old == by_clause._old
+
+
+def test_length_mix_table_is_mix64_of_salted_length():
+    assert _LEN_MIX == tuple(mix64(n ^ _LEN_SALT) for n in range(len(_LEN_MIX)))
+    for n in (1, 2, len(_LEN_MIX) - 1, len(_LEN_MIX), len(_LEN_MIX) + 7):
+        lits = list(range(1, n + 1))
+        expect = (sum(mix64(l) for l in lits) % 2 ** 64) ^ mix64(n ^ _LEN_SALT)
+        assert commutative_hash(lits) == expect

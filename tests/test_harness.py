@@ -186,6 +186,12 @@ def test_parse_scenario_full(tmp_path):
      "line 2: unknown job key 'cpu_limit'"),
     ('{"type": "job", "synthetic": 1.0, "seq_time": 9.0}',
      "line 1: unknown job key 'seq_time'"),
+    ('{"type": "job", "synthetic": 1.0}\n{"type": "config", "max_jobs": 0}',
+     "line 2: max_jobs must be >= 1"),
+    ('{"type": "config", "max_jobs": -3}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: max_jobs must be >= 1"),
+    ('{"type": "config", "max_jobs": "two"}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: max_jobs"),
 ])
 def test_parse_scenario_errors(text, msg, tmp_path):
     with pytest.raises(ScenarioError, match=msg):

@@ -13,6 +13,7 @@ from flexsat.formula import Cnf, check_model
 from flexsat.harness.report import parse_trace_line
 from flexsat.runtime import Cluster, ClusterConfig, Envelope, mono_mode
 from flexsat.runtime import pe as pe_mod
+from flexsat.runtime import transport as tp
 from flexsat.runtime.transport import SimLoop, Trace, format_time_ms
 from flexsat.sched import JobDescriptor
 from flexsat.solver import CdclSolver, SlsSolver, cdcl_solve
@@ -38,6 +39,7 @@ def test_budget_formula():
 
 def test_config_validation():
     ClusterConfig().validate()
+    jobs = [JobDescriptor(job=1, priority=0.5, arrival_s=0.0, synthetic_s=1.0)]
     with pytest.raises(ValueError, match="worker"):
         ClusterConfig(num_pes=1).validate()
     with pytest.raises(ValueError, match="budget"):
@@ -60,8 +62,25 @@ def test_config_validation():
         ClusterConfig(jitter_us=-10).validate()
     with pytest.raises(ValueError, match="sink_cap"):
         ClusterConfig(sink_cap=-1).validate()
+    with pytest.raises(ValueError, match="degree"):
+        ClusterConfig(degree=0).validate()
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_jobs"):
+            ClusterConfig(max_jobs=bad).validate()
+        with pytest.raises(ValueError, match="max_jobs"):
+            Cluster(ClusterConfig(num_pes=4), jobs, max_jobs=bad)
+    # A negative half life would never let the forget loop catch up; it is
+    # refused before any PE exists, so the run that would hang never starts.
+    with pytest.raises(ValueError, match="filter_halflife_s"):
+        ClusterConfig(filter_halflife_s=-0.5).validate()
+    with pytest.raises(ValueError, match="filter_halflife_s"):
+        Cluster(ClusterConfig(num_pes=4, filter_halflife_s=-0.5), jobs)
     ClusterConfig(ring_capacity=4, huge_size=1, latency_us=0, jitter_us=0,
-                  sink_cap=0).validate()
+                  sink_cap=0, degree=1, max_jobs=1).validate()
+    for off in (None, 0, 0.0):  # each means: never forget
+        ClusterConfig(filter_halflife_s=off).validate()
+    assert Cluster(ClusterConfig(num_pes=4), jobs,
+                   max_jobs=1).cfg.max_jobs == 1
 
 
 # ---------------------------------------------------------------------------
@@ -450,3 +469,33 @@ def test_real_mode_blocked_sls_thread_exits_before_run_end(monkeypatch):
     assert sls_verdict is None and calls == []
     assert sls_exit - start < 0.5 and end - start >= 1.0
     assert sls_exit < exits["CdclSolver"][0]  # CDCL threads run until the timeout
+
+
+# ---------------------------------------------------------------------------
+# event dispatch
+
+
+@pytest.mark.parametrize("cls", [pe_mod.ClientPE, pe_mod.WorkerPE])
+def test_dispatch_reaches_every_handler_and_ignores_unknown(cls):
+    names = sorted(n for n in dir(cls) if n.startswith(("_h_", "_t_")))
+    kinds = {v for k, v in vars(tp).items() if k.isupper() and isinstance(v, str)}
+    tables = (*cls._handlers.values(), *cls._timers.values())
+    assert sorted(f.__name__ for f in tables) == names
+    calls = []
+    spy = type("Spy", (cls,), {
+        n: (lambda self, arg, n=n: calls.append((n, arg))) for n in names})
+    pe = object.__new__(spy)  # dispatch reads only the class tables
+    for n in names:
+        if n.startswith("_h_"):
+            kind = n[3:].upper()
+            assert kind in kinds, n
+            env = Envelope(kind, 1, 2, None, {})
+            pe.on_envelope(env)
+            assert calls[-1] == (n, env)
+        else:
+            pe.on_timer(n[3:], n)
+            assert calls[-1] == (n, n)
+    assert len(calls) == len(names) and any(n.startswith("_t_") for n in names)
+    pe.on_envelope(Envelope("NO_SUCH_KIND", 1, 2, None, {}))
+    pe.on_timer("no_such_tag", None)
+    assert len(calls) == len(names)

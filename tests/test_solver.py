@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from flexsat.formula import Cnf, check_model
+from flexsat.formula import Cnf, canonical_literals, check_model
 from flexsat.solver import (CDCL_PRESETS, PORTFOLIO_CYCLE, SAT, UNKNOWN,
                             UNSAT, CdclParams, CdclSolver, ImportRing,
                             SlsParams, SlsSolver, SolverControl,
@@ -148,6 +148,62 @@ def test_cdcl_export_learned_clauses():
         assert list(lits) == sorted(lits, key=lambda l: (abs(l), l < 0))
 
 
+def _decode(code):
+    """Signed literal of a kernel literal code, 2*|lit| + (lit < 0)."""
+    return -(code >> 1) if code & 1 else code >> 1
+
+
+def test_cdcl_exports_canonical_signed_tuples():
+    cnf = random_3cnf(Random(21), 40, 172)
+    learnt_seen, exported = [], []
+    s = CdclSolver(cnf, seed=3, export_max_len=None,
+                   export_fn=lambda lits, lbd: exported.append(lits))
+    learn = s._learn
+
+    def recording_learn(learnt, bt, lbd):
+        learnt_seen.append([_decode(c) for c in learnt])
+        learn(learnt, bt, lbd)
+    s._learn = recording_learn
+    s.solve()
+    assert len(exported) == len(learnt_seen) > 20
+    for lits, learnt in zip(exported, learnt_seen):
+        assert type(lits) is tuple and lits == canonical_literals(learnt)
+    assert any(l < 0 for lits in exported for l in lits)
+    assert any(l > 0 for lits in exported for l in lits)
+
+
+# Level 0 after the formula's units: 1 true, 2 false; 3, 4, 5 free.
+IMPORT_CNF = Cnf.from_clauses(5, [[1], [-2], [3, 4, 5]])
+
+
+def _import_run(*clauses):
+    pending = list(reversed(clauses))
+    s = CdclSolver(IMPORT_CNF, CdclParams(phase="pos"),
+                   import_fn=lambda: pending.pop() if pending else None)
+    return s, s.solve()
+
+
+def test_cdcl_import_with_negative_literals_at_level_zero():
+    # Deciding positive sets 4 true unless an import says otherwise.
+    _s, res = _import_run()
+    assert res.verdict == SAT and res.model[4] is True
+    # satisfied by -2: skipped, nothing watched or kept
+    s, res = _import_run((-2, -4))
+    assert res.verdict == SAT and res.model[4] is True
+    assert res.stats.imported == 1 and s.learned_clauses == []
+    # -1 false at level 0 leaves the unit -4: enqueued at level 0
+    s, res = _import_run((-1, -4))
+    assert res.verdict == SAT and res.model[4] is False
+    assert s.level_a[4] == 0 and s.learned_clauses == []
+    # two live literals: watched and kept as a learned clause
+    s, res = _import_run((-1, -4, -5))
+    assert res.verdict == SAT and not (res.model[4] and res.model[5])
+    assert [len(c) for _lbd, c in s.learned_clauses] == [2]
+    # every literal false at level 0: UNSAT
+    s, res = _import_run((-3, -4, -5), (-1, 2))
+    assert res.verdict == UNSAT and res.stats.imported == 2
+
+
 def test_cdcl_export_length_gate():
     cnf = random_3cnf(Random(21), 30, 129)
     got = []
@@ -170,14 +226,13 @@ class LazyHeapCdcl(CdclSolver):
     def _backtrack(self, lvl):
         if self.dlevel <= lvl:
             return
-        nv = self.nv
         tl = self.trail_lim[lvl]
         for idx in range(len(self.trail) - 1, tl - 1, -1):
-            lit = self.trail[idx]
-            var = abs(lit)
-            self.saved[var] = lit > 0
-            self.val[lit + nv] = 0
-            self.val[nv - lit] = 0
+            lit = self.trail[idx]  # a literal code: 2*var + negated
+            var = lit >> 1
+            self.saved[var] = not lit & 1
+            self.val[lit] = 0
+            self.val[lit ^ 1] = 0
             self.reason[var] = None
             heappush(self.heap, (-self.act[var], var))
         del self.trail[tl:]
@@ -192,23 +247,23 @@ class LazyHeapCdcl(CdclSolver):
         if p.random_freq > 0.0 and self.rng.random() < p.random_freq:
             for _ in range(8):
                 cand = self.rng.randrange(1, nv + 1)
-                if val[cand + nv] == 0:
+                if val[2 * cand] == 0:
                     var = cand
                     break
         if var == 0:
             while self.heap:
                 a, v = heappop(self.heap)
-                if val[v + nv] == 0 and -a == act[v]:
+                if val[2 * v] == 0 and -a == act[v]:
                     var = v
                     break
             if var == 0:
-                self.heap = [(-act[v], v) for v in range(1, nv + 1) if val[v + nv] == 0]
+                self.heap = [(-act[v], v) for v in range(1, nv + 1) if val[2 * v] == 0]
                 heapify(self.heap)
                 a, var = heappop(self.heap)
         self.stats.decisions += 1
         self.dlevel += 1
         self.trail_lim.append(len(self.trail))
-        self._enqueue(var if self.saved[var] else -var, None)
+        self._enqueue(2 * var + (not self.saved[var]), None)
 
 
 def _decisions(cls, cnf, params, seed, conflicts):
@@ -244,7 +299,7 @@ def test_cdcl_heap_has_one_current_entry_per_unassigned_var():
     current = [v for a, v in s.heap if -a == s.act[v]]
     assert len(current) == len(set(current))
     assert {v for v in range(1, nv + 1) if s.in_heap[v]} == set(current)
-    assert all(s.in_heap[v] for v in range(1, nv + 1) if s.val[v + nv] == 0)
+    assert all(s.in_heap[v] for v in range(1, nv + 1) if s.val[2 * v] == 0)
 
 
 def test_cdcl_reduce_db_keeps_watches_exact():
@@ -257,11 +312,10 @@ def test_cdcl_reduce_db_keeps_watches_exact():
     s._reduce_db()
     assert len(s.learned_clauses) < n_learned
     clauses = {**originals, **{id(c): c for _lbd, c in s.learned_clauses}}
-    nv = s.nv
     seen = Counter((id(c), w) for w, wl in enumerate(s.watches) for c in wl)
     assert {key for key, _w in seen} <= clauses.keys()
-    for key, c in clauses.items():
-        assert seen[key, c[0] + nv] == 1 and seen[key, c[1] + nv] == 1
+    for key, c in clauses.items():  # watch lists are indexed by literal code
+        assert seen[key, c[0]] == 1 and seen[key, c[1]] == 1
     assert len(seen) == sum(seen.values()) == 2 * len(clauses)
     assert all(r is None or id(r) in clauses for r in s.reason)
 
