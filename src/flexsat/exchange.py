@@ -21,6 +21,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import lt
 from random import Random
 from typing import Iterable, Sequence
@@ -135,11 +136,14 @@ def serialize(clauses: Iterable[Sequence[int]], limit: int | None = None) -> lis
     return _write(ordered, limit)
 
 
-def _stream(buf: Sequence[int]):
-    """Yield (length, sort_key, lits) per clause of a flat buffer, validating.
+def _groups(buf: Sequence[int]):
+    """Yield (length, keys, clauses) per length group of a flat buffer, validating.
 
-    Checks group counts, zero literals, canonical order within each group
-    and within each clause; raises BufferFormatError otherwise.
+    clauses holds the group's literal tuples and keys their literal_key
+    tuples, index for index.  A whole group is checked at once: its count,
+    zero literals, canonical order within each clause (position k against
+    k + 1 over strided slices) and within the group.  BufferFormatError
+    names the fault that a clause-by-clause scan of the group meets first.
     """
     pos = 0
     length = 0
@@ -150,26 +154,49 @@ def _stream(buf: Sequence[int]):
         pos += 1
         if n < 0:
             raise BufferFormatError(f"negative count {n} for length {length}")
-        if pos + n * length > total:
+        if n == 0:
+            continue  # a skipped length: its checks below would cost O(length)
+        end = pos + n * length
+        if end > total:
             raise BufferFormatError(f"truncated group of length {length}")
-        prev_key = None
-        for _ in range(n):
-            lits = tuple(buf[pos:pos + length])
-            pos += length
-            if 0 in lits:
-                raise BufferFormatError("zero literal inside clause")
-            keys = tuple([2 * l if l > 0 else 1 - 2 * l for l in lits])  # literal_key
-            if not all(map(lt, keys, keys[1:])):
-                raise BufferFormatError(f"clause {lits} not canonical")
-            if prev_key is not None and keys <= prev_key:
-                raise BufferFormatError("group not in canonical order")
-            prev_key = keys
-            yield length, keys, lits
+        group = buf[pos:end]
+        pos = end
+        flat = [2 * l if l > 0 else 1 - 2 * l for l in group]  # literal_key
+        keys = list(zip(*[iter(flat)] * length))
+        clauses = list(zip(*[iter(group)] * length))
+        if (0 in group
+                or not all(map(lt, keys, keys[1:]))
+                or not all([all(map(lt, flat[k::length], flat[k + 1::length]))
+                            for k in range(length - 1)])):
+            _raise_first_fault(keys, clauses)
+        yield length, keys, clauses
+
+
+def _raise_first_fault(keys: list[tuple], clauses: list[tuple]) -> None:
+    """Raise for a rejected group's first faulty clause, in buffer order."""
+    prev = None
+    for key, lits in zip(keys, clauses):
+        if 0 in lits:
+            raise BufferFormatError("zero literal inside clause")
+        if not all(map(lt, key, key[1:])):
+            raise BufferFormatError(f"clause {lits} not canonical")
+        if prev is not None and key <= prev:
+            raise BufferFormatError("group not in canonical order")
+        prev = key
+
+
+def _stream(buf: Sequence[int]):
+    """Yield (length, sort_key, lits) per clause of a flat buffer (see _groups)."""
+    for length, keys, clauses in _groups(buf):
+        yield from zip(repeat(length), keys, clauses)
 
 
 def deserialize(buf: Sequence[int]) -> list[tuple[int, ...]]:
-    """Canonical literal tuples of a buffer; inverse of serialize (see _stream)."""
-    return [lits for _length, _keys, lits in _stream(buf)]
+    """Canonical literal tuples of a buffer; inverse of serialize (see _groups)."""
+    out: list[tuple[int, ...]] = []
+    for _length, _keys, clauses in _groups(buf):
+        out += clauses
+    return out
 
 
 def buffer_to_bytes(buf: Sequence[int]) -> bytes:

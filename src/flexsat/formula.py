@@ -8,7 +8,8 @@ construction so they can be shared across solver contexts without copying.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 log = logging.getLogger(__name__)
@@ -56,24 +57,22 @@ def canonical_literals(lits: Iterable[int]) -> tuple[int, ...] | None:
 class Clause:
     """A nonempty disjunction of literals in canonical order.
 
-    Equality and hashing are structural over the literals; the optional
-    LBD annotation rides along but does not affect identity.
+    Equality and hashing are structural over the literals.
     """
 
     lits: tuple[int, ...]
-    lbd: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.lits:
             raise ValueError("empty clause")
 
     @staticmethod
-    def make(lits: Iterable[int], lbd: int | None = None) -> "Clause | None":
+    def make(lits: Iterable[int]) -> "Clause | None":
         """Canonicalize and build; returns None for tautologies."""
         canon = canonical_literals(lits)
         if canon is None:
             return None
-        return Clause(canon, lbd)
+        return Clause(canon)
 
     @property
     def sort_key(self) -> tuple[int, ...]:
@@ -107,6 +106,16 @@ class Cnf:
                 raise ValueError(f"literal out of range in clause {list(lits)}")
             out.append(c)
         return Cnf(num_vars, tuple(out))
+
+    @cached_property
+    def codes(self) -> tuple[tuple[int, ...], ...]:
+        """Each clause as its literal_key codes, encoded once for all solvers.
+
+        (cached_property writes the instance __dict__, which a frozen
+        dataclass without slots still has.)
+        """
+        return tuple([tuple([2 * l if l > 0 else 1 - 2 * l for l in c.lits])
+                      for c in self.clauses])
 
     @property
     def serialized_size(self) -> int:

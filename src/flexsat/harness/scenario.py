@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..formula import parse_dimacs
@@ -39,7 +39,13 @@ _JOB_KEYS = {
 
 
 def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
-    """Parse one JSON object per line; blank lines and # comments skipped."""
+    """Parse one JSON object per line; blank lines and # comments skipped.
+
+    Each config line must leave the overrides so far valid on top of the
+    default ClusterConfig; a bad value fails here, with its line number.
+    """
+    from ..runtime.cluster import ClusterConfig  # runtime imports harness.report
+
     out = Scenario()
     auto_id = 0
     demand_lines: list[tuple[int, int]] = []   # (line number, job id)
@@ -100,6 +106,10 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
                     out.overrides[key] = value
                 elif key != "type":
                     raise ScenarioError(f"line {lineno}: unknown config key {key!r}")
+            try:
+                replace(ClusterConfig(), **out.overrides).validate()
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(f"line {lineno}: {exc}") from None
         else:
             raise ScenarioError(f"line {lineno}: unknown type {kind!r}")
     if not out.jobs:

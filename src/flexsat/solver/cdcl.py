@@ -9,9 +9,9 @@ export fires as clauses are learned.
 Inside the kernel a literal is its code 2*|lit| + (lit < 0), the
 formula's literal_key (MiniSat's encoding): negation is code ^ 1, the
 variable is code >> 1, and val/watches are indexed by code.  Signed
-literals appear only at the boundary: formula clauses are encoded at
-construction, imports as they are drained, exports are decoded, and the
-model is read back per variable.
+literals appear only at the boundary: formula clauses are copied from
+Cnf.codes at construction, imports are encoded as they are drained,
+exports are decoded, and the model is read back per variable.
 """
 from __future__ import annotations
 
@@ -29,6 +29,12 @@ ImportFn = Callable[[], "tuple[int, ...] | None"]
 ExportFn = Callable[[tuple[int, ...], int], None]
 
 _RESCALE = 1e100
+
+# _decide rebuilds the decision heap once it holds more than
+# HEAP_COMPACT_FACTOR * num_vars + HEAP_COMPACT_SLACK entries, mostly stale
+# ones left by bumps.  The O(num_vars) rebuild changes no decision.
+HEAP_COMPACT_FACTOR = 4
+HEAP_COMPACT_SLACK = 64
 
 
 class CdclSolver:
@@ -68,9 +74,12 @@ class CdclSolver:
         self.var_inc = 1.0
         # Lazy max-activity heap of (-activity, var).  An entry is current
         # while its activity equals act[var]; in_heap[var] is 1 iff var has
-        # a current entry, and no second one is pushed while it has.
+        # a current entry, and every unassigned variable has one.  Stale
+        # entries are dropped when popped, or all at once by a rebuild when
+        # the heap grows past heap_limit.
         self.heap: list[tuple[float, int]] = []
         self.in_heap = bytearray(nv + 1)
+        self.heap_limit = HEAP_COMPACT_FACTOR * nv + HEAP_COMPACT_SLACK
         self._rebuild_heap()
         self.learned_clauses: list[tuple[int, list[int]]] = []  # (lbd, clause)
         self.reduce_limit = self.params.reduce_base
@@ -92,16 +101,16 @@ class CdclSolver:
 
         # load the formula; contradictory units surface at the first step
         broken = False
-        for clause in cnf.clauses:
-            lits = [2 * l if l > 0 else 1 - 2 * l for l in clause.lits]  # literal_key
-            if len(lits) == 1:
-                lit = lits[0]
+        for code in cnf.codes:
+            if len(code) == 1:
+                lit = code[0]
                 lv = self.val[lit]
                 if lv < 0:
                     broken = True
                 elif lv == 0:
                     self._enqueue(lit, None)
             else:
+                lits = list(code)  # watch swaps reorder the solver's own copy
                 self.watches[lits[0]].append(lits)
                 self.watches[lits[1]].append(lits)
         if broken:
@@ -160,11 +169,8 @@ class CdclSolver:
             false_lit = trail[qhead] ^ 1
             qhead += 1
             wl = watches[false_lit]
-            i = j = 0
-            n_wl = len(wl)
-            while i < n_wl:
-                lits = wl[i]
-                i += 1
+            j = moved = 0  # kept watches are compacted into wl[:j]
+            for lits in wl:
                 if lits[0] == false_lit:
                     lits[0] = lits[1]
                     lits[1] = false_lit
@@ -180,6 +186,7 @@ class CdclSolver:
                         lits[1] = lk
                         lits[k] = false_lit
                         watches[lk].append(lits)
+                        moved += 1
                         break
                 else:
                     wl[j] = lits
@@ -195,7 +202,7 @@ class CdclSolver:
                     trail.append(first)
                     props += 1
             if confl is not None:
-                del wl[j:i]  # keep the untouched tail
+                del wl[j:j + moved]  # keep the untouched tail
                 break
             del wl[j:]
         self.qhead = qhead
@@ -212,6 +219,7 @@ class CdclSolver:
         heap = self.heap
         in_heap = self.in_heap
         var_inc = self.var_inc
+        rescale = _RESCALE
         learnt = [0]
         to_clear: list[int] = []
         counter = 0
@@ -219,8 +227,10 @@ class CdclSolver:
         idx = len(trail) - 1
         dlevel = self.dlevel
         while True:
-            start = 1 if p else 0  # reason clauses hold their asserted lit first
-            for q in confl[start:]:
+            lits = iter(confl)
+            if p:
+                next(lits)  # a reason clause holds its asserted literal first
+            for q in lits:
                 v = q >> 1
                 if not seen[v]:
                     lv = level_a[v]
@@ -229,7 +239,7 @@ class CdclSolver:
                         to_clear.append(v)
                         a = act[v] + var_inc
                         act[v] = a
-                        if a > _RESCALE:
+                        if a > rescale:
                             self._rescale()
                             heap = self.heap
                             var_inc = self.var_inc
@@ -258,10 +268,15 @@ class CdclSolver:
             reason = self.reason
             for q in learnt[1:]:
                 r = reason[q >> 1]
-                if r is not None and all(
-                    level_a[x >> 1] == 0 or seen[x >> 1] for x in r[1:]
-                ):
-                    continue
+                if r is not None:
+                    lits = iter(r)
+                    next(lits)
+                    for x in lits:
+                        v = x >> 1
+                        if not seen[v] and level_a[v]:
+                            break
+                    else:
+                        continue
                 kept.append(q)
             learnt = kept
 
@@ -405,6 +420,8 @@ class CdclSolver:
                     var = cand
                     break
         if var == 0:
+            if len(self.heap) > self.heap_limit:
+                self._rebuild_heap()
             heap = self.heap
             act = self.act
             in_heap = self.in_heap

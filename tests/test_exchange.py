@@ -1,5 +1,6 @@
 """Clause exchange: buffer limits, flat codec, merging, duplicate filters."""
 from fractions import Fraction
+from operator import lt
 from random import Random
 
 import pytest
@@ -187,6 +188,81 @@ def test_deserialize_rejects_noncanonical_clause():
 def test_deserialize_rejects_group_order_violation():
     assert_rejected([0, 2, 1, 3, 1, 2], "group not in canonical order")
     assert_rejected([0, 2, 1, 2, 1, 2], "group not in canonical order")  # duplicate clause
+
+
+def stream_per_clause(buf):
+    """The earlier clause-by-clause decoder, kept as the oracle of _groups."""
+    pos = 0
+    length = 0
+    total = len(buf)
+    while pos < total:
+        length += 1
+        n = buf[pos]
+        pos += 1
+        if n < 0:
+            raise BufferFormatError(f"negative count {n} for length {length}")
+        if pos + n * length > total:
+            raise BufferFormatError(f"truncated group of length {length}")
+        prev_key = None
+        for _ in range(n):
+            lits = tuple(buf[pos:pos + length])
+            pos += length
+            if 0 in lits:
+                raise BufferFormatError("zero literal inside clause")
+            keys = tuple([2 * l if l > 0 else 1 - 2 * l for l in lits])
+            if not all(map(lt, keys, keys[1:])):
+                raise BufferFormatError(f"clause {lits} not canonical")
+            if prev_key is not None and keys <= prev_key:
+                raise BufferFormatError("group not in canonical order")
+            prev_key = keys
+            yield length, keys, lits
+
+
+def decode_or_error(decode, buf):
+    try:
+        return list(decode(buf))
+    except BufferFormatError as exc:
+        return str(exc)
+
+
+def mutate(rng: Random, buf: list[int]) -> list[int]:
+    """buf with one random edit: a literal, a count, a swap or a cut."""
+    buf = list(buf)
+    i = rng.randrange(len(buf))
+    kind = rng.randrange(5)
+    if kind == 0:
+        buf[i] = -buf[i] or 1
+    elif kind == 1:
+        buf[i] = 0
+    elif kind == 2:
+        j = rng.randrange(len(buf))
+        buf[i], buf[j] = buf[j], buf[i]
+    elif kind == 3:
+        buf[i] += rng.choice((-2, -1, 1, 2))
+    else:
+        del buf[i:]
+    return buf
+
+
+def test_groups_decode_like_per_clause_oracle():
+    """Group-wise decoding accepts, yields and rejects exactly what the
+    clause-by-clause scan does, with the same first error message."""
+    rng = Random(808)
+    faults = set()
+    for trial in range(1500):
+        cs = rand_clauses(rng, rng.randrange(1, 40), max_var=rng.choice((8, 40)))
+        buf = serialize(cs)
+        for _ in range(trial % 3):  # 0, 1 or 2 edits
+            buf = mutate(rng, buf) if buf else buf
+        want = decode_or_error(stream_per_clause, buf)
+        assert decode_or_error(_stream, buf) == want
+        if isinstance(want, str):
+            faults.add(want.split()[0])
+            with pytest.raises(BufferFormatError):
+                merge([(buf, 1)], [], ExchangeConfig())
+        else:
+            assert deserialize(buf) == [lits for _n, _k, lits in want]
+    assert faults == {"negative", "truncated", "zero", "clause", "group"}
 
 
 def test_bytes_roundtrip():

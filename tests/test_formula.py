@@ -5,6 +5,7 @@ from random import Random
 from flexsat.formula import (Clause, Cnf, DimacsError, ModelError,
                              canonical_literals, check_model, literal_key,
                              parse_dimacs, write_dimacs)
+from flexsat.solver import CdclSolver
 from helpers import oracle_model, random_3cnf
 
 
@@ -51,9 +52,19 @@ def test_clause_empty_rejected():
         Clause(())
 
 
-def test_clause_equality_ignores_lbd():
-    assert Clause.make([1, 2], lbd=2) == Clause.make([2, 1], lbd=7)
-    assert hash(Clause.make([1, 2], lbd=2)) == hash(Clause.make([1, 2]))
+def test_cnf_codes_are_literal_keys_shared_by_solvers():
+    cnf = random_3cnf(Random(5), 40, 170)
+    codes = cnf.codes
+    assert cnf.codes is codes  # encoded once
+    assert codes == tuple(tuple(literal_key(l) for l in c.lits) for c in cnf.clauses)
+    snapshot = [tuple(c) for c in codes]
+    a, b = CdclSolver(cnf, seed=1), CdclSolver(cnf, seed=2)
+    lists_a = {id(c) for wl in a.watches for c in wl}
+    lists_b = {id(c) for wl in b.watches for c in wl}
+    assert lists_a and not lists_a & lists_b
+    assert a.solve().verdict == b.solve().verdict
+    assert cnf.codes is codes and list(codes) == snapshot
+    assert Cnf(cnf.num_vars, cnf.clauses) == cnf  # the cache is not a field
 
 
 def test_cnf_from_clauses_drops_tautologies_and_range_checks():

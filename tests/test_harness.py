@@ -192,6 +192,10 @@ def test_parse_scenario_full(tmp_path):
      "line 1: max_jobs must be >= 1"),
     ('{"type": "config", "max_jobs": "two"}\n{"type": "job", "synthetic": 1.0}',
      "line 1: max_jobs"),
+    ('{"type": "config", "num_pes": 1}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: need at least one worker"),
+    ('{"type": "job", "synthetic": 1.0}\n{"type": "config", "alpha": "x"}',
+     "line 2: '<=' not supported"),
 ])
 def test_parse_scenario_errors(text, msg, tmp_path):
     with pytest.raises(ScenarioError, match=msg):

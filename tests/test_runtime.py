@@ -386,11 +386,25 @@ def sharing_mono_run():
     return mono_mode(random_3cnf(Random(11), 90, 405), cfg)
 
 
+def multi_cnf_sharing_run():
+    """Four CNF jobs, three at a time, with slow solvers: sharing epochs
+    import clauses, job 1 shrinks to one node and regrows, job 4 waits."""
+    descs = [JobDescriptor(job=j, priority=p, arrival_s=a, demand=4,
+                           cnf=random_3cnf(Random(400 + j), 80, n))
+             for j, p, a, n in ((1, 0.6, 0.0, 345), (2, 0.5, 0.05, 350),
+                                (3, 0.4, 0.1, 352), (4, 0.7, 0.2, 340))]
+    cfg = ClusterConfig(num_pes=10, threads=2, seed=8, balance_period_s=0.05,
+                        share_period_s=0.05, timeout_s=30.0, cdcl_rate=1.5)
+    return Cluster(cfg, descs, demand_changes=[(0.06, 1, 1), (0.12, 1, 4)],
+                   max_jobs=3).run()
+
+
 @pytest.mark.parametrize("run,digest", [
     (criterion9_run, "d744f22b08375ff7b1ce9f618af4ab8c3cce5cff70ea81d6d9276eb4b6894b12"),
     (eviction_run, "5e5717521ed47b1d8a28c51d436ea1cd3474b11a2187966ae86387f61bd2a1c6"),
     (sharing_mono_run, "db895bddba634d0dae04ffcaaf223ab5a244c5c0f18d680455acaf16198580fa"),
-], ids=["criterion9", "eviction", "sharing_mono"])
+    (multi_cnf_sharing_run, "8c213aec78a634f30c8f0ae9b1b50dbde8e65e80de992addac6d27491bf41dec"),
+], ids=["criterion9", "eviction", "sharing_mono", "multi_cnf_sharing"])
 def test_trace_digests_pinned(run, digest):
     """Simulated traces are part of the contract: a refactor must keep them byte-exact.
 

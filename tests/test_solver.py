@@ -292,14 +292,45 @@ def test_cdcl_heap_flags_decide_like_lazy_heap(params):
     assert new == old
 
 
-def test_cdcl_heap_has_one_current_entry_per_unassigned_var():
-    s = CdclSolver(random_3cnf(Random(41), 90, 420), CDCL_PRESETS[6], seed=2)
-    s.step(300)
+def assert_heap_invariant(s):
     nv = s.nv
     current = [v for a, v in s.heap if -a == s.act[v]]
     assert len(current) == len(set(current))
     assert {v for v in range(1, nv + 1) if s.in_heap[v]} == set(current)
     assert all(s.in_heap[v] for v in range(1, nv + 1) if s.val[2 * v] == 0)
+
+
+def test_cdcl_heap_has_one_current_entry_per_unassigned_var():
+    s = CdclSolver(random_3cnf(Random(41), 90, 420), CDCL_PRESETS[6], seed=2)
+    compactions = []
+    rebuild = s._rebuild_heap
+
+    def checked_rebuild():
+        over = len(s.heap) > s.heap_limit
+        rebuild()
+        if over:  # a compaction: exactly the unassigned variables remain
+            compactions.append(len(s.heap))
+            assert len(s.heap) == sum(s.val[2 * v] == 0 for v in range(1, s.nv + 1))
+            assert_heap_invariant(s)
+    s._rebuild_heap = checked_rebuild
+    s.step(300)
+    assert len(compactions) >= 2
+    assert_heap_invariant(s)
+
+
+@pytest.mark.parametrize("decay", [0.95, 0.99])
+def test_cdcl_heap_stays_bounded(decay):
+    """Stale heap entries never pile up: compaction caps the heap near 4*nv."""
+    s = CdclSolver(random_3cnf(Random(43), 200, 860),
+                   replace(CDCL_PRESETS[0], decay=decay), seed=5)
+    # Between two decisions, one conflict pushes each variable at most once.
+    bound = s.heap_limit + s.nv
+    peak = 0
+    while s.stats.conflicts < 3000:
+        assert s.step(1) is None
+        peak = max(peak, len(s.heap))
+        assert len(s.heap) <= bound
+    assert peak > 2 * s.nv  # stale entries did accumulate between compactions
 
 
 def test_cdcl_reduce_db_keeps_watches_exact():
