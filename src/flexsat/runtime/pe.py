@@ -568,7 +568,14 @@ class WorkerPE(BasePE):
         self.log("END", job, f"x={x} reason={reason}")
 
     def _h_abort(self, env: Envelope) -> None:
-        self.teardown_node(env.job, env.payload["x"], "abort")
+        x = env.payload["x"]
+        node = self.nodes.get((env.job, x))
+        if x == 0 and node is not None and node.desc is not None:
+            # The client gave up on a placed job (deadline): drop it from
+            # every volume table, as a completion does.  A duplicate root
+            # aborted on adoption has no payload and posts nothing.
+            self._emit_event(node, 0)
+        self.teardown_node(env.job, x, "abort")
 
     # -- balancing hooks ---------------------------------------------------
     def _on_balance_tick(self, k: int) -> None:

@@ -3,8 +3,10 @@
 Volumes are computed identically on every PE from the same consolidated
 event set: each active job j gets v_j = clamp(lambda * pi_j * d_j, 1, d_j)
 with lambda chosen so the volumes fill the worker budget, then fractional
-shares are rounded by largest remainder.  All arithmetic is exact
-(fractions), so the result is bit-identical everywhere.
+shares are rounded by largest remainder.  The water level lambda comes
+from one sweep over the jobs' sorted breakpoints, O(n log n) per call.
+All arithmetic is exact (fractions), so the result is bit-identical
+everywhere.
 """
 from __future__ import annotations
 
@@ -38,8 +40,20 @@ class JobDescriptor:
             raise ValueError(f"priority {self.priority} out of (0,1)")
         if (self.cnf is None) == (self.synthetic_s is None):
             raise ValueError("job needs exactly one of cnf or synthetic_s")
-        if self.demand is not None and (type(self.demand) is not int or self.demand < 1):
-            raise ValueError(f"demand {self.demand!r} is not an integer >= 1")
+        for name in ("demand", "max_volume"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < 1):
+                raise ValueError(f"{name} {value!r} is not an integer >= 1")
+        for name in ("synthetic_s", "wallclock_limit_s"):
+            value = getattr(self, name)
+            if value is not None and not (_is_real(value) and 0 < value < math.inf):
+                raise ValueError(f"{name} {value!r} is not a positive finite number")
+        if not (_is_real(self.arrival_s) and 0 <= self.arrival_s < math.inf):
+            raise ValueError(f"arrival_s {self.arrival_s!r} is not a finite number >= 0")
+
+
+def _is_real(value) -> bool:
+    return type(value) in (int, float)
 
 
 @dataclass(frozen=True)
@@ -119,6 +133,14 @@ def compute_volumes(jobs: Iterable[JobInfo], budget: int) -> VolumeMap:
     scheduled job; unpinned jobs sit within one PE of their exact
     proportional share.  With more jobs than budget, surplus jobs (lowest
     priority, then latest arrival, then highest id) are deferred at 0.
+
+    The water level is found by one sweep: each job's two breakpoints
+    (leaving the floor, reaching the cap) are computed once and sorted, and
+    the segments between them are walked in order while the floored count,
+    capped demand and mid weight are updated from the jobs crossing each
+    breakpoint.  The first segment that holds the level gives lambda; the
+    jobs are classified once, at that segment's midpoint.  Sorting
+    dominates: O(n log n) exact fraction operations per call.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -144,41 +166,54 @@ def compute_volumes(jobs: Iterable[JobInfo], budget: int) -> VolumeMap:
     if budget >= total_d:
         return VolumeMap({j.job: j.demand for j in active})
 
-    w = {j.job: Fraction(j.priority) * j.demand for j in active}
-    points = sorted({Fraction(1) / w[j.job] for j in active}
-                    | {Fraction(j.demand) / w[j.job] for j in active})
-    segments = [(Fraction(0), points[0])]
-    segments += list(zip(points, points[1:]))
+    # Job j (weight w_j = pi_j d_j) leaves the floor at lam = 1/w_j and
+    # reaches its cap at lam = d_j/w_j = 1/pi_j.  Per distinct breakpoint,
+    # `steps` counts the jobs leaving the floor there and sums the demand
+    # of those capped there.
+    hi = {j.job: 1 / Fraction(j.priority) for j in active}
+    lo = {j.job: hi[j.job] / j.demand for j in active}
+    steps: dict[Fraction, list[int]] = {}
+    for j in active:
+        steps.setdefault(lo[j.job], [0, 0])[0] += 1
+        steps.setdefault(hi[j.job], [0, 0])[1] += j.demand
 
-    floor_set: list[JobInfo] = []
-    cap_set: list[JobInfo] = []
-    mid_set: list[JobInfo] = []
-    lam = None
-    for a, b in segments:
-        m = (a + b) / 2
-        floor_set = [j for j in active if m * w[j.job] < 1]
-        cap_set = [j for j in active if m * w[j.job] > j.demand]
-        mid_set = [j for j in active
-                   if 1 <= m * w[j.job] <= j.demand]
-        base = len(floor_set) + sum(j.demand for j in cap_set)
-        wm = sum(w[j.job] for j in mid_set)
-        if wm == 0:
+    # Sweep the segments (0, p0), (p0, p1), ... in order; below p0 every
+    # job sits on the floor.  The first segment that holds the level wins.
+    # Crossing b moves weight 1/b per job leaving the floor into the mid
+    # weight, and d_j/b per job capped at b out of it.
+    floored, capped, wm = n, 0, Fraction(0)
+    a = Fraction(0)
+    lam = m = None
+    for b, (leaving, cap_demand) in sorted(steps.items(), key=lambda kv: kv[0]):
+        base = floored + capped
+        if not wm:
             if base == budget:
-                lam = m
+                lam = m = (a + b) / 2
                 break
-            continue
-        cand = Fraction(budget - base) / wm
-        if a <= cand <= b:
-            lam = cand
-            break
+        else:
+            cand = (budget - base) / wm
+            if a <= cand <= b:
+                lam, m = cand, (a + b) / 2
+                break
+        floored -= leaving
+        capped += cap_demand
+        if leaving != cap_demand:
+            wm += (leaving - cap_demand) / b
+        a = b
     assert lam is not None, "water level must exist for n <= budget < total demand"
 
-    vols = {j.job: 1 for j in floor_set}
-    vols.update({j.job: j.demand for j in cap_set})
-    shares = {j.job: lam * w[j.job] for j in mid_set}
+    vols: dict[int, int] = {}
+    mid_set: list[JobInfo] = []
+    for j in active:
+        if m < lo[j.job]:
+            vols[j.job] = 1
+        elif hi[j.job] < m:
+            vols[j.job] = j.demand
+        else:
+            mid_set.append(j)
+    shares = {j.job: lam / lo[j.job] for j in mid_set}  # lam * w_j
     floors = {job: int(s) for job, s in shares.items()}  # Fraction floor
-    leftover = (budget - len(floor_set) - sum(j.demand for j in cap_set)
-                - sum(floors.values()))
+    leftover = budget - base - sum(floors.values())
     by_remainder = sorted(
         mid_set,
         key=lambda j: (-(shares[j.job] - floors[j.job]),) + _tie_key(j),

@@ -4,6 +4,8 @@ Oracles here deliberately avoid the production algorithms: satisfiability
 is decided by exhaustive truth tables, buffer limits by arbitrary
 precision arithmetic with exact branches for the rational cases, merges
 by decode-everything-and-redo, volumes by bisection on the water level.
+The one exception is `segment_scan_volumes`, the earlier quadratic
+production volume search, kept as an exact differential oracle.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import mpmath as mp
 
 from flexsat.exchange import ExchangeConfig, buffer_limit, serialize
 from flexsat.formula import Cnf, literal_key
-from flexsat.sched import JobInfo
+from flexsat.sched import JobInfo, VolumeMap
 
 # ---------------------------------------------------------------------------
 # formula generators
@@ -299,3 +301,63 @@ def volume_oracle(jobs: list[JobInfo], budget: int) -> dict[int, int]:
     for job in order[:leftover]:
         vols[job] += 1
     return vols
+
+
+def segment_scan_volumes(jobs: list[JobInfo], budget: int) -> VolumeMap:
+    """The earlier O(n^2) `compute_volumes`: classify every job anew per segment.
+
+    Each breakpoint segment (0, p0), (p0, p1), ... is tried in order; the
+    floor/cap/mid sets are rebuilt at its midpoint in exact fractions, and
+    the first segment that holds the water level wins.  Rounding, the
+    budget < n deferral and the budget >= sum(demand) shortcut are the
+    production rules, so results must match `compute_volumes` exactly.
+    """
+    def tie_key(j: JobInfo) -> tuple:
+        return (-j.priority, j.arrival, j.job)
+
+    active = sorted(jobs, key=lambda j: j.job)
+    n = len(active)
+    if n == 0:
+        return VolumeMap({})
+    if budget < n:
+        order = sorted(active, key=tie_key)
+        vols = {j.job: 1 for j in order[:budget]}
+        deferred = tuple(j.job for j in order[budget:])
+        return VolumeMap({j.job: vols.get(j.job, 0) for j in active}, deferred)
+    if budget >= sum(j.demand for j in active):
+        return VolumeMap({j.job: j.demand for j in active})
+
+    w = {j.job: Fraction(j.priority) * j.demand for j in active}
+    points = sorted({Fraction(1) / w[j.job] for j in active}
+                    | {Fraction(j.demand) / w[j.job] for j in active})
+    segments = [(Fraction(0), points[0])] + list(zip(points, points[1:]))
+    lam = None
+    for a, b in segments:
+        m = (a + b) / 2
+        floor_set = [j for j in active if m * w[j.job] < 1]
+        cap_set = [j for j in active if m * w[j.job] > j.demand]
+        mid_set = [j for j in active if 1 <= m * w[j.job] <= j.demand]
+        base = len(floor_set) + sum(j.demand for j in cap_set)
+        wm = sum(w[j.job] for j in mid_set)
+        if wm == 0:
+            if base == budget:
+                lam = m
+                break
+            continue
+        cand = Fraction(budget - base) / wm
+        if a <= cand <= b:
+            lam = cand
+            break
+    assert lam is not None, "water level must exist for n <= budget < total demand"
+
+    vols = {j.job: 1 for j in floor_set}
+    vols.update({j.job: j.demand for j in cap_set})
+    shares = {j.job: lam * w[j.job] for j in mid_set}
+    floors = {job: int(s) for job, s in shares.items()}
+    leftover = budget - base - sum(floors.values())
+    by_remainder = sorted(
+        mid_set, key=lambda j: (-(shares[j.job] - floors[j.job]),) + tie_key(j))
+    for j in by_remainder[:leftover]:
+        floors[j.job] += 1
+    vols.update(floors)
+    return VolumeMap({j.job: vols[j.job] for j in active})

@@ -196,6 +196,22 @@ def test_parse_scenario_full(tmp_path):
      "line 1: need at least one worker"),
     ('{"type": "job", "synthetic": 1.0}\n{"type": "config", "alpha": "x"}',
      "line 2: '<=' not supported"),
+    ('{"type": "job", "synthetic": 1.0, "wallclock_limit": "x"}',
+     "line 1: wallclock_limit_s 'x' is not a positive finite number"),
+    ('{"type": "job", "synthetic": 1.0, "wallclock_limit": 0}',
+     "line 1: wallclock_limit_s 0 is not a positive finite number"),
+    ('{"type": "job", "synthetic": 1.0}\n{"type": "job", "synthetic": "2"}',
+     "line 2: synthetic_s '2' is not a positive finite number"),
+    ('{"type": "job", "synthetic": -1.0}',
+     "line 1: synthetic_s -1.0 is not a positive finite number"),
+    ('{"type": "job", "synthetic": Infinity}',
+     "line 1: synthetic_s inf is not a positive finite number"),
+    ('{"type": "job", "synthetic": 1.0, "arrival": -5}',
+     "line 1: arrival_s -5.0 is not a finite number >= 0"),
+    ('{"type": "job", "synthetic": 1.0, "max_volume": 0}',
+     "line 1: max_volume 0 is not an integer >= 1"),
+    ('{"type": "job", "synthetic": 1.0}\n{"type": "job", "synthetic": 1.0, "max_volume": 2.5}',
+     "line 2: max_volume 2.5 is not an integer >= 1"),
 ])
 def test_parse_scenario_errors(text, msg, tmp_path):
     with pytest.raises(ScenarioError, match=msg):

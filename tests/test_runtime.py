@@ -271,6 +271,20 @@ def test_real_mode_timeout_done_stamped_at_run_end():
     assert report.jobs[1]["response_ms"] == pytest.approx(times["RUN_END"])
 
 
+def test_deadline_abort_frees_the_jobs_volume():
+    cfg = small_cfg(num_pes=9, seed=5)
+    jobs = [JobDescriptor(job=1, priority=0.5, synthetic_s=5.0, wallclock_limit_s=0.5),
+            JobDescriptor(job=2, priority=0.5, arrival_s=1.0, synthetic_s=1.0)]
+    cluster = Cluster(cfg, jobs)
+    report = cluster.run()
+    assert report.jobs[1]["verdict"] == "UNKNOWN"
+    assert any(" DONE 1 " in l and "reason=deadline" in l for l in report.trace)
+    assert report.jobs[2]["verdict"] == "DONE"
+    for pe in cluster.workers.values():
+        assert 1 not in pe.jobs_table, f"pe {pe.pe_id} still holds job 1"
+    assert report.jobs[2]["max_volume"] == cfg.budget
+
+
 @pytest.fixture
 def collector_off():
     """Collect once, then keep the cyclic collector off for the test."""

@@ -10,7 +10,7 @@ from flexsat.sched import (BalancingEvent, JobDescriptor, JobInfo, JobRequest,
                            child_indices, compute_volumes, consolidate,
                            max_request_hops, parent_index, pick_eviction,
                            route_request)
-from helpers import volume_oracle
+from helpers import segment_scan_volumes, volume_oracle
 
 
 def J(job, pri, demand, arrival=0.0, epoch=0):
@@ -146,6 +146,86 @@ def test_volumes_permutation_invariant():
     for _ in range(5):
         rng.shuffle(jobs)
         assert compute_volumes(jobs, 23).volumes == vm.volumes
+
+
+# Dyadic priorities make breakpoints and filled volumes small exact
+# rationals, so ties between jobs and integral levels at a breakpoint occur.
+DYADIC = (0.125, 0.25, 0.375, 0.5, 0.75)
+
+
+def _sweep_case_jobs(rng: Random, n: int, kind: str) -> list[JobInfo]:
+    ids = rng.sample(range(1, 4 * n + 8), n)
+    if kind == "float":
+        pri = [round(rng.uniform(0.01, 0.99), rng.choice([2, 6])) for _ in ids]
+        dem = [rng.randrange(1, 17) for _ in ids]
+    elif kind == "tied":
+        pri = [rng.choice(DYADIC[:2]) for _ in ids]
+        dem = [rng.choice((1, 2, 4)) for _ in ids]
+    elif kind == "gap":
+        # Capped high-priority jobs (caps at 1/pi <= 2) and floored
+        # low-priority ones (leaving the floor at 1/(pi d) >= 8/3): no job
+        # is between floor and cap on the segments in that gap.
+        split = rng.randrange(1, n) if n > 1 else 1
+        pri = [rng.choice((0.5, 0.75)) if i < split else 0.125 for i in range(n)]
+        dem = [rng.choice((1, 2, 3)) for _ in ids]
+    else:
+        pri = [rng.choice(DYADIC) for _ in ids]
+        dem = [rng.choice((1, 1, 2, 3, 4, 8)) for _ in ids]
+    arr = [rng.choice((0.0, 1.0, round(rng.uniform(0, 9), 1))) for _ in ids]
+    return [J(j, p, d, a) for j, p, d, a in zip(ids, pri, dem, arr)]
+
+
+def _breakpoint_budgets(rng: Random, jobs: list[JobInfo]) -> set[int]:
+    """Budgets whose water level lies exactly on one of a few breakpoints."""
+    total = sum(j.demand for j in jobs)
+    out = set()
+    for j in rng.sample(jobs, min(3, len(jobs))):
+        for p in (1 / (Fraction(j.priority) * j.demand), 1 / Fraction(j.priority)):
+            filled = sum(min(Fraction(k.demand),
+                             max(Fraction(1), p * Fraction(k.priority) * k.demand))
+                         for k in jobs)
+            if filled.denominator == 1 and len(jobs) <= filled < total:
+                out.add(int(filled))
+    return out
+
+
+def test_volumes_sweep_matches_segment_scan():
+    rng = Random(9090)
+    seen = dict.fromkeys(("budget<n", "budget==n", "budget==total-1",
+                          "on_breakpoint", "demand1", "gap"), 0)
+    for trial in range(2000):
+        kind = ("float", "dyadic", "tied", "gap")[trial % 4]
+        n = rng.randrange(17, 65) if trial % 25 == 0 else rng.randrange(1, 17)
+        jobs = _sweep_case_jobs(rng, n, kind)
+        total = sum(j.demand for j in jobs)
+        on_point = _breakpoint_budgets(rng, jobs) if kind != "float" else set()
+        budgets = {rng.randrange(0, total + 2)}
+        if n <= 16:  # the old scan is quadratic: edge budgets on small sets
+            edges = [rng.randrange(0, n), n, total - 1]
+            edges += [rng.choice(sorted(on_point))] if on_point else []
+            budgets.add(edges[(trial // 4) % len(edges)])
+        for budget in sorted(b for b in budgets if b >= 0):
+            got = compute_volumes(jobs, budget)
+            assert got == segment_scan_volumes(jobs, budget), (trial, budget)
+            seen["budget<n"] += budget < n
+            seen["budget==n"] += budget == n < total
+            seen["budget==total-1"] += n <= budget == total - 1
+            seen["on_breakpoint"] += budget in on_point
+        seen["demand1"] += any(j.demand == 1 for j in jobs)
+        seen["gap"] += kind == "gap" and 0 < sum(j.priority > 0.125 for j in jobs) < n
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("kind", ["float", "tied"])
+def test_volumes_sweep_matches_segment_scan_512(kind):
+    rng = Random(512)
+    jobs = _sweep_case_jobs(rng, 512, kind)
+    total = sum(j.demand for j in jobs)
+    budgets = [(512 + total) // 3]
+    if kind == "tied":  # few distinct breakpoints keep the old scan cheap
+        budgets += [512, total - 1]
+    for budget in budgets:
+        assert compute_volumes(jobs, budget) == segment_scan_volumes(jobs, budget)
 
 
 # ---------------------------------------------------------------------------
