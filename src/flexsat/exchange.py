@@ -39,25 +39,16 @@ class ExchangeConfig:
 
     beta: base buffer size in integers contributed by a single PE.
     alpha: per-level discount in [0.5, 1.0] applied as alpha^log2(u).
-    share_period_s: seconds between sharing epochs of a job tree.
-    export_max_len: solvers only export clauses up to this many literals
-        (None: no length cap).
     """
 
     beta: int = 1500
     alpha: float = 0.875
-    share_period_s: float = 1.0
-    export_max_len: int | None = 30
 
     def validate(self) -> None:
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
         if not (0.5 <= self.alpha <= 1.0):
             raise ValueError("alpha out of [0.5,1]")
-        if self.share_period_s <= 0:
-            raise ValueError("share period must be positive")
-        if self.export_max_len is not None and self.export_max_len < 1:
-            raise ValueError("export_max_len must be >= 1")
 
 
 def buffer_limit(u: int, cfg: ExchangeConfig) -> int:

@@ -144,13 +144,11 @@ def parse_dimacs(source: str | bytes) -> Cnf:
     pending_line = 0
 
     lines = source.splitlines()
-    ended = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("%"):
-            ended = True
             break
         if line.startswith("p"):
             if num_vars is not None:
@@ -188,9 +186,7 @@ def parse_dimacs(source: str | bytes) -> Cnf:
                 pending.append(lit)
     if num_vars is None:
         raise DimacsError("no header found", len(lines) or 1)
-    if pending and not ended:
-        raise DimacsError("clause missing 0 terminator", pending_line)
-    if pending and ended:
+    if pending:
         raise DimacsError("clause missing 0 terminator", pending_line)
     if declared_clauses != len(clauses):
         log.warning(

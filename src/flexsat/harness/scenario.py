@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from ..formula import parse_dimacs
 from ..sched import JobDescriptor
+from ..util import is_real
 
 
 class ScenarioError(ValueError):
@@ -24,13 +26,6 @@ class Scenario:
     overrides: dict = field(default_factory=dict)
 
 
-# ClusterConfig knobs a scenario "config" line may override.
-_CONFIG_KEYS = {
-    "num_pes", "threads", "epsilon", "balance_period_s", "share_period_s",
-    "alpha", "beta", "filter_halflife_s", "seed", "timeout_s", "sharing",
-    "ramp", "cache_size", "slice_ms", "cdcl_rate", "sls_rate",
-}
-
 # Keys a "job" line may carry.
 _JOB_KEYS = {
     "type", "job", "priority", "arrival", "demand", "file", "synthetic",
@@ -41,11 +36,14 @@ _JOB_KEYS = {
 def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     """Parse one JSON object per line; blank lines and # comments skipped.
 
-    Each config line must leave the overrides so far valid on top of the
-    default ClusterConfig; a bad value fails here, with its line number.
+    A config line may set any ClusterConfig field but sim, which the caller
+    chooses.  Each config line must leave the overrides so far valid on top
+    of the default ClusterConfig; a bad value fails here, with its line
+    number.  Job and demand values are checked as given, never coerced.
     """
     from ..runtime.cluster import ClusterConfig  # runtime imports harness.report
 
+    config_keys = {f.name for f in fields(ClusterConfig)} - {"sim"}
     out = Scenario()
     auto_id = 0
     demand_lines: list[tuple[int, int]] = []   # (line number, job id)
@@ -73,11 +71,13 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
                         cnf = parse_dimacs(fh.read())
                 except OSError as exc:
                     raise ScenarioError(f"line {lineno}: {exc}") from None
+            arrival = obj.get("arrival", 0.0)
             try:
                 out.jobs.append(JobDescriptor(
-                    job=int(obj.get("job", auto_id)),
-                    priority=float(obj.get("priority", 0.5)),
-                    arrival_s=float(obj.get("arrival", 0.0)),
+                    job=obj.get("job", auto_id),
+                    priority=obj.get("priority", 0.5),
+                    # an integral arrival (2 for 2.0 s) is read as a float
+                    arrival_s=float(arrival) if is_real(arrival) else arrival,
                     demand=obj.get("demand"),
                     cnf=cnf,
                     synthetic_s=obj.get("synthetic"),
@@ -87,22 +87,26 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
             except (TypeError, ValueError) as exc:
                 raise ScenarioError(f"line {lineno}: {exc}") from None
         elif kind == "demand":
-            try:
-                at, job, demand = float(obj["at"]), int(obj["job"]), int(obj["demand"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ScenarioError(f"line {lineno}: {exc}") from None
-            out.demand_changes.append((at, job, demand))
+            at, job, demand = obj.get("at"), obj.get("job"), obj.get("demand")
+            if not (is_real(at) and 0 <= at < math.inf):
+                raise ScenarioError(f"line {lineno}: at {at!r} is not a finite number >= 0")
+            if type(job) is not int:
+                raise ScenarioError(f"line {lineno}: job {job!r} is not an integer")
+            if type(demand) is not int or demand < 1:
+                raise ScenarioError(
+                    f"line {lineno}: demand {demand!r} is not an integer >= 1")
+            out.demand_changes.append((float(at), job, demand))
             demand_lines.append((lineno, job))
         elif kind == "config":
             for key, value in obj.items():
                 if key == "max_jobs":
-                    try:
-                        out.max_jobs = int(value)
-                    except (TypeError, ValueError) as exc:
-                        raise ScenarioError(f"line {lineno}: max_jobs: {exc}") from None
-                    if out.max_jobs < 1:
+                    if type(value) is not int:
+                        raise ScenarioError(
+                            f"line {lineno}: max_jobs {value!r} is not an integer")
+                    if value < 1:
                         raise ScenarioError(f"line {lineno}: max_jobs must be >= 1")
-                elif key in _CONFIG_KEYS:
+                    out.max_jobs = value
+                elif key in config_keys:
                     out.overrides[key] = value
                 elif key != "type":
                     raise ScenarioError(f"line {lineno}: unknown config key {key!r}")

@@ -24,6 +24,9 @@ from ..util import derive_seed
 from .pe import CLIENT_ID, ClientPE, RunShared, WorkerPE
 from .transport import RealContext, RealRouter, SimContext, SimLoop, Trace
 
+# Out-degree of the random regular graph that job requests walk.
+DEGREE = 4
+
 
 @dataclass
 class ClusterConfig:
@@ -36,10 +39,8 @@ class ClusterConfig:
     share_period_s: float = 1.0
     alpha: float = 0.875
     beta: int = 1500
-    export_max_len: int = 30
     filter_halflife_s: Optional[float] = None
     cache_size: int = 3
-    degree: int = 4
     seed: int = 0
     sim: bool = True
     timeout_s: float = 300.0
@@ -49,11 +50,6 @@ class ClusterConfig:
     slice_ms: float = 2.0           # simulated solver time slice
     cdcl_rate: float = 20.0         # simulated conflicts per ms
     sls_rate: float = 400.0         # simulated flips per ms
-    latency_us: int = 100
-    jitter_us: int = 50
-    huge_size: int = 100_000_000    # formula size where threads throttle
-    ring_capacity: int = 1 << 16
-    sink_cap: int = 4096
 
     @property
     def budget(self) -> int:
@@ -80,27 +76,14 @@ class ClusterConfig:
             raise ValueError("timeout must be positive")
         if self.cache_size < 1:
             raise ValueError("cache_size must be >= 1")
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
         if self.max_jobs is not None and self.max_jobs < 1:
             raise ValueError("max_jobs must be >= 1")
         if self.filter_halflife_s is not None and self.filter_halflife_s < 0:
             raise ValueError("filter_halflife_s must be >= 0 (None or 0: never forget)")
-        if self.ring_capacity < 4:
-            raise ValueError("ring_capacity must be >= 4")
-        if self.huge_size < 1:
-            raise ValueError("huge_size must be >= 1")
-        if self.latency_us < 0 or self.jitter_us < 0:
-            raise ValueError("latency_us and jitter_us must be >= 0")
-        if self.sink_cap < 0:
-            raise ValueError("sink_cap must be >= 0")
         self.exchange_config().validate()
 
     def exchange_config(self) -> ExchangeConfig:
-        return ExchangeConfig(
-            beta=self.beta, alpha=self.alpha,
-            share_period_s=self.share_period_s,
-            export_max_len=self.export_max_len)
+        return ExchangeConfig(beta=self.beta, alpha=self.alpha)
 
     def public_dict(self) -> dict:
         return {
@@ -128,32 +111,21 @@ class Cluster:
         self.cfg = cfg
         self.trace = Trace()
         workers = tuple(range(1, cfg.num_pes))
-        graph = build_pe_graph(workers, cfg.degree, derive_seed(cfg.seed, "graph"))
-        e_us = int(cfg.balance_period_s * 1e6)
+        graph = build_pe_graph(workers, DEGREE, derive_seed(cfg.seed, "graph"))
         self.shared = RunShared(
-            num_pes=cfg.num_pes,
-            budget=cfg.budget,
+            cfg=cfg,
             h_max=max_request_hops(cfg.num_pes),
             workers=workers,
-            e_us=e_us,
+            e_us=int(cfg.balance_period_s * 1e6),
             share_us=int(cfg.share_period_s * 1e6),
-            excfg=cfg.exchange_config(),
-            threads=cfg.threads,
-            huge_size=cfg.huge_size,
-            cache_size=cfg.cache_size,
             filter_halflife_us=(int(cfg.filter_halflife_s * 1e6)
                                 if cfg.filter_halflife_s else None),
-            sim=cfg.sim,
             slice_us=int(cfg.slice_ms * 1000),
             cdcl_per_slice=max(1, int(cfg.slice_ms * cfg.cdcl_rate)),
             sls_per_slice=max(1, int(cfg.slice_ms * cfg.sls_rate)),
-            ring_capacity=cfg.ring_capacity,
-            sink_cap=cfg.sink_cap,
-            seed=cfg.seed,
-            sharing=cfg.sharing,
-            ramp=cfg.ramp,
+            excfg=cfg.exchange_config(),
         )
-        self._loop = SimLoop(cfg.seed, cfg.latency_us, cfg.jitter_us) if cfg.sim else None
+        self._loop = SimLoop(cfg.seed) if cfg.sim else None
         self._router = None if cfg.sim else RealRouter(time.monotonic_ns())
         self._ctxs = {}
         for pe in range(cfg.num_pes):
@@ -163,7 +135,7 @@ class Cluster:
             else:
                 self._ctxs[pe] = RealContext(pe, rng, self._router, self.trace)
         self.client = ClientPE(self._ctxs[CLIENT_ID], self.shared, jobs,
-                               demand_changes, cfg.max_jobs)
+                               demand_changes)
         self.workers = {pe: WorkerPE(self._ctxs[pe], self.shared, tuple(graph[pe]))
                         for pe in workers}
         self.pes = {CLIENT_ID: self.client, **self.workers}

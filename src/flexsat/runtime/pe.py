@@ -12,7 +12,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..exchange import (
     ExchangeConfig,
@@ -24,8 +24,8 @@ from ..exchange import (
 )
 from ..formula import ModelError, check_model
 from ..sched import (
-    BalancingEvent,
     JobDescriptor,
+    JobInfo,
     JobRequest,
     PeView,
     apply_events,
@@ -48,6 +48,9 @@ from ..util import derive_seed
 from . import transport as tp
 from .transport import Context, Envelope
 
+if TYPE_CHECKING:
+    from .cluster import ClusterConfig
+
 # Node lifecycle.
 PENDING = "PENDING"      # adopted, waiting for the payload / first volume
 ACTIVE = "ACTIVE"
@@ -55,31 +58,26 @@ SUSPENDED = "SUSPENDED"
 
 CLIENT_ID = 0
 
+# Fixed engine sizes.
+HUGE_SIZE = 100_000_000    # serialized formula size where solver threads throttle
+RING_CAPACITY = 1 << 16    # words in a CDCL slot's import ring
+SINK_CAP = 4096            # exported clauses a node holds between sharing epochs
+
 
 @dataclass
 class RunShared:
-    """Run-wide constants and shared sinks, wired up by the cluster."""
+    """The run's config, what the cluster derives from it, and the solver registry."""
 
-    num_pes: int
-    budget: int
+    cfg: ClusterConfig
     h_max: int
     workers: tuple[int, ...]
     e_us: int                      # balancing epoch period
     share_us: int                  # clause sharing period
-    excfg: ExchangeConfig
-    threads: int                   # nominal solvers per PE
-    huge_size: int                 # serialized size where thread throttling starts
-    cache_size: int
     filter_halflife_us: Optional[int]
-    sim: bool
     slice_us: int                  # simulated solver time slice
     cdcl_per_slice: int            # conflicts per slice
     sls_per_slice: int             # flips per slice
-    ring_capacity: int
-    sink_cap: int
-    seed: int
-    sharing: bool
-    ramp: str                      # "double" | "full"
+    excfg: ExchangeConfig
     # (stats, control, thread) of every solver slot the run started, thread
     # None when simulated; not the slot itself, so a torn-down node frees
     # its solvers and filters.
@@ -167,11 +165,11 @@ class BasePE:
         self.shared = shared
         self.pe_id = ctx.pe_id
         self.rng = ctx.rng
-        p = shared.num_pes
+        p = shared.cfg.num_pes
         self.red_parent = (self.pe_id - 1) // 2 if self.pe_id > 0 else None
         self.red_children = tuple(
             c for c in (2 * self.pe_id + 1, 2 * self.pe_id + 2) if c < p)
-        self.pending_events: dict[int, BalancingEvent] = {}
+        self.pending_events: dict[int, JobInfo] = {}
         self.red: dict[int, dict] = {}
         self.jobs_table: dict[int, Any] = {}
         self.volumes = VolumeMap({})
@@ -242,9 +240,9 @@ class BasePE:
             self.send(c, tp.EVENT_BROADCAST, None, {"epoch": k, "events": events})
         self._apply_broadcast(k, events)
 
-    def _apply_broadcast(self, k: int, events: dict[int, BalancingEvent]) -> None:
+    def _apply_broadcast(self, k: int, events: dict[int, JobInfo]) -> None:
         self.jobs_table = apply_events(self.jobs_table, events)
-        self.volumes = compute_volumes(self.jobs_table.values(), self.shared.budget)
+        self.volumes = compute_volumes(self.jobs_table.values(), self.shared.cfg.budget)
         self.balance_epoch = k
         self._after_volumes(k, events)
 
@@ -252,7 +250,7 @@ class BasePE:
     def _on_balance_tick(self, k: int) -> None:
         pass
 
-    def _after_volumes(self, k: int, events: dict[int, BalancingEvent]) -> None:
+    def _after_volumes(self, k: int, events: dict[int, JobInfo]) -> None:
         pass
 
 
@@ -301,7 +299,7 @@ class WorkerPE(BasePE):
                 if n.state == SUSPENDED and not n.epochs and n.key != self.occupied]
 
     def _cache_admits(self) -> bool:
-        return len(self.nodes) < self.shared.cache_size or bool(self._evictable())
+        return len(self.nodes) < self.shared.cfg.cache_size or bool(self._evictable())
 
     def _do_resume(self, node: JobNode, req: JobRequest) -> None:
         node.parent_pe = req.origin
@@ -316,7 +314,7 @@ class WorkerPE(BasePE):
     def _do_adopt(self, req: JobRequest) -> None:
         # Runs only after route_request chose "adopt", so _cache_admits() held:
         # a full cache (nodes never exceed cache_size) has a victim.
-        if len(self.nodes) >= self.shared.cache_size:
+        if len(self.nodes) >= self.shared.cfg.cache_size:
             job, x = pick_eviction(self._evictable())
             self.teardown_node(job, x, "evict", abort_children=False)
         node = JobNode(req.job, req.x)
@@ -385,7 +383,7 @@ class WorkerPE(BasePE):
         node.volume = env.payload["v"]
         if x == 0:
             desc = node.desc
-            cap = self.shared.budget
+            cap = self.shared.cfg.budget
             if desc.demand is not None:
                 cap = min(cap, desc.demand)
             if desc.max_volume is not None:
@@ -393,7 +391,7 @@ class WorkerPE(BasePE):
             node.ramp_cap = max(1, cap)
             # Ramping is for jobs of unknown parallelism; an explicit
             # demand (or mono's full ramp) is posted in one go.
-            if self.shared.ramp == "full" or desc.demand is not None:
+            if self.shared.cfg.ramp == "full" or desc.demand is not None:
                 node.cur_demand = node.ramp_cap
                 node.ramp_on = False
             else:
@@ -404,8 +402,8 @@ class WorkerPE(BasePE):
             # would push the busy count past the budget.
             node.volume = 0
             node.job_epoch = 0
-            self.pending_events[job] = BalancingEvent(
-                job, 0, node.cur_demand, desc.priority, desc.arrival_s)
+            self.pending_events[job] = JobInfo(
+                job, desc.priority, desc.arrival_s, node.cur_demand, 0)
         elif x < node.volume:
             self._activate(node)
         else:
@@ -431,7 +429,7 @@ class WorkerPE(BasePE):
                 if slot.control.state == S_SUSPENDED:
                     slot.control.resume()
         if node.x == 0 and desc is not None:
-            if desc.cnf is not None and self.shared.sharing and not node.share_timer_on:
+            if desc.cnf is not None and self.shared.cfg.sharing and not node.share_timer_on:
                 node.share_timer_on = True
                 self.ctx.set_timer(self.shared.share_us, "share", node.job)
             if desc.synthetic_s is not None and mode == "fresh":
@@ -441,23 +439,22 @@ class WorkerPE(BasePE):
 
     def _spawn_slots(self, node: JobNode) -> None:
         desc = node.desc
-        t = throttled_thread_count(desc.cnf.serialized_size, self.shared.huge_size,
-                                   self.shared.threads)
-        nonce = derive_seed(self.shared.seed, "job", node.job)
+        cfg = self.shared.cfg
+        t = throttled_thread_count(desc.cnf.serialized_size, HUGE_SIZE, cfg.threads)
+        nonce = derive_seed(cfg.seed, "job", node.job)
         node.slots = []
         for i in range(t):
             scfg = make_portfolio_config(node.x, t, i, nonce)
             control = SolverControl()
             if scfg.kind == "cdcl":
-                ring = ImportRing(self.shared.ring_capacity)
+                ring = ImportRing(RING_CAPACITY)
                 filt = ClauseFilter()
                 slot = SolverSlot(i, "cdcl", None, control, ring, filt,
                                   Random(derive_seed(scfg.seed, "forget")))
                 solver = CdclSolver(
                     desc.cnf, scfg.cdcl, seed=scfg.seed, control=control,
                     import_fn=self._make_import(slot),
-                    export_fn=self._make_export(node, slot),
-                    export_max_len=self.shared.excfg.export_max_len)
+                    export_fn=self._make_export(node, slot))
                 slot.solver = solver
             else:
                 solver = SlsSolver(desc.cnf, scfg.sls, seed=scfg.seed, control=control)
@@ -465,7 +462,7 @@ class WorkerPE(BasePE):
             if self.shared.filter_halflife_us and slot.filt is not None:
                 slot.next_forget_us = self.ctx.now_us() + self.shared.filter_halflife_us
             node.slots.append(slot)
-            if not self.shared.sim:
+            if not cfg.sim:
                 slot.thread = threading.Thread(
                     target=self._solver_thread, args=(node, slot), daemon=True)
                 slot.thread.start()
@@ -475,10 +472,10 @@ class WorkerPE(BasePE):
     # ring, never the node or slot: a solver that held its slot would close
     # a cycle, and a torn-down node would wait for a full collection.
     def _make_export(self, node: JobNode, slot: SolverSlot):
-        sink, filt, sink_cap = node.sink, slot.filt, self.shared.sink_cap
+        sink, filt = node.sink, slot.filt
 
         def export_fn(lits, _lbd):
-            if filt.register_export(lits) and len(sink) < sink_cap:
+            if filt.register_export(lits) and len(sink) < SINK_CAP:
                 sink.append(lits)
         return export_fn
 
@@ -589,7 +586,7 @@ class WorkerPE(BasePE):
                     and not node.pending_req[side]):
                 self._emit_child_request(node, side, cx)
 
-    def _after_volumes(self, k: int, events: dict[int, BalancingEvent]) -> None:
+    def _after_volumes(self, k: int, events: dict[int, JobInfo]) -> None:
         for ev in events.values():
             if ev.demand <= 0:
                 for key in [key for key in self.nodes if key[0] == ev.job]:
@@ -618,9 +615,8 @@ class WorkerPE(BasePE):
 
     def _emit_event(self, node: JobNode, demand: int) -> None:
         node.job_epoch += 1
-        self.pending_events[node.job] = BalancingEvent(
-            node.job, node.job_epoch, demand,
-            node.desc.priority, node.desc.arrival_s)
+        self.pending_events[node.job] = JobInfo(
+            node.job, node.desc.priority, node.desc.arrival_s, demand, node.job_epoch)
 
     def _h_demand_set(self, env: Envelope) -> None:
         node = self.nodes.get((env.job, 0))
@@ -647,10 +643,7 @@ class WorkerPE(BasePE):
         out = []
         sink = node.sink
         while sink:
-            try:
-                out.append(sink.popleft())
-            except IndexError:
-                break
+            out.append(sink.popleft())
         return serialize(out, buffer_limit(1, self.shared.excfg))
 
     def _prune_epochs(self, node: JobNode, n: int) -> None:
@@ -803,7 +796,7 @@ class WorkerPE(BasePE):
             slot.next_forget_us += hl
 
     def _ensure_step(self) -> None:
-        if self.shared.sim and not self._step_on:
+        if self.shared.cfg.sim and not self._step_on:
             self._step_on = True
             self.ctx.set_timer(self.shared.slice_us, "step", None)
 
@@ -851,12 +844,11 @@ class ClientPE(BasePE):
 
     def __init__(self, ctx: Context, shared: RunShared,
                  descriptors: list[JobDescriptor],
-                 demand_changes: Optional[list[tuple[float, int, int]]] = None,
-                 max_jobs: Optional[int] = None):
+                 demand_changes: Optional[list[tuple[float, int, int]]] = None):
         super().__init__(ctx, shared)
         self.descs = {d.job: d for d in descriptors}
-        self.order = [d.job for d in sorted(descriptors, key=lambda d: (d.arrival_s, d.job))]
         self.demand_changes = demand_changes or []
+        max_jobs = shared.cfg.max_jobs
         self.max_jobs = max_jobs if max_jobs is not None else len(descriptors)
         self.active: set[int] = set()
         self.waiting: list[int] = []

@@ -17,6 +17,7 @@ from random import Random
 from typing import Iterable, Mapping, Sequence
 
 from .formula import Cnf
+from .util import is_real
 
 
 # ---------------------------------------------------------------------------
@@ -36,8 +37,10 @@ class JobDescriptor:
     max_volume: int | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.priority < 1.0):
-            raise ValueError(f"priority {self.priority} out of (0,1)")
+        if type(self.job) is not int:
+            raise ValueError(f"job {self.job!r} is not an integer")
+        if not (is_real(self.priority) and 0.0 < self.priority < 1.0):
+            raise ValueError(f"priority {self.priority!r} is not a number in (0,1)")
         if (self.cnf is None) == (self.synthetic_s is None):
             raise ValueError("job needs exactly one of cnf or synthetic_s")
         for name in ("demand", "max_volume"):
@@ -46,41 +49,26 @@ class JobDescriptor:
                 raise ValueError(f"{name} {value!r} is not an integer >= 1")
         for name in ("synthetic_s", "wallclock_limit_s"):
             value = getattr(self, name)
-            if value is not None and not (_is_real(value) and 0 < value < math.inf):
+            if value is not None and not (is_real(value) and 0 < value < math.inf):
                 raise ValueError(f"{name} {value!r} is not a positive finite number")
-        if not (_is_real(self.arrival_s) and 0 <= self.arrival_s < math.inf):
+        if not (is_real(self.arrival_s) and 0 <= self.arrival_s < math.inf):
             raise ValueError(f"arrival_s {self.arrival_s!r} is not a finite number >= 0")
-
-
-def _is_real(value) -> bool:
-    return type(value) in (int, float)
 
 
 @dataclass(frozen=True)
 class JobInfo:
-    """Balancing view of a job, as carried in events and job tables."""
+    """Balancing view of a job: one balancing event, and one job-table entry."""
 
     job: int
     priority: float
     arrival: float
-    demand: int
+    demand: int  # in an event, 0 announces completion
     epoch: int = 0
 
 
-@dataclass(frozen=True)
-class BalancingEvent:
-    job: int
-    epoch: int
-    demand: int  # 0 announces completion
-    priority: float
-    arrival: float
-
-
-def consolidate(
-    *event_sets: Iterable[BalancingEvent],
-) -> dict[int, BalancingEvent]:
+def consolidate(*event_sets: Iterable[JobInfo]) -> dict[int, JobInfo]:
     """Fold event sets; per job the highest epoch wins."""
-    out: dict[int, BalancingEvent] = {}
+    out: dict[int, JobInfo] = {}
     for evs in event_sets:
         for ev in evs:
             cur = out.get(ev.job)
@@ -91,9 +79,12 @@ def consolidate(
 
 def apply_events(
     table: Mapping[int, JobInfo],
-    events: Iterable[BalancingEvent] | Mapping[int, BalancingEvent],
+    events: Iterable[JobInfo] | Mapping[int, JobInfo],
 ) -> dict[int, JobInfo]:
-    """New job table with the events applied (stale epochs ignored)."""
+    """New job table with the events applied (stale epochs ignored).
+
+    A live job's entry is the (frozen) event that last updated it.
+    """
     if isinstance(events, Mapping):
         events = events.values()
     out = dict(table)
@@ -104,7 +95,7 @@ def apply_events(
         if ev.demand <= 0:
             out.pop(ev.job, None)
         else:
-            out[ev.job] = JobInfo(ev.job, ev.priority, ev.arrival, ev.demand, ev.epoch)
+            out[ev.job] = ev
     return out
 
 

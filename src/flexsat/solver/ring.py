@@ -4,8 +4,8 @@ Records are the pushed literal tuples themselves, held in a deque: one
 tuple decoded from a sharing buffer sits in the queue of every solver of
 that node, with no per-slot copy in or out, so a queue holds only what it
 carries.  Capacity counts words: a record costs one length word plus its
-literals, and at most `capacity` words are queued (the cluster's
-`ring_capacity`).  Head and tail are monotonically increasing word
+literals, and at most `capacity` words are queued (a PE's slots use
+`runtime.pe.RING_CAPACITY`).  Head and tail are monotonically increasing word
 counters; the producer owns the tail, the consumer owns the head, and
 each side reads the other's counter at most once per operation.
 Publication order (record first, counter last) plus CPython's GIL makes

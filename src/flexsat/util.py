@@ -1,4 +1,5 @@
-"""Small shared helpers: 64-bit mixing, seed derivation, Luby sequence."""
+"""Small shared helpers: 64-bit mixing, seed derivation, Luby sequence,
+number checks."""
 from __future__ import annotations
 
 MASK64 = (1 << 64) - 1
@@ -43,3 +44,8 @@ def luby(i: int) -> int:
         seq -= 1
         x = x % size
     return 1 << seq
+
+
+def is_real(value) -> bool:
+    """An int or a float, not a bool (nor a numeric string)."""
+    return type(value) in (int, float)

@@ -36,8 +36,6 @@ def test_config_validate_ok():
     ("alpha", 0.49, "alpha out of"),
     ("alpha", 1.01, "alpha out of"),
     ("beta", 0, "beta"),
-    ("share_period_s", 0.0, "share period"),
-    ("export_max_len", 0, "export_max_len"),
 ])
 def test_config_validate_rejects(field, value, msg):
     cfg = ExchangeConfig(**{field: value})

@@ -1,5 +1,6 @@
 """Harness layer: metrics, reports, scenarios, and the command line."""
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -9,6 +10,7 @@ from flexsat.harness.metrics import hos_baseline, par2, speedups
 from flexsat.harness.report import (RunReport, parse_detail, parse_trace_line,
                                     report_from_trace)
 from flexsat.harness.scenario import ScenarioError, parse_scenario
+from flexsat.runtime import ClusterConfig
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -212,10 +214,68 @@ def test_parse_scenario_full(tmp_path):
      "line 1: max_volume 0 is not an integer >= 1"),
     ('{"type": "job", "synthetic": 1.0}\n{"type": "job", "synthetic": 1.0, "max_volume": 2.5}',
      "line 2: max_volume 2.5 is not an integer >= 1"),
+    # Job and demand values are checked as given, never coerced.
+    ('{"type": "job", "synthetic": 1.0, "job": 3.7}', "line 1: job 3.7 is not an integer"),
+    ('{"type": "job", "synthetic": 1.0, "job": "3"}', "line 1: job '3' is not an integer"),
+    ('{"type": "job", "synthetic": 1.0}\n{"type": "job", "synthetic": 1.0, "job": true}',
+     "line 2: job True is not an integer"),
+    ('{"type": "job", "synthetic": 1.0, "priority": "0.25"}',
+     r"line 1: priority '0\.25' is not a number in \(0,1\)"),
+    ('{"type": "job", "synthetic": 1.0, "priority": true}',
+     "line 1: priority True is not a number"),
+    ('{"type": "job", "synthetic": 1.0, "arrival": true}',
+     "line 1: arrival_s True is not a finite number >= 0"),
+    ('{"type": "job", "synthetic": 1.0, "job": 1}\n{"type": "demand", "at": -3, "job": 1, "demand": 2}',
+     "line 2: at -3 is not a finite number >= 0"),
+    ('{"type": "demand", "at": "1", "job": 1, "demand": 2}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: at '1' is not a finite number >= 0"),
+    ('{"type": "demand", "at": Infinity, "job": 1, "demand": 2}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: at inf is not a finite number >= 0"),
+    ('{"type": "job", "synthetic": 1.0, "job": 1}\n{"type": "demand", "at": 1, "job": 1.9, "demand": 2}',
+     "line 2: job 1.9 is not an integer"),
+    ('{"type": "demand", "at": 1, "job": true, "demand": 2}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: job True is not an integer"),
+    ('{"type": "job", "synthetic": 1.0, "job": 1}\n{"type": "demand", "at": 1, "job": 1, "demand": 2.7}',
+     "line 2: demand 2.7 is not an integer >= 1"),
+    ('{"type": "demand", "at": 1, "job": 1, "demand": 0}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: demand 0 is not an integer >= 1"),
+    ('{"type": "demand", "at": 1, "job": 1}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: demand None is not an integer >= 1"),
+    ('{"type": "config", "max_jobs": 2.7}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: max_jobs 2.7 is not an integer"),
+    ('{"type": "config", "max_jobs": true}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: max_jobs True is not an integer"),
 ])
 def test_parse_scenario_errors(text, msg, tmp_path):
     with pytest.raises(ScenarioError, match=msg):
         parse_scenario(text, base_dir=str(tmp_path))
+
+
+def test_parse_scenario_config_keys_are_cluster_fields():
+    # Every ClusterConfig field but sim may be set; sim is the caller's choice.
+    job = '{"type": "job", "synthetic": 1.0}\n'
+    defaults = ClusterConfig(max_jobs=2)
+    for f in fields(ClusterConfig):
+        line = json.dumps({"type": "config", f.name: getattr(defaults, f.name)})
+        if f.name == "sim":
+            with pytest.raises(ScenarioError, match="line 2: unknown config key 'sim'"):
+                parse_scenario(job + line)
+            continue
+        sc = parse_scenario(job + line)
+        if f.name == "max_jobs":
+            assert sc.max_jobs == 2 and sc.overrides == {}
+        else:
+            assert sc.overrides == {f.name: getattr(defaults, f.name)}
+
+
+def test_parse_scenario_keeps_checked_values():
+    text = ('{"type": "job", "synthetic": 1.0, "job": 4, "priority": 0.25, "arrival": 2}\n'
+            '{"type": "demand", "at": 3, "job": 4, "demand": 1}')
+    sc = parse_scenario(text)
+    desc = sc.jobs[0]
+    assert (desc.job, desc.priority, desc.arrival_s) == (4, 0.25, 2.0)
+    assert type(desc.arrival_s) is float
+    assert sc.demand_changes == [(3.0, 4, 1)] and type(sc.demand_changes[0][0]) is float
 
 
 def test_parse_scenario_rejects_unknown_config_key():

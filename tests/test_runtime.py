@@ -52,18 +52,8 @@ def test_config_validation():
         ClusterConfig(timeout_s=0).validate()
     with pytest.raises(ValueError, match="cache_size must be >= 1"):
         ClusterConfig(cache_size=0).validate()
-    with pytest.raises(ValueError, match="ring_capacity"):
-        ClusterConfig(ring_capacity=3).validate()
-    with pytest.raises(ValueError, match="huge_size"):
-        ClusterConfig(huge_size=0).validate()
-    with pytest.raises(ValueError, match="latency_us"):
-        ClusterConfig(latency_us=-500).validate()
-    with pytest.raises(ValueError, match="jitter_us"):
-        ClusterConfig(jitter_us=-10).validate()
-    with pytest.raises(ValueError, match="sink_cap"):
-        ClusterConfig(sink_cap=-1).validate()
-    with pytest.raises(ValueError, match="degree"):
-        ClusterConfig(degree=0).validate()
+    with pytest.raises(ValueError, match="periods must be positive"):
+        ClusterConfig(share_period_s=0.0).validate()
     for bad in (0, -1):
         with pytest.raises(ValueError, match="max_jobs"):
             ClusterConfig(max_jobs=bad).validate()
@@ -75,8 +65,7 @@ def test_config_validation():
         ClusterConfig(filter_halflife_s=-0.5).validate()
     with pytest.raises(ValueError, match="filter_halflife_s"):
         Cluster(ClusterConfig(num_pes=4, filter_halflife_s=-0.5), jobs)
-    ClusterConfig(ring_capacity=4, huge_size=1, latency_us=0, jitter_us=0,
-                  sink_cap=0, degree=1, max_jobs=1).validate()
+    ClusterConfig(max_jobs=1).validate()
     for off in (None, 0, 0.0):  # each means: never forget
         ClusterConfig(filter_halflife_s=off).validate()
     assert Cluster(ClusterConfig(num_pes=4), jobs,
@@ -348,6 +337,30 @@ def test_runs_leave_no_cyclic_garbage(collector_off):
     for t in set(threading.enumerate()) - before:
         t.join(timeout=5.0)
     assert gc.collect() == 0
+
+
+def _slots_and_fresh_starts(report) -> tuple[int, int]:
+    lines = list(map(parse_trace_line, report.trace))
+    stats = [d for _t, _pe, kind, _job, d in lines if kind == "STATS"]
+    slots = int(stats[-1].split()[0].removeprefix("slots="))
+    fresh = sum(1 for _t, _pe, kind, _job, d in lines
+                if kind == "START" and "mode=fresh" in d)
+    return slots, fresh
+
+
+def test_huge_formula_runs_one_solver_per_node(monkeypatch):
+    # Every fresh start spawns its node's solvers; a formula larger than
+    # HUGE_SIZE gets max(1, threads * HUGE_SIZE // size) of them.
+    cnf = random_3cnf(Random(7), 80, 340)
+    cfg = small_cfg(num_pes=6, threads=2, cdcl_rate=1.0, sls_rate=20.0)
+    slots, fresh = _slots_and_fresh_starts(mono_mode(cnf, cfg))
+    assert fresh >= 3 and slots == 2 * fresh
+    monkeypatch.setattr(pe_mod, "HUGE_SIZE", cnf.serialized_size)
+    slots, fresh = _slots_and_fresh_starts(mono_mode(cnf, cfg))
+    assert fresh >= 3 and slots == 2 * fresh
+    monkeypatch.setattr(pe_mod, "HUGE_SIZE", cnf.serialized_size - 1)
+    slots, fresh = _slots_and_fresh_starts(mono_mode(cnf, cfg))
+    assert fresh >= 3 and slots == fresh
 
 
 def test_real_run_returns_after_its_solver_threads_exit():

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from flexsat.formula import Cnf
-from flexsat.sched import (BalancingEvent, JobDescriptor, JobInfo, JobRequest,
+from flexsat.sched import (JobDescriptor, JobInfo, JobRequest,
                            PeView, VolumeMap, apply_events, build_pe_graph,
                            child_indices, compute_volumes, consolidate,
                            max_request_hops, parent_index, pick_eviction,
@@ -46,9 +46,9 @@ def test_descriptor_needs_exactly_one_payload():
 
 
 def test_consolidate_highest_epoch_wins():
-    a = BalancingEvent(7, 1, 4, 0.5, 0.0)
-    b = BalancingEvent(7, 3, 2, 0.5, 0.0)
-    c = BalancingEvent(8, 0, 6, 0.3, 1.0)
+    a = JobInfo(7, 0.5, 0.0, 4, 1)
+    b = JobInfo(7, 0.5, 0.0, 2, 3)
+    c = JobInfo(8, 0.3, 1.0, 6, 0)
     out = consolidate([a, c], [b], [a])
     assert out[7] is b and out[8] is c and len(out) == 2
 
@@ -56,14 +56,14 @@ def test_consolidate_highest_epoch_wins():
 def test_apply_events_add_update_remove_stale():
     table = {5: J(5, 0.5, 4, epoch=2)}
     evs = [
-        BalancingEvent(5, 1, 9, 0.5, 0.0),   # stale, ignored
-        BalancingEvent(6, 0, 3, 0.7, 1.0),   # new job
+        JobInfo(5, 0.5, 0.0, 9, 1),   # stale, ignored
+        JobInfo(6, 0.7, 1.0, 3, 0),   # new job
     ]
     out = apply_events(table, evs)
     assert out[5].demand == 4 and out[6].demand == 3
-    out2 = apply_events(out, [BalancingEvent(5, 3, 0, 0.5, 0.0)])
+    out2 = apply_events(out, [JobInfo(5, 0.5, 0.0, 0, 3)])
     assert 5 not in out2 and 6 in out2
-    out3 = apply_events(out, consolidate([BalancingEvent(6, 2, 8, 0.7, 1.0)]))
+    out3 = apply_events(out, consolidate([JobInfo(6, 0.7, 1.0, 8, 2)]))
     assert out3[6].demand == 8  # mapping form accepted
 
 
