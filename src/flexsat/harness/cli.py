@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from ..formula import DimacsError, parse_dimacs
 from ..runtime import ClusterConfig, mono_mode, run_cluster
+from ..util import is_real
 from .metrics import hos_baseline
 from .report import RunReport, report_from_trace
 from .scenario import ScenarioError, load_scenario
@@ -31,43 +33,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--pes", type=int, help="total PE count including the client")
-    sub.add_argument("--threads", type=int, help="solver threads per active node")
-    sub.add_argument("--alpha", type=float, help="export budget decay per doubling")
-    sub.add_argument("--beta", type=int, help="export budget base (literals)")
-    sub.add_argument("--share-period", type=float, metavar="S",
-                     help="seconds between clause-sharing epochs")
-    sub.add_argument("--balance-period", type=float, metavar="S",
-                     help="seconds between balancing epochs")
-    sub.add_argument("--filter-halflife", type=float, metavar="S",
-                     help="seconds between random forgetting of half the filter")
-    sub.add_argument("--epsilon", type=float, help="idle-PE reserve ratio")
-    sub.add_argument("--max-jobs", type=int, help="jobs admitted concurrently")
-    sub.add_argument("--seed", type=int, help="run seed")
-    mode = sub.add_mutually_exclusive_group()
-    mode.add_argument("--sim", action="store_true", help="simulated time (default)")
-    mode.add_argument("--real", action="store_true", help="wallclock threads")
-    sub.add_argument("--timeout", type=float, metavar="S", help="global limit")
+    for f in fields(ClusterConfig):
+        flag, text, kind = f.metadata["flag"], f.metadata["help"], f.metadata["kind"]
+        if flag is None:
+            continue
+        if kind is bool:  # one switch per value
+            mode = sub.add_mutually_exclusive_group()
+            for opt, const, opt_help in zip(flag, (True, False), text):
+                mode.add_argument(opt, dest=f.name, action="store_const",
+                                  const=const, help=opt_help)
+        else:
+            # seconds show as S, anything else as its flag name
+            metavar = "S" if f.name.endswith("_s") else flag[2:].replace("-", "_").upper()
+            sub.add_argument(flag, dest=f.name, type=kind, metavar=metavar, help=text)
     sub.add_argument("--out", metavar="PATH", help="write the run report as JSON")
     sub.add_argument("--trace", metavar="PATH", help="write the raw trace log")
 
 
 def _config_from_args(args: argparse.Namespace) -> ClusterConfig:
-    cfg = ClusterConfig()
-    updates = {}
-    for attr, key in (("pes", "num_pes"), ("threads", "threads"),
-                      ("alpha", "alpha"), ("beta", "beta"),
-                      ("share_period", "share_period_s"),
-                      ("balance_period", "balance_period_s"),
-                      ("filter_halflife", "filter_halflife_s"),
-                      ("epsilon", "epsilon"), ("max_jobs", "max_jobs"),
-                      ("seed", "seed"), ("timeout", "timeout_s")):
-        value = getattr(args, attr)
-        if value is not None:
-            updates[key] = value
-    if args.real:
-        updates["sim"] = False
-    cfg = replace(cfg, **updates)
+    cfg = replace(ClusterConfig(), **{
+        f.name: getattr(args, f.name) for f in fields(ClusterConfig)
+        if f.metadata["flag"] and getattr(args, f.name) is not None})
     cfg.validate()
     return cfg
 
@@ -157,12 +143,15 @@ def cmd_hos(args: argparse.Namespace) -> int:
     if not isinstance(body, list):
         raise CliError(f"{args.times}: expected a JSON list of job entries")
     entries = []
-    for rec in body:
-        try:
-            entries.append((rec["job"], rec.get("runtime"),
-                            float(rec.get("arrival", 0.0))))
-        except (TypeError, KeyError) as exc:
-            raise CliError(f"{args.times}: bad entry {rec!r}") from exc
+    for i, rec in enumerate(body):
+        if not isinstance(rec, dict):
+            raise CliError(f"{args.times}: entry {i} is not an object")
+        # checked as written: an int job, runtime null or a time, arrival a time
+        job, runtime, arrival = rec.get("job"), rec.get("runtime"), rec.get("arrival", 0.0)
+        if not (type(job) is int and is_real(arrival) and 0 <= arrival < math.inf
+                and (runtime is None or is_real(runtime) and 0 <= runtime < math.inf)):
+            raise CliError(f"{args.times}: bad entry {i}: {rec!r}")
+        entries.append((job, runtime, float(arrival)))
     limit = args.timeout if args.timeout is not None else 300.0
     responses = hos_baseline(entries, limit)
     mean = sum(responses.values()) / len(responses) if responses else 0.0
@@ -208,10 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"flexsat: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"flexsat: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -98,22 +98,16 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
             out.demand_changes.append((float(at), job, demand))
             demand_lines.append((lineno, job))
         elif kind == "config":
-            for key, value in obj.items():
-                if key == "max_jobs":
-                    if type(value) is not int:
-                        raise ScenarioError(
-                            f"line {lineno}: max_jobs {value!r} is not an integer")
-                    if value < 1:
-                        raise ScenarioError(f"line {lineno}: max_jobs must be >= 1")
-                    out.max_jobs = value
-                elif key in config_keys:
-                    out.overrides[key] = value
-                elif key != "type":
+            del obj["type"]
+            for key in obj:
+                if key not in config_keys:
                     raise ScenarioError(f"line {lineno}: unknown config key {key!r}")
+            out.overrides.update(obj)
             try:
                 replace(ClusterConfig(), **out.overrides).validate()
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ScenarioError(f"line {lineno}: {exc}") from None
+            out.max_jobs = out.overrides.pop("max_jobs", out.max_jobs)
         else:
             raise ScenarioError(f"line {lineno}: unknown type {kind!r}")
     if not out.jobs:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from random import Random
 from typing import Optional
 
@@ -20,7 +21,7 @@ from ..formula import Cnf
 from ..harness.report import RunReport, report_from_trace
 from ..sched import JobDescriptor, build_pe_graph, max_request_hops
 from ..solver.control import TERMINATED
-from ..util import derive_seed
+from ..util import derive_seed, is_real
 from .pe import CLIENT_ID, ClientPE, RunShared, WorkerPE
 from .transport import RealContext, RealRouter, SimContext, SimLoop, Trace
 
@@ -28,75 +29,94 @@ from .transport import RealContext, RealRouter, SimContext, SimLoop, Trace
 DEGREE = 4
 
 
+# What each kind of knob accepts, checked as written: bools are not ints,
+# ints pass as reals, strings are never numbers.
+_KINDS = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: is_real(v) and -math.inf < v < math.inf, "a finite number"),
+    bool: (lambda v: type(v) is bool, "true or false"),
+}
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+
+
+def knob(default, kind, *bounds, flag=None, help=None, traced=True):
+    """A ClusterConfig field with its kind (int, finite float, bool or a
+    tuple of choices; a None default also allows None), its (op, number)
+    bounds, its CLI flag and help (a bool's are an on/off pair of each),
+    and whether the CONFIG trace line shows it."""
+    test, what = _KINDS.get(kind) or (kind.__contains__, f"one of {kind}")
+    return field(default=default, metadata={
+        "kind": kind, "test": test, "what": what, "bounds": bounds,
+        "flag": flag, "help": help, "traced": traced})
+
+
+# 1 µs: the simulator's clock tick; a shorter period or solver slice would
+# re-arm its timer at the same instant forever.
+MIN_PERIOD_S = 1e-6
+
+
 @dataclass
 class ClusterConfig:
-    """All the knobs of one cluster run."""
+    """All the knobs of one cluster run; flagged fields in CLI flag order."""
 
-    num_pes: int = 8
-    threads: int = 2
-    epsilon: float = 0.05
-    balance_period_s: float = 0.1
-    share_period_s: float = 1.0
-    alpha: float = 0.875
-    beta: int = 1500
-    filter_halflife_s: Optional[float] = None
-    cache_size: int = 3
-    seed: int = 0
-    sim: bool = True
-    timeout_s: float = 300.0
-    max_jobs: Optional[int] = None
-    sharing: bool = True
-    ramp: str = "double"            # "double" | "full"
-    slice_ms: float = 2.0           # simulated solver time slice
-    cdcl_rate: float = 20.0         # simulated conflicts per ms
-    sls_rate: float = 400.0         # simulated flips per ms
+    num_pes: int = knob(8, int, (">=", 2), flag="--pes",
+                        help="total PE count including the client")
+    threads: int = knob(2, int, (">=", 1), flag="--threads",
+                        help="solver threads per active node")
+    # alpha's and beta's ranges are ExchangeConfig.validate's
+    alpha: float = knob(0.875, float, flag="--alpha",
+                        help="export budget decay per doubling")
+    beta: int = knob(1500, int, flag="--beta", help="export budget base (literals)")
+    share_period_s: float = knob(1.0, float, (">=", MIN_PERIOD_S), flag="--share-period",
+                                 help="seconds between clause-sharing epochs")
+    balance_period_s: float = knob(0.1, float, (">=", MIN_PERIOD_S), flag="--balance-period",
+                                   help="seconds between balancing epochs")
+    filter_halflife_s: Optional[float] = knob(  # None or 0: never forget
+        None, float, (">=", 0), flag="--filter-halflife",
+        help="seconds between random forgetting of half the filter")
+    epsilon: float = knob(0.05, float, (">=", 0), ("<", 1), flag="--epsilon",
+                          help="idle-PE reserve ratio")
+    max_jobs: Optional[int] = knob(None, int, (">=", 1), flag="--max-jobs",
+                                   help="jobs admitted concurrently", traced=False)
+    seed: int = knob(0, int, flag="--seed", help="run seed")
+    sim: bool = knob(True, bool, flag=("--sim", "--real"),
+                     help=("simulated time (default)", "wallclock threads"))
+    timeout_s: float = knob(300.0, float, (">", 0), flag="--timeout", help="global limit")
+    cache_size: int = knob(3, int, (">=", 1), traced=False)
+    sharing: bool = knob(True, bool)
+    ramp: str = knob("double", ("double", "full"))
+    # simulated solver time slice, and conflicts and flips per simulated ms
+    slice_ms: float = knob(2.0, float, (">=", MIN_PERIOD_S * 1e3), traced=False)
+    cdcl_rate: float = knob(20.0, float, (">", 0), traced=False)
+    sls_rate: float = knob(400.0, float, (">", 0), traced=False)
 
     @property
     def budget(self) -> int:
         return math.floor((1.0 - self.epsilon) * (self.num_pes - 1))
 
     def validate(self) -> None:
-        if self.num_pes < 2:
-            raise ValueError("need at least one worker besides the client")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon out of [0,1)")
+        for f in fields(self):
+            value, spec = getattr(self, f.name), f.metadata
+            if value is None and f.default is None:
+                continue
+            if not spec["test"](value):
+                raise ValueError(f"{f.name} {value!r} is not {spec['what']}")
+            for op, bound in spec["bounds"]:
+                if not _BOUNDS[op](value, bound):
+                    raise ValueError(f"{f.name} must be {op} {bound}")
         if self.budget < 1:
             raise ValueError(
                 f"budget {self.budget} < 1: lower epsilon or add PEs "
                 f"(p={self.num_pes}, eps={self.epsilon})")
-        if self.ramp not in ("double", "full"):
-            raise ValueError(f"unknown ramp policy {self.ramp!r}")
-        if self.balance_period_s <= 0 or self.share_period_s <= 0:
-            raise ValueError("periods must be positive")
-        if self.slice_ms <= 0 or self.cdcl_rate <= 0 or self.sls_rate <= 0:
-            raise ValueError("simulation rates must be positive")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout must be positive")
-        if self.cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
-        if self.max_jobs is not None and self.max_jobs < 1:
-            raise ValueError("max_jobs must be >= 1")
-        if self.filter_halflife_s is not None and self.filter_halflife_s < 0:
-            raise ValueError("filter_halflife_s must be >= 0 (None or 0: never forget)")
         self.exchange_config().validate()
 
     def exchange_config(self) -> ExchangeConfig:
         return ExchangeConfig(beta=self.beta, alpha=self.alpha)
 
     def public_dict(self) -> dict:
-        return {
-            "num_pes": self.num_pes, "threads": self.threads,
-            "budget": self.budget, "epsilon": self.epsilon,
-            "balance_period_s": self.balance_period_s,
-            "share_period_s": self.share_period_s,
-            "alpha": self.alpha, "beta": self.beta,
-            "sharing": self.sharing, "ramp": self.ramp,
-            "seed": self.seed, "sim": self.sim,
-            "timeout_s": self.timeout_s,
-            "filter_halflife_s": self.filter_halflife_s,
-        }
+        """The CONFIG trace line: the traced fields and the budget."""
+        shown = {f.name: getattr(self, f.name) for f in fields(self) if f.metadata["traced"]}
+        return dict(shown, budget=self.budget)
 
 
 class Cluster:
@@ -252,10 +272,8 @@ class Cluster:
 
 def run_cluster(cfg: ClusterConfig, scenario) -> RunReport:
     """Run a scheduling scenario (see harness.scenario) to completion."""
-    if scenario.overrides:
-        cfg = replace(cfg, **scenario.overrides)
-    cluster = Cluster(cfg, scenario.jobs, scenario.demand_changes,
-                      scenario.max_jobs)
+    cluster = Cluster(replace(cfg, **scenario.overrides), scenario.jobs,
+                      scenario.demand_changes, scenario.max_jobs)
     return cluster.run()
 
 

@@ -1,11 +1,11 @@
 """Harness layer: metrics, reports, scenarios, and the command line."""
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 from flexsat.formula import check_model, parse_dimacs
-from flexsat.harness.cli import main
+from flexsat.harness.cli import _config_from_args, build_parser, main
 from flexsat.harness.metrics import hos_baseline, par2, speedups
 from flexsat.harness.report import (RunReport, parse_detail, parse_trace_line,
                                     report_from_trace)
@@ -195,9 +195,9 @@ def test_parse_scenario_full(tmp_path):
     ('{"type": "config", "max_jobs": "two"}\n{"type": "job", "synthetic": 1.0}',
      "line 1: max_jobs"),
     ('{"type": "config", "num_pes": 1}\n{"type": "job", "synthetic": 1.0}',
-     "line 1: need at least one worker"),
+     "line 1: num_pes must be >= 2"),
     ('{"type": "job", "synthetic": 1.0}\n{"type": "config", "alpha": "x"}',
-     "line 2: '<=' not supported"),
+     "line 2: alpha 'x' is not a finite number"),
     ('{"type": "job", "synthetic": 1.0, "wallclock_limit": "x"}',
      "line 1: wallclock_limit_s 'x' is not a positive finite number"),
     ('{"type": "job", "synthetic": 1.0, "wallclock_limit": 0}',
@@ -245,6 +245,37 @@ def test_parse_scenario_full(tmp_path):
      "line 1: max_jobs 2.7 is not an integer"),
     ('{"type": "config", "max_jobs": true}\n{"type": "job", "synthetic": 1.0}',
      "line 1: max_jobs True is not an integer"),
+    # Config values are checked as written against ClusterConfig's table.
+    ('{"type": "config", "num_pes": 8.5}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: num_pes 8.5 is not an integer"),
+    ('{"type": "job", "synthetic": 1.0}\n{"type": "config", "seed": 1.5}',
+     "line 2: seed 1.5 is not an integer"),
+    ('{"type": "job", "synthetic": 1.0}\n\n{"type": "config", "sharing": "no"}',
+     "line 3: sharing 'no' is not true or false"),
+    ('{"type": "config", "threads": true}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: threads True is not an integer"),
+    ('{"type": "config", "seed": 2}\n{"type": "config", "cache_size": 2.5}\n'
+     '{"type": "job", "synthetic": 1.0}', "line 2: cache_size 2.5 is not an integer"),
+    ('{"type": "config", "beta": 1500.0}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: beta 1500.0 is not an integer"),
+    ('{"type": "job", "synthetic": 1.0}\n{"type": "config", "balance_period_s": 1e-9}',
+     "line 2: balance_period_s must be >= 1e-06"),
+    ('{"type": "config", "share_period_s": 5e-7}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: share_period_s must be >= 1e-06"),
+    ('{"type": "config", "slice_ms": 0.0005}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: slice_ms must be >= 0.001"),
+    ('{"type": "config", "balance_period_s": NaN}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: balance_period_s nan is not a finite number"),
+    ('{"type": "job", "synthetic": 1.0}\n{"type": "config", "cdcl_rate": NaN}',
+     "line 2: cdcl_rate nan is not a finite number"),
+    ('{"type": "config", "sls_rate": Infinity}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: sls_rate inf is not a finite number"),
+    ('{"type": "config", "timeout_s": Infinity}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: timeout_s inf is not a finite number"),
+    ('{"type": "config", "epsilon": -Infinity}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: epsilon -inf is not a finite number"),
+    ('{"type": "config", "filter_halflife_s": NaN}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: filter_halflife_s nan is not a finite number"),
 ])
 def test_parse_scenario_errors(text, msg, tmp_path):
     with pytest.raises(ScenarioError, match=msg):
@@ -344,6 +375,53 @@ def test_cli_solve_bad_alpha(tmp_path, capsys):
     assert "alpha out of [0.5,1]" in err
 
 
+@pytest.mark.parametrize("flags,msg", [
+    (["--timeout", "inf"], "timeout_s inf is not a finite number"),
+    (["--epsilon", "nan"], "epsilon nan is not a finite number"),
+    (["--balance-period", "1e-9"], "balance_period_s must be >= 1e-06"),
+    (["--share-period", "0"], "share_period_s must be >= 1e-06"),
+])
+def test_cli_solve_bad_config_exits_1(flags, msg, tmp_path, capsys):
+    f = tmp_path / "sat.cnf"
+    f.write_text(SAT_CNF)
+    assert main(["solve", str(f), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err == f"flexsat: error: {msg}\n"
+
+
+# One case per ClusterConfig field that has a flag; the last test checks
+# that no flagged field is missing here.
+FLAG_CASES = [
+    (["--pes", "5"], "num_pes", 5),
+    (["--threads", "3"], "threads", 3),
+    (["--alpha", "0.75"], "alpha", 0.75),
+    (["--beta", "900"], "beta", 900),
+    (["--share-period", "0.5"], "share_period_s", 0.5),
+    (["--balance-period", "0.25"], "balance_period_s", 0.25),
+    (["--filter-halflife", "2"], "filter_halflife_s", 2.0),
+    (["--epsilon", "0.1"], "epsilon", 0.1),
+    (["--max-jobs", "2"], "max_jobs", 2),
+    (["--seed", "11"], "seed", 11),
+    (["--real"], "sim", False),
+    (["--sim"], "sim", True),
+    (["--timeout", "9"], "timeout_s", 9.0),
+]
+
+
+@pytest.mark.parametrize("command", ["solve", "run"])
+@pytest.mark.parametrize("flags,name,value", FLAG_CASES)
+def test_cli_flag_sets_its_field(command, flags, name, value):
+    cfg = _config_from_args(build_parser().parse_args([command, "in", *flags]))
+    assert getattr(cfg, name) == value and type(getattr(cfg, name)) is type(value)
+    assert replace(cfg, **{name: getattr(ClusterConfig(), name)}) == ClusterConfig()
+
+
+def test_cli_flag_cases_cover_every_flagged_field():
+    flagged = {f.name for f in fields(ClusterConfig) if f.metadata["flag"]}
+    assert flagged == {name for _flags, name, _value in FLAG_CASES}
+    assert _config_from_args(build_parser().parse_args(["solve", "in"])) == ClusterConfig()
+
+
 def test_cli_unknown_flag(tmp_path, capsys):
     f = tmp_path / "sat.cnf"
     f.write_text(SAT_CNF)
@@ -408,3 +486,35 @@ def test_cli_hos(tmp_path, capsys):
     body = json.loads(out_json.read_text())
     assert body["responses"]["2"] == 60.0 or body["responses"][2] == 60.0
     assert body["mean_response"] == pytest.approx(100.0 / 3)
+
+
+@pytest.mark.parametrize("entry", [
+    {"job": 2, "runtime": "5"},
+    {"job": 2, "runtime": 5.0, "arrival": True},
+    {"job": 2, "runtime": -1.0},
+    {"job": 2, "runtime": float("nan")},
+    {"job": 2, "runtime": 5.0, "arrival": float("inf")},
+    {"job": 2, "runtime": 5.0, "arrival": -0.5},
+    {"job": "2", "runtime": 5.0},
+    {"job": 2.0, "runtime": 5.0},
+    {"job": True, "runtime": 5.0},
+    {"runtime": 5.0},
+    [2, 5.0],
+])
+def test_cli_hos_rejects_bad_entry(entry, tmp_path, capsys):
+    # entries are checked as written: an int job, a runtime that is null or
+    # a finite number >= 0, an arrival that is a finite number >= 0
+    f = tmp_path / "times.json"
+    f.write_text(json.dumps([{"job": 1, "runtime": None, "arrival": 1}, entry]))
+    assert main(["hos", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"flexsat: error: {f}: ") and "entry 1" in err
+
+
+def test_cli_hos_accepts_null_runtime_and_integral_times(tmp_path, capsys):
+    f = tmp_path / "times.json"
+    f.write_text(json.dumps([{"job": 1, "runtime": None, "arrival": 1},
+                             {"job": 2, "runtime": 4}]))
+    assert main(["hos", str(f), "--timeout", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "job 2: response=4.000" in out and "job 1: response=14.000" in out

@@ -1,6 +1,7 @@
 """Cluster runtime: transports, mono runs, malleability, determinism."""
 import gc
 import hashlib
+import math
 import threading
 import time
 import weakref
@@ -40,7 +41,7 @@ def test_budget_formula():
 def test_config_validation():
     ClusterConfig().validate()
     jobs = [JobDescriptor(job=1, priority=0.5, arrival_s=0.0, synthetic_s=1.0)]
-    with pytest.raises(ValueError, match="worker"):
+    with pytest.raises(ValueError, match="num_pes must be >= 2"):
         ClusterConfig(num_pes=1).validate()
     with pytest.raises(ValueError, match="budget"):
         ClusterConfig(num_pes=2, epsilon=0.9).validate()
@@ -52,7 +53,7 @@ def test_config_validation():
         ClusterConfig(timeout_s=0).validate()
     with pytest.raises(ValueError, match="cache_size must be >= 1"):
         ClusterConfig(cache_size=0).validate()
-    with pytest.raises(ValueError, match="periods must be positive"):
+    with pytest.raises(ValueError, match="share_period_s must be >= 1e-06"):
         ClusterConfig(share_period_s=0.0).validate()
     for bad in (0, -1):
         with pytest.raises(ValueError, match="max_jobs"):
@@ -70,6 +71,53 @@ def test_config_validation():
         ClusterConfig(filter_halflife_s=off).validate()
     assert Cluster(ClusterConfig(num_pes=4), jobs,
                    max_jobs=1).cfg.max_jobs == 1
+
+
+@pytest.mark.parametrize("kw,msg", [
+    # under 1 µs once converted, a period or slice re-arms its timer forever
+    (dict(balance_period_s=1e-9), "balance_period_s must be >= 1e-06"),
+    (dict(share_period_s=9.99e-7), "share_period_s must be >= 1e-06"),
+    (dict(slice_ms=1e-4), "slice_ms must be >= 0.001"),
+    # values are checked as written: bools are not ints, strings not numbers
+    (dict(num_pes=8.5), "num_pes 8.5 is not an integer"),
+    (dict(seed=1.5), "seed 1.5 is not an integer"),
+    (dict(threads=True), "threads True is not an integer"),
+    (dict(cache_size=2.5), "cache_size 2.5 is not an integer"),
+    (dict(beta=1500.0), "beta 1500.0 is not an integer"),
+    (dict(max_jobs="2"), "max_jobs '2' is not an integer"),
+    (dict(sharing="no"), "sharing 'no' is not true or false"),
+    (dict(sim=1), "sim 1 is not true or false"),
+    (dict(alpha="0.9"), "alpha '0.9' is not a finite number"),
+    (dict(epsilon=False), "epsilon False is not a finite number"),
+    (dict(ramp=None), "ramp None is not one of"),
+    # NaN and infinities are refused for every real
+    (dict(timeout_s=math.inf), "timeout_s inf is not a finite number"),
+    (dict(balance_period_s=math.nan), "balance_period_s nan is not a finite number"),
+    (dict(share_period_s=math.inf), "share_period_s inf is not a finite number"),
+    (dict(cdcl_rate=math.nan), "cdcl_rate nan is not a finite number"),
+    (dict(sls_rate=math.inf), "sls_rate inf is not a finite number"),
+    (dict(slice_ms=math.nan), "slice_ms nan is not a finite number"),
+    (dict(epsilon=-math.inf), "epsilon -inf is not a finite number"),
+    (dict(alpha=math.nan), "alpha nan is not a finite number"),
+    (dict(filter_halflife_s=math.inf), "filter_halflife_s inf is not a finite number"),
+])
+def test_config_validate_rejects_as_written(kw, msg):
+    with pytest.raises(ValueError, match=msg):
+        ClusterConfig(**kw).validate()
+
+
+def test_config_validate_accepts_floor_and_integral_reals():
+    cfg = ClusterConfig(balance_period_s=1e-6, share_period_s=1e-6, slice_ms=1e-3,
+                        timeout_s=60, epsilon=0, alpha=1, filter_halflife_s=2)
+    cfg.validate()
+    assert int(cfg.balance_period_s * 1e6) == int(cfg.slice_ms * 1000) == 1
+
+
+def test_public_dict_keys():
+    assert sorted(ClusterConfig().public_dict()) == sorted([
+        "num_pes", "threads", "budget", "epsilon", "balance_period_s",
+        "share_period_s", "alpha", "beta", "sharing", "ramp", "seed", "sim",
+        "timeout_s", "filter_halflife_s"])
 
 
 # ---------------------------------------------------------------------------
