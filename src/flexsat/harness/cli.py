@@ -153,6 +153,8 @@ def cmd_hos(args: argparse.Namespace) -> int:
             raise CliError(f"{args.times}: bad entry {i}: {rec!r}")
         entries.append((job, runtime, float(arrival)))
     limit = args.timeout if args.timeout is not None else 300.0
+    if not 0 < limit < math.inf:
+        raise CliError(f"--timeout {limit!r} is not a positive finite number")
     responses = hos_baseline(entries, limit)
     mean = sum(responses.values()) / len(responses) if responses else 0.0
     if args.out:

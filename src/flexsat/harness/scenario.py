@@ -2,14 +2,13 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from ..formula import parse_dimacs
 from ..sched import JobDescriptor
-from ..util import is_real
+from ..util import MAX_SECONDS, is_real
 
 
 class ScenarioError(ValueError):
@@ -88,8 +87,9 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
                 raise ScenarioError(f"line {lineno}: {exc}") from None
         elif kind == "demand":
             at, job, demand = obj.get("at"), obj.get("job"), obj.get("demand")
-            if not (is_real(at) and 0 <= at < math.inf):
-                raise ScenarioError(f"line {lineno}: at {at!r} is not a finite number >= 0")
+            if not (is_real(at) and 0 <= at <= MAX_SECONDS):
+                raise ScenarioError(f"line {lineno}: at {at!r} is not a finite number >= 0"
+                                    f" and <= {MAX_SECONDS}")
             if type(job) is not int:
                 raise ScenarioError(f"line {lineno}: job {job!r} is not an integer")
             if type(demand) is not int or demand < 1:

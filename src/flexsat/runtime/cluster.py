@@ -1,17 +1,16 @@
 """Cluster assembly and run orchestration.
 
 One process hosts the whole cluster: PE 0 is the client, PEs 1..p-1 are
-workers.  --sim drives everything from a deterministic discrete-event
-loop with a simulated solver cost model; --real gives every PE (and every
-solver) its own thread and uses the wall clock.
+workers.  Every PE runs on the thread that calls Cluster.run, driven by one
+event loop: --sim uses a deterministic discrete-event loop with a simulated
+solver cost model; --real uses the wall clock and gives each solver a
+thread of its own.
 """
 from __future__ import annotations
 
 import json
 import math
 import operator
-import threading
-import time
 from dataclasses import dataclass, field, fields, replace
 from random import Random
 from typing import Optional
@@ -20,10 +19,9 @@ from ..exchange import ExchangeConfig
 from ..formula import Cnf
 from ..harness.report import RunReport, report_from_trace
 from ..sched import JobDescriptor, build_pe_graph, max_request_hops
-from ..solver.control import TERMINATED
-from ..util import derive_seed, is_real
+from ..util import MAX_SECONDS, MIN_PERIOD_S, derive_seed, is_real
 from .pe import CLIENT_ID, ClientPE, RunShared, WorkerPE
-from .transport import RealContext, RealRouter, SimContext, SimLoop, Trace
+from .transport import Context, RealContext, SimLoop, Trace, WallLoop
 
 # Out-degree of the random regular graph that job requests walk.
 DEGREE = 4
@@ -36,7 +34,7 @@ _KINDS = {
     float: (lambda v: is_real(v) and -math.inf < v < math.inf, "a finite number"),
     bool: (lambda v: type(v) is bool, "true or false"),
 }
-_BOUNDS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator.le}
 
 
 def knob(default, kind, *bounds, flag=None, help=None, traced=True):
@@ -48,11 +46,6 @@ def knob(default, kind, *bounds, flag=None, help=None, traced=True):
     return field(default=default, metadata={
         "kind": kind, "test": test, "what": what, "bounds": bounds,
         "flag": flag, "help": help, "traced": traced})
-
-
-# 1 µs: the simulator's clock tick; a shorter period or solver slice would
-# re-arm its timer at the same instant forever.
-MIN_PERIOD_S = 1e-6
 
 
 @dataclass
@@ -67,12 +60,14 @@ class ClusterConfig:
     alpha: float = knob(0.875, float, flag="--alpha",
                         help="export budget decay per doubling")
     beta: int = knob(1500, int, flag="--beta", help="export budget base (literals)")
-    share_period_s: float = knob(1.0, float, (">=", MIN_PERIOD_S), flag="--share-period",
+    share_period_s: float = knob(1.0, float, (">=", MIN_PERIOD_S), ("<=", MAX_SECONDS),
+                                 flag="--share-period",
                                  help="seconds between clause-sharing epochs")
-    balance_period_s: float = knob(0.1, float, (">=", MIN_PERIOD_S), flag="--balance-period",
+    balance_period_s: float = knob(0.1, float, (">=", MIN_PERIOD_S), ("<=", MAX_SECONDS),
+                                   flag="--balance-period",
                                    help="seconds between balancing epochs")
     filter_halflife_s: Optional[float] = knob(  # None or 0: never forget
-        None, float, (">=", 0), flag="--filter-halflife",
+        None, float, (">=", 0), ("<=", MAX_SECONDS), flag="--filter-halflife",
         help="seconds between random forgetting of half the filter")
     epsilon: float = knob(0.05, float, (">=", 0), ("<", 1), flag="--epsilon",
                           help="idle-PE reserve ratio")
@@ -80,13 +75,15 @@ class ClusterConfig:
                                    help="jobs admitted concurrently", traced=False)
     seed: int = knob(0, int, flag="--seed", help="run seed")
     sim: bool = knob(True, bool, flag=("--sim", "--real"),
-                     help=("simulated time (default)", "wallclock threads"))
-    timeout_s: float = knob(300.0, float, (">", 0), flag="--timeout", help="global limit")
+                     help=("simulated time (default)", "wall clock, one thread per solver"))
+    timeout_s: float = knob(300.0, float, (">", 0), ("<=", MAX_SECONDS), flag="--timeout",
+                            help="global limit")
     cache_size: int = knob(3, int, (">=", 1), traced=False)
     sharing: bool = knob(True, bool)
     ramp: str = knob("double", ("double", "full"))
     # simulated solver time slice, and conflicts and flips per simulated ms
-    slice_ms: float = knob(2.0, float, (">=", MIN_PERIOD_S * 1e3), traced=False)
+    slice_ms: float = knob(2.0, float, (">=", MIN_PERIOD_S * 1e3), ("<=", MAX_SECONDS * 1000),
+                           traced=False)
     cdcl_rate: float = knob(20.0, float, (">", 0), traced=False)
     sls_rate: float = knob(400.0, float, (">", 0), traced=False)
 
@@ -145,18 +142,12 @@ class Cluster:
             sls_per_slice=max(1, int(cfg.slice_ms * cfg.sls_rate)),
             excfg=cfg.exchange_config(),
         )
-        self._loop = SimLoop(cfg.seed) if cfg.sim else None
-        self._router = None if cfg.sim else RealRouter(time.monotonic_ns())
-        self._ctxs = {}
-        for pe in range(cfg.num_pes):
-            rng = Random(derive_seed(cfg.seed, "pe", pe))
-            if cfg.sim:
-                self._ctxs[pe] = SimContext(pe, rng, self._loop, self.trace)
-            else:
-                self._ctxs[pe] = RealContext(pe, rng, self._router, self.trace)
-        self.client = ClientPE(self._ctxs[CLIENT_ID], self.shared, jobs,
-                               demand_changes)
-        self.workers = {pe: WorkerPE(self._ctxs[pe], self.shared, tuple(graph[pe]))
+        self._loop = SimLoop(cfg.seed) if cfg.sim else WallLoop()
+        context = Context if cfg.sim else RealContext
+        ctxs = {pe: context(pe, Random(derive_seed(cfg.seed, "pe", pe)), self._loop,
+                            self.trace) for pe in range(cfg.num_pes)}
+        self.client = ClientPE(ctxs[CLIENT_ID], self.shared, jobs, demand_changes)
+        self.workers = {pe: WorkerPE(ctxs[pe], self.shared, tuple(graph[pe]))
                         for pe in workers}
         self.pes = {CLIENT_ID: self.client, **self.workers}
 
@@ -191,11 +182,7 @@ class Cluster:
                          for job, rec in self.client.results.items()}
         return report
 
-    # -- run modes ---------------------------------------------------------
     def run(self) -> RunReport:
-        return self._run_sim() if self.cfg.sim else self._run_real()
-
-    def _run_sim(self) -> RunReport:
         loop = self._loop
         timeout_us = int(self.cfg.timeout_s * 1e6)
         self._log_config()
@@ -222,51 +209,15 @@ class Cluster:
 
         loop.run(on_message, on_timer, lambda: self.client.finished, timeout_us)
         reason = "all-done" if self.client.finished else "timeout"
-        return self._finish_report(loop.now, reason)
-
-    def _run_real(self) -> RunReport:
-        router = self._router
-        timeout_us = int(self.cfg.timeout_s * 1e6)
-        self._log_config()
-        threads = []
-        for pe, actor in self.pes.items():
-            ctx = self._ctxs[pe]
-
-            def pe_main(actor=actor, ctx=ctx):
-                actor.on_start()
-                ctx.pump(actor.on_envelope,
-                         lambda tag, data: actor.on_timer(tag, data))
-
-            t = threading.Thread(target=pe_main, name=f"pe-{pe}", daemon=True)
-            threads.append(t)
-
-        def sampler_main():
-            tick_s = self.shared.e_us / 1e6
-            time.sleep(tick_s / 2)
-            while not router.stop.is_set():
-                busy, active = self._busy_count()
-                self.trace.add(router.now_us(), -1, "TICK", None,
-                               f"busy={busy} active={active}")
-                time.sleep(tick_s)
-
-        sampler = threading.Thread(target=sampler_main, name="sampler", daemon=True)
-        for t in threads:
-            t.start()
-        sampler.start()
-        while router.now_us() < timeout_us and not self.client.finished:
-            time.sleep(0.005)
-        reason = "all-done" if self.client.finished else "timeout"
-        end_us = router.now_us()
-        router.stop.set()
-        for t in threads:
-            t.join(timeout=2.0)
+        end_us = loop.now
+        # Stop the solver threads (only real mode has any) before the report
+        # reads their stats.
         registry = self.shared.registry
         for _stats, control, _thread in registry:
-            if control.state != TERMINATED:
-                control.terminate()
+            control.terminate()
         for _stats, _control, thread in registry:
-            thread.join(timeout=2.0)
-        sampler.join(timeout=2.0)
+            if thread is not None:
+                thread.join(timeout=2.0)
         return self._finish_report(end_us, reason)
 
 

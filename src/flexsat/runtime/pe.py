@@ -268,7 +268,7 @@ class WorkerPE(BasePE):
         self.occupied: Optional[tuple[int, int]] = None
         self._step_on = False
 
-    # -- state inspection (cluster sampler / post-run stats) ---------------
+    # -- state inspection (TICK lines / post-run stats) ---------------------
     def busy_active(self) -> bool:
         node = self.nodes.get(self.occupied) if self.occupied else None
         return node is not None and node.state == ACTIVE
@@ -778,7 +778,7 @@ class WorkerPE(BasePE):
         self._pass_result(node, "DONE", None, None, f"pe{self.pe_id}.x0.synth")
 
     def _h_solver_done(self, env: Envelope) -> None:
-        # real mode: a solver thread reports in via the mailbox
+        # real mode: a solver thread reports in through the loop's inbox
         node = self.nodes.get((env.job, env.payload["x"]))
         if node is None or not node.slots:
             return

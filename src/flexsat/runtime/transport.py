@@ -1,14 +1,15 @@
-"""Message transport: a deterministic simulated event loop and a threaded one.
+"""Message transport: one event loop, on a simulated clock or the wall clock.
 
-Both transports deliver the same interface to PE actors (a Context with
-now_us/send/set_timer/log), so the actor code is identical in --sim and
---real runs.  Per (src, dst) pair delivery is FIFO in both modes.
+Every PE of a run lives on the thread that runs the loop and sees the
+outside world through a Context (now_us/send/set_timer/log), so the actor
+code is identical in --sim and --real runs.  In --real runs only the
+solvers get threads of their own; they reach their PE through the wall
+loop's inbox.  Per (src, dst) pair delivery is FIFO in both modes.
 """
 from __future__ import annotations
 
 import heapq
 import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from random import Random
@@ -43,28 +44,6 @@ class Envelope:
     payload: dict = field(default_factory=dict)
 
 
-class Context:
-    """What a PE actor sees of the outside world."""
-
-    def __init__(self, pe_id: int, rng: Random):
-        self.pe_id = pe_id
-        self.rng = rng
-
-    def now_us(self) -> int:
-        raise NotImplementedError
-
-    def send(self, env: Envelope, extra_delay_us: int = 0) -> None:
-        raise NotImplementedError
-
-    def set_timer(self, delay_us: int, tag: str, data: Any = None) -> None:
-        raise NotImplementedError
-
-    def log(self, kind: str, job: Optional[int], detail: str = "",
-            at_us: Optional[int] = None) -> None:
-        """Trace one event, stamped now unless at_us gives its time."""
-        raise NotImplementedError
-
-
 def format_time_ms(us: int) -> str:
     """Render integer microseconds as milliseconds with fixed precision."""
     return "%d.%03d" % (us // 1000, us % 1000)
@@ -75,7 +54,6 @@ class Trace:
 
     def __init__(self) -> None:
         self._lines: list[str] = []
-        self._lock = threading.Lock()
 
     def add(self, time_us: int, pe: int, kind: str, job: Optional[int],
             detail: str = "") -> None:
@@ -83,15 +61,11 @@ class Trace:
         line = "%s %d %s %s" % (format_time_ms(time_us), pe, kind, jobtxt)
         if detail:
             line += " " + detail
-        with self._lock:
-            self._lines.append(line)
+        self._lines.append(line)
 
     def lines(self) -> list[str]:
-        with self._lock:
-            return list(self._lines)
+        return list(self._lines)
 
-
-# --- simulated transport ---------------------------------------------------
 
 _EV_MSG = 0
 _EV_TIMER = 1
@@ -145,11 +119,55 @@ class SimLoop:
         self.now = min(self.now, timeout_us)
 
 
-class SimContext(Context):
-    """Context bound to one PE inside a SimLoop."""
+class WallLoop:
+    """SimLoop's shape on the wall clock: a timer heap, and one thread-safe
+    inbox for every envelope, solver threads' included, which keeps each
+    (src, dst) pair FIFO.  Between events the loop sleeps on the inbox
+    until the next timer is due."""
 
-    def __init__(self, pe_id: int, rng: Random, loop: SimLoop, trace: Trace):
-        super().__init__(pe_id, rng)
+    def __init__(self) -> None:
+        self._start_ns = time.monotonic_ns()
+        self._timers: list[tuple[int, int, int, str, Any]] = []
+        self._seq = 0
+        self.inbox: "queue.SimpleQueue[Envelope]" = queue.SimpleQueue()
+
+    @property
+    def now(self) -> int:
+        return (time.monotonic_ns() - self._start_ns) // 1000
+
+    def post_timer(self, pe: int, delay_us: int, tag: str, data: Any) -> None:
+        self._seq += 1
+        heapq.heappush(self._timers, (self.now + delay_us, self._seq, pe, tag, data))
+
+    def run(self, on_message: Callable[[int, Envelope], None],
+            on_timer: Callable[[int, str, Any], None],
+            should_stop: Callable[[], bool],
+            timeout_us: int) -> None:
+        timers = self._timers
+        while not should_stop():
+            now = self.now
+            if now >= timeout_us:
+                return
+            if timers and timers[0][0] <= now:
+                _t, _seq, pe, tag, data = heapq.heappop(timers)
+                on_timer(pe, tag, data)
+                continue
+            until = min(timers[0][0], timeout_us) if timers else timeout_us
+            try:
+                env = self.inbox.get(timeout=(until - now) / 1e6)
+            except queue.Empty:
+                continue
+            on_message(env.dst, env)
+
+
+class Context:
+    """What a PE actor sees of the outside world: its loop's clock, timers
+    and messages, and the run's trace."""
+
+    def __init__(self, pe_id: int, rng: Random, loop: SimLoop | WallLoop,
+                 trace: Trace):
+        self.pe_id = pe_id
+        self.rng = rng
         self._loop = loop
         self._trace = trace
 
@@ -164,73 +182,15 @@ class SimContext(Context):
 
     def log(self, kind: str, job: Optional[int], detail: str = "",
             at_us: Optional[int] = None) -> None:
+        """Trace one event, stamped now unless at_us gives its time."""
         self._trace.add(self._loop.now if at_us is None else at_us,
                         self.pe_id, kind, job, detail)
 
 
-# --- threaded transport ----------------------------------------------------
-
-
-class RealRouter:
-    """Shared mailbox registry for threaded runs."""
-
-    def __init__(self, start_ns: int):
-        self.start_ns = start_ns
-        self.queues: dict[int, "queue.Queue[Envelope]"] = {}
-        self.stop = threading.Event()
-
-    def now_us(self) -> int:
-        return (time.monotonic_ns() - self.start_ns) // 1000
-
-    def register(self, pe_id: int) -> "queue.Queue[Envelope]":
-        q: "queue.Queue[Envelope]" = queue.Queue()
-        self.queues[pe_id] = q
-        return q
-
-
 class RealContext(Context):
-    """Context bound to one PE thread; timers live in a local heap."""
-
-    def __init__(self, pe_id: int, rng: Random, router: RealRouter, trace: Trace):
-        super().__init__(pe_id, rng)
-        self._router = router
-        self._trace = trace
-        self.inbox = router.register(pe_id)
-        self._timers: list[tuple[int, int, str, Any]] = []
-        self._tseq = 0
-
-    def now_us(self) -> int:
-        return self._router.now_us()
+    """A Context on a WallLoop.  Solver threads send through it too."""
 
     def send(self, env: Envelope, extra_delay_us: int = 0) -> None:
-        # Delivery latency is whatever the queues give us; extra_delay is a
+        # Delivery takes as long as the inbox does; extra_delay is a
         # simulation-only refinement and is ignored here.
-        q = self._router.queues.get(env.dst)
-        if q is not None:
-            q.put(env)
-
-    def set_timer(self, delay_us: int, tag: str, data: Any = None) -> None:
-        self._tseq += 1
-        heapq.heappush(self._timers, (self.now_us() + delay_us, self._tseq, tag, data))
-
-    def log(self, kind: str, job: Optional[int], detail: str = "",
-            at_us: Optional[int] = None) -> None:
-        self._trace.add(self.now_us() if at_us is None else at_us,
-                        self.pe_id, kind, job, detail)
-
-    def pump(self, on_message: Callable[[Envelope], None],
-             on_timer: Callable[[str, Any], None]) -> None:
-        """Serve the mailbox and timer heap until the router stops."""
-        while not self._router.stop.is_set():
-            now = self.now_us()
-            while self._timers and self._timers[0][0] <= now:
-                _t, _s, tag, data = heapq.heappop(self._timers)
-                on_timer(tag, data)
-            wait_s = 0.005
-            if self._timers:
-                wait_s = min(wait_s, max(0.0, (self._timers[0][0] - self.now_us()) / 1e6))
-            try:
-                env = self.inbox.get(timeout=wait_s)
-            except queue.Empty:
-                continue
-            on_message(env)
+        self._loop.inbox.put(env)

@@ -17,7 +17,7 @@ from random import Random
 from typing import Iterable, Mapping, Sequence
 
 from .formula import Cnf
-from .util import is_real
+from .util import MAX_SECONDS, is_real
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +49,12 @@ class JobDescriptor:
                 raise ValueError(f"{name} {value!r} is not an integer >= 1")
         for name in ("synthetic_s", "wallclock_limit_s"):
             value = getattr(self, name)
-            if value is not None and not (is_real(value) and 0 < value < math.inf):
-                raise ValueError(f"{name} {value!r} is not a positive finite number")
-        if not (is_real(self.arrival_s) and 0 <= self.arrival_s < math.inf):
-            raise ValueError(f"arrival_s {self.arrival_s!r} is not a finite number >= 0")
+            if value is not None and not (is_real(value) and 0 < value <= MAX_SECONDS):
+                raise ValueError(
+                    f"{name} {value!r} is not a positive finite number <= {MAX_SECONDS}")
+        if not (is_real(self.arrival_s) and 0 <= self.arrival_s <= MAX_SECONDS):
+            raise ValueError(f"arrival_s {self.arrival_s!r} is not a finite number >= 0"
+                             f" and <= {MAX_SECONDS}")
 
 
 @dataclass(frozen=True)

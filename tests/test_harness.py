@@ -276,6 +276,21 @@ def test_parse_scenario_full(tmp_path):
      "line 1: epsilon -inf is not a finite number"),
     ('{"type": "config", "filter_halflife_s": NaN}\n{"type": "job", "synthetic": 1.0}',
      "line 1: filter_halflife_s nan is not a finite number"),
+    # Every time is at most MAX_SECONDS, so it fits integer µs.
+    ('{"type": "job", "synthetic": 1e308}',
+     "line 1: synthetic_s 1e\\+308 is not a positive finite number <= 1000000000"),
+    ('{"type": "job", "synthetic": 1.0, "wallclock_limit": 1e10}',
+     "line 1: wallclock_limit_s 10000000000.0 is not a positive finite number <= 1000000000"),
+    ('{"type": "job", "synthetic": 1.0, "arrival": 1e308}',
+     "line 1: arrival_s 1e\\+308 is not a finite number >= 0 and <= 1000000000"),
+    ('{"type": "job", "synthetic": 1.0, "job": 1}\n{"type": "demand", "at": 1e308, "job": 1, "demand": 2}',
+     "line 2: at 1e\\+308 is not a finite number >= 0 and <= 1000000000"),
+    ('{"type": "config", "timeout_s": 1e308}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: timeout_s must be <= 1000000000"),
+    ('{"type": "job", "synthetic": 1.0}\n{"type": "config", "share_period_s": 1e308}',
+     "line 2: share_period_s must be <= 1000000000"),
+    ('{"type": "config", "slice_ms": 1e308}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: slice_ms must be <= 1000000000000"),
 ])
 def test_parse_scenario_errors(text, msg, tmp_path):
     with pytest.raises(ScenarioError, match=msg):
@@ -380,6 +395,8 @@ def test_cli_solve_bad_alpha(tmp_path, capsys):
     (["--epsilon", "nan"], "epsilon nan is not a finite number"),
     (["--balance-period", "1e-9"], "balance_period_s must be >= 1e-06"),
     (["--share-period", "0"], "share_period_s must be >= 1e-06"),
+    (["--timeout", "1e308"], "timeout_s must be <= 1000000000"),
+    (["--share-period", "1e308"], "share_period_s must be <= 1000000000"),
 ])
 def test_cli_solve_bad_config_exits_1(flags, msg, tmp_path, capsys):
     f = tmp_path / "sat.cnf"
@@ -509,6 +526,17 @@ def test_cli_hos_rejects_bad_entry(entry, tmp_path, capsys):
     assert main(["hos", str(f)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"flexsat: error: {f}: ") and "entry 1" in err
+
+
+@pytest.mark.parametrize("limit", ["-5", "nan", "0", "inf"])
+def test_cli_hos_rejects_bad_timeout(limit, tmp_path, capsys):
+    f = tmp_path / "times.json"
+    f.write_text(json.dumps([{"job": 1, "runtime": None}, {"job": 2, "runtime": 4}]))
+    assert main(["hos", str(f), "--timeout", limit]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"flexsat: error: --timeout {float(limit)!r}"
+                            " is not a positive finite number\n")
 
 
 def test_cli_hos_accepts_null_runtime_and_integral_times(tmp_path, capsys):

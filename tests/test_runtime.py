@@ -15,7 +15,7 @@ from flexsat.harness.report import parse_trace_line
 from flexsat.runtime import Cluster, ClusterConfig, Envelope, mono_mode
 from flexsat.runtime import pe as pe_mod
 from flexsat.runtime import transport as tp
-from flexsat.runtime.transport import SimLoop, Trace, format_time_ms
+from flexsat.runtime.transport import RealContext, SimLoop, Trace, WallLoop, format_time_ms
 from flexsat.sched import JobDescriptor
 from flexsat.solver import CdclSolver, SlsSolver, cdcl_solve
 from helpers import php_cnf, random_3cnf
@@ -100,6 +100,12 @@ def test_config_validation():
     (dict(epsilon=-math.inf), "epsilon -inf is not a finite number"),
     (dict(alpha=math.nan), "alpha nan is not a finite number"),
     (dict(filter_halflife_s=math.inf), "filter_halflife_s inf is not a finite number"),
+    # a finite time too large for integer µs or for the wall loop's wait
+    (dict(timeout_s=1e308), "timeout_s must be <= 1000000000"),
+    (dict(share_period_s=1e308), "share_period_s must be <= 1000000000"),
+    (dict(balance_period_s=1e10), "balance_period_s must be <= 1000000000"),
+    (dict(filter_halflife_s=1e308), "filter_halflife_s must be <= 1000000000"),
+    (dict(slice_ms=1e308), "slice_ms must be <= 1000000000000"),
 ])
 def test_config_validate_rejects_as_written(kw, msg):
     with pytest.raises(ValueError, match=msg):
@@ -168,6 +174,28 @@ def test_simloop_deterministic_per_seed():
 
     assert run(9) == run(9)
     assert run(9) != run(10)
+
+
+def test_wall_loop_timers_inbox_stop_and_timeout():
+    loop, events = WallLoop(), []
+    loop.post_timer(2, 30_000, "late", None)
+    loop.post_timer(1, 10_000, "early", None)
+    # Another thread posts, as solver threads do, through a RealContext.
+    sender = threading.Timer(0.05, RealContext(3, Random(0), loop, Trace()).send,
+                             args=(Envelope("K", 3, 4, None, {}),))
+    sender.start()
+    start = time.monotonic()
+    loop.run(lambda dst, env: events.append((loop.now, "msg", dst)),
+             lambda pe, tag, data: events.append((loop.now, tag, pe)),
+             lambda: len(events) == 3, timeout_us=10 ** 7)
+    sender.join()
+    assert [e[1:] for e in events] == [("early", 1), ("late", 2), ("msg", 4)]
+    assert events[0][0] >= 10_000 and events[1][0] >= 30_000  # never early
+    assert time.monotonic() - start < 5.0  # should_stop, not the timeout, ended it
+    # With nothing to do, the timeout ends the run.
+    loop = WallLoop()
+    loop.run(lambda dst, env: None, lambda pe, tag, data: None, lambda: False, 50_000)
+    assert 50_000 <= loop.now < 5_000_000
 
 
 def test_simloop_timer_order():
@@ -377,7 +405,7 @@ def test_runs_leave_no_cyclic_garbage(collector_off):
     assert any(k == "SUSPEND" for k, _d in kinds)
     assert any(k == "SHARE" for k, _d in kinds)
     assert report.aggregates["end_reason"] == "timeout"
-    # Real mode: solver threads and PE threads, joined before collecting.
+    # Real mode: solver threads, joined before collecting.
     before = set(threading.enumerate())
     report = mono_mode(random_3cnf(Random(11), 40, 160),
                        small_cfg(num_pes=3, threads=2, sim=False, timeout_s=60.0))
@@ -413,8 +441,7 @@ def test_huge_formula_runs_one_solver_per_node(monkeypatch):
 
 def test_real_run_returns_after_its_solver_threads_exit():
     # A hard formula and a short timeout: the solvers are mid-search when
-    # the run ends, so they exit only because the run terminates them.  A
-    # short tick keeps the sampler's join from giving them time to exit.
+    # the run ends, so they exit only because the run terminates them.
     before = set(threading.enumerate())
     report = mono_mode(php_cnf(9), small_cfg(num_pes=3, threads=2, sim=False,
                                              timeout_s=0.5, balance_period_s=0.01))
@@ -423,6 +450,21 @@ def test_real_run_returns_after_its_solver_threads_exit():
              if kind == "STATS"]
     assert stats and "slots=4" in stats[-1]
     assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_real_run_starts_only_its_solver_threads(monkeypatch):
+    # Every PE runs on the caller's thread; each solver slot gets one thread.
+    started = []
+    orig_start = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self.name)
+        orig_start(self)
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    report = mono_mode(php_cnf(9), small_cfg(num_pes=4, threads=2, sim=False,
+                                             timeout_s=0.3))
+    slots, _fresh = _slots_and_fresh_starts(report)
+    assert slots >= 2 and len(started) == slots
 
 
 def eviction_run():
