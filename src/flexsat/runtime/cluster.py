@@ -26,6 +26,10 @@ from .transport import Context, RealContext, SimLoop, Trace, WallLoop
 # Out-degree of the random regular graph that job requests walk.
 DEGREE = 4
 
+# The most units per simulated ms a rate may ask: times slice_ms (at most
+# 10^12) and FLIPS_PER_CONFLICT, a slice's budget stays a finite integer.
+MAX_RATE = 10**9
+
 
 # What each kind of knob accepts, checked as written: bools are not ints,
 # ints pass as reals, strings are never numbers.
@@ -81,11 +85,14 @@ class ClusterConfig:
     cache_size: int = knob(3, int, (">=", 1), traced=False)
     sharing: bool = knob(True, bool)
     ramp: str = knob("double", ("double", "full"))
-    # simulated solver time slice, and conflicts and flips per simulated ms
+    # Simulated solver time slice, and conflicts and flips per simulated ms.
+    # A slice runs max(1, int(slice_ms * rate)) units, so any rate below one
+    # unit per slice runs one.  An unset sls_rate is FLIPS_PER_CONFLICT *
+    # cdcl_rate: every slot shares one machine speed.
     slice_ms: float = knob(2.0, float, (">=", MIN_PERIOD_S * 1e3), ("<=", MAX_SECONDS * 1000),
                            traced=False)
-    cdcl_rate: float = knob(20.0, float, (">", 0), traced=False)
-    sls_rate: float = knob(400.0, float, (">", 0), traced=False)
+    cdcl_rate: float = knob(20.0, float, (">", 0), ("<=", MAX_RATE), traced=False)
+    sls_rate: Optional[float] = knob(None, float, (">", 0), ("<=", MAX_RATE), traced=False)
 
     @property
     def budget(self) -> int:
@@ -116,6 +123,11 @@ class ClusterConfig:
         return dict(shown, budget=self.budget)
 
 
+# SLS flips per CDCL conflict when sls_rate is unset (HordeSat's portfolio
+# runs both kinds of thread side by side on the same cores).
+FLIPS_PER_CONFLICT = 20
+
+
 class Cluster:
     """A client plus workers, wired to one transport."""
 
@@ -127,6 +139,7 @@ class Cluster:
         cfg.validate()
         self.cfg = cfg
         self.trace = Trace()
+        sls_rate = FLIPS_PER_CONFLICT * cfg.cdcl_rate if cfg.sls_rate is None else cfg.sls_rate
         workers = tuple(range(1, cfg.num_pes))
         graph = build_pe_graph(workers, DEGREE, derive_seed(cfg.seed, "graph"))
         self.shared = RunShared(
@@ -139,7 +152,7 @@ class Cluster:
                                 if cfg.filter_halflife_s else None),
             slice_us=int(cfg.slice_ms * 1000),
             cdcl_per_slice=max(1, int(cfg.slice_ms * cfg.cdcl_rate)),
-            sls_per_slice=max(1, int(cfg.slice_ms * cfg.sls_rate)),
+            sls_per_slice=max(1, int(cfg.slice_ms * sls_rate)),
             excfg=cfg.exchange_config(),
         )
         self._loop = SimLoop(cfg.seed) if cfg.sim else WallLoop()

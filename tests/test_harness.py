@@ -291,6 +291,11 @@ def test_parse_scenario_full(tmp_path):
      "line 2: share_period_s must be <= 1000000000"),
     ('{"type": "config", "slice_ms": 1e308}\n{"type": "job", "synthetic": 1.0}',
      "line 1: slice_ms must be <= 1000000000000"),
+    # A rate whose slice budget would overflow an integer count.
+    ('{"type": "config", "cdcl_rate": 1e308}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: cdcl_rate must be <= 1000000000"),
+    ('{"type": "job", "synthetic": 1.0}\n{"type": "config", "sls_rate": 1e308}',
+     "line 2: sls_rate must be <= 1000000000"),
 ])
 def test_parse_scenario_errors(text, msg, tmp_path):
     with pytest.raises(ScenarioError, match=msg):

@@ -5,6 +5,7 @@ import math
 import threading
 import time
 import weakref
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -106,6 +107,10 @@ def test_config_validation():
     (dict(balance_period_s=1e10), "balance_period_s must be <= 1000000000"),
     (dict(filter_halflife_s=1e308), "filter_halflife_s must be <= 1000000000"),
     (dict(slice_ms=1e308), "slice_ms must be <= 1000000000000"),
+    # a finite rate whose slice budget would overflow an integer count
+    (dict(cdcl_rate=1e308), "cdcl_rate must be <= 1000000000"),
+    (dict(sls_rate=1e10), "sls_rate must be <= 1000000000"),
+    (dict(sls_rate=0.0), "sls_rate must be > 0"),
 ])
 def test_config_validate_rejects_as_written(kw, msg):
     with pytest.raises(ValueError, match=msg):
@@ -117,6 +122,37 @@ def test_config_validate_accepts_floor_and_integral_reals():
                         timeout_s=60, epsilon=0, alpha=1, filter_halflife_s=2)
     cfg.validate()
     assert int(cfg.balance_period_s * 1e6) == int(cfg.slice_ms * 1000) == 1
+
+
+@pytest.mark.parametrize("cdcl_rate,slice_ms,budgets", [
+    (None, 0.5, (10, 200)), (None, 2.0, (40, 800)), (None, 3.0, (60, 1200)),
+    (0.05, 0.5, (1, 1)), (0.05, 2.0, (1, 2)), (0.05, 3.0, (1, 3)),
+    (0.2, 0.5, (1, 2)), (0.2, 2.0, (1, 8)), (0.2, 3.0, (1, 12)),
+    (0.3, 0.5, (1, 3)), (0.3, 2.0, (1, 12)), (0.3, 3.0, (1, 18)),
+    (1.0, 0.5, (1, 10)), (1.0, 2.0, (2, 40)), (1.0, 3.0, (3, 60)),
+    (1.5, 0.5, (1, 15)), (1.5, 2.0, (3, 60)), (1.5, 3.0, (4, 90)),
+])
+def test_unset_sls_rate_runs_twenty_flips_per_conflict(cdcl_rate, slice_ms, budgets):
+    # An unset sls_rate gives exactly the slice budgets of an explicit
+    # 20 x cdcl_rate; a rate under one unit per slice still runs one.
+    rate = {} if cdcl_rate is None else {"cdcl_rate": cdcl_rate}
+    unset = ClusterConfig(num_pes=3, slice_ms=slice_ms, **rate)
+    explicit = replace(unset, sls_rate=20 * unset.cdcl_rate)
+    for cfg in (unset, explicit):
+        shared = Cluster(cfg, []).shared
+        assert (shared.cdcl_per_slice, shared.sls_per_slice) == budgets
+        assert type(shared.sls_per_slice) is int
+
+
+def test_unset_sls_rate_trace_matches_explicit_rate():
+    # Seven nodes of two slots reach x=13, the portfolio's SLS slot.
+    cnf = random_3cnf(Random(11), 60, 250)
+    cfg = small_cfg(num_pes=8, threads=2, share_period_s=0.05, cdcl_rate=0.3)
+    unset = mono_mode(cnf, cfg)
+    assert unset.jobs[1]["verdict"] == "SAT"
+    assert " flips=0 " not in [l for l in unset.trace if " STATS " in l][-1]
+    assert unset.trace == mono_mode(cnf, replace(cfg, sls_rate=6.0)).trace
+    assert unset.trace != mono_mode(cnf, replace(cfg, sls_rate=400.0)).trace
 
 
 def test_public_dict_keys():
