@@ -26,8 +26,12 @@ from .transport import Context, RealContext, SimLoop, Trace, WallLoop
 # Out-degree of the random regular graph that job requests walk.
 DEGREE = 4
 
-# The most units per simulated ms a rate may ask: times slice_ms (at most
-# 10^12) and FLIPS_PER_CONFLICT, a slice's budget stays a finite integer.
+# Simulated solver time slice.  A slice runs max(1, int(SLICE_MS * rate))
+# units, so any rate below one unit per slice runs one.
+SLICE_MS = 2.0
+
+# The most units per simulated ms a rate may ask: times SLICE_MS and
+# FLIPS_PER_CONFLICT, a slice's budget stays a finite integer.
 MAX_RATE = 10**9
 
 
@@ -82,15 +86,10 @@ class ClusterConfig:
                      help=("simulated time (default)", "wall clock, one thread per solver"))
     timeout_s: float = knob(300.0, float, (">", 0), ("<=", MAX_SECONDS), flag="--timeout",
                             help="global limit")
-    cache_size: int = knob(3, int, (">=", 1), traced=False)
     sharing: bool = knob(True, bool)
     ramp: str = knob("double", ("double", "full"))
-    # Simulated solver time slice, and conflicts and flips per simulated ms.
-    # A slice runs max(1, int(slice_ms * rate)) units, so any rate below one
-    # unit per slice runs one.  An unset sls_rate is FLIPS_PER_CONFLICT *
-    # cdcl_rate: every slot shares one machine speed.
-    slice_ms: float = knob(2.0, float, (">=", MIN_PERIOD_S * 1e3), ("<=", MAX_SECONDS * 1000),
-                           traced=False)
+    # Conflicts and flips per simulated ms.  An unset sls_rate is
+    # FLIPS_PER_CONFLICT * cdcl_rate: every slot shares one machine speed.
     cdcl_rate: float = knob(20.0, float, (">", 0), ("<=", MAX_RATE), traced=False)
     sls_rate: Optional[float] = knob(None, float, (">", 0), ("<=", MAX_RATE), traced=False)
 
@@ -150,9 +149,9 @@ class Cluster:
             share_us=int(cfg.share_period_s * 1e6),
             filter_halflife_us=(int(cfg.filter_halflife_s * 1e6)
                                 if cfg.filter_halflife_s else None),
-            slice_us=int(cfg.slice_ms * 1000),
-            cdcl_per_slice=max(1, int(cfg.slice_ms * cfg.cdcl_rate)),
-            sls_per_slice=max(1, int(cfg.slice_ms * sls_rate)),
+            slice_us=int(SLICE_MS * 1000),
+            cdcl_per_slice=max(1, int(SLICE_MS * cfg.cdcl_rate)),
+            sls_per_slice=max(1, int(SLICE_MS * sls_rate)),
             excfg=cfg.exchange_config(),
         )
         self._loop = SimLoop(cfg.seed) if cfg.sim else WallLoop()

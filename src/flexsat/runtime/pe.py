@@ -32,6 +32,7 @@ from ..sched import (
     child_indices,
     compute_volumes,
     consolidate,
+    next_hop,
     parent_index,
     pick_eviction,
     route_request,
@@ -40,8 +41,7 @@ from ..sched import (
 from ..solver import SAT, UNKNOWN
 from ..solver.cdcl import CdclSolver
 from ..solver.config import make_portfolio_config, throttled_thread_count
-from ..solver.control import (RUNNING, SUSPENDED as S_SUSPENDED, TERMINATED,
-                              SolverControl, drive)
+from ..solver.control import RUNNING, SUSPENDED as S_SUSPENDED, SolverControl, drive
 from ..solver.ring import ImportRing
 from ..solver.sls import SlsSolver
 from ..util import derive_seed
@@ -62,6 +62,7 @@ CLIENT_ID = 0
 HUGE_SIZE = 100_000_000    # serialized formula size where solver threads throttle
 RING_CAPACITY = 1 << 16    # words in a CDCL slot's import ring
 SINK_CAP = 4096            # exported clauses a node holds between sharing epochs
+CACHE_SIZE = 3             # job-tree nodes a worker holds, active or suspended
 
 
 @dataclass
@@ -109,7 +110,6 @@ class SolverSlot:
         self.filt = filt
         self.forget_rng = forget_rng
         self.next_forget_us: Optional[int] = None
-        self.done = False
         self.thread: Optional[threading.Thread] = None
 
 
@@ -123,8 +123,8 @@ class JobNode:
         self.state = PENDING
         self.desc: Optional[JobDescriptor] = None
         self.parent_pe: Optional[int] = None
-        self.links: dict[int, Optional[int]] = {1: None, 2: None}
-        self.pending_req = {1: False, 2: False}
+        self.links: dict[int, int] = {}       # adopted child index -> PE
+        self.requested: set[int] = set()      # child indices with a request in flight
         self.volume = 0
         self.slots: Optional[list[SolverSlot]] = None
         self.sink: deque = deque()
@@ -140,25 +140,19 @@ class JobNode:
         self.share_timer_on = False
 
 
-def _dispatch_tables(cls) -> tuple[dict, dict]:
-    """Message kind -> _h_<kind> handler and timer tag -> _t_<tag> handler."""
-    handlers, timers = {}, {}
-    for name in dir(cls):
-        if name.startswith("_h_"):
-            handlers[name[3:].upper()] = getattr(cls, name)
-        elif name.startswith("_t_"):
-            timers[name[3:]] = getattr(cls, name)
-    return handlers, timers
-
-
 class BasePE:
     """Balancing-reduction participation shared by client and workers."""
 
-    # Each class resolves kinds and tags through tables built once from its
+    # Each subclass resolves kinds and tags through tables built once from its
     # _h_* and _t_* methods, so dispatch makes no per-event name string.
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._handlers, cls._timers = _dispatch_tables(cls)
+        cls._handlers, cls._timers = {}, {}
+        for name in dir(cls):
+            if name.startswith("_h_"):
+                cls._handlers[name[3:].upper()] = getattr(cls, name)
+            elif name.startswith("_t_"):
+                cls._timers[name[3:]] = getattr(cls, name)
 
     def __init__(self, ctx: Context, shared: RunShared):
         self.ctx = ctx
@@ -254,9 +248,6 @@ class BasePE:
         pass
 
 
-BasePE._handlers, BasePE._timers = _dispatch_tables(BasePE)
-
-
 class WorkerPE(BasePE):
     """Scheduling + solving actor; at most one node computes at a time."""
 
@@ -299,7 +290,7 @@ class WorkerPE(BasePE):
                 if n.state == SUSPENDED and not n.epochs and n.key != self.occupied]
 
     def _cache_admits(self) -> bool:
-        return len(self.nodes) < self.shared.cfg.cache_size or bool(self._evictable())
+        return len(self.nodes) < CACHE_SIZE or bool(self._evictable())
 
     def _do_resume(self, node: JobNode, req: JobRequest) -> None:
         node.parent_pe = req.origin
@@ -313,8 +304,8 @@ class WorkerPE(BasePE):
 
     def _do_adopt(self, req: JobRequest) -> None:
         # Runs only after route_request chose "adopt", so _cache_admits() held:
-        # a full cache (nodes never exceed cache_size) has a victim.
-        if len(self.nodes) >= self.shared.cfg.cache_size:
+        # a full cache (nodes never exceed CACHE_SIZE) has a victim.
+        if len(self.nodes) >= CACHE_SIZE:
             job, x = pick_eviction(self._evictable())
             self.teardown_node(job, x, "evict", abort_children=False)
         node = JobNode(req.job, req.x)
@@ -330,20 +321,15 @@ class WorkerPE(BasePE):
             return
         pnode = self.nodes.get((req.job, parent_index(req.x)))
         if pnode is not None:
-            side = 1 if req.x % 2 == 1 else 2
-            pnode.pending_req[side] = False  # repair pass retries next epoch
+            pnode.requested.discard(req.x)  # repair pass retries next epoch
 
-    def _emit_child_request(self, node: JobNode, side: int, cx: int) -> None:
+    def _emit_child_request(self, node: JobNode, cx: int) -> None:
         req = JobRequest(node.job, cx, hops=0, origin=self.pe_id)
-        hint = self.hints.get((node.job, cx))
-        if hint is not None and hint != self.pe_id:
-            req.hint_used = True
-            dst = hint
-        elif self.neighbors:
-            dst = self.neighbors[self.rng.randrange(len(self.neighbors))]
-        else:
+        dst = next_hop(req, self.hints.get((node.job, cx)), self.pe_id,
+                       self.neighbors, self.rng)
+        if dst is None:
             return
-        node.pending_req[side] = True
+        node.requested.add(cx)
         self.send(dst, tp.JOB_REQUEST, node.job, {"req": req})
 
     # -- adoption handshake ------------------------------------------------
@@ -354,8 +340,7 @@ class WorkerPE(BasePE):
         if pnode is None or pnode.state != ACTIVE:
             self.send(env.src, tp.ABORT, job, {"x": x})
             return
-        side = 1 if x % 2 == 1 else 2
-        pnode.pending_req[side] = False
+        pnode.requested.discard(x)
         if x >= pnode.volume:
             # demand shrank while the request was in flight
             if env.payload["mode"] == "fresh":
@@ -365,7 +350,7 @@ class WorkerPE(BasePE):
                 self.hints[(job, x)] = env.src
                 self.send(env.src, tp.VOLUME_UPDATE, job, {"x": x, "v": pnode.volume})
             return
-        pnode.links[side] = env.src
+        pnode.links[x] = env.src
         self.hints.pop((job, x), None)
         if env.payload["mode"] == "fresh":
             self.send(env.src, tp.JOB_PAYLOAD, job,
@@ -407,11 +392,7 @@ class WorkerPE(BasePE):
         elif x < node.volume:
             self._activate(node)
         else:
-            node.state = SUSPENDED
-            node.last_active = self.ctx.now_us()
-            if self.occupied == node.key:
-                self.occupied = None
-            self.log("SUSPEND", job, f"x={x} early=1")
+            self._suspend_node(node, " early=1")
 
     # -- node lifecycle ----------------------------------------------------
     def _activate(self, node: JobNode) -> None:
@@ -474,7 +455,7 @@ class WorkerPE(BasePE):
     def _make_export(self, node: JobNode, slot: SolverSlot):
         sink, filt = node.sink, slot.filt
 
-        def export_fn(lits, _lbd):
+        def export_fn(lits):
             if filt.register_export(lits) and len(sink) < SINK_CAP:
                 sink.append(lits)
         return export_fn
@@ -491,19 +472,18 @@ class WorkerPE(BasePE):
                     return lits
         return import_fn
 
-    def _release_child(self, node: JobNode, side: int, cx: int) -> None:
+    def _release_child(self, node: JobNode, cx: int) -> None:
         """Hand child cx its new volume, unlink it and keep it as a hint."""
-        link = node.links[side]
+        link = node.links.pop(cx, None)
         if link is not None:
             self.send(link, tp.VOLUME_UPDATE, node.job, {"x": cx, "v": node.volume})
             self.hints[(node.job, cx)] = link
-            node.links[side] = None
-        node.pending_req[side] = False
+        node.requested.discard(cx)
 
-    def _suspend_node(self, node: JobNode) -> None:
+    def _suspend_node(self, node: JobNode, detail: str = "") -> None:
         job, x = node.key
-        for side, cx in zip((1, 2), child_indices(x)):
-            self._release_child(node, side, cx)
+        for cx in child_indices(x):
+            self._release_child(node, cx)
         if node.slots:
             for slot in node.slots:
                 if slot.control.state == RUNNING:
@@ -513,7 +493,7 @@ class WorkerPE(BasePE):
         # A deferred root keeps its seat so it can resume in place.
         if x != 0 and self.occupied == node.key:
             self.occupied = None
-        self.log("SUSPEND", job, f"x={x}")
+        self.log("SUSPEND", job, f"x={x}{detail}")
 
     def _apply_volume(self, node: JobNode) -> None:
         if node.state != ACTIVE:
@@ -523,15 +503,15 @@ class WorkerPE(BasePE):
         if x >= v:
             self._suspend_node(node)
             return
-        for side, cx in zip((1, 2), child_indices(x)):
-            link = node.links[side]
+        for cx in child_indices(x):
+            link = node.links.get(cx)
             if cx < v:
                 if link is not None:
                     self.send(link, tp.VOLUME_UPDATE, job, {"x": cx, "v": v})
-                elif not node.pending_req[side]:
-                    self._emit_child_request(node, side, cx)
+                elif cx not in node.requested:
+                    self._emit_child_request(node, cx)
             else:
-                self._release_child(node, side, cx)
+                self._release_child(node, cx)
 
     def _h_volume_update(self, env: Envelope) -> None:
         node = self.nodes.get((env.job, env.payload["x"]))
@@ -547,8 +527,8 @@ class WorkerPE(BasePE):
     def teardown_node(self, job: int, x: int, reason: str,
                       abort_children: bool = True) -> None:
         node = self.nodes.pop((job, x), None)
-        for side, cx in zip((1, 2), child_indices(x)):
-            dst = node.links[side] if node is not None else None
+        for cx in child_indices(x):
+            dst = node.links.get(cx) if node is not None else None
             hinted = self.hints.pop((job, cx), None)
             if abort_children:
                 dst = dst if dst is not None else hinted
@@ -558,8 +538,7 @@ class WorkerPE(BasePE):
             return
         if node.slots:
             for slot in node.slots:
-                if slot.control.state != TERMINATED:
-                    slot.control.terminate()
+                slot.control.terminate()
         if self.occupied == node.key:
             self.occupied = None
         self.log("END", job, f"x={x} reason={reason}")
@@ -581,10 +560,9 @@ class WorkerPE(BasePE):
         node = self.nodes.get(key) if key else None
         if node is None or node.state != ACTIVE:
             return
-        for side, cx in zip((1, 2), child_indices(node.x)):
-            if (cx < node.volume and node.links[side] is None
-                    and not node.pending_req[side]):
-                self._emit_child_request(node, side, cx)
+        for cx in child_indices(node.x):
+            if cx < node.volume and cx not in node.links and cx not in node.requested:
+                self._emit_child_request(node, cx)
 
     def _after_volumes(self, k: int, events: dict[int, JobInfo]) -> None:
         for ev in events.values():
@@ -654,9 +632,7 @@ class WorkerPE(BasePE):
                     reply_to: Optional[tuple[int, int]] = None) -> None:
         """Start epoch n at a node; reply_to is (PE, parent index), None at the root."""
         self._prune_epochs(node, n)
-        links = [(cx, node.links[side])
-                 for side, cx in zip((1, 2), child_indices(node.x))
-                 if node.links[side] is not None]
+        links = sorted(node.links.items())
         st = EpochState(own=self._drain_exports(node), expected=dict(links),
                         reply_to=reply_to)
         if not links:  # a leaf completes at once
@@ -736,13 +712,11 @@ class WorkerPE(BasePE):
     # -- results -----------------------------------------------------------
     def _solver_finished(self, node: JobNode, slot: SolverSlot, verdict: str,
                          delay_us: int = 0) -> None:
-        slot.done = True
+        slot.control.terminate()
         if node.result_reported:
             return
-        if node.slots:
-            for other in node.slots:
-                if other.control.state != TERMINATED:
-                    other.control.terminate()
+        for other in node.slots:
+            other.control.terminate()
         if node.x != 0:
             self.log("RESULT", node.job, f"verdict={verdict} x={node.x}")
         model = slot.solver.model if verdict == SAT else None
@@ -808,20 +782,17 @@ class WorkerPE(BasePE):
             return
         any_live = False
         for slot in node.slots:
-            if slot.done or slot.solver.blocked or slot.control.state != RUNNING:
+            if slot.solver.blocked or slot.control.state != RUNNING:
                 continue
             self._forget_check(slot)
             stats = slot.solver.stats
-            if slot.kind == "cdcl":
-                before = stats.conflicts
-                budget = self.shared.cdcl_per_slice
-            else:
-                before = stats.flips
-                budget = self.shared.sls_per_slice
+            # A slot moves only one of its two counters, and a budget is >= 1.
+            before = stats.conflicts + stats.flips
+            budget = (self.shared.cdcl_per_slice if slot.kind == "cdcl"
+                      else self.shared.sls_per_slice)
             verdict = slot.solver.step(budget)
             if verdict is not None:
-                used = (stats.conflicts if slot.kind == "cdcl" else stats.flips) - before
-                frac = min(1.0, used / budget) if budget else 1.0
+                frac = min(1.0, (stats.conflicts + stats.flips - before) / budget)
                 self._solver_finished(node, slot, verdict,
                                       delay_us=int(self.shared.slice_us * frac))
                 if self.nodes.get(key) is not node:
@@ -854,7 +825,6 @@ class ClientPE(BasePE):
         self.waiting: list[int] = []
         self.outstanding: set[int] = set()
         self.root_pe: dict[int, int] = {}
-        self.aborted: set[int] = set()
         self.results: dict[int, dict] = {}
         self.finished = False
 
@@ -897,8 +867,7 @@ class ClientPE(BasePE):
     def _on_balance_tick(self, k: int) -> None:
         # re-emit requests that came back parked
         for job in sorted(self.active):
-            if (job not in self.root_pe and job not in self.outstanding
-                    and job not in self.results):
+            if job not in self.root_pe and job not in self.outstanding:
                 self._emit_root_request(job)
 
     def _h_job_request(self, env: Envelope) -> None:
@@ -909,7 +878,7 @@ class ClientPE(BasePE):
     def _h_adopt_ack(self, env: Envelope) -> None:
         job = env.job
         self.outstanding.discard(job)
-        if job in self.aborted or job in self.results or job in self.root_pe:
+        if job in self.results or job in self.root_pe:
             self.send(env.src, tp.ABORT, job, {"x": 0})
             return
         self.root_pe[job] = env.src
@@ -954,7 +923,6 @@ class ClientPE(BasePE):
     def _t_deadline(self, job: int) -> None:
         if job in self.results:
             return
-        self.aborted.add(job)
         root = self.root_pe.get(job)
         if root is not None:
             self.send(root, tp.ABORT, job, {"x": 0})

@@ -279,12 +279,22 @@ def route_request(req: JobRequest, view: PeView, rng: Random) -> RouteDecision:
     if req.hops >= view.h_max:
         return RouteDecision("park", req.origin)
     req.hops += 1
-    if view.hint is not None and not req.hint_used and view.hint != view.pe_id:
-        req.hint_used = True
-        return RouteDecision("forward", view.hint)
-    if not view.neighbors:
+    dst = next_hop(req, view.hint, view.pe_id, view.neighbors, rng)
+    if dst is None:
         return RouteDecision("park", req.origin)
-    return RouteDecision("forward", view.neighbors[rng.randrange(len(view.neighbors))])
+    return RouteDecision("forward", dst)
+
+
+def next_hop(req: JobRequest, hint: int | None, pe_id: int,
+             neighbors: Sequence[int], rng: Random) -> int | None:
+    """Where a request goes next: the remembered former child once per walk,
+    else a random neighbour; None when there is neither."""
+    if hint is not None and not req.hint_used and hint != pe_id:
+        req.hint_used = True
+        return hint
+    if not neighbors:
+        return None
+    return neighbors[rng.randrange(len(neighbors))]
 
 
 def pick_eviction(

@@ -26,7 +26,7 @@ from .config import CdclParams
 from .control import RUNNING, SolverControl, drive
 
 ImportFn = Callable[[], "tuple[int, ...] | None"]
-ExportFn = Callable[[tuple[int, ...], int], None]
+ExportFn = Callable[[tuple[int, ...]], None]
 
 _RESCALE = 1e100
 
@@ -313,7 +313,7 @@ class CdclSolver:
             # code order is canonical order; decode to signed literals
             canon = tuple([-(c >> 1) if c & 1 else c >> 1 for c in sorted(learnt)])
             self.stats.exported += 1
-            self.export_fn(canon, max(1, lbd))
+            self.export_fn(canon)
         self.var_inc /= self.params.decay
 
     def _backtrack(self, lvl: int) -> None:

@@ -1,10 +1,12 @@
 """Cluster runtime: transports, mono runs, malleability, determinism."""
 import gc
 import hashlib
+import json
 import math
 import threading
 import time
 import weakref
+from collections import Counter
 from dataclasses import replace
 from random import Random
 
@@ -14,6 +16,7 @@ from flexsat.exchange import ClauseFilter
 from flexsat.formula import Cnf, check_model
 from flexsat.harness.report import parse_trace_line
 from flexsat.runtime import Cluster, ClusterConfig, Envelope, mono_mode
+from flexsat.runtime import cluster as cluster_mod
 from flexsat.runtime import pe as pe_mod
 from flexsat.runtime import transport as tp
 from flexsat.runtime.transport import RealContext, SimLoop, Trace, WallLoop, format_time_ms
@@ -52,8 +55,6 @@ def test_config_validation():
         ClusterConfig(alpha=0.3).validate()
     with pytest.raises(ValueError, match="timeout"):
         ClusterConfig(timeout_s=0).validate()
-    with pytest.raises(ValueError, match="cache_size must be >= 1"):
-        ClusterConfig(cache_size=0).validate()
     with pytest.raises(ValueError, match="share_period_s must be >= 1e-06"):
         ClusterConfig(share_period_s=0.0).validate()
     for bad in (0, -1):
@@ -75,15 +76,13 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("kw,msg", [
-    # under 1 µs once converted, a period or slice re-arms its timer forever
+    # under 1 µs once converted, a period re-arms its timer forever
     (dict(balance_period_s=1e-9), "balance_period_s must be >= 1e-06"),
     (dict(share_period_s=9.99e-7), "share_period_s must be >= 1e-06"),
-    (dict(slice_ms=1e-4), "slice_ms must be >= 0.001"),
     # values are checked as written: bools are not ints, strings not numbers
     (dict(num_pes=8.5), "num_pes 8.5 is not an integer"),
     (dict(seed=1.5), "seed 1.5 is not an integer"),
     (dict(threads=True), "threads True is not an integer"),
-    (dict(cache_size=2.5), "cache_size 2.5 is not an integer"),
     (dict(beta=1500.0), "beta 1500.0 is not an integer"),
     (dict(max_jobs="2"), "max_jobs '2' is not an integer"),
     (dict(sharing="no"), "sharing 'no' is not true or false"),
@@ -97,7 +96,6 @@ def test_config_validation():
     (dict(share_period_s=math.inf), "share_period_s inf is not a finite number"),
     (dict(cdcl_rate=math.nan), "cdcl_rate nan is not a finite number"),
     (dict(sls_rate=math.inf), "sls_rate inf is not a finite number"),
-    (dict(slice_ms=math.nan), "slice_ms nan is not a finite number"),
     (dict(epsilon=-math.inf), "epsilon -inf is not a finite number"),
     (dict(alpha=math.nan), "alpha nan is not a finite number"),
     (dict(filter_halflife_s=math.inf), "filter_halflife_s inf is not a finite number"),
@@ -106,11 +104,15 @@ def test_config_validation():
     (dict(share_period_s=1e308), "share_period_s must be <= 1000000000"),
     (dict(balance_period_s=1e10), "balance_period_s must be <= 1000000000"),
     (dict(filter_halflife_s=1e308), "filter_halflife_s must be <= 1000000000"),
-    (dict(slice_ms=1e308), "slice_ms must be <= 1000000000000"),
     # a finite rate whose slice budget would overflow an integer count
     (dict(cdcl_rate=1e308), "cdcl_rate must be <= 1000000000"),
     (dict(sls_rate=1e10), "sls_rate must be <= 1000000000"),
     (dict(sls_rate=0.0), "sls_rate must be > 0"),
+    # the remaining bounds of the config table
+    (dict(threads=0), "threads must be >= 1"),
+    (dict(cdcl_rate=0.0), "cdcl_rate must be > 0"),
+    (dict(epsilon=-0.1), "epsilon must be >= 0"),
+    (dict(epsilon=1.0), "epsilon must be < 1"),
 ])
 def test_config_validate_rejects_as_written(kw, msg):
     with pytest.raises(ValueError, match=msg):
@@ -118,10 +120,10 @@ def test_config_validate_rejects_as_written(kw, msg):
 
 
 def test_config_validate_accepts_floor_and_integral_reals():
-    cfg = ClusterConfig(balance_period_s=1e-6, share_period_s=1e-6, slice_ms=1e-3,
+    cfg = ClusterConfig(balance_period_s=1e-6, share_period_s=1e-6,
                         timeout_s=60, epsilon=0, alpha=1, filter_halflife_s=2)
     cfg.validate()
-    assert int(cfg.balance_period_s * 1e6) == int(cfg.slice_ms * 1000) == 1
+    assert int(cfg.balance_period_s * 1e6) == 1
 
 
 @pytest.mark.parametrize("cdcl_rate,slice_ms,budgets", [
@@ -132,11 +134,13 @@ def test_config_validate_accepts_floor_and_integral_reals():
     (1.0, 0.5, (1, 10)), (1.0, 2.0, (2, 40)), (1.0, 3.0, (3, 60)),
     (1.5, 0.5, (1, 15)), (1.5, 2.0, (3, 60)), (1.5, 3.0, (4, 90)),
 ])
-def test_unset_sls_rate_runs_twenty_flips_per_conflict(cdcl_rate, slice_ms, budgets):
-    # An unset sls_rate gives exactly the slice budgets of an explicit
-    # 20 x cdcl_rate; a rate under one unit per slice still runs one.
+def test_unset_sls_rate_runs_twenty_flips_per_conflict(cdcl_rate, slice_ms, budgets,
+                                                      monkeypatch):
+    # At any slice length, an unset sls_rate gives exactly the slice budgets
+    # of an explicit 20 x cdcl_rate; a rate under one unit per slice runs one.
+    monkeypatch.setattr(cluster_mod, "SLICE_MS", slice_ms)
     rate = {} if cdcl_rate is None else {"cdcl_rate": cdcl_rate}
-    unset = ClusterConfig(num_pes=3, slice_ms=slice_ms, **rate)
+    unset = ClusterConfig(num_pes=3, **rate)
     explicit = replace(unset, sls_rate=20 * unset.cdcl_rate)
     for cfg in (unset, explicit):
         shared = Cluster(cfg, []).shared
@@ -424,10 +428,11 @@ def test_torn_down_nodes_free_their_filters(monkeypatch, collector_off):
     assert all(id(o) in held for o in alive)
 
 
-def test_runs_leave_no_cyclic_garbage(collector_off):
+def test_runs_leave_no_cyclic_garbage(collector_off, monkeypatch):
     # Sharing, a shrink that suspends nodes, adoptions that evict them from
     # a one-node cache, and a timeout with live solvers.
-    cfg = small_cfg(num_pes=6, threads=2, cache_size=1, share_period_s=0.05,
+    monkeypatch.setattr(pe_mod, "CACHE_SIZE", 1)
+    cfg = small_cfg(num_pes=6, threads=2, share_period_s=0.05,
                     timeout_s=0.45, cdcl_rate=1.0, sls_rate=20.0)
     jobs = [JobDescriptor(job=1, priority=0.5, demand=5, cnf=php_cnf(6)),
             JobDescriptor(job=2, priority=0.5, arrival_s=0.3, demand=5,
@@ -505,9 +510,11 @@ def test_real_run_starts_only_its_solver_threads(monkeypatch):
 
 def eviction_run():
     """Three wide jobs on a one-node cache: adoptions must evict suspended nodes."""
-    cfg = small_cfg(num_pes=8, epsilon=0.0, seed=5, cache_size=1)
+    cfg = small_cfg(num_pes=8, epsilon=0.0, seed=5)
     jobs = [synth_job(j, 1.0, 6, arrival=0.2 * (j - 1)) for j in (1, 2, 3)]
-    return Cluster(cfg, jobs, demand_changes=[(0.6, 2, 1)]).run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pe_mod, "CACHE_SIZE", 1)
+        return Cluster(cfg, jobs, demand_changes=[(0.6, 2, 1)]).run()
 
 
 def test_full_cache_evicts_suspended_nodes():
@@ -566,6 +573,32 @@ def test_trace_digests_pinned(run, digest):
     """
     trace = run().trace
     assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("run", [
+    criterion9_run, eviction_run, sharing_mono_run, multi_cnf_sharing_run,
+], ids=["criterion9", "eviction", "sharing_mono", "multi_cnf_sharing"])
+def test_one_owner_per_tree_node(run):
+    """Read from the trace: a tree node computes on at most one PE at a time,
+    every job ends with exactly one DONE, and no tick is busier than the budget."""
+    lines = [parse_trace_line(line) for line in run().trace]
+    config = next(d for _t, _pe, kind, _job, d in lines if kind == "CONFIG")
+    budget = json.loads(config)["budget"]
+    owner: dict[tuple[int, int], int] = {}
+    done = Counter()
+    for _t, pe, kind, job, detail in lines:
+        if kind in ("START", "SUSPEND", "END"):
+            key = (job, int(detail.split()[0].removeprefix("x=")))
+            if kind == "START":
+                assert owner.setdefault(key, pe) == pe, f"{key} active on two PEs"
+            elif owner.get(key) == pe:
+                del owner[key]
+        elif kind == "DONE":
+            done[job] += 1
+        elif kind == "TICK":
+            assert int(detail.split()[0].removeprefix("busy=")) <= budget
+    jobs = {job for _t, _pe, _kind, job, _d in lines if job is not None}
+    assert done and done == Counter(dict.fromkeys(jobs, 1))
 
 
 def test_priority_shapes_volumes():

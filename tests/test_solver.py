@@ -139,12 +139,11 @@ def test_cdcl_import_shapes_model():
 
 def test_cdcl_export_learned_clauses():
     cnf = random_3cnf(Random(21), 30, 129)
-    got: list[tuple[tuple[int, ...], int]] = []
-    res = cdcl_solve(cnf, seed=3,
-                     export_fn=lambda lits, lbd: got.append((lits, lbd)))
+    got: list[tuple[int, ...]] = []
+    res = cdcl_solve(cnf, seed=3, export_fn=got.append)
     assert res.stats.exported == len(got) > 0
-    for lits, lbd in got:
-        assert len(lits) <= 30 and lbd >= 1
+    for lits in got:
+        assert len(lits) <= 30
         assert list(lits) == sorted(lits, key=lambda l: (abs(l), l < 0))
 
 
@@ -157,7 +156,7 @@ def test_cdcl_exports_canonical_signed_tuples():
     cnf = random_3cnf(Random(21), 40, 172)
     learnt_seen, exported = [], []
     s = CdclSolver(cnf, seed=3, export_max_len=None,
-                   export_fn=lambda lits, lbd: exported.append(lits))
+                   export_fn=exported.append)
     learn = s._learn
 
     def recording_learn(learnt, bt, lbd):
@@ -207,8 +206,7 @@ def test_cdcl_import_with_negative_literals_at_level_zero():
 def test_cdcl_export_length_gate():
     cnf = random_3cnf(Random(21), 30, 129)
     got = []
-    cdcl_solve(cnf, seed=3, export_fn=lambda lits, lbd: got.append(lits),
-               export_max_len=1)
+    cdcl_solve(cnf, seed=3, export_fn=got.append, export_max_len=1)
     assert all(len(lits) == 1 for lits in got)
 
 
