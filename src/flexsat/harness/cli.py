@@ -11,6 +11,7 @@ from pathlib import Path
 
 from ..formula import DimacsError, parse_dimacs
 from ..runtime import ClusterConfig, mono_mode, run_cluster
+from ..runtime.cluster import MONO_FIXED
 from ..util import is_real
 from .metrics import hos_baseline
 from .report import RunReport, report_from_trace
@@ -32,11 +33,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    for f in fields(ClusterConfig):
+def _flagged(fixed: dict) -> list:
+    """The ClusterConfig fields a command takes a flag for: not those it fixes."""
+    return [f for f in fields(ClusterConfig) if f.metadata["flag"] and f.name not in fixed]
+
+
+def _add_config_flags(sub: argparse.ArgumentParser, fixed: dict) -> None:
+    sub.set_defaults(fixed=fixed)
+    for f in _flagged(fixed):
         flag, text, kind = f.metadata["flag"], f.metadata["help"], f.metadata["kind"]
-        if flag is None:
-            continue
         if kind is bool:  # one switch per value
             mode = sub.add_mutually_exclusive_group()
             for opt, const, opt_help in zip(flag, (True, False), text):
@@ -51,9 +56,10 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> ClusterConfig:
-    cfg = replace(ClusterConfig(), **{
-        f.name: getattr(args, f.name) for f in fields(ClusterConfig)
-        if f.metadata["flag"] and getattr(args, f.name) is not None})
+    """The run's config: the flags given, then the command's fixed fields."""
+    given = {f.name: getattr(args, f.name) for f in _flagged(args.fixed)
+             if getattr(args, f.name) is not None}
+    cfg = replace(ClusterConfig(), **given, **args.fixed)
     cfg.validate()
     return cfg
 
@@ -171,14 +177,14 @@ def build_parser() -> _Parser:
                      description="Malleable SAT scheduling and solving, desk scale.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    solve = subs.add_parser("solve", parents=[], help="solve one CNF in mono mode")
+    solve = subs.add_parser("solve", help="solve one CNF in mono mode")
     solve.add_argument("cnf", help="DIMACS file")
-    _add_config_flags(solve)
+    _add_config_flags(solve, MONO_FIXED)
     solve.set_defaults(func=cmd_solve)
 
     run = subs.add_parser("run", help="run a scheduling scenario")
     run.add_argument("scenario", help="scenario file (JSON lines)")
-    _add_config_flags(run)
+    _add_config_flags(run, {})
     run.set_defaults(func=cmd_run)
 
     rep = subs.add_parser("report", help="recompute metrics from trace or report")

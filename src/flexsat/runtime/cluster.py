@@ -1,10 +1,11 @@
 """Cluster assembly and run orchestration.
 
 One process hosts the whole cluster: PE 0 is the client, PEs 1..p-1 are
-workers.  Every PE runs on the thread that calls Cluster.run, driven by one
-event loop: --sim uses a deterministic discrete-event loop with a simulated
-solver cost model; --real uses the wall clock and gives each solver a
-thread of its own.
+workers.  Every PE, and every solver a PE hosts, runs on the thread that
+calls Cluster.run, driven by one event loop: --sim uses a deterministic
+discrete-event loop with a simulated solver cost model; --real uses the
+wall clock, where messages take no time and a worker's next solver slice
+is due as soon as the loop comes back to it.
 """
 from __future__ import annotations
 
@@ -27,7 +28,8 @@ from .transport import Context, RealContext, SimLoop, Trace, WallLoop
 DEGREE = 4
 
 # Simulated solver time slice.  A slice runs max(1, int(SLICE_MS * rate))
-# units, so any rate below one unit per slice runs one.
+# units, so any rate below one unit per slice runs one; on the wall clock a
+# slice runs as many and takes what they take.
 SLICE_MS = 2.0
 
 # The most units per simulated ms a rate may ask: times SLICE_MS and
@@ -83,7 +85,7 @@ class ClusterConfig:
                                    help="jobs admitted concurrently", traced=False)
     seed: int = knob(0, int, flag="--seed", help="run seed")
     sim: bool = knob(True, bool, flag=("--sim", "--real"),
-                     help=("simulated time (default)", "wall clock, one thread per solver"))
+                     help=("simulated time (default)", "wall clock"))
     timeout_s: float = knob(300.0, float, (">", 0), ("<=", MAX_SECONDS), flag="--timeout",
                             help="global limit")
     sharing: bool = knob(True, bool)
@@ -149,7 +151,7 @@ class Cluster:
             share_us=int(cfg.share_period_s * 1e6),
             filter_halflife_us=(int(cfg.filter_halflife_s * 1e6)
                                 if cfg.filter_halflife_s else None),
-            slice_us=int(SLICE_MS * 1000),
+            slice_us=int(SLICE_MS * 1000) if cfg.sim else 0,
             cdcl_per_slice=max(1, int(SLICE_MS * cfg.cdcl_rate)),
             sls_per_slice=max(1, int(SLICE_MS * sls_rate)),
             excfg=cfg.exchange_config(),
@@ -177,7 +179,7 @@ class Cluster:
         totals = {"slots": 0, "conflicts": 0, "propagations": 0, "decisions": 0,
                   "restarts": 0, "flips": 0, "learned": 0, "exported": 0,
                   "imported": 0}
-        for stats, _control, _thread in self.shared.registry:
+        for stats, _control in self.shared.registry:
             totals["slots"] += 1
             for key in ("conflicts", "propagations", "decisions", "restarts",
                         "flips", "learned", "exported", "imported"):
@@ -221,16 +223,7 @@ class Cluster:
 
         loop.run(on_message, on_timer, lambda: self.client.finished, timeout_us)
         reason = "all-done" if self.client.finished else "timeout"
-        end_us = loop.now
-        # Stop the solver threads (only real mode has any) before the report
-        # reads their stats.
-        registry = self.shared.registry
-        for _stats, control, _thread in registry:
-            control.terminate()
-        for _stats, _control, thread in registry:
-            if thread is not None:
-                thread.join(timeout=2.0)
-        return self._finish_report(end_us, reason)
+        return self._finish_report(loop.now, reason)
 
 
 def run_cluster(cfg: ClusterConfig, scenario) -> RunReport:
@@ -240,13 +233,15 @@ def run_cluster(cfg: ClusterConfig, scenario) -> RunReport:
     return cluster.run()
 
 
-def mono_mode(cnf: Cnf, cfg: ClusterConfig, job_id: int = 1) -> RunReport:
-    """Solve one formula on the whole cluster and stop at the first result.
+# The fields mono mode fixes, whatever the config says: the idle reserve
+# makes no sense for a single job, which asks for the full budget at once.
+MONO_FIXED = {"epsilon": 0.0, "ramp": "full", "max_jobs": 1}
 
-    The idle reserve makes no sense for a single job, so epsilon drops to
-    0 and the job asks for the full budget at once.
-    """
-    mono_cfg = replace(cfg, epsilon=0.0, ramp="full", max_jobs=1)
+
+def mono_mode(cnf: Cnf, cfg: ClusterConfig, job_id: int = 1) -> RunReport:
+    """Solve one formula on the whole cluster (MONO_FIXED applied) and stop
+    at the first result."""
+    mono_cfg = replace(cfg, **MONO_FIXED)
     desc = JobDescriptor(job=job_id, priority=0.5, arrival_s=0.0, cnf=cnf)
     cluster = Cluster(mono_cfg, [desc])
     return cluster.run()

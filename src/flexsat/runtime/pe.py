@@ -8,7 +8,6 @@ sharing epochs over each job tree.
 """
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
@@ -41,7 +40,7 @@ from ..sched import (
 from ..solver import SAT, UNKNOWN
 from ..solver.cdcl import CdclSolver
 from ..solver.config import make_portfolio_config, throttled_thread_count
-from ..solver.control import RUNNING, SUSPENDED as S_SUSPENDED, SolverControl, drive
+from ..solver.control import RUNNING, SUSPENDED as S_SUSPENDED, SolverControl
 from ..solver.ring import ImportRing
 from ..solver.sls import SlsSolver
 from ..util import derive_seed
@@ -75,13 +74,12 @@ class RunShared:
     e_us: int                      # balancing epoch period
     share_us: int                  # clause sharing period
     filter_halflife_us: Optional[int]
-    slice_us: int                  # simulated solver time slice
+    slice_us: int                  # solver time slice; 0 on the wall clock
     cdcl_per_slice: int            # conflicts per slice
     sls_per_slice: int             # flips per slice
     excfg: ExchangeConfig
-    # (stats, control, thread) of every solver slot the run started, thread
-    # None when simulated; not the slot itself, so a torn-down node frees
-    # its solvers and filters.
+    # (stats, control) of every solver slot the run started; not the slot
+    # itself, so a torn-down node frees its solvers and filters.
     registry: list = field(default_factory=list)
 
 
@@ -110,7 +108,6 @@ class SolverSlot:
         self.filt = filt
         self.forget_rng = forget_rng
         self.next_forget_us: Optional[int] = None
-        self.thread: Optional[threading.Thread] = None
 
 
 class JobNode:
@@ -167,7 +164,6 @@ class BasePE:
         self.red: dict[int, dict] = {}
         self.jobs_table: dict[int, Any] = {}
         self.volumes = VolumeMap({})
-        self.balance_epoch = 0
 
     # -- plumbing ----------------------------------------------------------
     def send(self, dst: int, kind: str, job: Optional[int], payload: dict,
@@ -237,7 +233,6 @@ class BasePE:
     def _apply_broadcast(self, k: int, events: dict[int, JobInfo]) -> None:
         self.jobs_table = apply_events(self.jobs_table, events)
         self.volumes = compute_volumes(self.jobs_table.values(), self.shared.cfg.budget)
-        self.balance_epoch = k
         self._after_volumes(k, events)
 
     # hooks
@@ -443,11 +438,7 @@ class WorkerPE(BasePE):
             if self.shared.filter_halflife_us and slot.filt is not None:
                 slot.next_forget_us = self.ctx.now_us() + self.shared.filter_halflife_us
             node.slots.append(slot)
-            if not cfg.sim:
-                slot.thread = threading.Thread(
-                    target=self._solver_thread, args=(node, slot), daemon=True)
-                slot.thread.start()
-            self.shared.registry.append((slot.solver.stats, control, slot.thread))
+            self.shared.registry.append((slot.solver.stats, control))
 
     # The callbacks close over the node's sink and the slot's filter and
     # ring, never the node or slot: a solver that held its slot would close
@@ -751,14 +742,6 @@ class WorkerPE(BasePE):
             return
         self._pass_result(node, "DONE", None, None, f"pe{self.pe_id}.x0.synth")
 
-    def _h_solver_done(self, env: Envelope) -> None:
-        # real mode: a solver thread reports in through the loop's inbox
-        node = self.nodes.get((env.job, env.payload["x"]))
-        if node is None or not node.slots:
-            return
-        slot = node.slots[env.payload["slot"]]
-        self._solver_finished(node, slot, env.payload["verdict"])
-
     # -- solver driving ----------------------------------------------------
     def _forget_check(self, slot: SolverSlot) -> None:
         hl = self.shared.filter_halflife_us
@@ -770,7 +753,7 @@ class WorkerPE(BasePE):
             slot.next_forget_us += hl
 
     def _ensure_step(self) -> None:
-        if self.shared.cfg.sim and not self._step_on:
+        if not self._step_on:
             self._step_on = True
             self.ctx.set_timer(self.shared.slice_us, "step", None)
 
@@ -801,13 +784,6 @@ class WorkerPE(BasePE):
                 any_live = True
         if any_live:
             self._ensure_step()
-
-    def _solver_thread(self, node: JobNode, slot: SolverSlot) -> None:
-        chunk = 1000 if slot.kind == "cdcl" else 20000
-        verdict = drive(slot.solver, chunk, lambda: self._forget_check(slot))
-        if verdict is not None:
-            self.send(self.pe_id, tp.SOLVER_DONE, node.job,
-                      {"x": node.x, "slot": slot.index, "verdict": verdict})
 
 
 class ClientPE(BasePE):

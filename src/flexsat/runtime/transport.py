@@ -1,16 +1,16 @@
 """Message transport: one event loop, on a simulated clock or the wall clock.
 
-Every PE of a run lives on the thread that runs the loop and sees the
-outside world through a Context (now_us/send/set_timer/log), so the actor
-code is identical in --sim and --real runs.  In --real runs only the
-solvers get threads of their own; they reach their PE through the wall
-loop's inbox.  Per (src, dst) pair delivery is FIFO in both modes.
+Every PE of a run, solvers included, lives on the thread that runs the
+loop and sees the outside world through a Context (now_us/send/set_timer/
+log), so the actor code is identical in --sim and --real runs; they differ
+only in the clock and in message latency, which is zero on the wall clock.
+Per (src, dst) pair delivery is FIFO in both modes.
 """
 from __future__ import annotations
 
 import heapq
-import queue
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable, Optional
@@ -30,7 +30,6 @@ CLAUSES_BCAST = "CLAUSES_BCAST"
 RESULT = "RESULT"
 ABORT = "ABORT"
 DEMAND_SET = "DEMAND_SET"
-SOLVER_DONE = "SOLVER_DONE"
 
 
 @dataclass
@@ -120,16 +119,16 @@ class SimLoop:
 
 
 class WallLoop:
-    """SimLoop's shape on the wall clock: a timer heap, and one thread-safe
-    inbox for every envelope, solver threads' included, which keeps each
-    (src, dst) pair FIFO.  Between events the loop sleeps on the inbox
-    until the next timer is due."""
+    """SimLoop's shape on the wall clock: a timer heap, and one FIFO inbox
+    for every envelope, which keeps each (src, dst) pair FIFO.  Queued
+    envelopes go before due timers; with neither, the loop sleeps until
+    the next timer is due or the run times out."""
 
     def __init__(self) -> None:
         self._start_ns = time.monotonic_ns()
         self._timers: list[tuple[int, int, int, str, Any]] = []
         self._seq = 0
-        self.inbox: "queue.SimpleQueue[Envelope]" = queue.SimpleQueue()
+        self.inbox: deque[Envelope] = deque()
 
     @property
     def now(self) -> int:
@@ -143,21 +142,20 @@ class WallLoop:
             on_timer: Callable[[int, str, Any], None],
             should_stop: Callable[[], bool],
             timeout_us: int) -> None:
-        timers = self._timers
+        timers, inbox = self._timers, self.inbox
         while not should_stop():
             now = self.now
             if now >= timeout_us:
                 return
-            if timers and timers[0][0] <= now:
+            if inbox:
+                env = inbox.popleft()
+                on_message(env.dst, env)
+            elif timers and timers[0][0] <= now:
                 _t, _seq, pe, tag, data = heapq.heappop(timers)
                 on_timer(pe, tag, data)
-                continue
-            until = min(timers[0][0], timeout_us) if timers else timeout_us
-            try:
-                env = self.inbox.get(timeout=(until - now) / 1e6)
-            except queue.Empty:
-                continue
-            on_message(env.dst, env)
+            else:
+                until = min(timers[0][0], timeout_us) if timers else timeout_us
+                time.sleep((until - now) / 1e6)
 
 
 class Context:
@@ -188,9 +186,9 @@ class Context:
 
 
 class RealContext(Context):
-    """A Context on a WallLoop.  Solver threads send through it too."""
+    """A Context on a WallLoop, whose messages take no time."""
 
     def send(self, env: Envelope, extra_delay_us: int = 0) -> None:
         # Delivery takes as long as the inbox does; extra_delay is a
         # simulation-only refinement and is ignored here.
-        self._loop.inbox.put(env)
+        self._loop.inbox.append(env)

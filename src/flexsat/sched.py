@@ -109,7 +109,6 @@ class VolumeMap:
     """Volumes per job; deferred jobs exceeded the budget and wait at 0."""
 
     volumes: dict[int, int]
-    deferred: tuple[int, ...] = ()
 
     def get(self, job: int, default: int = 0) -> int:
         return self.volumes.get(job, default)
@@ -152,8 +151,7 @@ def compute_volumes(jobs: Iterable[JobInfo], budget: int) -> VolumeMap:
     if budget < n:
         order = sorted(active, key=_tie_key)
         vols = {j.job: 1 for j in order[:budget]}
-        deferred = tuple(j.job for j in order[budget:])
-        return VolumeMap({j.job: vols.get(j.job, 0) for j in active}, deferred)
+        return VolumeMap({j.job: vols.get(j.job, 0) for j in active})
 
     total_d = sum(j.demand for j in active)
     if budget >= total_d:

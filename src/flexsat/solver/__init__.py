@@ -1,9 +1,9 @@
 """Portfolio SAT backends: a CDCL kernel and a WalkSAT-style local search.
 
-Both backends run cooperatively: work happens in bounded step() calls so a
-simulated cluster can interleave many solvers on one thread, while real
-threads run control.drive, which steps in chunks and parks on the shared
-control cell.
+Both backends run cooperatively: work happens in bounded step() calls, so
+a cluster interleaves all its solvers on the one thread of its event loop
+under either clock.  control.drive steps one solver in chunks for a
+blocking solve.
 """
 from __future__ import annotations
 

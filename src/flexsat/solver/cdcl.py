@@ -495,7 +495,7 @@ class CdclSolver:
                 self._decide()
 
     def solve(self, step_conflicts: int = 512) -> SolveResult:
-        """Blocking solve (see control.drive); UNKNOWN if terminated first."""
+        """Blocking solve (see control.drive); UNKNOWN if stopped first."""
         drive(self, step_conflicts)
         return self.result()
 

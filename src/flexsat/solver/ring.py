@@ -1,16 +1,13 @@
-"""Single-producer single-consumer queue for incoming clauses.
+"""Bounded FIFO of incoming clauses for one solver.
 
 Records are the pushed literal tuples themselves, held in a deque: one
 tuple decoded from a sharing buffer sits in the queue of every solver of
 that node, with no per-slot copy in or out, so a queue holds only what it
 carries.  Capacity counts words: a record costs one length word plus its
 literals, and at most `capacity` words are queued (a PE's slots use
-`runtime.pe.RING_CAPACITY`).  Head and tail are monotonically increasing word
-counters; the producer owns the tail, the consumer owns the head, and
-each side reads the other's counter at most once per operation.
-Publication order (record first, counter last) plus CPython's GIL makes
-this safe without locks for exactly one producer and one consumer.  A
-push that does not fit is dropped; the producer never blocks.
+`runtime.pe.RING_CAPACITY`).  The PE that hosts the solver both pushes and
+pops, on the loop's one thread, so one word counter tracks the fill.  A
+push that does not fit is dropped and counted; the producer never blocks.
 """
 from __future__ import annotations
 
@@ -23,29 +20,26 @@ class ImportRing:
             raise ValueError("capacity must be >= 4")
         self.capacity = capacity
         self._records: deque[tuple[int, ...]] = deque()
-        self._head = 0  # words consumed
-        self._tail = 0  # words produced
+        self._words = 0  # words queued
         self.dropped = 0
 
     def __len__(self) -> int:
-        return self._tail - self._head
+        return self._words
 
     def try_push(self, lits: tuple[int, ...]) -> bool:
         """Append one clause; False (and a drop count bump) when full."""
         n = len(lits) + 1
-        tail = self._tail
-        if n > self.capacity - (tail - self._head):  # a stale head only under-counts space
+        if self._words + n > self.capacity:
             self.dropped += 1
             return False
         self._records.append(lits)
-        self._tail = tail + n  # publish after the record is in place
+        self._words += n
         return True
 
     def try_pop(self) -> tuple[int, ...] | None:
         """Remove and return the oldest clause, or None when empty."""
-        head = self._head
-        if head == self._tail:
+        if not self._records:
             return None
         lits = self._records.popleft()
-        self._head = head + len(lits) + 1  # publish after the record is taken
+        self._words -= len(lits) + 1
         return lits

@@ -267,8 +267,8 @@ class SlsSolver:
     def solve(self, max_flips: int = 1_000_000, step_flips: int = 10_000) -> SolveResult:
         """Blocking solve of at most max_flips flips (see control.drive).
 
-        SAT, or UNKNOWN when the budget runs out, the solver is terminated
-        or preprocessing blocked it.
+        SAT, or UNKNOWN when the budget runs out, the solver's control
+        leaves RUNNING or preprocessing blocked it.
         """
         drive(self, step_flips, max_work=max_flips)
         return self.result()

@@ -7,8 +7,8 @@ MASK64 = (1 << 64) - 1
 # Every seconds value becomes integer µs.  1 µs is the simulator's clock
 # tick: a shorter period or solver slice would re-arm its timer at the same
 # instant forever.  MAX_SECONDS, about 31 years, bounds every time an input
-# may give: it keeps each µs product finite and each wait of the wall-clock
-# loop under threading.TIMEOUT_MAX.
+# may give: it keeps each µs product finite and each sleep of the wall-clock
+# loop within what time.sleep accepts.
 MIN_PERIOD_S = 1e-6
 MAX_SECONDS = 10 ** 9
 

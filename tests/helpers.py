@@ -322,8 +322,7 @@ def segment_scan_volumes(jobs: list[JobInfo], budget: int) -> VolumeMap:
     if budget < n:
         order = sorted(active, key=tie_key)
         vols = {j.job: 1 for j in order[:budget]}
-        deferred = tuple(j.job for j in order[budget:])
-        return VolumeMap({j.job: vols.get(j.job, 0) for j in active}, deferred)
+        return VolumeMap({j.job: vols.get(j.job, 0) for j in active})
     if budget >= sum(j.demand for j in active):
         return VolumeMap({j.job: j.demand for j in active})
 

@@ -11,6 +11,7 @@ from flexsat.harness.report import (RunReport, parse_detail, parse_trace_line,
                                     report_from_trace)
 from flexsat.harness.scenario import ScenarioError, parse_scenario
 from flexsat.runtime import ClusterConfig
+from flexsat.runtime.cluster import MONO_FIXED
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -385,6 +386,22 @@ def test_cli_solve_unsat(tmp_path, capsys):
     assert "s UNSATISFIABLE" in capsys.readouterr().out
 
 
+def test_cli_solve_validates_the_config_mono_runs(tmp_path):
+    # The default epsilon leaves no budget at p=2; mono mode fixes it at 0.
+    f = tmp_path / "sat.cnf"
+    f.write_text(SAT_CNF)
+    assert main(["solve", str(f), "--pes", "2"]) == 10
+
+
+@pytest.mark.parametrize("flags", [["--epsilon", "0.3"], ["--max-jobs", "2"]])
+def test_cli_solve_takes_no_flag_for_a_mono_fixed_field(flags, tmp_path, capsys):
+    f = tmp_path / "sat.cnf"
+    f.write_text(SAT_CNF)
+    assert main(["solve", str(f), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err == f"flexsat: error: unrecognized arguments: {' '.join(flags)}\n"
+
+
 def test_cli_solve_bad_alpha(tmp_path, capsys):
     f = tmp_path / "sat.cnf"
     f.write_text(SAT_CNF)
@@ -396,7 +413,7 @@ def test_cli_solve_bad_alpha(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags,msg", [
     (["--timeout", "inf"], "timeout_s inf is not a finite number"),
-    (["--epsilon", "nan"], "epsilon nan is not a finite number"),
+    (["--alpha", "nan"], "alpha nan is not a finite number"),
     (["--balance-period", "1e-9"], "balance_period_s must be >= 1e-06"),
     (["--share-period", "0"], "share_period_s must be >= 1e-06"),
     (["--timeout", "1e308"], "timeout_s must be <= 1000000000"),
@@ -411,7 +428,8 @@ def test_cli_solve_bad_config_exits_1(flags, msg, tmp_path, capsys):
 
 
 # One case per ClusterConfig field that has a flag; the last test checks
-# that no flagged field is missing here.
+# that no flagged field is missing here.  `solve` has no flag for a field
+# mono mode fixes.
 FLAG_CASES = [
     (["--pes", "5"], "num_pes", 5),
     (["--threads", "3"], "threads", 3),
@@ -429,18 +447,23 @@ FLAG_CASES = [
 ]
 
 
-@pytest.mark.parametrize("command", ["solve", "run"])
-@pytest.mark.parametrize("flags,name,value", FLAG_CASES)
-def test_cli_flag_sets_its_field(command, flags, name, value):
+@pytest.mark.parametrize("flags,name,value,command", [
+    pytest.param(flags, name, value, command, id=f"flags{i}-{name}-{value}-{command}")
+    for i, (flags, name, value) in enumerate(FLAG_CASES)
+    for command in ("solve", "run") if command == "run" or name not in MONO_FIXED])
+def test_cli_flag_sets_its_field(flags, name, value, command):
     cfg = _config_from_args(build_parser().parse_args([command, "in", *flags]))
     assert getattr(cfg, name) == value and type(getattr(cfg, name)) is type(value)
-    assert replace(cfg, **{name: getattr(ClusterConfig(), name)}) == ClusterConfig()
+    base = ClusterConfig(**MONO_FIXED) if command == "solve" else ClusterConfig()
+    assert replace(cfg, **{name: getattr(ClusterConfig(), name)}) == base
 
 
 def test_cli_flag_cases_cover_every_flagged_field():
     flagged = {f.name for f in fields(ClusterConfig) if f.metadata["flag"]}
     assert flagged == {name for _flags, name, _value in FLAG_CASES}
-    assert _config_from_args(build_parser().parse_args(["solve", "in"])) == ClusterConfig()
+    assert _config_from_args(build_parser().parse_args(["run", "in"])) == ClusterConfig()
+    assert (_config_from_args(build_parser().parse_args(["solve", "in"]))
+            == ClusterConfig(**MONO_FIXED))
 
 
 def test_cli_unknown_flag(tmp_path, capsys):

@@ -220,17 +220,15 @@ def test_wall_loop_timers_inbox_stop_and_timeout():
     loop, events = WallLoop(), []
     loop.post_timer(2, 30_000, "late", None)
     loop.post_timer(1, 10_000, "early", None)
-    # Another thread posts, as solver threads do, through a RealContext.
-    sender = threading.Timer(0.05, RealContext(3, Random(0), loop, Trace()).send,
-                             args=(Envelope("K", 3, 4, None, {}),))
-    sender.start()
+    loop.post_timer(5, 0, "due", None)
+    RealContext(3, Random(0), loop, Trace()).send(Envelope("K", 3, 4, None, {}))
     start = time.monotonic()
     loop.run(lambda dst, env: events.append((loop.now, "msg", dst)),
              lambda pe, tag, data: events.append((loop.now, tag, pe)),
-             lambda: len(events) == 3, timeout_us=10 ** 7)
-    sender.join()
-    assert [e[1:] for e in events] == [("early", 1), ("late", 2), ("msg", 4)]
-    assert events[0][0] >= 10_000 and events[1][0] >= 30_000  # never early
+             lambda: len(events) == 4, timeout_us=10 ** 7)
+    # A queued envelope goes before a due timer.
+    assert [e[1:] for e in events] == [("msg", 4), ("due", 5), ("early", 1), ("late", 2)]
+    assert events[2][0] >= 10_000 and events[3][0] >= 30_000  # never early
     assert time.monotonic() - start < 5.0  # should_stop, not the timeout, ended it
     # With nothing to do, the timeout ends the run.
     loop = WallLoop()
@@ -446,13 +444,10 @@ def test_runs_leave_no_cyclic_garbage(collector_off, monkeypatch):
     assert any(k == "SUSPEND" for k, _d in kinds)
     assert any(k == "SHARE" for k, _d in kinds)
     assert report.aggregates["end_reason"] == "timeout"
-    # Real mode: solver threads, joined before collecting.
-    before = set(threading.enumerate())
+    # Real mode steps the same solvers on the wall clock.
     report = mono_mode(random_3cnf(Random(11), 40, 160),
                        small_cfg(num_pes=3, threads=2, sim=False, timeout_s=60.0))
     assert report.jobs[1]["verdict"] in ("SAT", "UNSAT")
-    for t in set(threading.enumerate()) - before:
-        t.join(timeout=5.0)
     assert gc.collect() == 0
 
 
@@ -480,21 +475,21 @@ def test_huge_formula_runs_one_solver_per_node(monkeypatch):
     assert fresh >= 3 and slots == fresh
 
 
-def test_real_run_returns_after_its_solver_threads_exit():
+def test_real_run_returns_with_solvers_mid_search():
     # A hard formula and a short timeout: the solvers are mid-search when
-    # the run ends, so they exit only because the run terminates them.
-    before = set(threading.enumerate())
+    # the run ends, and the run returns without stepping them again.
+    start = time.monotonic()
     report = mono_mode(php_cnf(9), small_cfg(num_pes=3, threads=2, sim=False,
                                              timeout_s=0.5, balance_period_s=0.01))
+    assert time.monotonic() - start < 2.0
     assert report.jobs[1]["verdict"] == "UNKNOWN"
     stats = [d for _t, _pe, kind, _job, d in map(parse_trace_line, report.trace)
              if kind == "STATS"]
     assert stats and "slots=4" in stats[-1]
-    assert [t for t in threading.enumerate() if t not in before] == []
 
 
-def test_real_run_starts_only_its_solver_threads(monkeypatch):
-    # Every PE runs on the caller's thread; each solver slot gets one thread.
+def test_real_run_starts_no_thread(monkeypatch):
+    # Every PE, and every solver slot it hosts, runs on the caller's thread.
     started = []
     orig_start = threading.Thread.start
 
@@ -505,7 +500,24 @@ def test_real_run_starts_only_its_solver_threads(monkeypatch):
     report = mono_mode(php_cnf(9), small_cfg(num_pes=4, threads=2, sim=False,
                                              timeout_s=0.3))
     slots, _fresh = _slots_and_fresh_starts(report)
-    assert slots >= 2 and len(started) == slots
+    assert slots >= 2 and started == []
+
+
+def test_real_mode_grows_tree_promptly():
+    # Malleability with low latency: on the wall clock every worker of a
+    # mono run starts within a fraction of a second, and the run ends soon
+    # after its timeout.
+    cnf = random_3cnf(Random(15), 200, 900)
+    cfg = ClusterConfig(num_pes=8, threads=2, sim=False, timeout_s=1.0,
+                        balance_period_s=0.05)
+    start = time.monotonic()
+    report = mono_mode(cnf, cfg)
+    elapsed = time.monotonic() - start
+    starts = [(t, d) for t, _pe, kind, _job, d in map(parse_trace_line, report.trace)
+              if kind == "START"]
+    assert sorted(d for _t, d in starts) == [f"x={x} mode=fresh" for x in range(7)]
+    assert max(t for t, _d in starts) < 500.0
+    assert elapsed < 1.25
 
 
 def eviction_run():
@@ -635,40 +647,16 @@ def _count_sls_steps(monkeypatch) -> list:
     return calls
 
 
-def test_sim_never_steps_blocked_sls(monkeypatch):
+@pytest.mark.parametrize("sim", [True, False], ids=["sim", "real"])
+def test_never_steps_blocked_sls(monkeypatch, sim):
     calls = _count_sls_steps(monkeypatch)
-    monkeypatch.setattr(CdclSolver, "step", lambda self, n: None)
-    cfg = small_cfg(num_pes=2, threads=14, timeout_s=0.3)  # slot 13 of each node is SLS
+    cdcl_steps = []
+    monkeypatch.setattr(CdclSolver, "step", lambda self, n: cdcl_steps.append(n))
+    cfg = small_cfg(num_pes=2, threads=14, sim=sim, timeout_s=0.3)  # slot 13 of each node is SLS
     report = mono_mode(BLOCKED_CNF, cfg)
     assert report.jobs[1]["verdict"] == "UNKNOWN"
     assert report.aggregates["end_reason"] == "timeout"
-    assert calls == []
-
-
-def test_real_mode_blocked_sls_thread_exits_before_run_end(monkeypatch):
-    calls = _count_sls_steps(monkeypatch)
-    exits = {}
-    orig_drive = pe_mod.drive
-
-    def timed_drive(solver, *args, **kwargs):
-        verdict = orig_drive(solver, *args, **kwargs)
-        exits.setdefault(type(solver).__name__, (time.monotonic(), verdict))
-        return verdict
-
-    def stalled_step(self, n):
-        time.sleep(0.002)
-        return None
-    monkeypatch.setattr(pe_mod, "drive", timed_drive)
-    monkeypatch.setattr(CdclSolver, "step", stalled_step)
-    cfg = small_cfg(num_pes=2, threads=14, sim=False, timeout_s=1.0)
-    start = time.monotonic()
-    report = mono_mode(BLOCKED_CNF, cfg)
-    end = time.monotonic()
-    assert report.jobs[1]["verdict"] == "UNKNOWN"
-    sls_exit, sls_verdict = exits["SlsSolver"]
-    assert sls_verdict is None and calls == []
-    assert sls_exit - start < 0.5 and end - start >= 1.0
-    assert sls_exit < exits["CdclSolver"][0]  # CDCL threads run until the timeout
+    assert calls == [] and cdcl_steps  # the CDCL slots stepped until the timeout
 
 
 # ---------------------------------------------------------------------------

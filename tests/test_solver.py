@@ -1,6 +1,4 @@
 """Solver backends: CDCL and local search against an exhaustive oracle."""
-import threading
-import time
 import tracemalloc
 from collections import Counter, deque
 from dataclasses import replace
@@ -506,38 +504,6 @@ def test_control_transitions():
     c.terminate()  # idempotent
 
 
-def test_control_park_and_wake():
-    c = SolverControl()
-    c.suspend()
-    t = threading.Thread(target=c.park_while_suspended)
-    t.start()
-    deadline = time.monotonic() + 2.0
-    while not c.parked and time.monotonic() < deadline:
-        time.sleep(0.001)
-    assert c.parked
-    c.resume()
-    t.join(timeout=2.0)
-    assert not t.is_alive() and not c.parked
-
-
-def test_threaded_solver_parks_then_terminates():
-    cnf = random_3cnf(Random(2), 150, 645)  # far too hard to finish quickly
-    ctl = SolverControl()
-    s = CdclSolver(cnf, control=ctl, seed=0)
-    t = threading.Thread(target=lambda: s.solve(step_conflicts=8))
-    t.start()
-    time.sleep(0.05)
-    ctl.suspend()
-    deadline = time.monotonic() + 2.0
-    while not ctl.parked and time.monotonic() < deadline:
-        time.sleep(0.001)
-    assert ctl.parked
-    ctl.terminate()
-    t.join(timeout=5.0)
-    assert not t.is_alive()
-    assert s.result().verdict == UNKNOWN
-
-
 class ScriptedSolver:
     """Records each step budget and answers SAT on step number answer_at."""
 
@@ -553,41 +519,18 @@ class ScriptedSolver:
         return SAT if len(self.steps) == self.answer_at else None
 
 
-def _drive_in_thread(solver, chunk):
-    out = []
-    t = threading.Thread(target=lambda: out.append(drive(solver, chunk)))
-    t.start()
-    deadline = time.monotonic() + 2.0
-    while not solver.control.parked and time.monotonic() < deadline:
-        time.sleep(0.001)
-    assert solver.control.parked and solver.steps == []
-    return t, out
-
-
-def test_drive_parks_resumes_terminates_and_caps_work():
+def test_drive_caps_work_and_stops_unless_running():
     s = ScriptedSolver()
     assert drive(s, 4, max_work=10) is None  # budget spent, no answer
     assert s.steps == [4, 4, 2]
-    calls = []
     s = ScriptedSolver(answer_at=3)
-    assert drive(s, 5, before_chunk=lambda: calls.append(len(s.steps))) == SAT
-    assert calls == [0, 1, 2] and s.steps == [5, 5, 5]
-
-    ctl = SolverControl()
-    ctl.suspend()
-    s = ScriptedSolver(ctl, answer_at=2)
-    t, out = _drive_in_thread(s, 3)
-    ctl.resume()
-    t.join(timeout=2.0)
-    assert not t.is_alive() and out == [SAT] and s.steps == [3, 3]
-
-    ctl = SolverControl()
-    ctl.suspend()
-    s = ScriptedSolver(ctl)
-    t, out = _drive_in_thread(s, 3)
-    ctl.terminate()
-    t.join(timeout=2.0)
-    assert not t.is_alive() and out == [None] and s.steps == []
+    assert drive(s, 5) == SAT and s.steps == [5, 5, 5]
+    # A control off RUNNING ends the drive before any step.
+    for stop in (SolverControl.terminate, SolverControl.suspend):
+        ctl = SolverControl()
+        stop(ctl)
+        s = ScriptedSolver(ctl, answer_at=1)
+        assert drive(s, 3) is None and s.steps == []
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +559,7 @@ def test_ring_drop_when_full():
 
 def test_ring_wraparound():
     r = ImportRing(8)
-    for rounds in range(10):  # force head/tail far past the capacity
+    for rounds in range(10):  # push far more words than the capacity in total
         assert r.try_push((rounds, -rounds - 1))
         assert r.try_pop() == (rounds, -rounds - 1)
     r.try_push((1,))
