@@ -14,7 +14,7 @@ from ..runtime import ClusterConfig, mono_mode, run_cluster
 from ..runtime.cluster import MONO_FIXED
 from ..util import is_real
 from .metrics import hos_baseline
-from .report import RunReport, report_from_trace
+from .report import RunReport, parse_trace_line, report_from_trace
 from .scenario import ScenarioError, load_scenario
 
 EXIT_SAT = 10
@@ -132,7 +132,13 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise CliError(f"{args.trace_file}: report has no embedded trace")
         lines = saved.trace
     else:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = text.splitlines()
+    for n, line in enumerate(lines, 1):
+        if line.strip() and parse_trace_line(line) is None:
+            raise CliError(f"{args.trace_file}: line {n}: not a trace line: {line[:60]!r}")
+    lines = [ln for ln in lines if ln.strip()]
+    if not lines:
+        raise CliError(f"{args.trace_file}: no trace lines")
     report = report_from_trace(lines)
     if args.out:
         Path(args.out).write_text(report.to_json(include_trace=False) + "\n")

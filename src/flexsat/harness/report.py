@@ -27,10 +27,10 @@ def parse_trace_line(line: str) -> Optional[tuple[float, int, str, Optional[int]
     try:
         t_ms = float(parts[0])
         pe = int(parts[1])
+        job = None if parts[3] == "-" else int(parts[3])
     except ValueError:
         return None
     kind = parts[2]
-    job = None if parts[3] == "-" else int(parts[3])
     detail = parts[4] if len(parts) == 5 else ""
     return t_ms, pe, kind, job, detail
 

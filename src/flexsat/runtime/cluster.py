@@ -179,7 +179,7 @@ class Cluster:
         totals = {"slots": 0, "conflicts": 0, "propagations": 0, "decisions": 0,
                   "restarts": 0, "flips": 0, "learned": 0, "exported": 0,
                   "imported": 0}
-        for stats, _control in self.shared.registry:
+        for stats in self.shared.registry:
             totals["slots"] += 1
             for key in ("conflicts", "propagations", "decisions", "restarts",
                         "flips", "learned", "exported", "imported"):

@@ -40,7 +40,6 @@ from ..sched import (
 from ..solver import SAT, UNKNOWN
 from ..solver.cdcl import CdclSolver
 from ..solver.config import make_portfolio_config, throttled_thread_count
-from ..solver.control import RUNNING, SUSPENDED as S_SUSPENDED, SolverControl
 from ..solver.ring import ImportRing
 from ..solver.sls import SlsSolver
 from ..util import derive_seed
@@ -78,7 +77,7 @@ class RunShared:
     cdcl_per_slice: int            # conflicts per slice
     sls_per_slice: int             # flips per slice
     excfg: ExchangeConfig
-    # (stats, control) of every solver slot the run started; not the slot
+    # SolverStats of every solver slot the run started; not the slot
     # itself, so a torn-down node frees its solvers and filters.
     registry: list = field(default_factory=list)
 
@@ -95,15 +94,15 @@ class EpochState:
 
 
 class SolverSlot:
-    """One portfolio solver bound to a tree node."""
+    """One portfolio solver bound to a tree node; it steps while the node is ACTIVE."""
 
-    def __init__(self, index: int, kind: str, solver, control: SolverControl,
+    def __init__(self, index: int, kind: str, solver,
                  ring: Optional[ImportRing], filt: Optional[ClauseFilter],
                  forget_rng):
         self.index = index
         self.kind = kind
         self.solver = solver
-        self.control = control
+        self.done = False  # never steps again: answered, outrun by a sibling, or blocked
         self.ring = ring
         self.filt = filt
         self.forget_rng = forget_rng
@@ -400,10 +399,6 @@ class WorkerPE(BasePE):
         desc = node.desc
         if desc is not None and desc.cnf is not None and node.slots is None:
             self._spawn_slots(node)
-        if node.slots:
-            for slot in node.slots:
-                if slot.control.state == S_SUSPENDED:
-                    slot.control.resume()
         if node.x == 0 and desc is not None:
             if desc.cnf is not None and self.shared.cfg.sharing and not node.share_timer_on:
                 node.share_timer_on = True
@@ -421,24 +416,24 @@ class WorkerPE(BasePE):
         node.slots = []
         for i in range(t):
             scfg = make_portfolio_config(node.x, t, i, nonce)
-            control = SolverControl()
             if scfg.kind == "cdcl":
                 ring = ImportRing(RING_CAPACITY)
                 filt = ClauseFilter()
-                slot = SolverSlot(i, "cdcl", None, control, ring, filt,
+                slot = SolverSlot(i, "cdcl", None, ring, filt,
                                   Random(derive_seed(scfg.seed, "forget")))
                 solver = CdclSolver(
-                    desc.cnf, scfg.cdcl, seed=scfg.seed, control=control,
+                    desc.cnf, scfg.cdcl, seed=scfg.seed,
                     import_fn=self._make_import(slot),
                     export_fn=self._make_export(node, slot))
                 slot.solver = solver
             else:
-                solver = SlsSolver(desc.cnf, scfg.sls, seed=scfg.seed, control=control)
-                slot = SolverSlot(i, "sls", solver, control, None, None, None)
+                solver = SlsSolver(desc.cnf, scfg.sls, seed=scfg.seed)
+                slot = SolverSlot(i, "sls", solver, None, None, None)
+                slot.done = solver.blocked
             if self.shared.filter_halflife_us and slot.filt is not None:
                 slot.next_forget_us = self.ctx.now_us() + self.shared.filter_halflife_us
             node.slots.append(slot)
-            self.shared.registry.append((slot.solver.stats, control))
+            self.shared.registry.append(slot.solver.stats)
 
     # The callbacks close over the node's sink and the slot's filter and
     # ring, never the node or slot: a solver that held its slot would close
@@ -475,10 +470,6 @@ class WorkerPE(BasePE):
         job, x = node.key
         for cx in child_indices(x):
             self._release_child(node, cx)
-        if node.slots:
-            for slot in node.slots:
-                if slot.control.state == RUNNING:
-                    slot.control.suspend()
         node.state = SUSPENDED
         node.last_active = self.ctx.now_us()
         # A deferred root keeps its seat so it can resume in place.
@@ -527,9 +518,6 @@ class WorkerPE(BasePE):
                     self.send(dst, tp.ABORT, job, {"x": cx})
         if node is None:
             return
-        if node.slots:
-            for slot in node.slots:
-                slot.control.terminate()
         if self.occupied == node.key:
             self.occupied = None
         self.log("END", job, f"x={x} reason={reason}")
@@ -703,11 +691,11 @@ class WorkerPE(BasePE):
     # -- results -----------------------------------------------------------
     def _solver_finished(self, node: JobNode, slot: SolverSlot, verdict: str,
                          delay_us: int = 0) -> None:
-        slot.control.terminate()
+        slot.done = True
         if node.result_reported:
             return
         for other in node.slots:
-            other.control.terminate()
+            other.done = True
         if node.x != 0:
             self.log("RESULT", node.job, f"verdict={verdict} x={node.x}")
         model = slot.solver.model if verdict == SAT else None
@@ -765,7 +753,7 @@ class WorkerPE(BasePE):
             return
         any_live = False
         for slot in node.slots:
-            if slot.solver.blocked or slot.control.state != RUNNING:
+            if slot.done:
                 continue
             self._forget_check(slot)
             stats = slot.solver.stats

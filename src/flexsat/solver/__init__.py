@@ -2,8 +2,8 @@
 
 Both backends run cooperatively: work happens in bounded step() calls, so
 a cluster interleaves all its solvers on the one thread of its event loop
-under either clock.  control.drive steps one solver in chunks for a
-blocking solve.
+under either clock, and a PE preempts a solver by not stepping it.  A
+blocking solve() is one step with the whole budget.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ class SolveResult:
     stats: SolverStats = field(default_factory=SolverStats)
 
 
-from .control import RUNNING, SUSPENDED, TERMINATED, SolverControl  # noqa: E402
 from .ring import ImportRing  # noqa: E402
 from .config import (  # noqa: E402
     CdclParams,
@@ -52,7 +51,6 @@ from .sls import SlsSolver, sls_solve  # noqa: E402
 __all__ = [
     "SAT", "UNSAT", "UNKNOWN",
     "SolverStats", "SolveResult",
-    "RUNNING", "SUSPENDED", "TERMINATED", "SolverControl",
     "ImportRing",
     "CdclParams", "SlsParams", "SolverConfig", "CDCL_PRESETS",
     "PORTFOLIO_CYCLE", "make_portfolio_config", "throttled_thread_count",

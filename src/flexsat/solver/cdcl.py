@@ -1,10 +1,10 @@
 """CDCL kernel: two-watched literals, 1-UIP learning, EVSIDS, restarts.
 
 Built for cooperative use: step(max_conflicts) runs a bounded amount of
-work and keeps all state, so the simulator can interleave many solvers
-and a preempted solver stops within one conflict of the request.  Clause
-import happens only at decision level 0 (restart boundaries), clause
-export fires as clauses are learned.
+work and keeps all state, so the PE that owns a solver interleaves it
+with others on one thread and preempts it by not stepping it again.
+Clause import happens only at decision level 0 (restart boundaries),
+clause export fires as clauses are learned.
 
 Inside the kernel a literal is its code 2*|lit| + (lit < 0), the
 formula's literal_key (MiniSat's encoding): negation is code ^ 1, the
@@ -15,6 +15,7 @@ exports are decoded, and the model is read back per variable.
 """
 from __future__ import annotations
 
+import sys
 from heapq import heapify, heappop, heappush
 from random import Random
 from typing import Callable, Sequence
@@ -23,7 +24,6 @@ from ..formula import Cnf
 from ..util import luby
 from . import SAT, UNKNOWN, UNSAT, SolveResult, SolverStats
 from .config import CdclParams
-from .control import RUNNING, SolverControl, drive
 
 ImportFn = Callable[[], "tuple[int, ...] | None"]
 ExportFn = Callable[[tuple[int, ...]], None]
@@ -38,20 +38,16 @@ HEAP_COMPACT_SLACK = 64
 
 
 class CdclSolver:
-    blocked = False  # a contradiction is an UNSAT verdict, never a block
-
     def __init__(
         self,
         cnf: Cnf,
         params: CdclParams | None = None,
         seed: int = 0,
-        control: SolverControl | None = None,
         import_fn: ImportFn | None = None,
         export_fn: ExportFn | None = None,
         export_max_len: int | None = 30,
     ):
         self.params = params or CdclParams()
-        self.control = control
         self.import_fn = import_fn
         self.export_fn = export_fn
         self.export_max_len = export_max_len
@@ -457,16 +453,13 @@ class CdclSolver:
     def step(self, max_conflicts: int) -> str | None:
         """Run up to max_conflicts conflicts; verdict string or None.
 
-        Returns immediately when the control cell leaves RUNNING, so
-        preemption latency is bounded by a single conflict.
+        The outcome does not depend on how the conflicts are split into
+        steps: a step ends only between two conflicts and keeps all state.
         """
         if self._done:
             return self._verdict
-        control = self.control
         budget = max_conflicts
         while True:
-            if control is not None and control.state != RUNNING:
-                return None
             confl = self._propagate()
             if confl is not None:
                 self.stats.conflicts += 1
@@ -494,9 +487,9 @@ class CdclSolver:
                     return self._finish(SAT)
                 self._decide()
 
-    def solve(self, step_conflicts: int = 512) -> SolveResult:
-        """Blocking solve (see control.drive); UNKNOWN if stopped first."""
-        drive(self, step_conflicts)
+    def solve(self) -> SolveResult:
+        """Blocking solve to a verdict: CDCL is complete, so one unbounded step."""
+        self.step(sys.maxsize)
         return self.result()
 
 
@@ -504,12 +497,9 @@ def cdcl_solve(
     cnf: Cnf,
     params: CdclParams | None = None,
     seed: int = 0,
-    control: SolverControl | None = None,
     import_fn: ImportFn | None = None,
     export_fn: ExportFn | None = None,
     export_max_len: int | None = 30,
 ) -> SolveResult:
     """One-shot CDCL solve of a formula."""
-    solver = CdclSolver(cnf, params, seed, control, import_fn, export_fn,
-                        export_max_len)
-    return solver.solve()
+    return CdclSolver(cnf, params, seed, import_fn, export_fn, export_max_len).solve()

@@ -13,7 +13,6 @@ from random import Random
 from ..formula import Cnf, check_model
 from . import SAT, UNKNOWN, SolveResult, SolverStats
 from .config import SlsParams
-from .control import RUNNING, SolverControl, drive
 
 
 def _preprocess(cnf: Cnf) -> tuple[dict[int, bool] | None, list[list[int]]]:
@@ -101,11 +100,9 @@ class SlsSolver:
         cnf: Cnf,
         params: SlsParams | None = None,
         seed: int = 0,
-        control: SolverControl | None = None,
     ):
         self.cnf = cnf
         self.params = params or SlsParams()
-        self.control = control
         self.rng = Random(seed)
         self.stats = SolverStats()
         self._done = False
@@ -179,7 +176,6 @@ class SlsSolver:
             return SAT
         if self.blocked:
             return None
-        control = self.control
         random = self.rng.random
         getrandbits = self.rng.getrandbits
         noise = self.params.noise
@@ -192,8 +188,6 @@ class SlsSolver:
         flips = 0
         try:
             for _ in range(max_flips):
-                if control is not None and control.state != RUNNING:
-                    return None
                 if not unsat:
                     return self._finish()
                 vs = cvars[unsat[_below(getrandbits, len(unsat))]]
@@ -264,13 +258,12 @@ class SlsSolver:
     def result(self) -> SolveResult:
         return SolveResult(SAT if self._done else UNKNOWN, self.model, self.stats)
 
-    def solve(self, max_flips: int = 1_000_000, step_flips: int = 10_000) -> SolveResult:
-        """Blocking solve of at most max_flips flips (see control.drive).
+    def solve(self, max_flips: int = 1_000_000) -> SolveResult:
+        """Blocking solve of at most max_flips flips, in one step.
 
-        SAT, or UNKNOWN when the budget runs out, the solver's control
-        leaves RUNNING or preprocessing blocked it.
+        SAT, or UNKNOWN when the budget runs out or preprocessing blocked it.
         """
-        drive(self, step_flips, max_work=max_flips)
+        self.step(max_flips)
         return self.result()
 
 
@@ -278,8 +271,7 @@ def sls_solve(
     cnf: Cnf,
     params: SlsParams | None = None,
     seed: int = 0,
-    control: SolverControl | None = None,
     max_flips: int = 1_000_000,
 ) -> SolveResult:
     """One-shot local-search attempt; SAT or UNKNOWN."""
-    return SlsSolver(cnf, params, seed, control).solve(max_flips)
+    return SlsSolver(cnf, params, seed).solve(max_flips)

@@ -100,6 +100,7 @@ def test_parse_trace_line():
     assert parse_trace_line("9.000 -1 TICK - busy=1 active=1")[3] is None
     assert parse_trace_line("nonsense") is None
     assert parse_trace_line("a b c d") is None
+    assert parse_trace_line("1.0 2 START abc x=1") is None  # a bad job field too
 
 
 def test_parse_detail():
@@ -510,6 +511,20 @@ def test_cli_report_without_trace(tmp_path, capsys):
     f.write_text(rep.to_json(include_trace=False))
     assert main(["report", str(f)]) == 1
     assert "no embedded trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,err", [
+    ("nonsense\nmore nonsense\n", "line 1: not a trace line: 'nonsense'"),
+    ("0.100 0 INTRO 1 pri=0.5\n\n1.0 2 START abc x=1\n",
+     "line 3: not a trace line: '1.0 2 START abc x=1'"),
+    ("", "no trace lines"),
+    ("\n  \n", "no trace lines"),
+], ids=["noise", "bad-job", "empty", "blank"])
+def test_cli_report_rejects_non_trace_input(tmp_path, capsys, text, err):
+    f = tmp_path / "bad.trace"
+    f.write_text(text)
+    assert main(["report", str(f)]) == 1
+    assert capsys.readouterr().err == f"flexsat: error: {f}: {err}\n"
 
 
 def test_cli_hos(tmp_path, capsys):

@@ -346,6 +346,62 @@ def test_demand_changes_shrink_and_regrow():
     assert report.jobs[1]["max_volume"] == 5
 
 
+def test_solvers_step_only_while_their_node_is_active(monkeypatch):
+    """Job 1's demand shrinks and regrows, suspending and resuming its two
+    children; then three higher-priority jobs defer its root, which keeps
+    its seat while suspended.  No solver steps while its node is not ACTIVE,
+    and every slot of a resumed node steps again before the node next
+    suspends or ends."""
+    descs = [JobDescriptor(job=1, priority=0.3, demand=3, cnf=php_cnf(7))]
+    descs += [JobDescriptor(job=j, priority=0.7, arrival_s=0.5, demand=1,
+                            synthetic_s=0.3) for j in (2, 3, 4)]
+    cfg = ClusterConfig(num_pes=8, threads=2, epsilon=0.5, seed=5,
+                        balance_period_s=0.05, timeout_s=1.2, cdcl_rate=1.0)
+    cluster = Cluster(cfg, descs, demand_changes=[(0.2, 1, 1), (0.35, 1, 3)])
+    events = []  # (kind, pe, node key, slot index or detail), in run order
+
+    def spy_step(cls):
+        orig = cls.step
+
+        def step(self, n):
+            [(pe, node, slot)] = [(w.pe_id, node, slot) for w in cluster.workers.values()
+                                  for node in w.nodes.values()
+                                  for slot in node.slots or () if slot.solver is self]
+            events.append(("step", pe, node.key, slot.index, node.state))
+            return orig(self, n)
+        monkeypatch.setattr(cls, "step", step)
+    spy_step(CdclSolver)
+    spy_step(SlsSolver)
+    orig_log = pe_mod.BasePE.log
+
+    def log(self, kind, job, detail="", at_us=None):
+        if kind in ("START", "SUSPEND", "END"):
+            key = (job, int(detail.split()[0].removeprefix("x=")))
+            node = self.nodes.get(key)
+            live = {s.index for s in node.slots or () if not s.done} if node else set()
+            events.append((kind, self.pe_id, key, detail, live))
+        orig_log(self, kind, job, detail, at_us)
+    monkeypatch.setattr(pe_mod.BasePE, "log", log)
+
+    report = cluster.run()
+    assert report.jobs[1]["verdict"] == "UNKNOWN"  # php(7) outlasts the run
+    steps = [e for e in events if e[0] == "step"]
+    assert steps and [e for e in steps if e[4] != pe_mod.ACTIVE] == []
+    resumes = [i for i, e in enumerate(events)
+               if e[0] == "START" and "mode=resume" in e[3]]
+    assert {events[i][2] for i in resumes} == {(1, 0), (1, 1), (1, 2)}
+    assert any(e[0] == "SUSPEND" and e[2] == (1, 0) for e in events)  # root deferred
+    for i in resumes:
+        _kind, pe, key, _detail, live = events[i]
+        stepped = set()
+        for e in events[i + 1:]:
+            if e[1:3] == (pe, key):
+                if e[0] != "step":
+                    break
+                stepped.add(e[3])
+        assert live and stepped == live, f"{key} on PE {pe} resumed at event {i}"
+
+
 def test_max_jobs_limits_admission():
     cfg = small_cfg(num_pes=6, seed=1, timeout_s=30.0, max_jobs=1)
     jobs = [synth_job(1, 0.5, 2), synth_job(2, 0.5, 2), synth_job(3, 0.5, 2)]

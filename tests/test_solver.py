@@ -10,10 +10,9 @@ import pytest
 from flexsat.formula import Cnf, canonical_literals, check_model
 from flexsat.solver import (CDCL_PRESETS, PORTFOLIO_CYCLE, SAT, UNKNOWN,
                             UNSAT, CdclParams, CdclSolver, ImportRing,
-                            SlsParams, SlsSolver, SolverControl,
-                            cdcl_solve, make_portfolio_config, sls_solve,
+                            SlsParams, SlsSolver, cdcl_solve,
+                            make_portfolio_config, sls_solve,
                             throttled_thread_count)
-from flexsat.solver.control import drive
 from flexsat.solver.sls import _below, _preprocess
 from flexsat.util import luby
 from helpers import oracle_verdict, php_cnf, random_3cnf, xor_chain_cnf
@@ -96,27 +95,6 @@ def test_cdcl_step_interface():
     assert s.step(10) == UNSAT  # stable after completion
     assert s.result().verdict == UNSAT
     assert s.stats.conflicts > 0 and s.stats.learned > 0
-
-
-def test_cdcl_suspend_blocks_progress():
-    cnf = php_cnf(5)
-    ctl = SolverControl()
-    s = CdclSolver(cnf, control=ctl)
-    s.step(20)
-    before = s.stats.conflicts
-    ctl.suspend()
-    assert s.step(50) is None
-    assert s.stats.conflicts == before
-    ctl.resume()
-    s.step(20)
-    assert s.stats.conflicts > before
-
-
-def test_cdcl_terminate_returns_unknown():
-    ctl = SolverControl()
-    ctl.terminate()
-    res = CdclSolver(php_cnf(5), control=ctl).solve()
-    assert res.verdict == UNKNOWN
 
 
 def test_cdcl_import_falsified_unit_gives_unsat():
@@ -385,16 +363,13 @@ def test_sls_blocked_by_preprocess_contradiction():
 
 
 def test_sls_blocked_solver_is_never_stepped():
+    # A blocked solve makes no flip; test_never_steps_blocked_sls checks
+    # that a PE never steps a blocked slot at all.
     cnf = Cnf.from_clauses(2, [[1], [-1], [1, 2]])
     solver = SlsSolver(cnf)
     assert solver.blocked
-    steps = []
-    step = solver.step
-    solver.step = lambda n: steps.append(n) or step(n)
-    assert drive(solver, 100, max_work=10_000) is None
-    assert steps == []
     assert solver.solve(max_flips=10_000).verdict == UNKNOWN
-    assert steps == [] and solver.stats.flips == 0
+    assert solver.stats.flips == 0
 
 
 def _recount(s: SlsSolver):
@@ -487,50 +462,45 @@ def test_preprocess_contradiction():
 
 
 # ---------------------------------------------------------------------------
-# control cell
+# step granularity: a PE steps in slices, solve() in one step
 
 
-def test_control_transitions():
-    c = SolverControl()
-    assert c.state == "RUNNING"
-    c.suspend()
-    c.suspend()  # same-state moves are no-ops
-    assert c.state == "SUSPENDED"
-    c.resume()
-    c.terminate()
-    assert c.state == "TERMINATED"
-    with pytest.raises(ValueError, match="bad transition"):
-        c.resume()
-    c.terminate()  # idempotent
+def _outcome(solver):
+    res = solver.result()
+    return res.verdict, res.model, res.stats, solver.rng.getstate()
 
 
-class ScriptedSolver:
-    """Records each step budget and answers SAT on step number answer_at."""
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("preset", [0, 5, 12])
+@pytest.mark.parametrize("cnf", [php_cnf(4), random_3cnf(Random(23), 60, 250),
+                                 random_3cnf(Random(21), 60, 270)],
+                         ids=["php4", "sat60", "unsat60"])
+def test_cdcl_outcome_independent_of_step_size(cnf, preset, chunk):
+    exports = [], []
+    whole = CdclSolver(cnf, CDCL_PRESETS[preset], seed=3, export_fn=exports[0].append)
+    whole.solve()
+    stepped = CdclSolver(cnf, CDCL_PRESETS[preset], seed=3, export_fn=exports[1].append)
+    while stepped.step(chunk) is None:
+        pass
+    assert _outcome(stepped) == _outcome(whole)
+    assert exports[1] == exports[0]
+    assert whole.stats.conflicts > 7
 
-    blocked = False
 
-    def __init__(self, control=None, answer_at=None):
-        self.control = control
-        self.answer_at = answer_at
-        self.steps = []
-
-    def step(self, n):
-        self.steps.append(n)
-        return SAT if len(self.steps) == self.answer_at else None
-
-
-def test_drive_caps_work_and_stops_unless_running():
-    s = ScriptedSolver()
-    assert drive(s, 4, max_work=10) is None  # budget spent, no answer
-    assert s.steps == [4, 4, 2]
-    s = ScriptedSolver(answer_at=3)
-    assert drive(s, 5) == SAT and s.steps == [5, 5, 5]
-    # A control off RUNNING ends the drive before any step.
-    for stop in (SolverControl.terminate, SolverControl.suspend):
-        ctl = SolverControl()
-        stop(ctl)
-        s = ScriptedSolver(ctl, answer_at=1)
-        assert drive(s, 3) is None and s.steps == []
+@pytest.mark.parametrize("cnf,params,verdict", [
+    (random_3cnf(Random(25), 60, 270), SlsParams(restart_flips=100), SAT),
+    (php_cnf(3), SlsParams(restart_flips=300, preprocess=False), UNKNOWN),
+], ids=["sat", "unsat"])
+def test_sls_solve_equals_one_flip_steps(cnf, params, verdict):
+    flips = 3000
+    whole = SlsSolver(cnf, params, seed=4)
+    whole.solve(max_flips=flips)
+    stepped = SlsSolver(cnf, params, seed=4)
+    for _ in range(flips):
+        stepped.step(1)
+    assert _outcome(stepped) == _outcome(whole)
+    assert whole.stats.flips > params.restart_flips  # a restart happened
+    assert whole.result().verdict == verdict
 
 
 # ---------------------------------------------------------------------------
