@@ -125,21 +125,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     text = _read_text(args.trace_file)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        saved = RunReport.from_json(text)
-        if not saved.trace:
-            raise CliError(f"{args.trace_file}: report has no embedded trace")
-        lines = saved.trace
-    else:
-        lines = text.splitlines()
-    for n, line in enumerate(lines, 1):
-        if line.strip() and parse_trace_line(line) is None:
-            raise CliError(f"{args.trace_file}: line {n}: not a trace line: {line[:60]!r}")
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        raise CliError(f"{args.trace_file}: no trace lines")
-    report = report_from_trace(lines)
+    try:
+        if text.lstrip().startswith("{"):
+            lines = RunReport.from_json(text).trace
+            if not lines:
+                raise ValueError("report has no embedded trace")
+        else:
+            lines = text.splitlines()
+        for n, line in enumerate(lines, 1):
+            if line.strip() and parse_trace_line(line) is None:
+                raise ValueError(f"line {n}: not a trace line: {line[:60]!r}")
+        if not any(line.strip() for line in lines):
+            raise ValueError("no trace lines")
+        report = report_from_trace(lines)  # blank lines kept: line numbers stay the file's
+    except ValueError as exc:
+        raise CliError(f"{args.trace_file}: {exc}") from exc
     if args.out:
         Path(args.out).write_text(report.to_json(include_trace=False) + "\n")
     for line in report.summary_lines():
@@ -167,7 +167,10 @@ def cmd_hos(args: argparse.Namespace) -> int:
     limit = args.timeout if args.timeout is not None else 300.0
     if not 0 < limit < math.inf:
         raise CliError(f"--timeout {limit!r} is not a positive finite number")
-    responses = hos_baseline(entries, limit)
+    try:
+        responses = hos_baseline(entries, limit)
+    except ValueError as exc:
+        raise CliError(f"{args.times}: {exc}") from exc
     mean = sum(responses.values()) / len(responses) if responses else 0.0
     if args.out:
         body = {"responses": responses, "mean_response": mean}

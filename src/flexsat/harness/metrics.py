@@ -47,10 +47,15 @@ def hos_baseline(entries: Iterable[tuple[int, Optional[float], float]],
     back to back in ascending runtime order (arrival, then id, break
     ties); unsolved jobs are charged the limit.  Shortest-first is the
     optimal order for mean response on a single resource, which makes the
-    returned times a lower-bound reference for scheduler quality.
+    returned times a lower-bound reference for scheduler quality.  A job id
+    given twice raises ValueError.
     """
     items = []
+    seen = set()
     for job, runtime, arrival in entries:
+        if job in seen:
+            raise ValueError(f"job id {job} is given twice")
+        seen.add(job)
         eff = limit_s if runtime is None else runtime
         items.append((eff, arrival, job))
     items.sort()

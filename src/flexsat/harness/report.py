@@ -1,13 +1,21 @@
 """Run reports: everything is derived from the run trace.
 
 The trace is the single source of truth for aggregates so that a saved
-trace file and a live run produce identical reports.
+trace file and a live run produce identical reports.  Each PE writes only
+what it did; the busy series and the solver totals are folds of those
+lines, not readings of the PEs.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
+
+from ..solver import SolverStats
+from ..util import MAX_SECONDS, MIN_PERIOD_S, is_real
+
+# The keys of a worker's STATS line: its slot count and their summed counters.
+STATS_KEYS = ("slots", *(f.name for f in fields(SolverStats)))
 
 
 def parse_detail(detail: str) -> dict[str, str]:
@@ -69,14 +77,18 @@ class RunReport:
     @staticmethod
     def from_json(text: str) -> "RunReport":
         body = json.loads(text)
-        jobs = {int(k): v for k, v in body.get("jobs", {}).items()}
-        return RunReport(
-            config=body.get("config", {}),
-            jobs=jobs,
-            aggregates=body.get("aggregates", {}),
-            solver_totals=body.get("solver_totals", {}),
-            trace=body.get("trace", []),
-        )
+        if not isinstance(body, dict):
+            raise ValueError("a saved report is a JSON object")
+        parts = {name: body.get(name, {})
+                 for name in ("config", "jobs", "aggregates", "solver_totals")}
+        for name, value in parts.items():
+            if not isinstance(value, dict):
+                raise ValueError(f"{name} is not a JSON object")
+        trace = body.get("trace", [])
+        if not (isinstance(trace, list) and all(isinstance(line, str) for line in trace)):
+            raise ValueError("trace is not a list of strings")
+        parts["jobs"] = {int(k): v for k, v in parts["jobs"].items()}
+        return RunReport(trace=trace, **parts)
 
     def summary_lines(self) -> list[str]:
         agg = self.aggregates
@@ -97,81 +109,83 @@ class RunReport:
 
 
 def report_from_trace(lines: list[str]) -> RunReport:
-    """Fold a trace into a RunReport."""
+    """Fold a trace into a RunReport.
+
+    A field that does not convert, or a CONFIG line that is not a JSON
+    object, raises ValueError naming its line (the first is line 1).
+    """
     report = RunReport(trace=list(lines))
     jobs = report.jobs
-    busy: list[tuple[float, int, int]] = []
+    totals = report.solver_totals = dict.fromkeys(STATS_KEYS, 0)
+    seats: list[tuple[int, int, str, int, Optional[str]]] = []
+    e_us = end_us = None
     share_count = 0
     share_lits = 0
     makespan = None
     end_reason = None
-
-    def entry(job: int) -> dict:
-        if job not in jobs:
-            jobs[job] = _job_entry()
-        return jobs[job]
-
-    for line in lines:
+    for n, line in enumerate(lines, 1):
         parsed = parse_trace_line(line)
         if parsed is None:
             continue
-        t_ms, _pe, kind, job, detail = parsed
-        if kind == "CONFIG":
-            try:
+        t_ms, pe, kind, job, detail = parsed
+        try:
+            if kind == "CONFIG":
                 report.config = json.loads(detail)
-            except json.JSONDecodeError:
-                pass
-            continue
-        if kind == "TICK":
+                if not isinstance(report.config, dict):
+                    raise ValueError("CONFIG is not a JSON object")
+                period = report.config.get("balance_period_s")
+                if period is not None:  # a period under 1 µs would never step the fold
+                    if not (is_real(period) and MIN_PERIOD_S <= period <= MAX_SECONDS):
+                        raise ValueError(f"balance_period_s {period!r} is not a number in "
+                                         f"[{MIN_PERIOD_S}, {MAX_SECONDS}]")
+                    e_us = int(period * 1e6)
+                continue
             f = parse_detail(detail)
-            busy.append((t_ms, int(f.get("busy", 0)), int(f.get("active", 0))))
-            continue
-        if kind == "STATS":
-            report.solver_totals = {
-                k: int(v) for k, v in parse_detail(detail).items()}
-            continue
-        if kind == "RUN_END":
-            makespan = t_ms
-            end_reason = parse_detail(detail).get("reason")
-            continue
-        if job is None:
-            continue
-        f = parse_detail(detail)
-        if kind == "INTRO":
-            rec = entry(job)
-            rec["intro_ms"] = t_ms
-            rec["priority"] = float(f.get("pri", 0.0))
-            rec["kind"] = f.get("kind")
-        elif kind == "REQUEST":
-            rec = entry(job)
-            if rec["first_request_ms"] is None:
-                rec["first_request_ms"] = t_ms
-        elif kind == "PLACED":
-            rec = entry(job)
-            if rec["placed_ms"] is None:
-                rec["placed_ms"] = t_ms
-                if rec["first_request_ms"] is not None:
-                    rec["latency_ms"] = round(t_ms - rec["first_request_ms"], 3)
-        elif kind == "START":
-            rec = entry(job)
-            if f.get("mode") == "fresh":
-                rec["fresh_starts"] += 1
-            if f.get("x") == "0":
-                rec["max_volume"] = max(rec["max_volume"], 1)
-        elif kind == "VOLUME":
-            rec = entry(job)
-            rec["max_volume"] = max(rec["max_volume"], int(f.get("v", 0)))
-        elif kind == "SHARE":
-            rec = entry(job)
-            rec["shares"] += 1
-            share_count += 1
-            share_lits += int(f.get("lits", 0))
-        elif kind == "DONE":
-            rec = entry(job)
-            rec["verdict"] = f.get("verdict")
-            rec["response_ms"] = float(f.get("response_ms", 0.0))
-            rec["model"] = f.get("model", "-")
+            if kind == "STATS":
+                for key, value in f.items():
+                    totals[key] = totals.get(key, 0) + int(value)
+                continue
+            if kind == "RUN_END":
+                makespan = t_ms
+                end_us = round(t_ms * 1000)
+                end_reason = f.get("reason")
+                continue
+            if job is None:
+                continue
+            if kind in ("START", "SUSPEND", "END", "DONE") or (kind == "REQUEST" and pe == 0):
+                seats.append((round(t_ms * 1000), pe, kind, job, f.get("x")))
+            rec = jobs.get(job) or jobs.setdefault(job, _job_entry())
+            if kind == "INTRO":
+                rec["intro_ms"] = t_ms
+                rec["priority"] = float(f.get("pri", 0.0))
+                rec["kind"] = f.get("kind")
+            elif kind == "REQUEST":
+                if rec["first_request_ms"] is None:
+                    rec["first_request_ms"] = t_ms
+            elif kind == "PLACED":
+                if rec["placed_ms"] is None:
+                    rec["placed_ms"] = t_ms
+                    if rec["first_request_ms"] is not None:
+                        rec["latency_ms"] = round(t_ms - rec["first_request_ms"], 3)
+            elif kind == "START":
+                if f.get("mode") == "fresh":
+                    rec["fresh_starts"] += 1
+                if f.get("x") == "0":
+                    rec["max_volume"] = max(rec["max_volume"], 1)
+            elif kind == "VOLUME":
+                rec["max_volume"] = max(rec["max_volume"], int(f.get("v", 0)))
+            elif kind == "SHARE":
+                rec["shares"] += 1
+                share_count += 1
+                share_lits += int(f.get("lits", 0))
+            elif kind == "DONE":
+                rec["verdict"] = f.get("verdict")
+                rec["response_ms"] = float(f.get("response_ms", 0.0))
+                rec["model"] = f.get("model", "-")
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {exc}") from None
 
+    busy = _busy_series(seats, e_us, end_us) if e_us and end_us is not None else []
     solved = sum(1 for r in jobs.values()
                  if r["verdict"] in ("SAT", "UNSAT", "DONE"))
     fresh_total = sum(r["fresh_starts"] for r in jobs.values())
@@ -181,7 +195,7 @@ def report_from_trace(lines: list[str]) -> RunReport:
         "unsolved": len(jobs) - solved,
         "makespan_ms": makespan,
         "end_reason": end_reason,
-        "busy": [[t, b, a] for t, b, a in busy],
+        "busy": busy,
         "busy_max": max((b for _, b, _ in busy), default=0),
         "fresh_starts": fresh_total,
         "volume_total": volume_total,
@@ -190,3 +204,33 @@ def report_from_trace(lines: list[str]) -> RunReport:
         "share_lits_mean": (share_lits / share_count) if share_count else None,
     }
     return report
+
+
+def _busy_series(seats: list, e_us: int, end_us: int) -> list[list]:
+    """[t_ms, busy, active] at each e/2 + k*e µs up to the run's end.
+
+    A sample counts every line stamped at or before it: busy is the number
+    of worker PEs with some (job, x) STARTed and not SUSPENDed or ENDed
+    since, active the number of jobs with a client REQUEST and no DONE yet.
+    """
+    seats.sort(key=lambda seat: seat[0])
+    started: dict[int, set] = {}
+    active: set[int] = set()
+    out = []
+    i = 0
+    for t_us in range(e_us // 2, end_us + 1, e_us):
+        while i < len(seats) and seats[i][0] <= t_us:
+            _t, pe, kind, job, x = seats[i]
+            i += 1
+            if kind == "REQUEST":
+                active.add(job)
+            elif kind == "DONE":
+                active.discard(job)
+            elif pe > 0:
+                keys = started.setdefault(pe, set())
+                if kind == "START":
+                    keys.add((job, x))
+                else:
+                    keys.discard((job, x))
+        out.append([t_us / 1000, sum(1 for keys in started.values() if keys), len(active)])
+    return out

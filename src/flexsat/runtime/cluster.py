@@ -48,11 +48,11 @@ _BOUNDS = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator
 
 
 def knob(default, kind, *bounds, flag=None, help=None, traced=True):
-    """A ClusterConfig field with its kind (int, finite float, bool or a
-    tuple of choices; a None default also allows None), its (op, number)
-    bounds, its CLI flag and help (a bool's are an on/off pair of each),
-    and whether the CONFIG trace line shows it."""
-    test, what = _KINDS.get(kind) or (kind.__contains__, f"one of {kind}")
+    """A ClusterConfig field with its kind (int, finite float or bool; a
+    None default also allows None), its (op, number) bounds, its CLI flag
+    and help (a bool's are an on/off pair of each), and whether the CONFIG
+    trace line shows it."""
+    test, what = _KINDS[kind]
     return field(default=default, metadata={
         "kind": kind, "test": test, "what": what, "bounds": bounds,
         "flag": flag, "help": help, "traced": traced})
@@ -89,7 +89,6 @@ class ClusterConfig:
     timeout_s: float = knob(300.0, float, (">", 0), ("<=", MAX_SECONDS), flag="--timeout",
                             help="global limit")
     sharing: bool = knob(True, bool)
-    ramp: str = knob("double", ("double", "full"))
     # Conflicts and flips per simulated ms.  An unset sls_rate is
     # FLIPS_PER_CONFLICT * cdcl_rate: every slot shares one machine speed.
     cdcl_rate: float = knob(20.0, float, (">", 0), ("<=", MAX_RATE), traced=False)
@@ -165,45 +164,13 @@ class Cluster:
                         for pe in workers}
         self.pes = {CLIENT_ID: self.client, **self.workers}
 
-    # -- shared bits -------------------------------------------------------
-    def _busy_count(self) -> tuple[int, int]:
-        busy = sum(1 for w in self.workers.values() if w.busy_active())
-        return busy, len(self.client.active)
-
-    def _log_config(self) -> None:
-        blob = json.dumps(self.cfg.public_dict(), sort_keys=True,
-                          separators=(",", ":"))
-        self.trace.add(0, -1, "CONFIG", None, blob)
-
-    def _log_stats(self, now_us: int) -> None:
-        totals = {"slots": 0, "conflicts": 0, "propagations": 0, "decisions": 0,
-                  "restarts": 0, "flips": 0, "learned": 0, "exported": 0,
-                  "imported": 0}
-        for stats in self.shared.registry:
-            totals["slots"] += 1
-            for key in ("conflicts", "propagations", "decisions", "restarts",
-                        "flips", "learned", "exported", "imported"):
-                totals[key] += getattr(stats, key)
-        detail = " ".join(f"{k}={v}" for k, v in totals.items())
-        self.trace.add(now_us, -1, "STATS", None, detail)
-
-    def _finish_report(self, now_us: int, reason: str) -> RunReport:
-        self.client.finalize(now_us)
-        self._log_stats(now_us)
-        self.trace.add(now_us, -1, "RUN_END", None, f"reason={reason}")
-        report = report_from_trace(self.trace.lines())
-        report.models = {job: rec.get("assignment")
-                         for job, rec in self.client.results.items()}
-        return report
-
     def run(self) -> RunReport:
         loop = self._loop
         timeout_us = int(self.cfg.timeout_s * 1e6)
-        self._log_config()
+        self.trace.add(0, -1, "CONFIG", None, json.dumps(
+            self.cfg.public_dict(), sort_keys=True, separators=(",", ":")))
         for pe in self.pes.values():
             pe.on_start()
-        tick_us = self.shared.e_us
-        loop.post_timer(-1, tick_us // 2, "tick", None)
 
         def on_message(dst, env):
             actor = self.pes.get(dst)
@@ -211,19 +178,20 @@ class Cluster:
                 actor.on_envelope(env)
 
         def on_timer(pe, tag, data):
-            if pe == -1:
-                busy, active = self._busy_count()
-                self.trace.add(loop.now, -1, "TICK", None,
-                               f"busy={busy} active={active}")
-                loop.post_timer(-1, tick_us, "tick", None)
-            else:
-                actor = self.pes.get(pe)
-                if actor is not None:
-                    actor.on_timer(tag, data)
+            actor = self.pes.get(pe)
+            if actor is not None:
+                actor.on_timer(tag, data)
 
         loop.run(on_message, on_timer, lambda: self.client.finished, timeout_us)
         reason = "all-done" if self.client.finished else "timeout"
-        return self._finish_report(loop.now, reason)
+        end_us = loop.now  # read once: the wall loop's clock moves on
+        for pe in self.pes.values():  # in id order: the client first
+            pe.on_stop(end_us)
+        self.trace.add(end_us, -1, "RUN_END", None, f"reason={reason}")
+        report = report_from_trace(self.trace.lines())
+        report.models = {job: rec.get("assignment")
+                         for job, rec in self.client.results.items()}
+        return report
 
 
 def run_cluster(cfg: ClusterConfig, scenario) -> RunReport:
@@ -234,14 +202,16 @@ def run_cluster(cfg: ClusterConfig, scenario) -> RunReport:
 
 
 # The fields mono mode fixes, whatever the config says: the idle reserve
-# makes no sense for a single job, which asks for the full budget at once.
-MONO_FIXED = {"epsilon": 0.0, "ramp": "full", "max_jobs": 1}
+# makes no sense for a single job.
+MONO_FIXED = {"epsilon": 0.0, "max_jobs": 1}
 
 
 def mono_mode(cnf: Cnf, cfg: ClusterConfig, job_id: int = 1) -> RunReport:
     """Solve one formula on the whole cluster (MONO_FIXED applied) and stop
-    at the first result."""
+    at the first result; the job asks for the full budget at once."""
     mono_cfg = replace(cfg, **MONO_FIXED)
-    desc = JobDescriptor(job=job_id, priority=0.5, arrival_s=0.0, cnf=cnf)
+    mono_cfg.validate()
+    desc = JobDescriptor(job=job_id, priority=0.5, arrival_s=0.0, cnf=cnf,
+                         demand=mono_cfg.budget)
     cluster = Cluster(mono_cfg, [desc])
     return cluster.run()

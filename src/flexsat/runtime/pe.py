@@ -9,7 +9,7 @@ sharing epochs over each job tree.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from random import Random
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -22,6 +22,7 @@ from ..exchange import (
     serialize,
 )
 from ..formula import ModelError, check_model
+from ..harness.report import STATS_KEYS
 from ..sched import (
     JobDescriptor,
     JobInfo,
@@ -37,7 +38,7 @@ from ..sched import (
     route_request,
     VolumeMap,
 )
-from ..solver import SAT, UNKNOWN
+from ..solver import SAT, UNKNOWN, SolverStats
 from ..solver.cdcl import CdclSolver
 from ..solver.config import make_portfolio_config, throttled_thread_count
 from ..solver.ring import ImportRing
@@ -65,7 +66,7 @@ CACHE_SIZE = 3             # job-tree nodes a worker holds, active or suspended
 
 @dataclass
 class RunShared:
-    """The run's config, what the cluster derives from it, and the solver registry."""
+    """The run's config and what the cluster derives from it."""
 
     cfg: ClusterConfig
     h_max: int
@@ -77,9 +78,6 @@ class RunShared:
     cdcl_per_slice: int            # conflicts per slice
     sls_per_slice: int             # flips per slice
     excfg: ExchangeConfig
-    # SolverStats of every solver slot the run started; not the slot
-    # itself, so a torn-down node frees its solvers and filters.
-    registry: list = field(default_factory=list)
 
 
 @dataclass
@@ -176,6 +174,9 @@ class BasePE:
     def on_start(self) -> None:
         self.ctx.set_timer(self.shared.e_us, "balance", 1)
 
+    def on_stop(self, now_us: int) -> None:
+        """The run has stopped; log what only this PE knows."""
+
     def on_envelope(self, env: Envelope) -> None:
         handler = self._handlers.get(env.kind)
         if handler is not None:
@@ -252,11 +253,17 @@ class WorkerPE(BasePE):
         self.hints: dict[tuple[int, int], int] = {}
         self.occupied: Optional[tuple[int, int]] = None
         self._step_on = False
+        # SolverStats of every slot this PE started; not the slot itself,
+        # so a torn-down node frees its solvers and filters.
+        self.slot_stats: list[SolverStats] = []
 
-    # -- state inspection (TICK lines / post-run stats) ---------------------
-    def busy_active(self) -> bool:
-        node = self.nodes.get(self.occupied) if self.occupied else None
-        return node is not None and node.state == ACTIVE
+    def on_stop(self, now_us: int) -> None:
+        """One STATS line: the counters of every slot this PE started, summed."""
+        if self.slot_stats:
+            counts = [len(self.slot_stats)] + [sum(getattr(st, f.name) for st in self.slot_stats)
+                                               for f in fields(SolverStats)]
+            detail = " ".join(f"{k}={v}" for k, v in zip(STATS_KEYS, counts))
+            self.log("STATS", None, detail, at_us=now_us)
 
     # -- job requests ------------------------------------------------------
     def _h_job_request(self, env: Envelope) -> None:
@@ -362,20 +369,12 @@ class WorkerPE(BasePE):
         node.volume = env.payload["v"]
         if x == 0:
             desc = node.desc
-            cap = self.shared.cfg.budget
-            if desc.demand is not None:
-                cap = min(cap, desc.demand)
-            if desc.max_volume is not None:
-                cap = min(cap, desc.max_volume)
-            node.ramp_cap = max(1, cap)
+            budget = self.shared.cfg.budget  # >= 1, as are a demand and a max_volume
+            node.ramp_cap = min(budget, desc.demand or budget, desc.max_volume or budget)
             # Ramping is for jobs of unknown parallelism; an explicit
-            # demand (or mono's full ramp) is posted in one go.
-            if self.shared.cfg.ramp == "full" or desc.demand is not None:
-                node.cur_demand = node.ramp_cap
-                node.ramp_on = False
-            else:
-                node.cur_demand = 1
-                node.ramp_on = node.ramp_cap > 1
+            # demand (mono mode's is the budget) is posted in one go.
+            node.ramp_on = desc.demand is None
+            node.cur_demand = 1 if node.ramp_on else node.ramp_cap
             # The root keeps its seat but stays pending until the next
             # balancing epoch grants it a volume; starting it right away
             # would push the busy count past the budget.
@@ -433,7 +432,7 @@ class WorkerPE(BasePE):
             if self.shared.filter_halflife_us and slot.filt is not None:
                 slot.next_forget_us = self.ctx.now_us() + self.shared.filter_halflife_us
             node.slots.append(slot)
-            self.shared.registry.append(slot.solver.stats)
+            self.slot_stats.append(slot.solver.stats)
 
     # The callbacks close over the node's sink and the slot's filter and
     # ring, never the node or slot: a solver that held its slot would close
@@ -909,7 +908,7 @@ class ClientPE(BasePE):
                  f"model={model_state}" + (" " + detail if detail else ""),
                  at_us=stop_us)
 
-    def finalize(self, now_us: int) -> None:
+    def on_stop(self, now_us: int) -> None:
         """Log whatever is still unresolved when the run stops as UNKNOWN."""
         for job in self.descs:
             if job not in self.results:

@@ -74,30 +74,36 @@ def test_hos_arrival_breaks_ties():
 # ---------------------------------------------------------------------------
 # trace parsing and reports
 
+# Busy samples fall at 50, 150, 250 and 350 ms (balance_period_s 0.1).  The
+# TICK lines of older traces are ignored: their values are never folded.
 TRACE = """\
-0.000 -1 CONFIG - {"budget": 7, "num_pes": 8}
+0.000 -1 CONFIG - {"balance_period_s": 0.1, "budget": 7, "num_pes": 8}
 0.100 0 INTRO 1 pri=0.5 kind=cnf
-0.200 0 REQUEST 1 x=0
-0.450 3 PLACED 1 x=0
+0.200 0 REQUEST 1 x=0 dst=3
+0.450 0 PLACED 1 pe=3 size=10
 0.500 3 START 1 x=0 mode=fresh
-100.000 -1 TICK - busy=1 active=1
+100.000 -1 TICK - busy=6 active=6
 100.200 3 VOLUME 1 v=3 epoch=1 demand=4
 150.000 3 SHARE 1 epoch=1 u=3 lits=120
-200.000 -1 TICK - busy=3 active=1
-250.000 4 START 1 x=1 mode=fresh
-260.000 4 SUSPEND 1 x=1
+150.000 5 START 1 x=2 mode=fresh
+200.000 -1 TICK - busy=6 active=6
+249.000 4 START 1 x=1 mode=fresh
+250.000 4 SUSPEND 1 x=1
 270.000 4 START 1 x=1 mode=resume
 300.000 0 DONE 1 verdict=SAT response_ms=299.9 model=ok
 this line is noise and must be skipped
-310.000 -1 STATS - slots=4 conflicts=100 learned=90 exported=40 imported=10
-320.000 -1 RUN_END - reason=all-done
+305.000 3 END 1 x=0 reason=done
+305.000 5 END 1 x=2 reason=done
+360.000 3 STATS - slots=2 conflicts=60 learned=50 exported=30 imported=10
+360.000 4 STATS - slots=2 conflicts=40 learned=40 exported=10
+360.000 -1 RUN_END - reason=all-done
 """.splitlines()
 
 
 def test_parse_trace_line():
     assert parse_trace_line("1.500 3 START 7 x=0 mode=fresh") == \
         (1.5, 3, "START", 7, "x=0 mode=fresh")
-    assert parse_trace_line("9.000 -1 TICK - busy=1 active=1")[3] is None
+    assert parse_trace_line("9.000 -1 RUN_END - reason=timeout")[3] is None
     assert parse_trace_line("nonsense") is None
     assert parse_trace_line("a b c d") is None
     assert parse_trace_line("1.0 2 START abc x=1") is None  # a bad job field too
@@ -115,7 +121,7 @@ def test_report_from_trace_fields():
     assert job["first_request_ms"] == 0.2
     assert job["placed_ms"] == 0.45
     assert job["latency_ms"] == 0.25
-    assert job["fresh_starts"] == 2
+    assert job["fresh_starts"] == 3
     assert job["max_volume"] == 3
     assert job["shares"] == 1
     assert job["verdict"] == "SAT"
@@ -124,15 +130,32 @@ def test_report_from_trace_fields():
 
     agg = rep.aggregates
     assert agg["solved"] == 1 and agg["unsolved"] == 0
-    assert agg["makespan_ms"] == 320.0
+    assert agg["makespan_ms"] == 360.0
     assert agg["end_reason"] == "all-done"
-    assert agg["busy"] == [[100.0, 1, 1], [200.0, 3, 1]]
-    assert agg["busy_max"] == 3
-    assert agg["fresh_starts"] == 2 and agg["volume_total"] == 3
-    assert agg["over_transfer"] == pytest.approx(2 / 3)
+    # The START at 150 ms counts in the sample at 150 ms; the node that
+    # suspends at 250 ms does not count in the sample at 250 ms.
+    assert agg["busy"] == [[50.0, 1, 1], [150.0, 2, 1], [250.0, 2, 1], [350.0, 1, 0]]
+    assert agg["busy_max"] == 2
+    assert agg["fresh_starts"] == 3 and agg["volume_total"] == 3
+    assert agg["over_transfer"] == 1.0
     assert agg["shares"] == 1 and agg["share_lits_mean"] == 120.0
-    assert rep.solver_totals["conflicts"] == 100
+    # every STATS line adds up; a key no line gives stays 0
+    assert rep.solver_totals == {
+        "slots": 4, "conflicts": 100, "propagations": 0, "decisions": 0, "restarts": 0,
+        "flips": 0, "learned": 90, "exported": 40, "imported": 10}
     assert rep.config["budget"] == 7
+
+
+def test_busy_series_ignores_tick_lines_and_needs_a_period():
+    head = '0.000 -1 CONFIG - {"balance_period_s": 0.02}'
+    ticks = ["10.000 -1 TICK - busy=3 active=2", "30.000 -1 TICK - busy=3 active=2"]
+    end = "40.000 -1 RUN_END - reason=timeout"
+    assert report_from_trace([head, *ticks, end]).aggregates["busy"] == [
+        [10.0, 0, 0], [30.0, 0, 0]]
+    # without a balancing period, or without a run end, there are no samples
+    assert report_from_trace(['0.000 -1 CONFIG - {}', *ticks, end]).aggregates["busy"] == []
+    assert report_from_trace([head, *ticks]).aggregates["busy"] == []
+    assert report_from_trace(TRACE[1:]).solver_totals["conflicts"] == 100
 
 
 def test_report_json_roundtrip():
@@ -295,6 +318,9 @@ def test_parse_scenario_full(tmp_path):
     # A rate whose slice budget would overflow an integer count.
     ('{"type": "config", "cdcl_rate": 1e308}\n{"type": "job", "synthetic": 1.0}',
      "line 1: cdcl_rate must be <= 1000000000"),
+    # mono mode's job asks for the whole budget; no config knob chooses that
+    ('{"type": "config", "ramp": "full"}\n{"type": "job", "synthetic": 1.0}',
+     "line 1: unknown config key 'ramp'"),
     ('{"type": "job", "synthetic": 1.0}\n{"type": "config", "sls_rate": 1e308}',
      "line 2: sls_rate must be <= 1000000000"),
 ])
@@ -519,7 +545,22 @@ def test_cli_report_without_trace(tmp_path, capsys):
      "line 3: not a trace line: '1.0 2 START abc x=1'"),
     ("", "no trace lines"),
     ("\n  \n", "no trace lines"),
-], ids=["noise", "bad-job", "empty", "blank"])
+    ("0.000 -1 CONFIG - [1,2]\n", "line 1: CONFIG is not a JSON object"),
+    ("0.000 -1 CONFIG - {\n", "line 1: Expecting property name enclosed in double quotes:"
+     " line 1 column 2 (char 1)"),
+    ('0.000 -1 CONFIG - {"balance_period_s": 0}\n',
+     "line 1: balance_period_s 0 is not a number in [1e-06, 1000000000]"),
+    ("0.100 0 INTRO 1 pri=0.5\n0.200 0 DONE 1 verdict=SAT response_ms=abc\n",
+     "line 2: could not convert string to float: 'abc'"),
+    ("\n0.100 3 VOLUME 1 v=x\n", "line 2: invalid literal for int() with base 10: 'x'"),
+    ('{"trace": 5}', "trace is not a list of strings"),
+    ('{"trace": ["0.100 0 INTRO 1 pri=0.5", 7]}', "trace is not a list of strings"),
+    ('{"trace": ["0.100 0 INTRO 1 pri=0.5"], "jobs": []}', "jobs is not a JSON object"),
+    ('{"trace": ["0.100 0 INTRO 1 pri=0.5", "0.1 0 SHARE 1 lits=?"]}',
+     "line 2: invalid literal for int() with base 10: '?'"),
+], ids=["noise", "bad-job", "empty", "blank", "config-list", "config-json",
+        "config-period", "bad-float", "bad-int-after-blank", "report-trace-int",
+        "report-trace-item", "report-jobs-list", "report-bad-int"])
 def test_cli_report_rejects_non_trace_input(tmp_path, capsys, text, err):
     f = tmp_path / "bad.trace"
     f.write_text(text)
@@ -579,6 +620,20 @@ def test_cli_hos_rejects_bad_timeout(limit, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"flexsat: error: --timeout {float(limit)!r}"
                             " is not a positive finite number\n")
+
+
+def test_hos_rejects_repeated_job_id(tmp_path, capsys):
+    # Shortest-first over three entries would give 4.000, not the 5.500 of
+    # two merged jobs: a repeated id is refused rather than folded.
+    entries = [{"job": 1, "runtime": 5}, {"job": 1, "runtime": 1}, {"job": 2, "runtime": 2}]
+    with pytest.raises(ValueError, match="job id 1 is given twice"):
+        hos_baseline([(e["job"], e["runtime"], 0.0) for e in entries], 300.0)
+    f = tmp_path / "times.json"
+    f.write_text(json.dumps(entries))
+    assert main(["hos", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"flexsat: error: {f}: job id 1 is given twice\n"
 
 
 def test_cli_hos_accepts_null_runtime_and_integral_times(tmp_path, capsys):

@@ -49,8 +49,6 @@ def test_config_validation():
         ClusterConfig(num_pes=1).validate()
     with pytest.raises(ValueError, match="budget"):
         ClusterConfig(num_pes=2, epsilon=0.9).validate()
-    with pytest.raises(ValueError, match="ramp"):
-        ClusterConfig(ramp="never").validate()
     with pytest.raises(ValueError, match="alpha"):
         ClusterConfig(alpha=0.3).validate()
     with pytest.raises(ValueError, match="timeout"):
@@ -89,7 +87,6 @@ def test_config_validation():
     (dict(sim=1), "sim 1 is not true or false"),
     (dict(alpha="0.9"), "alpha '0.9' is not a finite number"),
     (dict(epsilon=False), "epsilon False is not a finite number"),
-    (dict(ramp=None), "ramp None is not one of"),
     # NaN and infinities are refused for every real
     (dict(timeout_s=math.inf), "timeout_s inf is not a finite number"),
     (dict(balance_period_s=math.nan), "balance_period_s nan is not a finite number"),
@@ -154,7 +151,7 @@ def test_unset_sls_rate_trace_matches_explicit_rate():
     cfg = small_cfg(num_pes=8, threads=2, share_period_s=0.05, cdcl_rate=0.3)
     unset = mono_mode(cnf, cfg)
     assert unset.jobs[1]["verdict"] == "SAT"
-    assert " flips=0 " not in [l for l in unset.trace if " STATS " in l][-1]
+    assert unset.solver_totals["flips"] > 0
     assert unset.trace == mono_mode(cnf, replace(cfg, sls_rate=6.0)).trace
     assert unset.trace != mono_mode(cnf, replace(cfg, sls_rate=400.0)).trace
 
@@ -162,7 +159,7 @@ def test_unset_sls_rate_trace_matches_explicit_rate():
 def test_public_dict_keys():
     assert sorted(ClusterConfig().public_dict()) == sorted([
         "num_pes", "threads", "budget", "epsilon", "balance_period_s",
-        "share_period_s", "alpha", "beta", "sharing", "ramp", "seed", "sim",
+        "share_period_s", "alpha", "beta", "sharing", "seed", "sim",
         "timeout_s", "filter_halflife_s"])
 
 
@@ -178,9 +175,9 @@ def test_format_time_ms():
 
 def test_trace_renders_jobless_lines():
     tr = Trace()
-    tr.add(1500, -1, "TICK", None, "busy=3 active=2")
+    tr.add(1500, -1, "RUN_END", None, "reason=timeout")
     tr.add(2000, 4, "START", 7, "x=0 mode=fresh")
-    assert tr.lines() == ["1.500 -1 TICK - busy=3 active=2",
+    assert tr.lines() == ["1.500 -1 RUN_END - reason=timeout",
                           "2.000 4 START 7 x=0 mode=fresh"]
 
 
@@ -508,12 +505,7 @@ def test_runs_leave_no_cyclic_garbage(collector_off, monkeypatch):
 
 
 def _slots_and_fresh_starts(report) -> tuple[int, int]:
-    lines = list(map(parse_trace_line, report.trace))
-    stats = [d for _t, _pe, kind, _job, d in lines if kind == "STATS"]
-    slots = int(stats[-1].split()[0].removeprefix("slots="))
-    fresh = sum(1 for _t, _pe, kind, _job, d in lines
-                if kind == "START" and "mode=fresh" in d)
-    return slots, fresh
+    return report.solver_totals["slots"], report.aggregates["fresh_starts"]
 
 
 def test_huge_formula_runs_one_solver_per_node(monkeypatch):
@@ -539,9 +531,7 @@ def test_real_run_returns_with_solvers_mid_search():
                                              timeout_s=0.5, balance_period_s=0.01))
     assert time.monotonic() - start < 2.0
     assert report.jobs[1]["verdict"] == "UNKNOWN"
-    stats = [d for _t, _pe, kind, _job, d in map(parse_trace_line, report.trace)
-             if kind == "STATS"]
-    assert stats and "slots=4" in stats[-1]
+    assert report.solver_totals["slots"] == 4
 
 
 def test_real_run_starts_no_thread(monkeypatch):
@@ -628,10 +618,10 @@ def multi_cnf_sharing_run():
 
 
 @pytest.mark.parametrize("run,digest", [
-    (criterion9_run, "d744f22b08375ff7b1ce9f618af4ab8c3cce5cff70ea81d6d9276eb4b6894b12"),
-    (eviction_run, "5e5717521ed47b1d8a28c51d436ea1cd3474b11a2187966ae86387f61bd2a1c6"),
-    (sharing_mono_run, "db895bddba634d0dae04ffcaaf223ab5a244c5c0f18d680455acaf16198580fa"),
-    (multi_cnf_sharing_run, "8c213aec78a634f30c8f0ae9b1b50dbde8e65e80de992addac6d27491bf41dec"),
+    (criterion9_run, "fc67f44270b149c74ec24877ac69e17cdb198c816e21e1c28db55c562f1a4532"),
+    (eviction_run, "fb39a0284b0d1a6e944082365474fc1833b0545e5c6f1889e50587e6178957d0"),
+    (sharing_mono_run, "106361b4c59be5de0eb2a49a13965756f8e0cd465635f9fd22d480aa60bf2a8d"),
+    (multi_cnf_sharing_run, "4030f505bdaaa94201d14909e4380ebe67fb21c5e13554b16ee8c3beca56f82a"),
 ], ids=["criterion9", "eviction", "sharing_mono", "multi_cnf_sharing"])
 def test_trace_digests_pinned(run, digest):
     """Simulated traces are part of the contract: a refactor must keep them byte-exact.
@@ -643,13 +633,48 @@ def test_trace_digests_pinned(run, digest):
     assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == digest
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("run,digests", [
+    (criterion9_run, ("5a82fa8a92191334436ffc14e6a886ff162210df2489a75192f5227d5e2fa77a",
+                      "96c93a3524d22ee072428867bb863bb16a5700536336b6ad20c01a93955007f4",
+                      "264a4db89a704a8dd94e8808e6c851601ee1b718720c2f7317d984bbb7d6165e")),
+    (eviction_run, ("8d9bcb2b27489fcb0ae1680a9bb55b54fd4df30ea94ab2c10d0a2d447b885094",
+                    "377e4f745ccd76d09fabc08c03665f389795b179dd65cf09a5d4aca4475e0e4a",
+                    "f7427d4835dbe5cc6d34f032221a46650097dd3efe9b0e95d7fd363966e6248c")),
+    (sharing_mono_run, ("392711f7cdc8c88966701822e3353743bf1a6304404dff54ccf93b59da7be5f3",
+                        "e3c2402b76857e03bcd784d3a38f194858d860f9efd3b928c07033a35a4dcf73",
+                        "f398f55970be3e964079c0bfb4ab27e4ace9d60457e073e27dba55e6920b5e10")),
+    (multi_cnf_sharing_run, ("7401b36bbcc2f2ca884224cd070cbf7575edc7dc7eff9d1b8c45929cadb258a0",
+                             "48d20582e74c013a200c5f6ca670c9177eae071e526b7f069591ece2811b2552",
+                             "08fd1c484d62c3279cfbd838ccd9893103c148b777e6778fe804ab9eacf641f0")),
+], ids=["criterion9", "eviction", "sharing_mono", "multi_cnf_sharing"])
+def test_busy_and_totals_folds_keep_the_tick_era_values(run, digests):
+    """Audit of the one re-pin that dropped the cluster's TICK and STATS lines.
+
+    The digests were taken when the cluster still sampled its workers (TICK
+    lines) and summed the run's solver counters (one PE -1 STATS line), and
+    a mono run ramped to the budget by a config knob: the trace without its
+    TICK, STATS and CONFIG lines, the busy series, and the solver totals.
+    Folding the PEs' own lines gives all three unchanged.
+    """
+    report = run()
+    rest = [line for line in report.trace
+            if parse_trace_line(line)[2] not in ("TICK", "STATS", "CONFIG")]
+    assert (_sha("\n".join(rest)), _sha(json.dumps(report.aggregates["busy"])),
+            _sha(json.dumps(report.solver_totals, sort_keys=True))) == digests
+
+
 @pytest.mark.parametrize("run", [
     criterion9_run, eviction_run, sharing_mono_run, multi_cnf_sharing_run,
 ], ids=["criterion9", "eviction", "sharing_mono", "multi_cnf_sharing"])
 def test_one_owner_per_tree_node(run):
     """Read from the trace: a tree node computes on at most one PE at a time,
-    every job ends with exactly one DONE, and no tick is busier than the budget."""
-    lines = [parse_trace_line(line) for line in run().trace]
+    every job ends with exactly one DONE, and no busy sample exceeds the budget."""
+    report = run()
+    lines = [parse_trace_line(line) for line in report.trace]
     config = next(d for _t, _pe, kind, _job, d in lines if kind == "CONFIG")
     budget = json.loads(config)["budget"]
     owner: dict[tuple[int, int], int] = {}
@@ -663,10 +688,29 @@ def test_one_owner_per_tree_node(run):
                 del owner[key]
         elif kind == "DONE":
             done[job] += 1
-        elif kind == "TICK":
-            assert int(detail.split()[0].removeprefix("busy=")) <= budget
     jobs = {job for _t, _pe, _kind, job, _d in lines if job is not None}
     assert done and done == Counter(dict.fromkeys(jobs, 1))
+    assert report.aggregates["busy"]
+    assert all(busy <= budget for _t, busy, _a in report.aggregates["busy"])
+
+
+def test_cluster_reads_no_worker_and_posts_no_timer(monkeypatch):
+    """Every timer belongs to a PE, and each worker that started a solver
+    slot reports its own counters in one STATS line when the run stops."""
+    owners = set()
+    orig_post = SimLoop.post_timer
+
+    def recording_post(self, pe, delay_us, tag, data):
+        owners.add(pe)
+        orig_post(self, pe, delay_us, tag, data)
+    monkeypatch.setattr(SimLoop, "post_timer", recording_post)
+    report = sharing_mono_run()
+    assert min(owners) == 0
+    stats = [(pe, d) for _t, pe, kind, _job, d in map(parse_trace_line, report.trace)
+             if kind == "STATS"]
+    assert [pe for pe, _d in stats] == list(range(1, 8))
+    assert all(d.split()[0] == "slots=2" for _pe, d in stats)
+    assert report.trace[-1].split()[1:3] == ["-1", "RUN_END"]
 
 
 def test_priority_shapes_volumes():
