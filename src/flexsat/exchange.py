@@ -44,12 +44,6 @@ class ExchangeConfig:
     beta: int = 1500
     alpha: float = 0.875
 
-    def validate(self) -> None:
-        if self.beta < 1:
-            raise ValueError("beta must be >= 1")
-        if not (0.5 <= self.alpha <= 1.0):
-            raise ValueError("alpha out of [0.5,1]")
-
 
 def buffer_limit(u: int, cfg: ExchangeConfig) -> int:
     """Admitted buffer size (in integers) after aggregating u buffers.

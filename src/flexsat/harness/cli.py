@@ -12,15 +12,20 @@ from pathlib import Path
 from ..formula import DimacsError, parse_dimacs
 from ..runtime import ClusterConfig, mono_mode, run_cluster
 from ..runtime.cluster import MONO_FIXED
-from ..util import is_real
+from ..util import MAX_SECONDS, MIN_PERIOD_S, is_real
 from .metrics import hos_baseline
-from .report import RunReport, parse_trace_line, report_from_trace
+from .report import RunReport, busy_sample_times, parse_trace_line, report_from_trace
 from .scenario import ScenarioError, load_scenario
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_OK = 0
 EXIT_ERROR = 1
+
+# The most busy samples `flexsat report` folds from a saved trace: a short
+# file with a tiny balancing period and a late RUN_END would ask for more
+# than it could ever fold.
+MAX_BUSY_SAMPLES = 10 ** 6
 
 
 class CliError(Exception):
@@ -64,11 +69,14 @@ def _config_from_args(args: argparse.Namespace) -> ClusterConfig:
     return cfg
 
 
-def _read_text(path: str) -> str:
+def _read(path: str, binary: bool = False) -> str | bytes:
+    """The file's bytes, or its UTF-8 text; an error names the path."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_bytes() if binary else Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def _write_outputs(report: RunReport, args: argparse.Namespace) -> None:
@@ -87,7 +95,7 @@ def _print_model(model: dict) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
-        cnf = parse_dimacs(_read_text(args.cnf))
+        cnf = parse_dimacs(_read(args.cnf, binary=True))  # as scenario files are read
     except DimacsError as exc:
         raise CliError(f"{args.cnf}: {exc}") from exc
     cfg = _config_from_args(args)
@@ -111,7 +119,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
-    except (ScenarioError, DimacsError) as exc:
+    except (ScenarioError, DimacsError, UnicodeDecodeError) as exc:
         raise CliError(f"{args.scenario}: {exc}") from exc
     except OSError as exc:
         raise CliError(f"cannot read {args.scenario}: {exc.strerror or exc}") from exc
@@ -124,7 +132,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    text = _read_text(args.trace_file)
+    text = _read(args.trace_file)
     try:
         if text.lstrip().startswith("{"):
             lines = RunReport.from_json(text).trace
@@ -132,11 +140,28 @@ def cmd_report(args: argparse.Namespace) -> int:
                 raise ValueError("report has no embedded trace")
         else:
             lines = text.splitlines()
+        period = end = None
         for n, line in enumerate(lines, 1):
-            if line.strip() and parse_trace_line(line) is None:
+            if not line.strip():
+                continue
+            parsed = parse_trace_line(line)
+            if parsed is None or not math.isfinite(parsed[0]):
                 raise ValueError(f"line {n}: not a trace line: {line[:60]!r}")
+            if parsed[2] == "RUN_END":
+                end = n, parsed[0]
+            elif parsed[2] == "CONFIG":
+                try:
+                    period = json.loads(parsed[4]).get("balance_period_s", period)
+                except (ValueError, AttributeError):
+                    pass  # report_from_trace names the line
         if not any(line.strip() for line in lines):
             raise ValueError("no trace lines")
+        if end is not None and is_real(period) and MIN_PERIOD_S <= period <= MAX_SECONDS:
+            n, end_ms = end
+            if busy_sample_times(int(period * 1e6), round(end_ms * 1000))[MAX_BUSY_SAMPLES:]:
+                raise ValueError(f"line {n}: RUN_END at {end_ms:g} ms with a {period:g} s "
+                                 f"balancing period gives more than {MAX_BUSY_SAMPLES} "
+                                 "busy samples")
         report = report_from_trace(lines)  # blank lines kept: line numbers stay the file's
     except ValueError as exc:
         raise CliError(f"{args.trace_file}: {exc}") from exc
@@ -149,7 +174,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_hos(args: argparse.Namespace) -> int:
     try:
-        body = json.loads(_read_text(args.times))
+        body = json.loads(_read(args.times))
     except json.JSONDecodeError as exc:
         raise CliError(f"{args.times}: {exc}") from exc
     if not isinstance(body, list):

@@ -206,8 +206,13 @@ def report_from_trace(lines: list[str]) -> RunReport:
     return report
 
 
+def busy_sample_times(e_us: int, end_us: int) -> range:
+    """When the busy series samples, in µs: e/2 + k*e up to the run's end."""
+    return range(e_us // 2, end_us + 1, e_us)
+
+
 def _busy_series(seats: list, e_us: int, end_us: int) -> list[list]:
-    """[t_ms, busy, active] at each e/2 + k*e µs up to the run's end.
+    """[t_ms, busy, active] at each of busy_sample_times.
 
     A sample counts every line stamped at or before it: busy is the number
     of worker PEs with some (job, x) STARTed and not SUSPENDed or ENDed
@@ -218,7 +223,7 @@ def _busy_series(seats: list, e_us: int, end_us: int) -> list[list]:
     active: set[int] = set()
     out = []
     i = 0
-    for t_us in range(e_us // 2, end_us + 1, e_us):
+    for t_us in busy_sample_times(e_us, end_us):
         while i < len(seats) and seats[i][0] <= t_us:
             _t, pe, kind, job, x = seats[i]
             i += 1

@@ -66,10 +66,10 @@ class ClusterConfig:
                         help="total PE count including the client")
     threads: int = knob(2, int, (">=", 1), flag="--threads",
                         help="solver threads per active node")
-    # alpha's and beta's ranges are ExchangeConfig.validate's
-    alpha: float = knob(0.875, float, flag="--alpha",
+    alpha: float = knob(0.875, float, (">=", 0.5), ("<=", 1.0), flag="--alpha",
                         help="export budget decay per doubling")
-    beta: int = knob(1500, int, flag="--beta", help="export budget base (literals)")
+    beta: int = knob(1500, int, (">=", 1), flag="--beta",
+                     help="export budget base (literals)")
     share_period_s: float = knob(1.0, float, (">=", MIN_PERIOD_S), ("<=", MAX_SECONDS),
                                  flag="--share-period",
                                  help="seconds between clause-sharing epochs")
@@ -112,7 +112,6 @@ class ClusterConfig:
             raise ValueError(
                 f"budget {self.budget} < 1: lower epsilon or add PEs "
                 f"(p={self.num_pes}, eps={self.epsilon})")
-        self.exchange_config().validate()
 
     def exchange_config(self) -> ExchangeConfig:
         return ExchangeConfig(beta=self.beta, alpha=self.alpha)
@@ -189,8 +188,7 @@ class Cluster:
             pe.on_stop(end_us)
         self.trace.add(end_us, -1, "RUN_END", None, f"reason={reason}")
         report = report_from_trace(self.trace.lines())
-        report.models = {job: rec.get("assignment")
-                         for job, rec in self.client.results.items()}
+        report.models = dict(self.client.results)
         return report
 
 

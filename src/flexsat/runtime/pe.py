@@ -36,7 +36,6 @@ from ..sched import (
     parent_index,
     pick_eviction,
     route_request,
-    VolumeMap,
 )
 from ..solver import SAT, UNKNOWN, SolverStats
 from ..solver.cdcl import CdclSolver
@@ -107,31 +106,34 @@ class SolverSlot:
         self.next_forget_us: Optional[int] = None
 
 
+@dataclass(eq=False)
 class JobNode:
     """One cached job-tree node on a PE."""
 
-    def __init__(self, job: int, x: int):
-        self.job = job
-        self.x = x
-        self.key = (job, x)
-        self.state = PENDING
-        self.desc: Optional[JobDescriptor] = None
-        self.parent_pe: Optional[int] = None
-        self.links: dict[int, int] = {}       # adopted child index -> PE
-        self.requested: set[int] = set()      # child indices with a request in flight
-        self.volume = 0
-        self.slots: Optional[list[SolverSlot]] = None
-        self.sink: deque = deque()
-        self.epochs: dict[int, EpochState] = {}
-        self.share_count = 0
-        self.last_active = 0
-        self.job_epoch = 0
-        self.cur_demand = 1
-        self.ramp_on = True
-        self.ramp_cap = 1
-        self.ever_active = False
-        self.result_reported = False
-        self.share_timer_on = False
+    job: int
+    x: int
+    state: str = PENDING
+    desc: Optional[JobDescriptor] = None
+    parent_pe: Optional[int] = None
+    links: dict[int, int] = field(default_factory=dict)   # adopted child index -> PE
+    hints: dict[int, int] = field(default_factory=dict)   # released child index -> its last PE
+    requested: set[int] = field(default_factory=set)     # child indices with a request in flight
+    volume: int = 0
+    slots: Optional[list[SolverSlot]] = None
+    sink: deque = field(default_factory=deque)
+    epochs: dict[int, EpochState] = field(default_factory=dict)
+    share_count: int = 0
+    last_active: int = 0
+    job_epoch: int = 0
+    cur_demand: int = 1
+    ramp_on: bool = True
+    ramp_cap: int = 1
+    ever_active: bool = False
+    result_reported: bool = False
+    share_timer_on: bool = False
+
+    def __post_init__(self) -> None:
+        self.key = (self.job, self.x)
 
 
 class BasePE:
@@ -160,7 +162,7 @@ class BasePE:
         self.pending_events: dict[int, JobInfo] = {}
         self.red: dict[int, dict] = {}
         self.jobs_table: dict[int, Any] = {}
-        self.volumes = VolumeMap({})
+        self.volumes: dict[int, int] = {}  # deferred jobs at 0
 
     # -- plumbing ----------------------------------------------------------
     def send(self, dst: int, kind: str, job: Optional[int], payload: dict,
@@ -250,7 +252,6 @@ class WorkerPE(BasePE):
         super().__init__(ctx, shared)
         self.neighbors = neighbors
         self.nodes: dict[tuple[int, int], JobNode] = {}
-        self.hints: dict[tuple[int, int], int] = {}
         self.occupied: Optional[tuple[int, int]] = None
         self._step_on = False
         # SolverStats of every slot this PE started; not the slot itself,
@@ -271,12 +272,14 @@ class WorkerPE(BasePE):
         if req.origin == self.pe_id and req.hops >= self.shared.h_max:
             self._request_returned(req)  # parked: retry next epoch
             return
-        key = (req.job, req.x)
-        node = self.nodes.get(key)
+        node = self.nodes.get((req.job, req.x))
+        # A hint for child x lives on its parent node, if this PE holds it.
+        pnode = self.nodes.get((req.job, parent_index(req.x))) if req.x else None
         idle = self.occupied is None
         holds = node is not None and node.state == SUSPENDED
         view = PeView(self.pe_id, idle, holds, idle and self._cache_admits(),
-                      self.hints.get(key), self.neighbors, self.shared.h_max)
+                      pnode.hints.get(req.x) if pnode is not None else None,
+                      self.neighbors, self.shared.h_max)
         dec = route_request(req, view, self.rng)
         if dec.action == "resume":
             self._do_resume(node, req)
@@ -326,8 +329,7 @@ class WorkerPE(BasePE):
 
     def _emit_child_request(self, node: JobNode, cx: int) -> None:
         req = JobRequest(node.job, cx, hops=0, origin=self.pe_id)
-        dst = next_hop(req, self.hints.get((node.job, cx)), self.pe_id,
-                       self.neighbors, self.rng)
+        dst = next_hop(req, node.hints.get(cx), self.pe_id, self.neighbors, self.rng)
         if dst is None:
             return
         node.requested.add(cx)
@@ -348,11 +350,11 @@ class WorkerPE(BasePE):
                 # nothing to preserve; don't leave a PE stuck in PENDING
                 self.send(env.src, tp.ABORT, job, {"x": x})
             else:
-                self.hints[(job, x)] = env.src
+                pnode.hints[x] = env.src
                 self.send(env.src, tp.VOLUME_UPDATE, job, {"x": x, "v": pnode.volume})
             return
         pnode.links[x] = env.src
-        self.hints.pop((job, x), None)
+        pnode.hints.pop(x, None)
         if env.payload["mode"] == "fresh":
             self.send(env.src, tp.JOB_PAYLOAD, job,
                       {"x": x, "desc": pnode.desc, "v": pnode.volume})
@@ -366,7 +368,7 @@ class WorkerPE(BasePE):
         if node is None or node.state != PENDING:
             return
         node.desc = env.payload["desc"]
-        node.volume = env.payload["v"]
+        node.volume = env.payload["v"]  # 0 at a root
         if x == 0:
             desc = node.desc
             budget = self.shared.cfg.budget  # >= 1, as are a demand and a max_volume
@@ -378,8 +380,6 @@ class WorkerPE(BasePE):
             # The root keeps its seat but stays pending until the next
             # balancing epoch grants it a volume; starting it right away
             # would push the busy count past the budget.
-            node.volume = 0
-            node.job_epoch = 0
             self.pending_events[job] = JobInfo(
                 job, desc.priority, desc.arrival_s, node.cur_demand, 0)
         elif x < node.volume:
@@ -462,7 +462,7 @@ class WorkerPE(BasePE):
         link = node.links.pop(cx, None)
         if link is not None:
             self.send(link, tp.VOLUME_UPDATE, node.job, {"x": cx, "v": node.volume})
-            self.hints[(node.job, cx)] = link
+            node.hints[cx] = link
         node.requested.discard(cx)
 
     def _suspend_node(self, node: JobNode, detail: str = "") -> None:
@@ -508,15 +508,13 @@ class WorkerPE(BasePE):
     def teardown_node(self, job: int, x: int, reason: str,
                       abort_children: bool = True) -> None:
         node = self.nodes.pop((job, x), None)
-        for cx in child_indices(x):
-            dst = node.links.get(cx) if node is not None else None
-            hinted = self.hints.pop((job, cx), None)
-            if abort_children:
-                dst = dst if dst is not None else hinted
-                if dst is not None:
-                    self.send(dst, tp.ABORT, job, {"x": cx})
         if node is None:
             return
+        if abort_children:
+            for cx in child_indices(x):
+                dst = node.links.get(cx, node.hints.get(cx))
+                if dst is not None:
+                    self.send(dst, tp.ABORT, job, {"x": cx})
         if self.occupied == node.key:
             self.occupied = None
         self.log("END", job, f"x={x} reason={reason}")
@@ -547,13 +545,11 @@ class WorkerPE(BasePE):
             if ev.demand <= 0:
                 for key in [key for key in self.nodes if key[0] == ev.job]:
                     self.teardown_node(key[0], key[1], "done")
-                self.hints = {hk: v for hk, v in self.hints.items()
-                              if hk[0] != ev.job}
         for key, node in list(self.nodes.items()):
             job, x = key
             if x != 0 or node.desc is None or job not in self.jobs_table:
                 continue
-            v = self.volumes.get(job)
+            v = self.volumes.get(job, 0)
             self.log("VOLUME", job, f"v={v} epoch={k} demand={node.cur_demand}")
             if v >= 1:
                 node.volume = v  # before _activate: it applies the volume
@@ -788,7 +784,7 @@ class ClientPE(BasePE):
         self.waiting: list[int] = []
         self.outstanding: set[int] = set()
         self.root_pe: dict[int, int] = {}
-        self.results: dict[int, dict] = {}
+        self.results: dict[int, Any] = {}  # finished job -> its assignment, if any
         self.finished = False
 
     def on_start(self) -> None:
@@ -848,7 +844,7 @@ class ClientPE(BasePE):
         desc = self.descs[job]
         size = desc.cnf.serialized_size if desc.cnf is not None else 0
         self.log("PLACED", job, f"pe={env.src} size={size}")
-        self.send(env.src, tp.JOB_PAYLOAD, job, {"x": 0, "desc": desc, "v": 1})
+        self.send(env.src, tp.JOB_PAYLOAD, job, {"x": 0, "desc": desc, "v": 0})
 
     # -- completion --------------------------------------------------------
     def _record(self, job: int, verdict: str, model_state: str, detail: str,
@@ -901,8 +897,7 @@ class ClientPE(BasePE):
     def _log_done(self, job: int, verdict: str, model_state: str, detail: str,
                   stop_us: int, assignment=None) -> None:
         response_us = max(0, stop_us - int(self.descs[job].arrival_s * 1e6))
-        self.results[job] = {"verdict": verdict, "response_us": response_us,
-                             "model": model_state, "assignment": assignment}
+        self.results[job] = assignment
         self.log("DONE", job,
                  f"verdict={verdict} response_ms={response_us / 1000:.3f} "
                  f"model={model_state}" + (" " + detail if detail else ""),

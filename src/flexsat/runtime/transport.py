@@ -69,14 +69,16 @@ class Trace:
 _EV_MSG = 0
 _EV_TIMER = 1
 
+# Simulated message delay: LATENCY_US plus a uniform draw from [0, JITTER_US].
+LATENCY_US = 100
+JITTER_US = 50
+
 
 class SimLoop:
     """Single-threaded discrete-event loop keyed by (time_us, seq)."""
 
-    def __init__(self, seed: int, latency_us: int = 100, jitter_us: int = 50):
+    def __init__(self, seed: int):
         self.now = 0
-        self.latency_us = latency_us
-        self.jitter_us = jitter_us
         self._rng = Random(derive_seed(seed, "sim-latency"))
         self._heap: list[tuple[int, int, int, int, Any, Any]] = []
         self._seq = 0
@@ -87,8 +89,8 @@ class SimLoop:
         heapq.heappush(self._heap, (t, self._seq, ev, pe, a, b))
 
     def post_message(self, env: Envelope, extra_delay_us: int = 0) -> None:
-        jitter = self._rng.randrange(self.jitter_us + 1) if self.jitter_us else 0
-        t = self.now + extra_delay_us + self.latency_us + jitter
+        jitter = self._rng.randrange(JITTER_US + 1) if JITTER_US else 0
+        t = self.now + extra_delay_us + LATENCY_US + jitter
         # Clamp to preserve per-pair FIFO despite jitter.
         key = (env.src, env.dst)
         t = max(t, self._pair_last.get(key, 0))

@@ -104,27 +104,18 @@ def apply_events(
 # ---------------------------------------------------------------------------
 # volume computation
 
-@dataclass(frozen=True)
-class VolumeMap:
-    """Volumes per job; deferred jobs exceeded the budget and wait at 0."""
-
-    volumes: dict[int, int]
-
-    def get(self, job: int, default: int = 0) -> int:
-        return self.volumes.get(job, default)
-
-
 def _tie_key(j: JobInfo) -> tuple:
     return (-j.priority, j.arrival, j.job)
 
 
-def compute_volumes(jobs: Iterable[JobInfo], budget: int) -> VolumeMap:
+def compute_volumes(jobs: Iterable[JobInfo], budget: int) -> dict[int, int]:
     """Deterministic fair volumes for the active jobs under a PE budget.
 
     Guarantees: sum of volumes <= budget; 1 <= v_j <= demand_j for every
     scheduled job; unpinned jobs sit within one PE of their exact
     proportional share.  With more jobs than budget, surplus jobs (lowest
     priority, then latest arrival, then highest id) are deferred at 0.
+    The map has one entry per active job, in job order.
 
     The water level is found by one sweep: each job's two breakpoints
     (leaving the floor, reaching the cap) are computed once and sorted, and
@@ -146,16 +137,16 @@ def compute_volumes(jobs: Iterable[JobInfo], budget: int) -> VolumeMap:
         raise ValueError("duplicate job ids")
     n = len(active)
     if n == 0:
-        return VolumeMap({})
+        return {}
 
     if budget < n:
         order = sorted(active, key=_tie_key)
         vols = {j.job: 1 for j in order[:budget]}
-        return VolumeMap({j.job: vols.get(j.job, 0) for j in active})
+        return {j.job: vols.get(j.job, 0) for j in active}
 
     total_d = sum(j.demand for j in active)
     if budget >= total_d:
-        return VolumeMap({j.job: j.demand for j in active})
+        return {j.job: j.demand for j in active}
 
     # Job j (weight w_j = pi_j d_j) leaves the floor at lam = 1/w_j and
     # reaches its cap at lam = d_j/w_j = 1/pi_j.  Per distinct breakpoint,
@@ -212,7 +203,7 @@ def compute_volumes(jobs: Iterable[JobInfo], budget: int) -> VolumeMap:
     for j in by_remainder[:leftover]:
         floors[j.job] += 1
     vols.update(floors)
-    return VolumeMap({j.job: vols[j.job] for j in active})
+    return {j.job: vols[j.job] for j in active}
 
 
 # ---------------------------------------------------------------------------

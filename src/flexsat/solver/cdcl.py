@@ -36,6 +36,9 @@ _RESCALE = 1e100
 HEAP_COMPACT_FACTOR = 4
 HEAP_COMPACT_SLACK = 64
 
+# Longest learned clause handed to export_fn.
+EXPORT_MAX_LEN = 30
+
 
 class CdclSolver:
     def __init__(
@@ -45,12 +48,10 @@ class CdclSolver:
         seed: int = 0,
         import_fn: ImportFn | None = None,
         export_fn: ExportFn | None = None,
-        export_max_len: int | None = 30,
     ):
         self.params = params or CdclParams()
         self.import_fn = import_fn
         self.export_fn = export_fn
-        self.export_max_len = export_max_len
         self.rng = Random(seed)
         self.stats = SolverStats()
 
@@ -79,7 +80,6 @@ class CdclSolver:
         self._rebuild_heap()
         self.learned_clauses: list[tuple[int, list[int]]] = []  # (lbd, clause)
         self.reduce_limit = self.params.reduce_base
-        self.restart_count = 0
         self.conflicts_at_restart = 0
         self.restart_limit = self._next_restart_len()
 
@@ -91,8 +91,7 @@ class CdclSolver:
         else:
             self.saved = [False] * (nv + 1)
 
-        self._done = False
-        self._verdict: str | None = None
+        self._verdict: str | None = None  # set once, by _finish
         self.model: dict[int, bool] | None = None
 
         # load the formula; contradictory units surface at the first step
@@ -116,8 +115,8 @@ class CdclSolver:
     def _next_restart_len(self) -> int:
         p = self.params
         if p.restart == "luby":
-            return p.restart_base * luby(self.restart_count + 1)
-        return min(1 << 30, int(p.restart_base * p.restart_factor ** self.restart_count))
+            return p.restart_base * luby(self.stats.restarts + 1)
+        return min(1 << 30, int(p.restart_base * p.restart_factor ** self.stats.restarts))
 
     def _enqueue(self, lit: int, reason: list[int] | None) -> None:
         var = lit >> 1
@@ -302,10 +301,7 @@ class CdclSolver:
             self.learned_clauses.append((lbd, learnt))
             self._enqueue(learnt[0], learnt)
         self.stats.learned += 1
-        if (
-            self.export_fn is not None
-            and (self.export_max_len is None or len(learnt) <= self.export_max_len)
-        ):
+        if self.export_fn is not None and len(learnt) <= EXPORT_MAX_LEN:
             # code order is canonical order; decode to signed literals
             canon = tuple([-(c >> 1) if c & 1 else c >> 1 for c in sorted(learnt)])
             self.stats.exported += 1
@@ -340,7 +336,6 @@ class CdclSolver:
 
     # -- restarts and DB reduction ------------------------------------------
     def _restart(self) -> None:
-        self.restart_count += 1
         self.stats.restarts += 1
         self.conflicts_at_restart = self.stats.conflicts
         self.restart_limit = self._next_restart_len()
@@ -439,7 +434,6 @@ class CdclSolver:
 
     # -- outcomes ----------------------------------------------------------
     def _finish(self, verdict: str) -> str:
-        self._done = True
         self._verdict = verdict
         if verdict == SAT:
             val = self.val
@@ -456,7 +450,7 @@ class CdclSolver:
         The outcome does not depend on how the conflicts are split into
         steps: a step ends only between two conflicts and keeps all state.
         """
-        if self._done:
+        if self._verdict is not None:
             return self._verdict
         budget = max_conflicts
         while True:
@@ -499,7 +493,6 @@ def cdcl_solve(
     seed: int = 0,
     import_fn: ImportFn | None = None,
     export_fn: ExportFn | None = None,
-    export_max_len: int | None = 30,
 ) -> SolveResult:
     """One-shot CDCL solve of a formula."""
-    return CdclSolver(cnf, params, seed, import_fn, export_fn, export_max_len).solve()
+    return CdclSolver(cnf, params, seed, import_fn, export_fn).solve()

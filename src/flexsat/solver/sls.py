@@ -105,8 +105,7 @@ class SlsSolver:
         self.params = params or SlsParams()
         self.rng = Random(seed)
         self.stats = SolverStats()
-        self._done = False
-        self.model: dict[int, bool] | None = None
+        self.model: dict[int, bool] | None = None  # set once SAT
 
         self.fixed: dict[int, bool] = {}
         self.clauses: list[list[int]] = []
@@ -172,7 +171,7 @@ class SlsSolver:
         the clauses of its new one, updating true counts, sums, break counts
         and the unsat list in place.
         """
-        if self._done:
+        if self.model is not None:
             return SAT
         if self.blocked:
             return None
@@ -252,11 +251,10 @@ class SlsSolver:
             model.setdefault(v, False)
         assert check_model(self.cnf, model)
         self.model = model
-        self._done = True
         return SAT
 
     def result(self) -> SolveResult:
-        return SolveResult(SAT if self._done else UNKNOWN, self.model, self.stats)
+        return SolveResult(SAT if self.model is not None else UNKNOWN, self.model, self.stats)
 
     def solve(self, max_flips: int = 1_000_000) -> SolveResult:
         """Blocking solve of at most max_flips flips, in one step.

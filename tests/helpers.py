@@ -16,7 +16,7 @@ import mpmath as mp
 
 from flexsat.exchange import ExchangeConfig, buffer_limit, serialize
 from flexsat.formula import Cnf, literal_key
-from flexsat.sched import JobInfo, VolumeMap
+from flexsat.sched import JobInfo
 
 # ---------------------------------------------------------------------------
 # formula generators
@@ -303,7 +303,7 @@ def volume_oracle(jobs: list[JobInfo], budget: int) -> dict[int, int]:
     return vols
 
 
-def segment_scan_volumes(jobs: list[JobInfo], budget: int) -> VolumeMap:
+def segment_scan_volumes(jobs: list[JobInfo], budget: int) -> dict[int, int]:
     """The earlier O(n^2) `compute_volumes`: classify every job anew per segment.
 
     Each breakpoint segment (0, p0), (p0, p1), ... is tried in order; the
@@ -318,13 +318,13 @@ def segment_scan_volumes(jobs: list[JobInfo], budget: int) -> VolumeMap:
     active = sorted(jobs, key=lambda j: j.job)
     n = len(active)
     if n == 0:
-        return VolumeMap({})
+        return {}
     if budget < n:
         order = sorted(active, key=tie_key)
         vols = {j.job: 1 for j in order[:budget]}
-        return VolumeMap({j.job: vols.get(j.job, 0) for j in active})
+        return {j.job: vols.get(j.job, 0) for j in active}
     if budget >= sum(j.demand for j in active):
-        return VolumeMap({j.job: j.demand for j in active})
+        return {j.job: j.demand for j in active}
 
     w = {j.job: Fraction(j.priority) * j.demand for j in active}
     points = sorted({Fraction(1) / w[j.job] for j in active}
@@ -359,4 +359,4 @@ def segment_scan_volumes(jobs: list[JobInfo], budget: int) -> VolumeMap:
     for j in by_remainder[:leftover]:
         floors[j.job] += 1
     vols.update(floors)
-    return VolumeMap({j.job: vols[j.job] for j in active})
+    return {j.job: vols[j.job] for j in active}

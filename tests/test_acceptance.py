@@ -204,15 +204,15 @@ def test_c05_volumes_and_cluster_agreement(capsys, monkeypatch):
                 arrival = rng.choice([0.0, 0.5, 1.0, rng.random() * 9])
                 jobs.append(JobInfo(j, pri, arrival, rng.randint(1, 16), 1))
             vm = compute_volumes(jobs, budget)
-            assert dict(vm.volumes) == volume_oracle(jobs, budget), trial
-            assert sum(vm.volumes.values()) <= budget
+            assert vm == volume_oracle(jobs, budget), trial
+            assert sum(vm.values()) <= budget
             shares = water_shares(jobs, budget)
             if shares is None:  # budget < n: exactly budget seats at one node
-                assert sorted(vm.volumes.values(), reverse=True) == \
+                assert sorted(vm.values(), reverse=True) == \
                     [1] * budget + [0] * (n - budget)
                 continue
             for j in jobs:
-                v = vm.volumes[j.job]
+                v = vm[j.job]
                 assert 1 <= v <= j.demand, (trial, j.job)
                 if shares[j.job] < j.demand:
                     assert abs(Fraction(v) - shares[j.job]) <= 1, (trial, j.job)
@@ -223,7 +223,7 @@ def test_c05_volumes_and_cluster_agreement(capsys, monkeypatch):
 
         def spy(self, k, events):
             orig(self, k, events)
-            records.append((k, self.pe_id, dict(self.volumes.volumes)))
+            records.append((k, self.pe_id, dict(self.volumes)))
 
         monkeypatch.setattr(pe_mod.BasePE, "_apply_broadcast", spy)
         srng = Random(55)

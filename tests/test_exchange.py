@@ -25,25 +25,6 @@ def rand_clauses(rng: Random, count: int, max_var: int = 40,
 
 
 # ---------------------------------------------------------------------------
-# config
-
-
-def test_config_validate_ok():
-    ExchangeConfig().validate()
-
-
-@pytest.mark.parametrize("field,value,msg", [
-    ("alpha", 0.49, "alpha out of"),
-    ("alpha", 1.01, "alpha out of"),
-    ("beta", 0, "beta"),
-])
-def test_config_validate_rejects(field, value, msg):
-    cfg = ExchangeConfig(**{field: value})
-    with pytest.raises(ValueError, match=msg):
-        cfg.validate()
-
-
-# ---------------------------------------------------------------------------
 # buffer limit
 
 

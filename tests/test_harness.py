@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import pytest
 
 from flexsat.formula import check_model, parse_dimacs
+from flexsat.harness import cli as cli_mod
 from flexsat.harness.cli import _config_from_args, build_parser, main
 from flexsat.harness.metrics import hos_baseline, par2, speedups
 from flexsat.harness.report import (RunReport, parse_detail, parse_trace_line,
@@ -435,7 +436,7 @@ def test_cli_solve_bad_alpha(tmp_path, capsys):
     rc = main(["solve", str(f), "--alpha", "0.4"])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "alpha out of [0.5,1]" in err
+    assert "alpha must be >= 0.5" in err
 
 
 @pytest.mark.parametrize("flags,msg", [
@@ -558,14 +559,63 @@ def test_cli_report_without_trace(tmp_path, capsys):
     ('{"trace": ["0.100 0 INTRO 1 pri=0.5"], "jobs": []}', "jobs is not a JSON object"),
     ('{"trace": ["0.100 0 INTRO 1 pri=0.5", "0.1 0 SHARE 1 lits=?"]}',
      "line 2: invalid literal for int() with base 10: '?'"),
+    # a time that is no number of µs would overflow the fold
+    ("0.100 0 INTRO 1 pri=0.5\ninf 1 START 1 x=0\n",
+     "line 2: not a trace line: 'inf 1 START 1 x=0'"),
+    ("nan -1 RUN_END - reason=timeout\n",
+     "line 1: not a trace line: 'nan -1 RUN_END - reason=timeout'"),
 ], ids=["noise", "bad-job", "empty", "blank", "config-list", "config-json",
         "config-period", "bad-float", "bad-int-after-blank", "report-trace-int",
-        "report-trace-item", "report-jobs-list", "report-bad-int"])
+        "report-trace-item", "report-jobs-list", "report-bad-int", "inf-time",
+        "nan-time"])
 def test_cli_report_rejects_non_trace_input(tmp_path, capsys, text, err):
     f = tmp_path / "bad.trace"
     f.write_text(text)
     assert main(["report", str(f)]) == 1
     assert capsys.readouterr().err == f"flexsat: error: {f}: {err}\n"
+
+
+def test_cli_report_refuses_a_busy_series_past_the_cap(tmp_path, capsys, monkeypatch):
+    # 82 bytes whose fold would take 2 000 001 samples: refused before folding.
+    f = tmp_path / "long.trace"
+    f.write_text('0.000 -1 CONFIG - {"balance_period_s": 1e-6}\n'
+                 "2000.000 -1 RUN_END - reason=timeout\n")
+    assert len(f.read_bytes()) == 82
+    assert main(["report", str(f)]) == 1
+    assert capsys.readouterr().err == (
+        f"flexsat: error: {f}: line 2: RUN_END at 2000 ms with a 1e-06 s balancing "
+        "period gives more than 1000000 busy samples\n")
+    # At 1 µs a RUN_END at 2 µs samples 0, 1 and 2: a cap of 3 folds them, of 2 refuses.
+    f.write_text('0.000 -1 CONFIG - {"balance_period_s": 1e-6}\n'
+                 "0.002 -1 RUN_END - reason=timeout\n")
+    monkeypatch.setattr(cli_mod, "MAX_BUSY_SAMPLES", 3)
+    assert main(["report", str(f), "--out", str(tmp_path / "rep.json")]) == 0
+    assert len(json.loads((tmp_path / "rep.json").read_text())["aggregates"]["busy"]) == 3
+    monkeypatch.setattr(cli_mod, "MAX_BUSY_SAMPLES", 2)
+    capsys.readouterr()
+    assert main(["report", str(f)]) == 1
+    assert "line 2: RUN_END at 0.002 ms" in capsys.readouterr().err
+
+
+# A Latin-1 0xE9 byte in a comment: not UTF-8.
+LATIN1_CNF = b"c caf\xe9\np cnf 2 2\n1 0\n-1 2 0\n"
+
+
+def test_cli_solve_reads_dimacs_bytes(tmp_path, capsys):
+    f = tmp_path / "latin1.cnf"
+    f.write_bytes(LATIN1_CNF)
+    assert main(["solve", str(f)]) == 10  # as a scenario's cnf file is read
+    assert "s SATISFIABLE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["report", "hos", "run"])
+def test_cli_names_a_file_that_is_not_utf8(command, tmp_path, capsys):
+    f = tmp_path / "input"
+    f.write_bytes(b'{"caf\xe9": 1}\n')
+    assert main([command, str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"flexsat: error: {f}: 'utf-8' codec can't decode byte 0xe9")
+    assert err.count("\n") == 1
 
 
 def test_cli_hos(tmp_path, capsys):

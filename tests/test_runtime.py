@@ -20,7 +20,7 @@ from flexsat.runtime import cluster as cluster_mod
 from flexsat.runtime import pe as pe_mod
 from flexsat.runtime import transport as tp
 from flexsat.runtime.transport import RealContext, SimLoop, Trace, WallLoop, format_time_ms
-from flexsat.sched import JobDescriptor
+from flexsat.sched import JobDescriptor, JobRequest
 from flexsat.solver import CdclSolver, SlsSolver, cdcl_solve
 from helpers import php_cnf, random_3cnf
 
@@ -110,6 +110,9 @@ def test_config_validation():
     (dict(cdcl_rate=0.0), "cdcl_rate must be > 0"),
     (dict(epsilon=-0.1), "epsilon must be >= 0"),
     (dict(epsilon=1.0), "epsilon must be < 1"),
+    (dict(alpha=0.49), "alpha must be >= 0.5"),
+    (dict(alpha=1.01), "alpha must be <= 1.0"),
+    (dict(beta=0), "beta must be >= 1"),
 ])
 def test_config_validate_rejects_as_written(kw, msg):
     with pytest.raises(ValueError, match=msg):
@@ -188,8 +191,9 @@ def _drain(loop):
     return got
 
 
-def test_simloop_per_pair_fifo_despite_jitter():
-    loop = SimLoop(seed=3, latency_us=100, jitter_us=80)
+def test_simloop_per_pair_fifo_despite_jitter(monkeypatch):
+    monkeypatch.setattr(tp, "JITTER_US", 80)
+    loop = SimLoop(seed=3)
     for i in range(60):
         loop.post_message(Envelope("K", i % 3, 5, None, {"i": i}))
     got = _drain(loop)
@@ -204,7 +208,7 @@ def test_simloop_per_pair_fifo_despite_jitter():
 
 def test_simloop_deterministic_per_seed():
     def run(seed):
-        loop = SimLoop(seed=seed, latency_us=100, jitter_us=50)
+        loop = SimLoop(seed=seed)
         for i in range(40):
             loop.post_message(Envelope("K", 0, 1, None, {"i": i}))
         return _drain(loop)
@@ -233,8 +237,10 @@ def test_wall_loop_timers_inbox_stop_and_timeout():
     assert 50_000 <= loop.now < 5_000_000
 
 
-def test_simloop_timer_order():
-    loop = SimLoop(seed=0, latency_us=0, jitter_us=0)
+def test_simloop_timer_order(monkeypatch):
+    monkeypatch.setattr(tp, "LATENCY_US", 0)
+    monkeypatch.setattr(tp, "JITTER_US", 0)
+    loop = SimLoop(seed=0)
     fired = []
     loop.post_timer(1, 500, "b", None)
     loop.post_timer(1, 100, "a", None)
@@ -308,7 +314,7 @@ def test_budget_respected_and_volumes_agree(monkeypatch):
 
     def spy(self, k, events):
         orig(self, k, events)
-        records.append((k, self.pe_id, dict(self.volumes.volumes)))
+        records.append((k, self.pe_id, dict(self.volumes)))
 
     monkeypatch.setattr(pe_mod.BasePE, "_apply_broadcast", spy)
 
@@ -580,6 +586,76 @@ def test_full_cache_evicts_suspended_nodes():
     evictions = [l for l in report.trace if " END " in l and "reason=evict" in l]
     assert len(evictions) >= 1
     assert all(report.jobs[j]["verdict"] == "DONE" for j in (1, 2, 3))
+
+
+class _Outbox:
+    """A lone PE's view of the world: a clock the test moves and the list of
+    envelopes it sends; its timers and trace lines go nowhere."""
+
+    def __init__(self, pe_id):
+        self.pe_id, self.rng, self.now, self.sent = pe_id, Random(0), 0, []
+
+    def now_us(self):
+        return self.now
+
+    def send(self, env, extra_delay_us=0):
+        self.sent.append(env)
+
+    def set_timer(self, delay_us, tag, data=None):
+        pass
+
+    def log(self, kind, job, detail="", at_us=None):
+        pass
+
+
+def test_released_child_is_the_first_hop_until_its_parent_goes():
+    """Worker PE 1 hosts node x=1 of job 1 for a parent on PE 5; PE 7 hosts
+    its child x=3.  Once released, child 3 is asked for at PE 7 first; an
+    aborted or evicted parent takes that hint with it."""
+    shared = Cluster(small_cfg(num_pes=8), [synth_job(1, 1.0, 4)]).shared
+    ctx = _Outbox(1)
+    w = pe_mod.WorkerPE(ctx, shared, neighbors=(2, 3, 4))
+
+    def deliver(kind, src, job, **payload):
+        ctx.now += 1000
+        ctx.sent = []
+        w.on_envelope(Envelope(kind, src, 1, job, payload))
+        return [(e.kind, e.dst, e.payload) for e in ctx.sent]
+
+    def requests(sent):
+        return [(dst, p["req"]) for kind, dst, p in sent if kind == tp.JOB_REQUEST]
+
+    def place(job, v):  # PE 5 asks PE 1 to host node x=1 of job at volume v
+        deliver(tp.JOB_REQUEST, 5, job, req=JobRequest(job, 1, origin=5))
+        return deliver(tp.JOB_PAYLOAD, 5, job, x=1, v=v,
+                       desc=JobDescriptor(job=job, priority=0.5, synthetic_s=1.0))
+
+    [(dst, req)] = requests(place(1, 4))  # child 3 is in the tree, child 4 is not
+    assert req.x == 3 and dst in (2, 3, 4) and not req.hint_used
+    deliver(tp.ADOPT_ACK, 7, 1, x=3, mode="fresh")
+    assert deliver(tp.VOLUME_UPDATE, 5, 1, x=1, v=3) == [
+        (tp.VOLUME_UPDATE, 7, {"x": 3, "v": 3})]  # shrunk: child 3 is released
+    [(dst, req)] = requests(deliver(tp.VOLUME_UPDATE, 5, 1, x=1, v=4))  # regrown
+    assert (dst, req.x, req.hint_used) == (7, 3, True)
+    # A walk for child 3 that reaches the busy parent PE also tries PE 7 first.
+    [(dst, req)] = requests(deliver(tp.JOB_REQUEST, 2, 1, req=JobRequest(1, 3, origin=1)))
+    assert (dst, req.hint_used) == (7, True)
+
+    # Aborted: the abort reaches the hinted PE, and a new parent has no hint.
+    assert deliver(tp.ABORT, 5, 1, x=1) == [(tp.ABORT, 7, {"x": 3})]
+    [(dst, req)] = requests(place(1, 4))
+    assert dst in (2, 3, 4) and not req.hint_used
+
+    # Evicted: suspend the parent with a hint, then fill the cache past it.
+    deliver(tp.ADOPT_ACK, 7, 1, x=3, mode="fresh")
+    deliver(tp.VOLUME_UPDATE, 5, 1, x=1, v=1)
+    for job in range(2, pe_mod.CACHE_SIZE + 1):
+        place(job, 1)  # each suspends at once: x=1 is not under volume 1
+    assert [kind for kind, _dst, _p in deliver(
+        tp.JOB_REQUEST, 5, 9, req=JobRequest(9, 1, origin=5))] == [tp.ADOPT_ACK]
+    assert (1, 1) not in w.nodes and (9, 1) in w.nodes
+    [(dst, req)] = requests(deliver(tp.JOB_REQUEST, 2, 1, req=JobRequest(1, 3, origin=1)))
+    assert dst in (2, 3, 4) and not req.hint_used
 
 
 def criterion9_run():

@@ -6,7 +6,7 @@ import pytest
 
 from flexsat.formula import Cnf
 from flexsat.sched import (JobDescriptor, JobInfo, JobRequest,
-                           PeView, VolumeMap, apply_events, build_pe_graph,
+                           PeView, apply_events, build_pe_graph,
                            child_indices, compute_volumes, consolidate,
                            max_request_hops, parent_index, pick_eviction,
                            route_request)
@@ -72,7 +72,7 @@ def test_apply_events_add_update_remove_stale():
 
 
 def test_volumes_empty_and_validation():
-    assert compute_volumes([], 8).volumes == {}
+    assert compute_volumes([], 8) == {}
     with pytest.raises(ValueError, match="priority"):
         compute_volumes([J(1, 1.5, 3)], 8)
     with pytest.raises(ValueError, match="demand"):
@@ -87,27 +87,27 @@ def test_volumes_budget_smaller_than_job_count():
     jobs = [J(1, 0.5, 4, arrival=1.0), J(2, 0.9, 4), J(3, 0.5, 4, arrival=0.0)]
     vm = compute_volumes(jobs, 2)
     # highest priority first, then earliest arrival
-    assert vm.volumes == {2: 1, 3: 1, 1: 0}
-    assert vm.get(1) == 0 and vm.get(99, default=7) == 7
+    assert vm == {2: 1, 3: 1, 1: 0}
+    assert list(vm) == [1, 2, 3]  # every active job, deferred ones at 0, in job order
 
 
 def test_volumes_budget_covers_all_demand():
     jobs = [J(1, 0.2, 3), J(2, 0.8, 5)]
-    assert compute_volumes(jobs, 20).volumes == {1: 3, 2: 5}
+    assert compute_volumes(jobs, 20) == {1: 3, 2: 5}
 
 
 def test_volumes_equal_split_with_remainder():
     jobs = [J(1, 0.5, 4), J(2, 0.5, 4)]
-    assert compute_volumes(jobs, 4).volumes == {1: 2, 2: 2}
+    assert compute_volumes(jobs, 4) == {1: 2, 2: 2}
     # odd budget: remainder goes to the lower job id on a full tie
-    assert compute_volumes(jobs, 5).volumes == {1: 3, 2: 2}
+    assert compute_volumes(jobs, 5) == {1: 3, 2: 2}
 
 
 def test_volumes_cap_and_floor():
     vm = compute_volumes([J(1, 0.9, 1), J(2, 0.1, 100)], 20)
-    assert vm.volumes == {1: 1, 2: 19}
+    assert vm == {1: 1, 2: 19}
     vm = compute_volumes([J(1, 0.99, 50), J(2, 0.01, 50)], 10)
-    assert vm.volumes[2] == 1 and vm.volumes[1] == 9
+    assert vm[2] == 1 and vm[1] == 9
 
 
 def test_volumes_sum_fills_budget_exactly_when_scarce():
@@ -119,7 +119,7 @@ def test_volumes_sum_fills_budget_exactly_when_scarce():
             continue
         budget = rng.randrange(len(jobs), total)
         vm = compute_volumes(jobs, budget)
-        assert sum(vm.volumes.values()) == budget
+        assert sum(vm.values()) == budget
 
 
 def test_volumes_match_oracle_randomized():
@@ -129,9 +129,9 @@ def test_volumes_match_oracle_randomized():
         budget = rng.randrange(0, 80)
         vm = compute_volumes(jobs, budget)
         expect = volume_oracle(jobs, budget)
-        assert vm.volumes == expect, f"trial {trial}"
+        assert vm == expect, f"trial {trial}"
         for j in jobs:
-            v = vm.volumes[j.job]
+            v = vm[j.job]
             assert 0 <= v <= j.demand
             if budget >= len(jobs):
                 assert v >= 1
@@ -143,7 +143,7 @@ def test_volumes_permutation_invariant():
     vm = compute_volumes(jobs, 23)
     for _ in range(5):
         rng.shuffle(jobs)
-        assert compute_volumes(jobs, 23).volumes == vm.volumes
+        assert compute_volumes(jobs, 23) == vm
 
 
 # Dyadic priorities make breakpoints and filled volumes small exact

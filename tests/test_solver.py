@@ -13,6 +13,7 @@ from flexsat.solver import (CDCL_PRESETS, PORTFOLIO_CYCLE, SAT, UNKNOWN,
                             SlsParams, SlsSolver, cdcl_solve,
                             make_portfolio_config, sls_solve,
                             throttled_thread_count)
+from flexsat.solver import cdcl as cdcl_mod
 from flexsat.solver.sls import _below, _preprocess
 from flexsat.util import luby
 from helpers import oracle_verdict, php_cnf, random_3cnf, xor_chain_cnf
@@ -128,11 +129,11 @@ def _decode(code):
     return -(code >> 1) if code & 1 else code >> 1
 
 
-def test_cdcl_exports_canonical_signed_tuples():
+def test_cdcl_exports_canonical_signed_tuples(monkeypatch):
+    monkeypatch.setattr(cdcl_mod, "EXPORT_MAX_LEN", 10 ** 9)  # export every learned clause
     cnf = random_3cnf(Random(21), 40, 172)
     learnt_seen, exported = [], []
-    s = CdclSolver(cnf, seed=3, export_max_len=None,
-                   export_fn=exported.append)
+    s = CdclSolver(cnf, seed=3, export_fn=exported.append)
     learn = s._learn
 
     def recording_learn(learnt, bt, lbd):
@@ -179,10 +180,11 @@ def test_cdcl_import_with_negative_literals_at_level_zero():
     assert res.verdict == UNSAT and res.stats.imported == 2
 
 
-def test_cdcl_export_length_gate():
+def test_cdcl_export_length_gate(monkeypatch):
+    monkeypatch.setattr(cdcl_mod, "EXPORT_MAX_LEN", 1)
     cnf = random_3cnf(Random(21), 30, 129)
     got = []
-    cdcl_solve(cnf, seed=3, export_fn=got.append, export_max_len=1)
+    cdcl_solve(cnf, seed=3, export_fn=got.append)
     assert all(len(lits) == 1 for lits in got)
 
 
