@@ -98,7 +98,7 @@ def _canonical_key(lits: Iterable[int]) -> list[int]:
 def serialize(clauses: Iterable[Sequence[int]], limit: int | None = None) -> list[int]:
     """Flatten a clause set into the length-grouped integer format.
 
-    Each clause is a canonical literal sequence: a tuple, or a Clause.
+    Each clause is a canonical literal sequence.
     Clauses are taken in (length, lexicographic) order.  If a limit is
     given, clauses are added greedily until the next one would push the
     serialized size (group counts included) past it; everything after
@@ -313,7 +313,6 @@ class ClauseFilter:
         return h not in self._old
 
     # -- public surface ----------------------------------------------------
-    # Both take a canonical literal sequence: a tuple, or a Clause.
     def register_export(self, lits: Sequence[int]) -> bool:
         """Admit a locally learned clause; False if it was already seen."""
         return self._test_and_add(lits)

@@ -1,16 +1,19 @@
-"""CNF formulas: canonical clauses, DIMACS parsing and writing, model checks.
+"""CNF formulas: one flat literal buffer, DIMACS parsing and writing, model checks.
 
-Literals are nonzero ints (v or -v).  Clauses are canonicalized on
-construction: literals sorted by (|lit|, sign) with positives first,
-duplicates dropped, tautologies rejected.  Formulas are immutable after
-construction so they can be shared across solver contexts without copying.
+Literals are nonzero ints (v or -v).  A formula is one flat tuple of
+literals, each clause followed by a 0, as Mallob ships formulas.  Clauses
+are canonicalized on the way in: literals sorted by (|lit|, sign) with
+positives first, duplicates dropped, tautologies rejected.  Formulas are
+immutable after construction so they can be shared across solver contexts
+without copying.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from operator import neg
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -38,26 +41,25 @@ def literal_key(lit: int) -> int:
 
 
 def canonical_literals(lits: Iterable[int]) -> tuple[int, ...] | None:
-    """Sorted, deduplicated literal tuple; None if the clause is a tautology."""
-    seen = set()
-    out = []
-    for lit in lits:
-        if lit == 0:
-            raise ValueError("literal 0 is not allowed inside a clause")
-        if -lit in seen:
-            return None
-        if lit not in seen:
-            seen.add(lit)
-            out.append(lit)
-    out.sort(key=literal_key)
-    return tuple(out)
+    """Sorted, deduplicated literal tuple; None if the clause is a tautology.
+
+    Once duplicates and complementary pairs are gone each variable occurs
+    once, so sorting by |lit| is exactly literal_key order.
+    """
+    s = set(lits)
+    if 0 in s:
+        raise ValueError("literal 0 is not allowed inside a clause")
+    if not s.isdisjoint(map(neg, s)):
+        return None
+    return tuple(sorted(s, key=abs))
 
 
 @dataclass(frozen=True)
 class Clause:
     """A nonempty disjunction of literals in canonical order.
 
-    Equality and hashing are structural over the literals.
+    Equality and hashing are structural over the literals.  No formula
+    stores these: Cnf.clauses builds them on each read.
     """
 
     lits: tuple[int, ...]
@@ -87,25 +89,45 @@ class Clause:
 
 @dataclass(frozen=True)
 class Cnf:
-    """An immutable CNF formula over variables 1..num_vars."""
+    """An immutable CNF formula over variables 1..num_vars.
+
+    lits holds every clause's canonical literals followed by a 0, in
+    clause order; num_clauses counts the clauses.  Build one with
+    parse_dimacs or from_clauses.
+    """
 
     num_vars: int
-    clauses: tuple[Clause, ...]
+    lits: tuple[int, ...]
+    num_clauses: int
 
     @staticmethod
     def from_clauses(num_vars: int, clauses: Iterable[Iterable[int]]) -> "Cnf":
         """Build a formula from raw literal lists, dropping tautologies."""
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        out = []
+        buf: list[int] = []
+        count = 0
         for lits in clauses:
-            c = Clause.make(lits)
-            if c is None:
+            canon = canonical_literals(lits)
+            if canon is None:
                 continue
-            if c.lits and abs(c.lits[-1]) > num_vars:
-                raise ValueError(f"literal out of range in clause {list(lits)}")
-            out.append(c)
-        return Cnf(num_vars, tuple(out))
+            if not canon:
+                raise ValueError("empty clause")
+            if abs(canon[-1]) > num_vars:
+                raise ValueError(f"literal out of range in clause {list(canon)}")
+            buf += canon
+            buf.append(0)
+            count += 1
+        return Cnf(num_vars, tuple(buf), count)
+
+    def clause_lits(self) -> Iterator[tuple[int, ...]]:
+        """Each clause's literals, in clause order."""
+        return _runs(self.lits, self.num_clauses, 0)
+
+    @property
+    def clauses(self) -> tuple[Clause, ...]:
+        """The clauses as Clause objects, built on each read."""
+        return tuple([Clause(c) for c in self.clause_lits()])
 
     @cached_property
     def codes(self) -> tuple[tuple[int, ...], ...]:
@@ -114,17 +136,28 @@ class Cnf:
         (cached_property writes the instance __dict__, which a frozen
         dataclass without slots still has.)
         """
-        return tuple([tuple([2 * l if l > 0 else 1 - 2 * l for l in c.lits])
-                      for c in self.clauses])
+        # literal_key per literal; a 0 terminator becomes 1, which is no code
+        flat = [2 * l if l > 0 else 1 - 2 * l for l in self.lits]
+        return tuple(map(tuple, _runs(flat, self.num_clauses, 1)))
 
     @property
     def serialized_size(self) -> int:
-        """Size in integers of the flat serialization (lits plus one
-        terminator per clause); the basis for thread throttling."""
-        return sum(len(c) + 1 for c in self.clauses)
+        """Size in integers of the flat buffer (literals plus one 0 per
+        clause); the basis for thread throttling."""
+        return len(self.lits)
 
     def __len__(self) -> int:
-        return len(self.clauses)
+        return self.num_clauses
+
+
+def _runs(buf: Sequence[int], count: int, end: int) -> Iterator[Sequence[int]]:
+    """The first count runs of buf, each cut off at an item equal to end."""
+    start = 0
+    index = buf.index
+    for _ in range(count):
+        stop = index(end, start)
+        yield buf[start:stop]
+        start = stop + 1
 
 
 def parse_dimacs(source: str | bytes) -> Cnf:
@@ -133,17 +166,78 @@ def parse_dimacs(source: str | bytes) -> Cnf:
     Comment lines (c ...) and a trailing '%' section are ignored.  A clause
     count in the header that disagrees with the body is logged as a warning
     but accepted.  Structural problems raise DimacsError with a line number.
+
+    One pass over the lines finds the header and the clause lines; the
+    clause lines are tokenized, converted and range-checked at once, and
+    cut into clauses at their zeros.  Only rejected input is scanned again,
+    line by line, to name the first fault.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
+    lines = source.splitlines()
 
     num_vars: int | None = None
-    declared_clauses = 0
-    clauses: list[Clause] = []
-    pending: list[int] = []
-    pending_line = 0
+    declared = 0
+    body: list[str] = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        head = line[0]
+        if head == "c":
+            continue
+        if head == "%":
+            break
+        if head != "p" and num_vars is not None:
+            body.append(line)
+        elif head == "p" and num_vars is None:
+            num_vars, declared = _read_header(line, lineno)
+        else:
+            _raise_first_fault(lines)  # a clause before the header, or a second header
+    if num_vars is None:
+        _raise_first_fault(lines)  # no header
 
-    lines = source.splitlines()
+    try:
+        toks = list(map(int, " ".join(body).split()))
+    except ValueError:
+        _raise_first_fault(lines)
+    if toks and (toks[-1] or max(toks) > num_vars or -min(toks) > num_vars):
+        _raise_first_fault(lines)
+    buf: list[int] = []
+    count = 0
+    for lits in _runs(toks, toks.count(0), 0):
+        if not lits:
+            _raise_first_fault(lines)  # an empty clause
+        canon = canonical_literals(lits)
+        if canon is not None:
+            buf += canon
+            buf.append(0)
+            count += 1
+    if declared != count:
+        log.warning("header declared %d clauses, parsed %d (tautologies dropped?)",
+                    declared, count)
+    return Cnf(num_vars, tuple(buf), count)
+
+
+def _read_header(line: str, lineno: int) -> tuple[int, int]:
+    """(num_vars, declared clause count) of a 'p cnf' line."""
+    parts = line.split()
+    if len(parts) != 4 or parts[1] != "cnf":
+        raise DimacsError(f"bad header {line!r}", lineno)
+    try:
+        num_vars = int(parts[2])
+        declared = int(parts[3])
+    except ValueError:
+        raise DimacsError(f"bad header {line!r}", lineno) from None
+    if num_vars < 0 or declared < 0:
+        raise DimacsError("negative counts in header", lineno)
+    return num_vars, declared
+
+
+def _raise_first_fault(lines: list[str]) -> NoReturn:
+    """Raise for rejected input's first fault, in line order; builds nothing."""
+    num_vars: int | None = None
+    open_line = 0  # line of the open clause's first literal; 0 if none is open
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -153,16 +247,7 @@ def parse_dimacs(source: str | bytes) -> Cnf:
         if line.startswith("p"):
             if num_vars is not None:
                 raise DimacsError("duplicate header", lineno)
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise DimacsError(f"bad header {line!r}", lineno)
-            try:
-                num_vars = int(parts[2])
-                declared_clauses = int(parts[3])
-            except ValueError:
-                raise DimacsError(f"bad header {line!r}", lineno) from None
-            if num_vars < 0 or declared_clauses < 0:
-                raise DimacsError("negative counts in header", lineno)
+            num_vars = _read_header(line, lineno)[0]
             continue
         if num_vars is None:
             raise DimacsError("clause before header", lineno)
@@ -172,35 +257,25 @@ def parse_dimacs(source: str | bytes) -> Cnf:
             except ValueError:
                 raise DimacsError(f"bad token {tok!r}", lineno) from None
             if lit == 0:
-                if not pending:
+                if not open_line:
                     raise DimacsError("empty clause", lineno)
-                c = Clause.make(pending)
-                if c is not None:
-                    clauses.append(c)
-                pending = []
-            else:
-                if abs(lit) > num_vars:
-                    raise DimacsError(f"literal {lit} out of range", lineno)
-                if not pending:
-                    pending_line = lineno
-                pending.append(lit)
+                open_line = 0
+            elif abs(lit) > num_vars:
+                raise DimacsError(f"literal {lit} out of range", lineno)
+            elif not open_line:
+                open_line = lineno
     if num_vars is None:
         raise DimacsError("no header found", len(lines) or 1)
-    if pending:
-        raise DimacsError("clause missing 0 terminator", pending_line)
-    if declared_clauses != len(clauses):
-        log.warning(
-            "header declared %d clauses, parsed %d (tautologies dropped?)",
-            declared_clauses, len(clauses),
-        )
-    return Cnf(num_vars, tuple(clauses))
+    if open_line:
+        raise DimacsError("clause missing 0 terminator", open_line)
+    raise AssertionError("rejected DIMACS input has no fault")
 
 
 def write_dimacs(cnf: Cnf) -> str:
     """Render a formula back to DIMACS text (canonical clause order kept)."""
-    out = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    for c in cnf.clauses:
-        out.append(" ".join(str(l) for l in c.lits) + " 0")
+    out = [f"p cnf {cnf.num_vars} {cnf.num_clauses}"]
+    for c in cnf.clause_lits():
+        out.append(" ".join(map(str, c)) + " 0")
     return "\n".join(out) + "\n"
 
 
@@ -210,15 +285,17 @@ def check_model(cnf: Cnf, assignment: Mapping[int, bool]) -> bool:
     Raises ModelError if a variable occurring in the formula is unassigned.
     A formula with no clauses is vacuously satisfied.
     """
-    for c in cnf.clauses:
-        sat = False
-        for lit in c.lits:
-            v = abs(lit)
-            if v not in assignment:
-                raise ModelError(f"variable {v} unassigned")
-            if assignment[v] == (lit > 0):
-                sat = True
-                # keep scanning so unassigned vars in this clause still error
-        if not sat:
-            return False
+    sat = False
+    for lit in cnf.lits:
+        if not lit:  # a clause ends
+            if not sat:
+                return False
+            sat = False
+            continue
+        v = abs(lit)
+        if v not in assignment:
+            raise ModelError(f"variable {v} unassigned")
+        if assignment[v] == (lit > 0):
+            sat = True
+            # keep scanning so unassigned vars in this clause still error
     return True

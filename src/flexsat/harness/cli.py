@@ -145,7 +145,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             if not line.strip():
                 continue
             parsed = parse_trace_line(line)
-            if parsed is None or not math.isfinite(parsed[0]):
+            if parsed is None:
                 raise ValueError(f"line {n}: not a trace line: {line[:60]!r}")
             if parsed[2] == "RUN_END":
                 end = n, parsed[0]

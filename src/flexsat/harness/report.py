@@ -8,6 +8,7 @@ lines, not readings of the PEs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -29,6 +30,8 @@ def parse_detail(detail: str) -> dict[str, str]:
 
 
 def parse_trace_line(line: str) -> Optional[tuple[float, int, str, Optional[int], str]]:
+    """(t_ms, pe, kind, job, detail) of a trace line; None if it is not one,
+    including a time that is not finite."""
     parts = line.split(" ", 4)
     if len(parts) < 4:
         return None
@@ -37,6 +40,8 @@ def parse_trace_line(line: str) -> Optional[tuple[float, int, str, Optional[int]
         pe = int(parts[1])
         job = None if parts[3] == "-" else int(parts[3])
     except ValueError:
+        return None
+    if not math.isfinite(t_ms):
         return None
     kind = parts[2]
     detail = parts[4] if len(parts) == 5 else ""

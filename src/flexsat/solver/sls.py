@@ -21,7 +21,7 @@ def _preprocess(cnf: Cnf) -> tuple[dict[int, bool] | None, list[list[int]]]:
     Returns (fixed assignment, residual clauses); fixed is None when a
     contradiction was found (the walk then never succeeds).
     """
-    clauses = [list(c.lits) for c in cnf.clauses]
+    clauses = list(map(list, cnf.clause_lits()))
     fixed: dict[int, bool] = {}
 
     def assign(lit: int) -> bool:
@@ -110,7 +110,7 @@ class SlsSolver:
         self.fixed: dict[int, bool] = {}
         self.clauses: list[list[int]] = []
         if not self.params.preprocess:
-            self.clauses = [list(c.lits) for c in cnf.clauses]
+            self.clauses = list(map(list, cnf.clause_lits()))
         else:
             fixed, residual = _preprocess(cnf)
             if fixed is None:

@@ -4,8 +4,9 @@ Oracles here deliberately avoid the production algorithms: satisfiability
 is decided by exhaustive truth tables, buffer limits by arbitrary
 precision arithmetic with exact branches for the rational cases, merges
 by decode-everything-and-redo, volumes by bisection on the water level.
-The one exception is `segment_scan_volumes`, the earlier quadratic
-production volume search, kept as an exact differential oracle.
+Two exceptions are earlier production code, kept as exact differential
+oracles: `segment_scan_volumes`, the quadratic volume search, and
+`oracle_parse_dimacs`, the line-by-line DIMACS scanner.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from random import Random
 import mpmath as mp
 
 from flexsat.exchange import ExchangeConfig, buffer_limit, serialize
-from flexsat.formula import Cnf, literal_key
+from flexsat.formula import Clause, Cnf, DimacsError, literal_key
 from flexsat.sched import JobInfo
 
 # ---------------------------------------------------------------------------
@@ -105,6 +106,83 @@ def crafted_corpus() -> list[tuple[str, Cnf]]:
         m = int(n * rng.choice([3.5, 4.3, 5.0]))
         out.append((f"rand{i}_{n}v", random_3cnf(rng, n, m)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# DIMACS oracle: the earlier line-by-line scanner, one Clause per clause
+
+
+def _oracle_canonical(lits: list[int]) -> tuple[int, ...] | None:
+    """Literals deduplicated in first-seen order, sorted by literal_key;
+    None for a tautology."""
+    seen = set()
+    out = []
+    for lit in lits:
+        if -lit in seen:
+            return None
+        if lit not in seen:
+            seen.add(lit)
+            out.append(lit)
+    out.sort(key=literal_key)
+    return tuple(out)
+
+
+def oracle_parse_dimacs(source: str | bytes) -> tuple[int, tuple[Clause, ...]]:
+    """(num_vars, clauses) of DIMACS text, or the DimacsError of its first fault."""
+    if isinstance(source, bytes):
+        source = source.decode("utf-8", errors="replace")
+
+    num_vars: int | None = None
+    clauses: list[Clause] = []
+    pending: list[int] = []
+    pending_line = 0
+
+    lines = source.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("%"):
+            break
+        if line.startswith("p"):
+            if num_vars is not None:
+                raise DimacsError("duplicate header", lineno)
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise DimacsError(f"bad header {line!r}", lineno)
+            try:
+                num_vars = int(parts[2])
+                declared_clauses = int(parts[3])
+            except ValueError:
+                raise DimacsError(f"bad header {line!r}", lineno) from None
+            if num_vars < 0 or declared_clauses < 0:
+                raise DimacsError("negative counts in header", lineno)
+            continue
+        if num_vars is None:
+            raise DimacsError("clause before header", lineno)
+        for tok in line.split():
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise DimacsError(f"bad token {tok!r}", lineno) from None
+            if lit == 0:
+                if not pending:
+                    raise DimacsError("empty clause", lineno)
+                lits = _oracle_canonical(pending)
+                if lits is not None:
+                    clauses.append(Clause(lits))
+                pending = []
+            else:
+                if abs(lit) > num_vars:
+                    raise DimacsError(f"literal {lit} out of range", lineno)
+                if not pending:
+                    pending_line = lineno
+                pending.append(lit)
+    if num_vars is None:
+        raise DimacsError("no header found", len(lines) or 1)
+    if pending:
+        raise DimacsError("clause missing 0 terminator", pending_line)
+    return num_vars, tuple(clauses)
 
 
 # ---------------------------------------------------------------------------

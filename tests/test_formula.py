@@ -1,12 +1,15 @@
 """Formula layer: canonicalization, DIMACS round trips, model checking."""
-import pytest
+import tracemalloc
+from collections import Counter
 from random import Random
+
+import pytest
 
 from flexsat.formula import (Clause, Cnf, DimacsError, ModelError,
                              canonical_literals, check_model, literal_key,
                              parse_dimacs, write_dimacs)
 from flexsat.solver import CdclSolver
-from helpers import oracle_model, random_3cnf
+from helpers import oracle_model, oracle_parse_dimacs, random_3cnf
 
 
 def test_literal_key_orders_positive_first():
@@ -64,7 +67,7 @@ def test_cnf_codes_are_literal_keys_shared_by_solvers():
     assert lists_a and not lists_a & lists_b
     assert a.solve().verdict == b.solve().verdict
     assert cnf.codes is codes and list(codes) == snapshot
-    assert Cnf(cnf.num_vars, cnf.clauses) == cnf  # the cache is not a field
+    assert Cnf(cnf.num_vars, cnf.lits, cnf.num_clauses) == cnf  # the cache is not a field
 
 
 def test_cnf_from_clauses_drops_tautologies_and_range_checks():
@@ -188,3 +191,172 @@ def test_check_model_unassigned_raises():
 
 def test_check_model_empty_formula_vacuous():
     assert check_model(Cnf.from_clauses(3, []), {}) is True
+
+
+# ---------------------------------------------------------------------------
+# the flat buffer against the earlier line scanner
+
+FORMS = ("comment", "blank", "tab", "crlf", "multi", "span", "duplicate",
+         "tautology", "trailer", "latin1")
+FAULTS = ("bad token", "out of range", "empty clause", "0 terminator",
+          "clause before header", "duplicate header", "bad header",
+          "negative counts", "no header")
+
+
+def _dimacs_case(rng: Random) -> tuple[str | bytes, set[str]]:
+    """A seeded DIMACS text, with at most one injected fault, and its forms."""
+    forms: set[str] = set()
+    nv = rng.randint(1, 9)
+    clauses = []
+    for _ in range(rng.randint(0, 8)):
+        lits = [rng.choice((1, -1)) * rng.randint(1, nv) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.15:
+            lits.insert(rng.randrange(len(lits) + 1), lits[0])
+        elif rng.random() < 0.1:
+            lits.insert(rng.randrange(len(lits) + 1), -lits[0])
+        if len(set(lits)) < len(lits):
+            forms.add("duplicate")
+        if any(-l in lits for l in lits):
+            forms.add("tautology")
+        clauses.append(lits)
+    fault = rng.choice(FAULTS) if rng.random() < 0.5 else None
+
+    tokens = [str(l) for c in clauses for l in (*c, 0)]
+    if fault == "bad token":
+        tokens.insert(rng.randrange(len(tokens) + 1),
+                      rng.choice(("x", "1.5", "--2", "0x1", "1e3", "-", "2-")))
+    elif fault == "out of range":
+        tokens.insert(rng.randrange(len(tokens) + 1),
+                      str(rng.choice((1, -1)) * rng.randint(nv + 1, nv + 9)))
+    elif fault == "empty clause":
+        bounds = [0] + [i + 1 for i, t in enumerate(tokens) if t == "0"]
+        tokens.insert(rng.choice(bounds), rng.choice(("0", "-0", "00")))
+    elif fault == "0 terminator":
+        tokens += [str(rng.randint(1, nv)) for _ in range(rng.randint(1, 2))]
+
+    # Cut the token stream into lines: breaks fall after terminators and
+    # inside clauses, so lines hold several clauses and clauses span lines.
+    body: list[str] = []
+    line: list[str] = []
+    zeros = 0
+    for tok in tokens:
+        line.append(tok)
+        zeros += tok == "0"
+        if rng.random() < (0.5 if tok == "0" else 0.12):
+            if tok != "0":
+                forms.add("span")
+            if zeros > 1:
+                forms.add("multi")
+            body.append(_join(rng, line, forms))
+            line, zeros = [], 0
+    if line:
+        if zeros > 1:
+            forms.add("multi")
+        body.append(_join(rng, line, forms))
+
+    m = len(clauses) + rng.choice((0, 0, 0, 1, -1))
+    header = f"p cnf {nv} {max(m, 0)}"
+    if fault == "bad header":
+        header = rng.choice((f"p dnf {nv} {m}", f"p cnf {nv}", f"p cnf x {m}", "p",
+                             f"pcnf {nv} {m}", f"p cnf {nv} {m} 7", f"p cnf {nv} 1.0"))
+    elif fault == "negative counts":
+        header = rng.choice((f"p cnf -{nv} {m}", f"p cnf {nv} -1"))
+    elif fault == "duplicate header":
+        body.insert(rng.randrange(len(body) + 1), header)
+    lines = [header] + body
+    if fault == "clause before header":
+        if not body:
+            lines.append(f"{rng.randint(1, nv)} 0")
+        lines.insert(rng.randint(1, len(lines) - 1), lines.pop(0))  # past a clause line
+    elif fault == "no header":
+        lines = [] if rng.random() < 0.5 else body
+
+    for _ in range(rng.randint(0, 3)):
+        forms.add("comment")
+        lines.insert(rng.randrange(len(lines) + 1),
+                     rng.choice(("c", "c a comment", "  c indented", "cnf 1 0", "c\t0 x")))
+    for _ in range(rng.randint(0, 2)):
+        forms.add("blank")
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(("", "  ", "\t")))
+    if rng.random() < 0.2:
+        forms.add("trailer")
+        lines += ["%", "0"] + rng.sample(["", "junk x", "p cnf 1 1", "1 2"], 2)
+    latin1 = rng.random() < 0.15
+    if latin1:
+        forms.add("latin1")
+        lines.insert(rng.randrange(len(lines) + 1), "c cafe-latin1")
+    eol = "\r\n" if rng.random() < 0.3 else "\n"
+    if eol == "\r\n":
+        forms.add("crlf")
+    text = eol.join(lines) + rng.choice((eol, ""))
+    if latin1:
+        return text.encode("utf-8").replace(b"cafe-latin1", b"caf\xe9"), forms
+    return text, forms
+
+
+def _join(rng: Random, tokens: list[str], forms: set[str]) -> str:
+    if rng.random() < 0.2:
+        forms.add("tab")
+        return rng.choice(("\t", "")) + "\t".join(tokens)
+    return rng.choice(("", " ")) + " ".join(tokens)
+
+
+def test_parse_dimacs_matches_the_line_scanner():
+    rng = Random(1919)
+    forms: Counter = Counter()
+    faults: Counter = Counter()
+    for _ in range(2400):
+        source, used = _dimacs_case(rng)
+        try:
+            num_vars, clauses = oracle_parse_dimacs(source)
+        except DimacsError as want:
+            with pytest.raises(DimacsError) as got:
+                parse_dimacs(source)
+            assert (str(got.value), got.value.line) == (str(want), want.line), source
+            faults[next(kind for kind in FAULTS if kind in str(want))] += 1
+            continue
+        cnf = parse_dimacs(source)
+        assert cnf.num_vars == num_vars
+        assert cnf.lits == tuple(l for c in clauses for l in (*c.lits, 0)), source
+        assert cnf.num_clauses == len(cnf) == len(clauses)
+        assert cnf.clauses == clauses
+        forms.update(used)
+    assert [f for f in FORMS if forms[f] < 10] == []
+    assert [f for f in FAULTS if faults[f] < 10] == []
+
+
+def test_clauses_view_is_the_scanner_clause_tuple():
+    text = write_dimacs(random_3cnf(Random(8), 30, 120))
+    cnf = parse_dimacs(text)
+    assert cnf.clauses == oracle_parse_dimacs(text)[1]
+    assert all(type(c) is Clause for c in cnf.clauses)
+    assert "clauses" not in vars(cnf)  # a view, never cached
+
+
+def test_cnf_is_hashable_and_equal_by_value():
+    a = parse_dimacs(DIMACS_OK)
+    b = Cnf.from_clauses(4, [[-2, 1, 1], [2, -4, 3], [4], [3, -3]])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.codes and a == b and hash(a) == hash(b)  # the cache is not a field
+    assert a.lits == (1, -2, 0, 2, 3, -4, 0, 4, 0)
+    assert a.serialized_size == len(a.lits) == 9
+    assert a != Cnf.from_clauses(5, [[1, -2], [2, 3, -4], [4]])
+    assert a != Cnf.from_clauses(4, [[2, 3, -4], [1, -2], [4]])  # clause order counts
+
+
+def test_parsed_formula_is_one_small_buffer():
+    rng = Random(3)
+    lines = ["p cnf 90 450"]
+    for _ in range(450):
+        vs = rng.sample(range(1, 91), 3)
+        lines.append(" ".join(str(v if rng.random() < 0.5 else -v) for v in vs) + " 0")
+    text = "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cnf = parse_dimacs(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cnf.num_clauses == 450 and cnf.serialized_size == 1800
+    assert held < 48 * 1024, held

@@ -110,6 +110,16 @@ def test_parse_trace_line():
     assert parse_trace_line("1.0 2 START abc x=1") is None  # a bad job field too
 
 
+@pytest.mark.parametrize("line", ["inf 1 START 3 x=0", "nan 1 START 3 x=0",
+                                  "-inf 1 START 3 x=0", "inf -1 RUN_END - reason=timeout"])
+def test_non_finite_trace_times_are_noise(line):
+    assert parse_trace_line(line) is None
+    assert report_from_trace([line]).jobs == report_from_trace([]).jobs == {}
+    # Among real lines it is skipped like any other noise.
+    assert report_from_trace(TRACE[:3] + [line] + TRACE[3:]).jobs == \
+        report_from_trace(TRACE).jobs
+
+
 def test_parse_detail():
     assert parse_detail("x=0 mode=fresh junk v=3") == \
         {"x": "0", "mode": "fresh", "v": "3"}
