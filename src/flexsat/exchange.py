@@ -26,8 +26,6 @@ from operator import lt
 from random import Random
 from typing import Iterable, Sequence
 
-from .util import MASK64, mix64
-
 
 class BufferFormatError(ValueError):
     """Raised when a clause buffer violates the flat format."""
@@ -240,62 +238,34 @@ def merge(
 # ---------------------------------------------------------------------------
 # duplicate filtering
 
-_LEN_SALT = 0xC2B2AE3D27D4EB4F
-_LEN_MIX = tuple(mix64(n ^ _LEN_SALT) for n in range(64))  # by clause length
-
-
-class LiteralMix(dict):
-    """mix64 of each literal looked up so far, filled on first use.
-
-    Owned by one filter and freed with it, so it never outgrows the
-    literals that filter has seen.
-    """
-
-    def __missing__(self, lit: int) -> int:
-        m = self[lit] = mix64(lit)
-        return m
-
-
-def commutative_hash(lits: Sequence[int], mix: LiteralMix | None = None) -> int:
-    """Order-independent 64-bit clause hash.
-
-    Sum (mod 2^64) of an avalanche mix of each literal, xored with a mix
-    of the clause length, so permutations collide and sub/superset
-    clauses do not collide trivially.  mix caches the literal mixes.
-    """
-    if mix is None:
-        mix = LiteralMix()
-    n = len(lits)
-    return ((sum(map(mix.__getitem__, lits)) & MASK64)
-            ^ (_LEN_MIX[n] if n < 64 else mix64(n ^ _LEN_SALT)))
-
-
 class ClauseFilter:
-    """Per-solver duplicate filter: exact set for units, fingerprints for the rest.
+    """Per-solver duplicate filter: exact sets of units and of clause tuples.
 
-    A non-unit clause is remembered by its 64-bit commutative hash in one
-    of two generations of fingerprint sets, so memory grows with the
-    clauses actually seen, up to GEN_CAP fingerprints per generation;
-    clauses with equal fingerprints count as one.  A full generation is
-    retired on the next insert, so without forgetting a non-unit clause
-    becomes admittable again after GEN_CAP to 2 * GEN_CAP newer distinct
-    clauses.
+    A non-unit clause is remembered as the canonical literal tuple it is
+    given, in one of two generations, so two clauses count as one only if
+    they are equal.  Memory grows with the clauses actually seen, up to
+    GEN_WORDS words per generation.  A record costs its length plus two,
+    for its tuple header and set slot: at plus one, a generation of binary
+    clauses crossed a set resize and a filter peaked at 8.9 MiB.  An insert
+    that would overfill the current generation retires it first, so
+    without forgetting a non-unit clause becomes admittable again after one
+    to two generations of newer distinct clauses.
     Forgetting is probabilistic with a half life: each call removes each
-    unit with probability 1/2 and retires one fingerprint generation, so a
-    non-unit clause becomes admittable again after at most two calls.
+    unit with probability 1/2 and retires one generation, so a non-unit
+    clause becomes admittable again after at most two calls.
 
     Single-owner: exactly one execution context may mutate a filter.
     """
 
-    GEN_CAP = 1 << 15
+    GEN_WORDS = 1 << 16
 
     def __init__(self):
-        self._mix = LiteralMix()
         self.unit_set: set[int] = set()
-        self._cur: set[int] = set()
-        self._old: set[int] = set()
+        self._cur: set[tuple[int, ...]] = set()
+        self._old: set[tuple[int, ...]] = set()
+        self._words = 0  # words held by _cur
 
-    def _test_and_add(self, lits: Sequence[int]) -> bool:
+    def _test_and_add(self, lits: tuple[int, ...]) -> bool:
         """Return True iff the clause was absent; inserts it either way."""
         if len(lits) == 1:
             (lit,) = lits
@@ -303,28 +273,30 @@ class ClauseFilter:
                 return False
             self.unit_set.add(lit)
             return True
-        h = commutative_hash(lits, self._mix)
-        if h in self._cur:
+        if lits in self._cur:
             return False
-        if len(self._cur) >= self.GEN_CAP:
+        cost = len(lits) + 2
+        self._words += cost
+        if self._words > self.GEN_WORDS:
             self._old = self._cur
             self._cur = set()
-        self._cur.add(h)
-        return h not in self._old
+            self._words = cost
+        self._cur.add(lits)
+        return lits not in self._old
 
     # -- public surface ----------------------------------------------------
-    def register_export(self, lits: Sequence[int]) -> bool:
+    def register_export(self, lits: tuple[int, ...]) -> bool:
         """Admit a locally learned clause; False if it was already seen."""
         return self._test_and_add(lits)
 
-    def check_import(self, lits: Sequence[int]) -> bool:
+    def check_import(self, lits: tuple[int, ...]) -> bool:
         """Admit an incoming clause; False blocks re-import of known ones."""
         return self._test_and_add(lits)
 
     def forget_half(self, rng: Random) -> None:
-        """Half-life step: drop each unit with p=1/2, retire one fingerprint generation."""
+        """Half-life step: drop each unit with p=1/2, retire one generation."""
         kept = {u for u in sorted(self.unit_set) if rng.getrandbits(1)}
         self.unit_set = kept
         self._old = self._cur
         self._cur = set()
-
+        self._words = 0

@@ -34,7 +34,6 @@ from ..sched import (
     consolidate,
     next_hop,
     parent_index,
-    pick_eviction,
     route_request,
 )
 from ..solver import SAT, UNKNOWN, SolverStats
@@ -310,7 +309,7 @@ class WorkerPE(BasePE):
         # Runs only after route_request chose "adopt", so _cache_admits() held:
         # a full cache (nodes never exceed CACHE_SIZE) has a victim.
         if len(self.nodes) >= CACHE_SIZE:
-            job, x = pick_eviction(self._evictable())
+            _t, job, x = min(self._evictable())  # least recently active, then lowest job
             self.teardown_node(job, x, "evict", abort_children=False)
         node = JobNode(req.job, req.x)
         node.parent_pe = req.origin

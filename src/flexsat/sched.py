@@ -286,20 +286,6 @@ def next_hop(req: JobRequest, hint: int | None, pe_id: int,
     return neighbors[rng.randrange(len(neighbors))]
 
 
-def pick_eviction(
-    candidates: Iterable[tuple[float, int, int]],
-) -> tuple[int, int] | None:
-    """Least-recently-active suspended node as (job, x); None if empty.
-
-    Candidates are (last_active, job, x) triples.
-    """
-    best = None
-    for item in candidates:
-        if best is None or item < best:
-            best = item
-    return (best[1], best[2]) if best else None
-
-
 # ---------------------------------------------------------------------------
 # PE communication graph
 

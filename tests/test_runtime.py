@@ -299,6 +299,30 @@ def test_mono_deterministic_trace():
     assert run() == run()
 
 
+def test_mono_filters_forget_at_run_time(monkeypatch):
+    """A filter half life makes every CDCL slot's filter forget while the
+    solvers share clauses; the verdict and the trace do not depend on luck."""
+    made, calls = [], Counter()
+    init, forget = ClauseFilter.__init__, ClauseFilter.forget_half
+
+    def counting_init(self):
+        init(self)
+        made.append(self)
+
+    def counting_forget(self, rng):
+        calls[self] += 1
+        forget(self, rng)
+    monkeypatch.setattr(ClauseFilter, "__init__", counting_init)
+    monkeypatch.setattr(ClauseFilter, "forget_half", counting_forget)
+    cfg = small_cfg(num_pes=4, threads=2, share_period_s=0.02,
+                    filter_halflife_s=0.01, cdcl_rate=1.0)
+    report = mono_mode(php_cnf(5), cfg)
+    assert report.jobs[1]["verdict"] == "UNSAT"
+    assert any(" SHARE " in l for l in report.trace)
+    assert made and all(calls[f] >= 1 for f in made)
+    assert mono_mode(php_cnf(5), cfg).trace == report.trace
+
+
 # ---------------------------------------------------------------------------
 # scheduling runs
 
@@ -656,6 +680,28 @@ def test_released_child_is_the_first_hop_until_its_parent_goes():
     assert (1, 1) not in w.nodes and (9, 1) in w.nodes
     [(dst, req)] = requests(deliver(tp.JOB_REQUEST, 2, 1, req=JobRequest(1, 3, origin=1)))
     assert dst in (2, 3, 4) and not req.hint_used
+
+
+def test_equally_old_suspended_nodes_evict_the_lowest_job_first(monkeypatch):
+    """Worker PE 1 holds three nodes that suspended at the same instant; an
+    adoption into its full cache evicts the one of the lowest job id."""
+    monkeypatch.setattr(pe_mod, "CACHE_SIZE", 3)
+    shared = Cluster(small_cfg(num_pes=8), [synth_job(1, 1.0, 4)]).shared
+    ctx = _Outbox(1)
+    ctx.now = 1000
+    w = pe_mod.WorkerPE(ctx, shared, neighbors=(2, 3, 4))
+
+    def deliver(kind, job, **payload):
+        w.on_envelope(Envelope(kind, 5, 1, job, payload))
+
+    for job in (5, 2, 4):  # each suspends at once: x=1 is not under volume 1
+        deliver(tp.JOB_REQUEST, job, req=JobRequest(job, 1, origin=5))
+        deliver(tp.JOB_PAYLOAD, job, x=1, v=1,
+                desc=JobDescriptor(job=job, priority=0.5, synthetic_s=1.0))
+    assert sorted(w.nodes) == [(2, 1), (4, 1), (5, 1)]
+    assert {n.last_active for n in w.nodes.values()} == {1000}
+    deliver(tp.JOB_REQUEST, 9, req=JobRequest(9, 1, origin=5))
+    assert sorted(w.nodes) == [(4, 1), (5, 1), (9, 1)]
 
 
 def criterion9_run():

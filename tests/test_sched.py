@@ -8,8 +8,7 @@ from flexsat.formula import Cnf
 from flexsat.sched import (JobDescriptor, JobInfo, JobRequest,
                            PeView, apply_events, build_pe_graph,
                            child_indices, compute_volumes, consolidate,
-                           max_request_hops, parent_index, pick_eviction,
-                           route_request)
+                           max_request_hops, parent_index, route_request)
 from helpers import segment_scan_volumes, volume_oracle
 
 
@@ -300,12 +299,6 @@ def test_route_no_neighbors_parks():
     d = route_request(JobRequest(1, 2, origin=4), make_view(neighbors=()),
                       Random(0))
     assert d.action == "park" and d.dst == 4
-
-
-def test_pick_eviction():
-    assert pick_eviction([]) is None
-    got = pick_eviction([(5.0, 2, 1), (3.0, 9, 4), (3.0, 1, 0)])
-    assert got == (1, 0)  # oldest first, job id breaks the time tie
 
 
 # ---------------------------------------------------------------------------
