@@ -12,7 +12,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from operator import neg
+from itertools import islice
+from operator import eq, neg
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 log = logging.getLogger(__name__)
@@ -168,9 +169,11 @@ def parse_dimacs(source: str | bytes) -> Cnf:
     but accepted.  Structural problems raise DimacsError with a line number.
 
     One pass over the lines finds the header and the clause lines; the
-    clause lines are tokenized, converted and range-checked at once, and
-    cut into clauses at their zeros.  Only rejected input is scanned again,
-    line by line, to name the first fault.
+    clause lines are tokenized, converted and range-checked at once, cut
+    into clauses at their zeros and sorted by variable.  Only a formula
+    with a repeated variable or an empty clause is rebuilt clause by
+    clause, and only rejected input is scanned again, line by line, to
+    name the first fault.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
@@ -203,16 +206,28 @@ def parse_dimacs(source: str | bytes) -> Cnf:
         _raise_first_fault(lines)
     if toks and (toks[-1] or max(toks) > num_vars or -min(toks) > num_vars):
         _raise_first_fault(lines)
+    count = zeros = toks.count(0)
     buf: list[int] = []
-    count = 0
-    for lits in _runs(toks, toks.count(0), 0):
-        if not lits:
-            _raise_first_fault(lines)  # an empty clause
-        canon = canonical_literals(lits)
-        if canon is not None:
-            buf += canon
-            buf.append(0)
-            count += 1
+    for lits in _runs(toks, zeros, 0):
+        lits.sort(key=abs)  # a fresh slice of toks
+        buf += lits
+        buf.append(0)
+    # Sorted by variable, a clause's repeated variable sits next to its
+    # twin, and an empty clause leaves a 0 first or two 0s in a row: one
+    # pass over the variables, behind a leading 0, finds both.
+    var = [0]
+    var += map(abs, buf)
+    if any(map(eq, var, islice(var, 1, None))):
+        # Rare: rebuild clause by clause, dropping duplicates and tautologies.
+        buf, count = [], 0
+        for lits in _runs(toks, zeros, 0):
+            if not lits:
+                _raise_first_fault(lines)  # an empty clause
+            canon = canonical_literals(lits)
+            if canon is not None:
+                buf += canon
+                buf.append(0)
+                count += 1
     if declared != count:
         log.warning("header declared %d clauses, parsed %d (tautologies dropped?)",
                     declared, count)

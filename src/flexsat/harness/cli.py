@@ -119,7 +119,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
-    except (ScenarioError, DimacsError, UnicodeDecodeError) as exc:
+    except (ScenarioError, UnicodeDecodeError) as exc:
         raise CliError(f"{args.scenario}: {exc}") from exc
     except OSError as exc:
         raise CliError(f"cannot read {args.scenario}: {exc.strerror or exc}") from exc

@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
-from ..formula import parse_dimacs
+from ..formula import DimacsError, parse_dimacs
 from ..sched import JobDescriptor
 from ..util import MAX_SECONDS, is_real
 
@@ -70,6 +70,8 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
                         cnf = parse_dimacs(fh.read())
                 except OSError as exc:
                     raise ScenarioError(f"line {lineno}: {exc}") from None
+                except DimacsError as exc:
+                    raise ScenarioError(f"line {lineno}: {obj['file']}: {exc}") from None
             arrival = obj.get("arrival", 0.0)
             try:
                 out.jobs.append(JobDescriptor(

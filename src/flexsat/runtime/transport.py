@@ -121,14 +121,17 @@ class SimLoop:
 
 
 class WallLoop:
-    """SimLoop's shape on the wall clock: a timer heap, and one FIFO inbox
-    for every envelope, which keeps each (src, dst) pair FIFO.  Queued
-    envelopes go before due timers; with neither, the loop sleeps until
-    the next timer is due or the run times out."""
+    """SimLoop's shape on the wall clock: a timer heap, a heap of solver
+    steps (tag "step") and one FIFO inbox for every envelope, which keeps
+    each (src, dst) pair FIFO.  A step holds the loop for a whole slice,
+    so queued envelopes go first, then due timers, then due steps; with
+    none of these, the loop sleeps until the earlier head of the two heaps
+    is due or the run times out."""
 
     def __init__(self) -> None:
         self._start_ns = time.monotonic_ns()
         self._timers: list[tuple[int, int, int, str, Any]] = []
+        self._steps: list[tuple[int, int, int, str, Any]] = []
         self._seq = 0
         self.inbox: deque[Envelope] = deque()
 
@@ -138,13 +141,14 @@ class WallLoop:
 
     def post_timer(self, pe: int, delay_us: int, tag: str, data: Any) -> None:
         self._seq += 1
-        heapq.heappush(self._timers, (self.now + delay_us, self._seq, pe, tag, data))
+        heapq.heappush(self._steps if tag == "step" else self._timers,
+                       (self.now + delay_us, self._seq, pe, tag, data))
 
     def run(self, on_message: Callable[[int, Envelope], None],
             on_timer: Callable[[int, str, Any], None],
             should_stop: Callable[[], bool],
             timeout_us: int) -> None:
-        timers, inbox = self._timers, self.inbox
+        timers, steps, inbox = self._timers, self._steps, self.inbox
         while not should_stop():
             now = self.now
             if now >= timeout_us:
@@ -155,8 +159,11 @@ class WallLoop:
             elif timers and timers[0][0] <= now:
                 _t, _seq, pe, tag, data = heapq.heappop(timers)
                 on_timer(pe, tag, data)
+            elif steps and steps[0][0] <= now:
+                _t, _seq, pe, tag, data = heapq.heappop(steps)
+                on_timer(pe, tag, data)
             else:
-                until = min(timers[0][0], timeout_us) if timers else timeout_us
+                until = min([timeout_us] + [h[0][0] for h in (timers, steps) if h])
                 time.sleep((until - now) / 1e6)
 
 

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from flexsat import formula as formula_mod
 from flexsat.formula import (Clause, Cnf, DimacsError, ModelError,
                              canonical_literals, check_model, literal_key,
                              parse_dimacs, write_dimacs)
@@ -323,6 +324,36 @@ def test_parse_dimacs_matches_the_line_scanner():
         forms.update(used)
     assert [f for f in FORMS if forms[f] < 10] == []
     assert [f for f in FAULTS if faults[f] < 10] == []
+
+
+def test_parse_dimacs_canonicalizes_no_clause_of_a_clean_formula(monkeypatch):
+    rng = Random(23)
+    clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 61), 3)]
+               for _ in range(250)]
+    text = "p cnf 60 250\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+
+    def refuse(lits):
+        raise AssertionError(f"canonical_literals({lits}) on a clean formula")
+    with monkeypatch.context() as m:
+        m.setattr(formula_mod, "canonical_literals", refuse)
+        cnf = parse_dimacs(text)
+    assert cnf == Cnf.from_clauses(60, clauses)
+
+
+@pytest.mark.parametrize("body, clauses", [
+    ("2 -1 2 0\n3 -2 0\n-3 1 0\n", [[2, -1], [3, -2], [-3, 1]]),  # first clause
+    ("2 -1 0\n3 -2 0\n-3 1 -3 0\n", [[2, -1], [3, -2], [-3, 1]]),  # last clause
+    ("2 -1 0\n3 -2\n-2 3 0\n1 0\n", [[2, -1], [3, -2], [1]]),  # across two lines
+    ("2 -1 0\n3 1 -3 0\n-2 0\n", [[2, -1], [-2]]),  # a tautology
+])
+def test_parse_dimacs_repeated_variable_is_canonicalized(body, clauses):
+    assert parse_dimacs("p cnf 3 3\n" + body) == Cnf.from_clauses(3, clauses)
+
+
+def test_parse_dimacs_first_clause_bare_zero():
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs("p cnf 3 2\n0\n1 -2 0\n")
+    assert (str(err.value), err.value.line) == ("line 2: empty clause", 2)
 
 
 def test_clauses_view_is_the_scanner_clause_tuple():

@@ -542,6 +542,15 @@ def test_cli_run_report_cycle(tmp_path, capsys):
     assert capsys.readouterr().out == run_out
 
 
+def test_cli_run_names_the_scenario_line_and_the_job_files_line(tmp_path, capsys):
+    (tmp_path / "bad.cnf").write_text("c three variables\np cnf 3 2\n1 7 0\n2 0\n")
+    scen = tmp_path / "badjob.jsonl"
+    scen.write_text('{"type": "job", "file": "bad.cnf"}\n')
+    assert main(["run", str(scen)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"flexsat: error: {scen}: line 1: bad.cnf: line 3: literal 7 out of range\n"
+
+
 def test_cli_report_without_trace(tmp_path, capsys):
     rep = report_from_trace(TRACE)
     f = tmp_path / "no_trace.json"

@@ -237,6 +237,21 @@ def test_wall_loop_timers_inbox_stop_and_timeout():
     assert 50_000 <= loop.now < 5_000_000
 
 
+def test_wall_loop_runs_due_steps_last():
+    # A solver step holds the loop for a slice, so it waits for queued
+    # envelopes and due timers, even ones posted after it.
+    loop, events = WallLoop(), []
+    loop.post_timer(1, 0, "step", None)
+    loop.post_timer(2, 20_000, "step", None)
+    loop.post_timer(3, 0, "balance", None)
+    RealContext(4, Random(0), loop, Trace()).send(Envelope("K", 4, 5, None, {}))
+    loop.run(lambda dst, env: events.append((loop.now, "msg", dst)),
+             lambda pe, tag, data: events.append((loop.now, tag, pe)),
+             lambda: len(events) == 4, timeout_us=10 ** 7)
+    assert [e[1:] for e in events] == [("msg", 5), ("balance", 3), ("step", 1), ("step", 2)]
+    assert events[3][0] >= 20_000  # a step heap's head is slept for, never early
+
+
 def test_simloop_timer_order(monkeypatch):
     monkeypatch.setattr(tp, "LATENCY_US", 0)
     monkeypatch.setattr(tp, "JITTER_US", 0)
@@ -577,6 +592,21 @@ def test_real_run_starts_no_thread(monkeypatch):
                                              timeout_s=0.3))
     slots, _fresh = _slots_and_fresh_starts(report)
     assert slots >= 2 and started == []
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_real_mode_starts_short_jobs_under_solver_load(seed):
+    # A hard formula keeps every worker's solvers busy from t=0; short
+    # jobs that arrive later must still start at once, so a due solver
+    # step waits for queued messages and due timers.
+    jobs = [JobDescriptor(job=1, priority=0.5, arrival_s=0.0, demand=None,
+                          cnf=random_3cnf(Random(2), 300, 1278))]
+    jobs += [synth_job(j, 0.05, 1, arrival=0.9 + 0.2 * (j - 2)) for j in range(2, 8)]
+    cfg = ClusterConfig(num_pes=33, threads=2, sim=False, timeout_s=3.0, seed=seed)
+    report = Cluster(cfg, jobs).run()
+    short = {j: (report.jobs[j]["verdict"], report.jobs[j]["response_ms"])
+             for j in range(2, 8)}
+    assert all(v == "DONE" and ms < 1000.0 for v, ms in short.values()), short
 
 
 def test_real_mode_grows_tree_promptly():
