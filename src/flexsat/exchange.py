@@ -19,36 +19,27 @@ from __future__ import annotations
 import heapq
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import lt
 from random import Random
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from .runtime.cluster import ClusterConfig
 
 
 class BufferFormatError(ValueError):
     """Raised when a clause buffer violates the flat format."""
 
 
-@dataclass
-class ExchangeConfig:
-    """Tuning for clause exchange.
-
-    beta: base buffer size in integers contributed by a single PE.
-    alpha: per-level discount in [0.5, 1.0] applied as alpha^log2(u).
-    """
-
-    beta: int = 1500
-    alpha: float = 0.875
-
-
-def buffer_limit(u: int, cfg: ExchangeConfig) -> int:
+def buffer_limit(u: int, cfg: ClusterConfig) -> int:
     """Admitted buffer size (in integers) after aggregating u buffers.
 
-    ceil(u * alpha^log2(u) * beta), with log2 over the reals.  Powers of
-    two are computed exactly in rationals so the ceiling never suffers
-    float rounding right at an integer boundary.
+    ceil(u * alpha^log2(u) * beta), with log2 over the reals, for the run's
+    cfg.alpha and cfg.beta.  Powers of two are computed exactly in
+    rationals so the ceiling never suffers float rounding right at an
+    integer boundary.
     """
     if u < 1:
         raise ValueError("u must be >= 1")
@@ -169,7 +160,7 @@ def _raise_first_fault(keys: list[tuple], clauses: list[tuple]) -> None:
 
 
 def _stream(buf: Sequence[int]):
-    """Yield (length, sort_key, lits) per clause of a flat buffer (see _groups)."""
+    """Yield (length, keys, lits) per clause of a flat buffer (see _groups)."""
     for length, keys, clauses in _groups(buf):
         yield from zip(repeat(length), keys, clauses)
 
@@ -220,7 +211,7 @@ def _merged(streams: list) -> Iterable[tuple[int, ...]]:
 def merge(
     buffers: Sequence[tuple[Sequence[int], int]],
     own_export: Sequence[int],
-    cfg: ExchangeConfig,
+    cfg: ClusterConfig,
 ) -> tuple[list[int], int]:
     """k-way merge of child buffers plus this node's own export.
 

@@ -57,35 +57,9 @@ def canonical_literals(lits: Iterable[int]) -> tuple[int, ...] | None:
 
 @dataclass(frozen=True)
 class Clause:
-    """A nonempty disjunction of literals in canonical order.
-
-    Equality and hashing are structural over the literals.  No formula
-    stores these: Cnf.clauses builds them on each read.
-    """
+    """One clause's canonical literals, as Cnf.clauses yields them."""
 
     lits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.lits:
-            raise ValueError("empty clause")
-
-    @staticmethod
-    def make(lits: Iterable[int]) -> "Clause | None":
-        """Canonicalize and build; returns None for tautologies."""
-        canon = canonical_literals(lits)
-        if canon is None:
-            return None
-        return Clause(canon)
-
-    @property
-    def sort_key(self) -> tuple[int, ...]:
-        return tuple(literal_key(l) for l in self.lits)
-
-    def __len__(self) -> int:
-        return len(self.lits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.lits)
 
 
 @dataclass(frozen=True)

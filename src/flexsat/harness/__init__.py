@@ -1,12 +1,1 @@
 """Experiment harness: metrics, run reports, scenarios, and the CLI."""
-from __future__ import annotations
-
-from .metrics import par2, speedups, hos_baseline
-from .report import RunReport, report_from_trace
-from .scenario import Scenario, parse_scenario, load_scenario
-
-__all__ = [
-    "par2", "speedups", "hos_baseline",
-    "RunReport", "report_from_trace",
-    "Scenario", "parse_scenario", "load_scenario",
-]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -15,7 +16,7 @@ from ..runtime.cluster import MONO_FIXED
 from ..util import MAX_SECONDS, MIN_PERIOD_S, is_real
 from .metrics import hos_baseline
 from .report import RunReport, busy_sample_times, parse_trace_line, report_from_trace
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, parse_scenario
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -117,12 +118,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    text = _read(args.scenario)
     try:
-        scenario = load_scenario(args.scenario)
-    except (ScenarioError, UnicodeDecodeError) as exc:
+        scenario = parse_scenario(text, os.path.dirname(args.scenario) or ".")
+    except ScenarioError as exc:
         raise CliError(f"{args.scenario}: {exc}") from exc
-    except OSError as exc:
-        raise CliError(f"cannot read {args.scenario}: {exc.strerror or exc}") from exc
     cfg = _config_from_args(args)
     report = run_cluster(cfg, scenario)
     _write_outputs(report, args)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from ..formula import DimacsError, parse_dimacs
+from ..runtime.cluster import ClusterConfig
 from ..sched import JobDescriptor
 from ..util import MAX_SECONDS, is_real
 
@@ -40,8 +41,6 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     of the default ClusterConfig; a bad value fails here, with its line
     number.  Job and demand values are checked as given, never coerced.
     """
-    from ..runtime.cluster import ClusterConfig  # runtime imports harness.report
-
     config_keys = {f.name for f in fields(ClusterConfig)} - {"sim"}
     out = Scenario()
     auto_id = 0
@@ -64,6 +63,8 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
             auto_id += 1
             cnf = None
             if "file" in obj:
+                if type(obj["file"]) is not str:
+                    raise ScenarioError(f"line {lineno}: file {obj['file']!r} is not a string")
                 path = os.path.join(base_dir, obj["file"])
                 try:
                     with open(path, "rb") as fh:
@@ -123,8 +124,3 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         if job not in seen:
             raise ScenarioError(f"line {lineno}: demand change for unknown job {job}")
     return out
-
-
-def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), base_dir=os.path.dirname(path) or ".")

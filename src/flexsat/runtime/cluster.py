@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, fields, replace
 from random import Random
 from typing import Optional
 
-from ..exchange import ExchangeConfig
 from ..formula import Cnf
 from ..harness.report import RunReport, report_from_trace
 from ..sched import JobDescriptor, build_pe_graph, max_request_hops
@@ -113,9 +112,6 @@ class ClusterConfig:
                 f"budget {self.budget} < 1: lower epsilon or add PEs "
                 f"(p={self.num_pes}, eps={self.epsilon})")
 
-    def exchange_config(self) -> ExchangeConfig:
-        return ExchangeConfig(beta=self.beta, alpha=self.alpha)
-
     def public_dict(self) -> dict:
         """The CONFIG trace line: the traced fields and the budget."""
         shown = {f.name: getattr(self, f.name) for f in fields(self) if f.metadata["traced"]}
@@ -152,7 +148,6 @@ class Cluster:
             slice_us=int(SLICE_MS * 1000) if cfg.sim else 0,
             cdcl_per_slice=max(1, int(SLICE_MS * cfg.cdcl_rate)),
             sls_per_slice=max(1, int(SLICE_MS * sls_rate)),
-            excfg=cfg.exchange_config(),
         )
         self._loop = SimLoop(cfg.seed) if cfg.sim else WallLoop()
         context = Context if cfg.sim else RealContext

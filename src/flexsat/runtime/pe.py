@@ -13,14 +13,7 @@ from dataclasses import dataclass, field, fields
 from random import Random
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..exchange import (
-    ExchangeConfig,
-    ClauseFilter,
-    buffer_limit,
-    deserialize,
-    merge,
-    serialize,
-)
+from ..exchange import ClauseFilter, buffer_limit, deserialize, merge, serialize
 from ..formula import ModelError, check_model
 from ..harness.report import STATS_KEYS
 from ..sched import (
@@ -75,7 +68,6 @@ class RunShared:
     slice_us: int                  # solver time slice; 0 on the wall clock
     cdcl_per_slice: int            # conflicts per slice
     sls_per_slice: int             # flips per slice
-    excfg: ExchangeConfig
 
 
 @dataclass
@@ -129,7 +121,6 @@ class JobNode:
     ramp_cap: int = 1
     ever_active: bool = False
     result_reported: bool = False
-    share_timer_on: bool = False
 
     def __post_init__(self) -> None:
         self.key = (self.job, self.x)
@@ -397,11 +388,10 @@ class WorkerPE(BasePE):
         desc = node.desc
         if desc is not None and desc.cnf is not None and node.slots is None:
             self._spawn_slots(node)
-        if node.x == 0 and desc is not None:
-            if desc.cnf is not None and self.shared.cfg.sharing and not node.share_timer_on:
-                node.share_timer_on = True
+        if node.x == 0 and mode == "fresh":  # a root's first activation has its desc
+            if desc.cnf is not None and self.shared.cfg.sharing:
                 self.ctx.set_timer(self.shared.share_us, "share", node.job)
-            if desc.synthetic_s is not None and mode == "fresh":
+            if desc.synthetic_s is not None:
                 self.ctx.set_timer(int(desc.synthetic_s * 1e6), "synth", node.job)
         self._ensure_step()
         self._apply_volume(node)
@@ -595,7 +585,7 @@ class WorkerPE(BasePE):
         sink = node.sink
         while sink:
             out.append(sink.popleft())
-        return serialize(out, buffer_limit(1, self.shared.excfg))
+        return serialize(out, buffer_limit(1, self.shared.cfg))
 
     def _prune_epochs(self, node: JobNode, n: int) -> None:
         for old in [e for e in node.epochs if e <= n - 4]:
@@ -643,7 +633,7 @@ class WorkerPE(BasePE):
 
     def _complete_epoch(self, node: JobNode, n: int, st: EpochState) -> None:
         ins = [(buf, u) for _cx, (buf, u) in sorted(st.got.items()) if u > 0]
-        merged, u_out = merge(ins, st.own, self.shared.excfg)
+        merged, u_out = merge(ins, st.own, self.shared.cfg)
         st.participants = [(cx, st.expected[cx])
                            for cx, (_b, u) in sorted(st.got.items()) if u > 0]
         if st.reply_to is None:  # root: turn around and broadcast
@@ -812,8 +802,7 @@ class ClientPE(BasePE):
 
     def _emit_root_request(self, job: int) -> None:
         req = JobRequest(job, 0, hops=0, origin=self.pe_id)
-        workers = self.shared.workers
-        dst = workers[self.rng.randrange(len(workers))]
+        dst = next_hop(req, None, self.pe_id, self.shared.workers, self.rng)
         self.outstanding.add(job)
         self.log("REQUEST", job, f"x=0 dst={dst}")
         self.send(dst, tp.JOB_REQUEST, job, {"req": req})

@@ -15,8 +15,9 @@ from random import Random
 
 import mpmath as mp
 
-from flexsat.exchange import ExchangeConfig, buffer_limit, serialize
-from flexsat.formula import Clause, Cnf, DimacsError, literal_key
+from flexsat.exchange import buffer_limit, serialize
+from flexsat.formula import Cnf, DimacsError, canonical_literals, literal_key
+from flexsat.runtime import ClusterConfig
 from flexsat.sched import JobInfo
 
 # ---------------------------------------------------------------------------
@@ -37,6 +38,23 @@ def random_kcnf(rng: Random, n: int, m: int, k: int) -> Cnf:
         vs = rng.sample(range(1, n + 1), min(k, n))
         clauses.append([v if rng.random() < 0.5 else -v for v in vs])
     return Cnf.from_clauses(n, clauses)
+
+
+def rand_clauses(rng: Random, count: int, max_var: int = 40,
+                 max_len: int = 6) -> list[tuple[int, ...]]:
+    """Random canonical literal tuples of 1..max_len distinct variables,
+    repeats allowed: the clause form the exchange layer carries."""
+    out = []
+    for _ in range(count):
+        k = rng.randrange(1, max_len + 1)
+        vs = rng.sample(range(1, max_var + 1), k)
+        out.append(canonical_literals([v if rng.random() < 0.5 else -v for v in vs]))
+    return out
+
+
+def clause_order(lits: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Sort key of a canonical clause in a buffer: length, then literal_key codes."""
+    return len(lits), tuple(map(literal_key, lits))
 
 
 def php_cnf(holes: int) -> Cnf:
@@ -98,7 +116,7 @@ def crafted_corpus() -> list[tuple[str, Cnf]]:
     # An UNSAT xor chain: both parities over shared inputs.
     base = xor_chain_cnf(8, 0)
     flipped = xor_chain_cnf(8, 1)
-    both = [list(c.lits) for c in base.clauses] + [list(c.lits) for c in flipped.clauses]
+    both = [*base.clause_lits(), *flipped.clause_lits()]
     out.append(("xor8_unsat", Cnf.from_clauses(base.num_vars, both)))
     while len(out) < 20:
         i = len(out)
@@ -109,7 +127,7 @@ def crafted_corpus() -> list[tuple[str, Cnf]]:
 
 
 # ---------------------------------------------------------------------------
-# DIMACS oracle: the earlier line-by-line scanner, one Clause per clause
+# DIMACS oracle: the earlier line-by-line scanner, one literal tuple per clause
 
 
 def _oracle_canonical(lits: list[int]) -> tuple[int, ...] | None:
@@ -127,13 +145,13 @@ def _oracle_canonical(lits: list[int]) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def oracle_parse_dimacs(source: str | bytes) -> tuple[int, tuple[Clause, ...]]:
+def oracle_parse_dimacs(source: str | bytes) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(num_vars, clauses) of DIMACS text, or the DimacsError of its first fault."""
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
 
     num_vars: int | None = None
-    clauses: list[Clause] = []
+    clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
     pending_line = 0
 
@@ -170,7 +188,7 @@ def oracle_parse_dimacs(source: str | bytes) -> tuple[int, tuple[Clause, ...]]:
                     raise DimacsError("empty clause", lineno)
                 lits = _oracle_canonical(pending)
                 if lits is not None:
-                    clauses.append(Clause(lits))
+                    clauses.append(lits)
                 pending = []
             else:
                 if abs(lit) > num_vars:
@@ -213,9 +231,9 @@ def formula_table(cnf: Cnf) -> int:
     ones = (1 << rows) - 1
     var_tt = {v: _var_table(v - 1, n) for v in range(1, n + 1)}
     acc = ones
-    for c in cnf.clauses:
+    for c in cnf.clause_lits():
         tt = 0
-        for lit in c.lits:
+        for lit in c:
             tt |= var_tt[lit] if lit > 0 else (~var_tt[-lit] & ones)
         acc &= tt
         if acc == 0:
@@ -273,7 +291,7 @@ def limit_oracle(u: int, alpha: Fraction, beta: int) -> int:
 # merge oracle
 
 
-def merge_oracle(buffers, own_export, cfg: ExchangeConfig) -> tuple[list[int], int]:
+def merge_oracle(buffers, own_export, cfg: ClusterConfig) -> tuple[list[int], int]:
     """Decode everything, dedup, sort, refill greedily under the limit.
 
     Mirrors the documented contract (whole clauses, stop at the first
@@ -290,7 +308,7 @@ def merge_oracle(buffers, own_export, cfg: ExchangeConfig) -> tuple[list[int], i
             if lits not in seen:
                 seen.add(lits)
                 clauses.append(lits)
-    clauses.sort(key=lambda c: (len(c), tuple(literal_key(l) for l in c)))
+    clauses.sort(key=clause_order)
     out: list[int] = []
     kept: list[tuple[int, ...]] = []
     for c in clauses:

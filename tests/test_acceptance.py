@@ -17,12 +17,12 @@ from random import Random
 
 import pytest
 
-from helpers import (crafted_corpus, limit_oracle, merge_oracle, oracle_verdict,
-                     random_3cnf, volume_oracle, water_shares)
-from flexsat.exchange import (ClauseFilter, ExchangeConfig, buffer_from_bytes,
-                              buffer_limit, buffer_to_bytes, deserialize,
-                              merge, serialize)
-from flexsat.formula import Clause, check_model
+from helpers import (clause_order, crafted_corpus, limit_oracle, merge_oracle,
+                     oracle_verdict, rand_clauses, random_3cnf, volume_oracle,
+                     water_shares)
+from flexsat.exchange import (ClauseFilter, buffer_from_bytes, buffer_limit,
+                              buffer_to_bytes, deserialize, merge, serialize)
+from flexsat.formula import check_model
 from flexsat.harness.metrics import hos_baseline, par2, speedups
 from flexsat.runtime import Cluster, ClusterConfig, mono_mode
 import flexsat.runtime.pe as pe_mod
@@ -40,16 +40,6 @@ def criterion(capsys, num, label):
         raise
     with capsys.disabled():
         print(f"\n[criterion {num:>2}] {label}: PASS ({info['detail']})")
-
-
-def rand_clauses(rng: Random, count: int, max_var: int = 40,
-                 max_len: int = 6) -> list[Clause]:
-    out = []
-    for _ in range(count):
-        k = rng.randrange(1, max_len + 1)
-        vs = rng.sample(range(1, max_var + 1), k)
-        out.append(Clause.make([v if rng.random() < 0.5 else -v for v in vs]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +82,15 @@ def test_c02_codec_and_merge_exact(capsys):
             cs = rand_clauses(rng, rng.randrange(0, 25))
             buf = serialize(cs)
             back = deserialize(buf)
-            expect = sorted(set(cs), key=lambda cl: (len(cl), cl.sort_key))
-            assert back == [cl.lits for cl in expect], f"roundtrip trial {trial}"
+            assert back == sorted(set(cs), key=clause_order), f"roundtrip trial {trial}"
             assert serialize(back) == buf, f"fixpoint trial {trial}"
             if trial % 10 == 0:
                 assert buffer_from_bytes(buffer_to_bytes(buf)) == buf
 
         rng = Random(2002)
         for trial in range(1_000):
-            cfg = ExchangeConfig(alpha=rng.choice([0.5, 0.75, 0.875, 1.0]),
-                                 beta=rng.choice([20, 40, 80, 400]))
+            cfg = ClusterConfig(alpha=rng.choice([0.5, 0.75, 0.875, 1.0]),
+                                beta=rng.choice([20, 40, 80, 400]))
             buffers = [(serialize(rand_clauses(rng, rng.randrange(0, 25))),
                         rng.randrange(1, 6)) for _ in range(2)]
             own = serialize(rand_clauses(rng, rng.randrange(0, 25)))
@@ -121,16 +110,16 @@ def test_c03_buffer_limit_exact(capsys):
         checked = 0
         for alpha in alphas:
             for beta in (100, 1500):
-                cfg = ExchangeConfig(alpha=float(alpha), beta=beta)
+                cfg = ClusterConfig(alpha=float(alpha), beta=beta)
                 for u in range(1, 4097):
                     got = buffer_limit(u, cfg)
                     assert got == limit_oracle(u, alpha, beta), (u, alpha, beta)
                     checked += 1
         # the two closed-form series the sweep must reproduce exactly
         for beta in (100, 1500):
-            half = ExchangeConfig(alpha=0.5, beta=beta)
+            half = ClusterConfig(alpha=0.5, beta=beta)
             assert {buffer_limit(u, half) for u in range(1, 4097)} == {beta}
-            lin = ExchangeConfig(alpha=1.0, beta=beta)
+            lin = ClusterConfig(alpha=1.0, beta=beta)
             assert all(buffer_limit(u, lin) == u * beta for u in range(1, 4097))
         c["detail"] = (f"{checked} (u, alpha, beta) points match the "
                        "arbitrary-precision oracle; alpha=1/2 constant and "
@@ -148,7 +137,7 @@ def test_c04_filter_exact_and_forgetting(capsys):
         rng = Random(404)
         for op in range(100_000):
             lit = rng.randint(1, 400) * rng.choice((1, -1))
-            clause = Clause.make([lit])
+            clause = (lit,)
             fresh = (filt.register_export(clause) if rng.getrandbits(1)
                      else filt.check_import(clause))
             assert fresh == (lit not in mirror), f"op {op} lit {lit}"
@@ -156,8 +145,8 @@ def test_c04_filter_exact_and_forgetting(capsys):
 
         filt = ClauseFilter()
         for v in range(1, 5001):
-            filt.register_export(Clause.make([v]))
-            filt.register_export(Clause.make([-v]))
+            filt.register_export((v,))
+            filt.register_export((-v,))
         assert len(filt.unit_set) == 10_000
         filt.forget_half(Random(99))
         kept = len(filt.unit_set)
@@ -166,14 +155,14 @@ def test_c04_filter_exact_and_forgetting(capsys):
         # a forgotten clause is admittable again: non-unit after two quiet
         # half-life steps, unit as soon as the coin drops it
         filt = ClauseFilter()
-        two = Clause.make([7, -9])
+        two = (7, -9)
         assert filt.register_export(two)
         assert not filt.check_import(two)
         filt.forget_half(Random(1))
         filt.forget_half(Random(2))
         filt.forget_half(Random(3))  # the blocked check re-armed one generation
         assert filt.check_import(two)
-        unit = Clause.make([42])
+        unit = (42,)
         assert filt.register_export(unit)
         for round_ in range(64):
             filt.forget_half(Random(round_))

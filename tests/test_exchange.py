@@ -6,22 +6,13 @@ from random import Random
 
 import pytest
 
-from flexsat.exchange import (BufferFormatError, ClauseFilter, ExchangeConfig, _stream,
-                              _write, buffer_from_bytes, buffer_limit, buffer_to_bytes,
+from flexsat.exchange import (BufferFormatError, ClauseFilter, _stream, _write,
+                              buffer_from_bytes, buffer_limit, buffer_to_bytes,
                               deserialize, merge, serialize)
-from flexsat.formula import Clause, literal_key
+from flexsat.formula import canonical_literals, literal_key
+from flexsat.runtime import ClusterConfig
 from flexsat.solver import CdclSolver
-from helpers import limit_oracle, merge_oracle, random_3cnf
-
-
-def rand_clauses(rng: Random, count: int, max_var: int = 40,
-                 max_len: int = 6) -> list[Clause]:
-    out = []
-    for _ in range(count):
-        k = rng.randrange(1, max_len + 1)
-        vs = rng.sample(range(1, max_var + 1), k)
-        out.append(Clause.make([v if rng.random() < 0.5 else -v for v in vs]))
-    return out
+from helpers import clause_order, limit_oracle, merge_oracle, rand_clauses, random_3cnf
 
 
 # ---------------------------------------------------------------------------
@@ -29,18 +20,18 @@ def rand_clauses(rng: Random, count: int, max_var: int = 40,
 
 
 def test_buffer_limit_alpha_one_is_linear():
-    cfg = ExchangeConfig(alpha=1.0, beta=700)
+    cfg = ClusterConfig(alpha=1.0, beta=700)
     for u in (1, 2, 3, 5, 17, 100):
         assert buffer_limit(u, cfg) == u * 700
 
 
 def test_buffer_limit_alpha_half_is_constant():
-    cfg = ExchangeConfig(alpha=0.5, beta=1500)
+    cfg = ClusterConfig(alpha=0.5, beta=1500)
     assert [buffer_limit(u, cfg) for u in range(1, 101)] == [1500] * 100
 
 
 def test_buffer_limit_power_of_two_exact():
-    cfg = ExchangeConfig(alpha=0.875, beta=1500)
+    cfg = ClusterConfig(alpha=0.875, beta=1500)
     for k in range(0, 11):
         u = 1 << k
         exact = Fraction(7, 8) ** k * u * 1500
@@ -49,23 +40,30 @@ def test_buffer_limit_power_of_two_exact():
 
 def test_buffer_limit_rejects_nonpositive_u():
     with pytest.raises(ValueError):
-        buffer_limit(0, ExchangeConfig())
+        buffer_limit(0, ClusterConfig())
 
 
 def test_buffer_limit_matches_oracle_sweep():
     for alpha in (Fraction(1, 2), Fraction(5, 8), Fraction(3, 4),
                   Fraction(7, 8), Fraction(1)):
         for beta in (100, 1500):
-            cfg = ExchangeConfig(alpha=float(alpha), beta=beta)
+            cfg = ClusterConfig(alpha=float(alpha), beta=beta)
             for u in list(range(1, 65)) + [100, 127, 128, 129, 255, 256]:
                 assert buffer_limit(u, cfg) == limit_oracle(u, alpha, beta), \
                     (u, alpha, beta)
 
 
 def test_buffer_limit_nondecreasing_in_u():
-    cfg = ExchangeConfig(alpha=0.875, beta=1500)
+    cfg = ClusterConfig(alpha=0.875, beta=1500)
     vals = [buffer_limit(u, cfg) for u in range(1, 300)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+
+def test_buffer_limit_reads_cluster_config_defaults():
+    """A default ClusterConfig is the paper's alpha = 7/8, beta = 1500."""
+    cfg = ClusterConfig()
+    for u in list(range(1, 33)) + [64, 100, 128, 255, 256]:
+        assert buffer_limit(u, cfg) == limit_oracle(u, Fraction(7, 8), 1500), u
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +71,18 @@ def test_buffer_limit_nondecreasing_in_u():
 
 
 def test_serialize_known_layout():
-    cs = [Clause.make([1]), Clause.make([2, -3]), Clause.make([1, 2, 3])]
+    cs = [(1,), (2, -3), (1, 2, 3)]
     assert serialize(cs) == [1, 1, 1, 2, -3, 1, 1, 2, 3]
 
 
 def test_serialize_zero_counts_only_before_longer_groups():
-    assert serialize([Clause.make([1, 2, 3])]) == [0, 0, 1, 1, 2, 3]
-    assert serialize([Clause.make([4])]) == [1, 4]
+    assert serialize([(1, 2, 3)]) == [0, 0, 1, 1, 2, 3]
+    assert serialize([(4,)]) == [1, 4]
     assert serialize([]) == []
 
 
 def test_serialize_limit_counts_headers():
-    cs = [Clause.make([1]), Clause.make([2]), Clause.make([1, 2])]
+    cs = [(1,), (2,), (1, 2)]
     # the binary clause costs 2 literals + 1 new group header = 3 more
     assert serialize(cs, limit=3) == [2, 1, 2]
     assert serialize(cs, limit=5) == [2, 1, 2]
@@ -92,14 +90,13 @@ def test_serialize_limit_counts_headers():
 
 
 def test_serialize_orders_canonically():
-    cs = [Clause.make([5, -1]), Clause.make([2]), Clause.make([-1, 3])]
+    cs = [(-1, 5), (2,), (-1, 3)]
     assert serialize(cs) == [1, 2, 2, -1, 3, -1, 5]
 
 
 def serialize_full_sort(clauses, limit=None):
     """Reference serialize: sort the whole clause set, then write under the limit."""
-    ordered = sorted(set(clauses), key=lambda c: (len(c), c.sort_key))
-    return _write((c.lits for c in ordered), limit)
+    return _write(sorted(set(clauses), key=clause_order), limit)
 
 
 def test_serialize_matches_full_sort():
@@ -110,7 +107,7 @@ def test_serialize_matches_full_sort():
         cs += cs[:rng.randrange(0, 5)]  # duplicates collapse
         full = serialize_full_sort(cs)
         limits = [None, 0, len(full), len(full) - 1, rng.randrange(len(full) + 2)]
-        ordered = sorted(set(cs), key=lambda c: (len(c), c.sort_key))
+        ordered = sorted(set(cs), key=clause_order)
         same_len = [i for i in range(len(ordered) - 1)
                     if len(ordered[i]) == len(ordered[i + 1])]
         if same_len:
@@ -133,13 +130,12 @@ def test_roundtrip_randomized():
         cs = rand_clauses(rng, rng.randrange(0, 40))
         buf = serialize(cs)
         back = deserialize(buf)
-        expect = sorted(set(cs), key=lambda c: (len(c), c.sort_key))
-        assert back == [c.lits for c in expect]
+        assert back == sorted(set(cs), key=clause_order)
         assert serialize(back) == buf
 
 
 # deserialize and merge read buffers through one decoder; both must reject.
-DECODERS = (deserialize, lambda buf: merge([(buf, 1)], [], ExchangeConfig()))
+DECODERS = (deserialize, lambda buf: merge([(buf, 1)], [], ClusterConfig()))
 
 
 def assert_rejected(buf, match):
@@ -238,7 +234,7 @@ def test_groups_decode_like_per_clause_oracle():
         if isinstance(want, str):
             faults.add(want.split()[0])
             with pytest.raises(BufferFormatError):
-                merge([(buf, 1)], [], ExchangeConfig())
+                merge([(buf, 1)], [], ClusterConfig())
         else:
             assert deserialize(buf) == [lits for _n, _k, lits in want]
     assert faults == {"negative", "truncated", "zero", "clause", "group"}
@@ -262,8 +258,8 @@ def test_bytes_rejects_ragged_input():
 def test_merge_matches_oracle_randomized():
     rng = Random(77)
     for trial in range(250):
-        cfg = ExchangeConfig(alpha=rng.choice([0.5, 0.75, 0.875, 1.0]),
-                             beta=rng.choice([20, 40, 80, 400]))
+        cfg = ClusterConfig(alpha=rng.choice([0.5, 0.75, 0.875, 1.0]),
+                            beta=rng.choice([20, 40, 80, 400]))
         buffers = []
         for _ in range(rng.randrange(0, 4)):
             cs = rand_clauses(rng, rng.randrange(0, 25))
@@ -274,18 +270,17 @@ def test_merge_matches_oracle_randomized():
 
 
 def test_merge_dedups_across_sources():
-    cfg = ExchangeConfig(alpha=1.0, beta=100)
-    c = Clause.make([3, -5])
+    cfg = ClusterConfig(alpha=1.0, beta=100)
+    c = (3, -5)
     buf = serialize([c])
     out, u_out = merge([(buf, 1), (buf, 1)], buf, cfg)
     assert u_out == 3
-    assert deserialize(out) == [c.lits]
+    assert deserialize(out) == [c]
 
 
 def test_merge_truncates_whole_clauses():
-    cfg = ExchangeConfig(alpha=1.0, beta=2)  # limit = u_out * 2
-    cs = [Clause.make([1]), Clause.make([2]), Clause.make([3]),
-          Clause.make([1, 2])]
+    cfg = ClusterConfig(alpha=1.0, beta=2)  # limit = u_out * 2
+    cs = [(1,), (2,), (3,), (1, 2)]
     out, u_out = merge([], serialize(cs), cfg)
     assert u_out == 1
     # limit 2 admits the header plus one unit; nothing longer sneaks in
@@ -293,7 +288,7 @@ def test_merge_truncates_whole_clauses():
 
 
 def test_merge_empty_inputs():
-    out, u_out = merge([], [], ExchangeConfig())
+    out, u_out = merge([], [], ClusterConfig())
     assert out == [] and u_out == 1
 
 
@@ -306,26 +301,25 @@ def test_stream_keys_are_literal_keys():
     cs = rand_clauses(rng, 300)
     buf = serialize(cs)
     got = [(length, keys, lits) for length, keys, lits in _stream(buf)]
-    expect = sorted(set(cs), key=lambda c: (len(c), c.sort_key))
-    assert [lits for _l, _k, lits in got] == [c.lits for c in expect]
+    assert [lits for _l, _k, lits in got] == sorted(set(cs), key=clause_order)
     for length, keys, lits in got:
-        assert keys == tuple(literal_key(l) for l in lits) == Clause(lits).sort_key
-        assert length == len(lits)
+        assert (length, keys) == clause_order(lits)
+        assert keys == tuple(literal_key(l) for l in lits)
 
 
 def test_filter_units_are_exact():
     f = ClauseFilter()
-    u = Clause.make([-17])
+    u = (-17,)
     assert f.register_export(u) is True
     assert f.register_export(u) is False
     assert f.check_import(u) is False
-    assert f.check_import(Clause.make([17])) is True  # opposite sign distinct
+    assert f.check_import((17,)) is True  # opposite sign distinct
     assert -17 in f.unit_set and 17 in f.unit_set
 
 
 def test_filter_nonunit_blocks_repeat():
     f = ClauseFilter()
-    c = Clause.make([2, -9, 14])
+    c = (2, -9, 14)
     assert f.check_import(c) is True
     assert f.check_import(c) is False
     assert f.register_export(c) is False
@@ -333,7 +327,7 @@ def test_filter_nonunit_blocks_repeat():
 
 def test_filter_two_generation_forgetting():
     f = ClauseFilter()
-    c = Clause.make([1, 2, 3])
+    c = (1, 2, 3)
     assert f.check_import(c) is True
     f.forget_half(Random(0))
     assert f.check_import(c) is False  # still in the retired generation
@@ -347,7 +341,7 @@ def test_filter_two_generation_forgetting():
 def test_filter_forget_half_drops_about_half_units():
     f = ClauseFilter()
     for v in range(1, 2001):
-        f.register_export(Clause.make([v]))
+        f.register_export((v,))
     f.forget_half(Random(42))
     kept = len(f.unit_set)
     # binomial(2000, 1/2): 3 sigma is about 67
@@ -358,7 +352,7 @@ def test_filter_forget_half_deterministic_per_seed():
     def survivors(seed):
         f = ClauseFilter()
         for v in range(1, 301):
-            f.register_export(Clause.make([v]))
+            f.register_export((v,))
         f.forget_half(Random(seed))
         return set(f.unit_set)
 
@@ -371,11 +365,11 @@ def test_filter_no_false_positives():
     rng = Random(99)
     for _ in range(2000):
         vs = rng.sample(range(1, 500), 3)
-        f.register_export(Clause.make([v for v in vs]))
+        f.register_export(canonical_literals(vs))
     blocked = 0
     for _ in range(2000):
         vs = rng.sample(range(500, 1000), 3)
-        if not f.check_import(Clause.make([v for v in vs])):
+        if not f.check_import(canonical_literals(vs)):
             blocked += 1
     assert blocked == 0
 
@@ -384,7 +378,7 @@ def test_filter_memory_follows_traffic():
     f = ClauseFilter()
     assert not f._cur and not f._old and not f.unit_set
     rng = Random(5)
-    clauses = {Clause.make(rng.sample(range(1, 200), rng.randint(2, 6)))
+    clauses = {canonical_literals(rng.sample(range(1, 200), rng.randint(2, 6)))
                for _ in range(500)}
     for c in clauses:
         assert f.register_export(c)
@@ -395,7 +389,7 @@ def test_filter_memory_follows_traffic():
 def test_filter_generations_are_capped():
     f = ClauseFilter()
     f.GEN_WORDS = 16  # four 2-literal clauses
-    clauses = [Clause.make([i, i + 1]) for i in range(1, 24, 2)]
+    clauses = [(i, i + 1) for i in range(1, 24, 2)]
     for c in clauses:
         assert f.register_export(c)
     assert len(f._cur) <= 4 and len(f._old) <= 4
@@ -415,6 +409,40 @@ def test_filter_nonunits_are_exact():
         assert fresh == (lits not in mirror), f"op {op} clause {lits}"
         mirror.add(lits)
     assert not f._old and f._cur == mirror  # no generation retired
+
+
+def test_filter_matches_generation_oracle():
+    """Across overfull generations and forget_half calls, the filter admits a
+    canonical tuple exactly when a plain two-generation model does: units in
+    one set, halved in sorted order one random bit each; a non-unit costs its
+    length plus two words, and an insert that would overfill the current
+    generation retires it first."""
+    f = ClauseFilter()
+    f.GEN_WORDS = 40
+    units: set[int] = set()
+    cur: set[tuple[int, ...]] = set()
+    old: set[tuple[int, ...]] = set()
+    words = 0
+    rng, f_rng, o_rng = Random(35), Random(6), Random(6)
+    for op, c in enumerate(rand_clauses(rng, 3000, max_var=10, max_len=3)):
+        if op % 250 == 249:
+            f.forget_half(f_rng)
+            units = {u for u in sorted(units) if o_rng.getrandbits(1)}
+            old, cur, words = cur, set(), 0
+        if len(c) == 1:
+            want = c[0] not in units
+            units.add(c[0])
+        elif c in cur:
+            want = False
+        else:
+            words += len(c) + 2
+            if words > f.GEN_WORDS:
+                old, cur, words = cur, set(), len(c) + 2
+            cur.add(c)
+            want = c not in old
+        use = f.register_export if op % 3 else f.check_import
+        assert use(c) is want, f"op {op} clause {c}"
+    assert f.unit_set == units and f._cur == cur and f._old == old
 
 
 def test_exported_clauses_round_trip_and_are_rejected():
@@ -461,28 +489,3 @@ def test_filter_memory_is_bounded(width):
     assert f._old and f._cur
     assert peak <= 6.5 * 2 ** 20
 
-
-
-# ---------------------------------------------------------------------------
-# literal tuples and Clause objects are interchangeable
-
-
-def test_serialize_tuples_equals_clauses():
-    rng = Random(31)
-    for _ in range(200):
-        cs = rand_clauses(rng, rng.randrange(0, 40))
-        limit = rng.choice([None, 0, 7, 40, 150])
-        assert serialize([c.lits for c in cs], limit) == serialize(cs, limit)
-
-
-def test_filter_same_for_tuple_and_clause():
-    rng = Random(33)
-    cs = rand_clauses(rng, 400, max_var=12, max_len=3)  # many repeats
-    by_tuple, by_clause = ClauseFilter(), ClauseFilter()
-    for i, c in enumerate(cs):
-        if i == 200:
-            by_tuple.forget_half(Random(5))
-            by_clause.forget_half(Random(5))
-        use = "register_export" if i % 3 else "check_import"
-        assert getattr(by_tuple, use)(c.lits) == getattr(by_clause, use)(c)
-    assert by_tuple.unit_set == by_clause.unit_set

@@ -40,27 +40,11 @@ def test_canonical_literals_rejects_zero():
         canonical_literals([1, 0, 2])
 
 
-def test_clause_make_canonicalizes():
-    c = Clause.make([5, -3, 5, 2])
-    assert c.lits == (2, -3, 5)
-    assert len(c) == 3
-    assert list(c) == [2, -3, 5]
-
-
-def test_clause_make_tautology_none():
-    assert Clause.make([1, -1]) is None
-
-
-def test_clause_empty_rejected():
-    with pytest.raises(ValueError):
-        Clause(())
-
-
 def test_cnf_codes_are_literal_keys_shared_by_solvers():
     cnf = random_3cnf(Random(5), 40, 170)
     codes = cnf.codes
     assert cnf.codes is codes  # encoded once
-    assert codes == tuple(tuple(literal_key(l) for l in c.lits) for c in cnf.clauses)
+    assert codes == tuple(tuple(map(literal_key, c)) for c in cnf.clause_lits())
     snapshot = [tuple(c) for c in codes]
     a, b = CdclSolver(cnf, seed=1), CdclSolver(cnf, seed=2)
     lists_a = {id(c) for wl in a.watches for c in wl}
@@ -96,7 +80,7 @@ c inline comment
 def test_parse_dimacs_basic():
     cnf = parse_dimacs(DIMACS_OK)
     assert cnf.num_vars == 4
-    assert [c.lits for c in cnf.clauses] == [(1, -2), (2, 3, -4), (4,)]
+    assert list(cnf.clause_lits()) == [(1, -2), (2, 3, -4), (4,)]
 
 
 def test_parse_dimacs_bytes_input():
@@ -106,12 +90,12 @@ def test_parse_dimacs_bytes_input():
 
 def test_parse_dimacs_clause_spanning_lines():
     cnf = parse_dimacs("p cnf 3 1\n1\n2 3\n0\n")
-    assert [c.lits for c in cnf.clauses] == [(1, 2, 3)]
+    assert list(cnf.clause_lits()) == [(1, 2, 3)]
 
 
 def test_parse_dimacs_percent_trailer():
     cnf = parse_dimacs("p cnf 2 1\n1 2 0\n%\n0\nnoise after end\n")
-    assert len(cnf.clauses) == 1
+    assert len(cnf) == 1
 
 
 def test_parse_dimacs_duplicate_header():
@@ -160,7 +144,7 @@ def test_parse_dimacs_bad_header_variants():
 def test_parse_dimacs_count_mismatch_accepted(caplog):
     with caplog.at_level("WARNING"):
         cnf = parse_dimacs("p cnf 2 5\n1 2 0\n")
-    assert len(cnf.clauses) == 1
+    assert len(cnf) == 1
 
 
 def test_write_parse_roundtrip_random():
@@ -169,7 +153,7 @@ def test_write_parse_roundtrip_random():
         cnf = random_3cnf(rng, rng.randrange(5, 30), rng.randrange(5, 60))
         again = parse_dimacs(write_dimacs(cnf))
         assert again.num_vars == cnf.num_vars
-        assert [c.lits for c in again.clauses] == [c.lits for c in cnf.clauses]
+        assert list(again.clause_lits()) == list(cnf.clause_lits())
 
 
 def test_check_model_satisfying():
@@ -318,9 +302,9 @@ def test_parse_dimacs_matches_the_line_scanner():
             continue
         cnf = parse_dimacs(source)
         assert cnf.num_vars == num_vars
-        assert cnf.lits == tuple(l for c in clauses for l in (*c.lits, 0)), source
+        assert cnf.lits == tuple(l for c in clauses for l in (*c, 0)), source
         assert cnf.num_clauses == len(cnf) == len(clauses)
-        assert cnf.clauses == clauses
+        assert tuple(cnf.clause_lits()) == clauses
         forms.update(used)
     assert [f for f in FORMS if forms[f] < 10] == []
     assert [f for f in FAULTS if faults[f] < 10] == []
@@ -359,7 +343,7 @@ def test_parse_dimacs_first_clause_bare_zero():
 def test_clauses_view_is_the_scanner_clause_tuple():
     text = write_dimacs(random_3cnf(Random(8), 30, 120))
     cnf = parse_dimacs(text)
-    assert cnf.clauses == oracle_parse_dimacs(text)[1]
+    assert cnf.clauses == tuple(map(Clause, oracle_parse_dimacs(text)[1]))
     assert all(type(c) is Clause for c in cnf.clauses)
     assert "clauses" not in vars(cnf)  # a view, never cached
 

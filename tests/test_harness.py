@@ -334,6 +334,12 @@ def test_parse_scenario_full(tmp_path):
      "line 1: unknown config key 'ramp'"),
     ('{"type": "job", "synthetic": 1.0}\n{"type": "config", "sls_rate": 1e308}',
      "line 2: sls_rate must be <= 1000000000"),
+    # a job file that is not a path string, not even one to join
+    ('{"type": "job", "file": 5}', "line 1: file 5 is not a string"),
+    ('{"type": "job", "synthetic": 1.0}\n{"type": "job", "file": null}',
+     "line 2: file None is not a string"),
+    ('{"type": "job", "file": ["a.cnf"]}', "line 1: file \\['a.cnf'\\] is not a string"),
+    ('{"type": "job", "file": true}', "line 1: file True is not a string"),
 ])
 def test_parse_scenario_errors(text, msg, tmp_path):
     with pytest.raises(ScenarioError, match=msg):
@@ -514,6 +520,9 @@ def test_cli_unknown_flag(tmp_path, capsys):
 def test_cli_missing_file(capsys):
     assert main(["solve", "/nonexistent/input.cnf"]) == 1
     assert "cannot read" in capsys.readouterr().err
+    assert main(["run", "/nonexistent/scen.jsonl"]) == 1
+    assert capsys.readouterr().err == ("flexsat: error: cannot read /nonexistent/scen.jsonl: "
+                                       "No such file or directory\n")
 
 
 def test_cli_run_report_cycle(tmp_path, capsys):

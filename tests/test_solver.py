@@ -55,8 +55,7 @@ def test_cdcl_xor_chains():
     base = xor_chain_cnf(7, 0)
     other = xor_chain_cnf(7, 1)
     merged = Cnf.from_clauses(base.num_vars,
-                              [c.lits for c in base.clauses]
-                              + [c.lits for c in other.clauses])
+                              [*base.clause_lits(), *other.clause_lits()])
     assert cdcl_solve(merged).verdict == UNSAT
 
 
