@@ -11,7 +11,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from ..formula import DimacsError, parse_dimacs
-from ..runtime import ClusterConfig, mono_mode, run_cluster
+from ..runtime import Cluster, ClusterConfig, mono_mode
 from ..runtime.cluster import MONO_FIXED
 from ..util import MAX_SECONDS, MIN_PERIOD_S, is_real
 from .metrics import hos_baseline
@@ -61,11 +61,13 @@ def _add_config_flags(sub: argparse.ArgumentParser, fixed: dict) -> None:
     sub.add_argument("--trace", metavar="PATH", help="write the raw trace log")
 
 
-def _config_from_args(args: argparse.Namespace) -> ClusterConfig:
-    """The run's config: the flags given, then the command's fixed fields."""
+def _config_from_args(args: argparse.Namespace,
+                      overrides: dict | None = None) -> ClusterConfig:
+    """The run's config: the defaults, then the overrides (a scenario's
+    config lines), then the flags given, then the command's fixed fields."""
     given = {f.name: getattr(args, f.name) for f in _flagged(args.fixed)
              if getattr(args, f.name) is not None}
-    cfg = replace(ClusterConfig(), **given, **args.fixed)
+    cfg = replace(ClusterConfig(), **{**(overrides or {}), **given, **args.fixed})
     cfg.validate()
     return cfg
 
@@ -123,8 +125,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         scenario = parse_scenario(text, os.path.dirname(args.scenario) or ".")
     except ScenarioError as exc:
         raise CliError(f"{args.scenario}: {exc}") from exc
-    cfg = _config_from_args(args)
-    report = run_cluster(cfg, scenario)
+    cfg = _config_from_args(args, dict(scenario.overrides, max_jobs=scenario.max_jobs))
+    report = Cluster(cfg, scenario.jobs, scenario.demand_changes).run()
     _write_outputs(report, args)
     for line in report.summary_lines():
         print(line)

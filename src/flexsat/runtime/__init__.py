@@ -2,6 +2,6 @@
 from __future__ import annotations
 
 from .transport import Envelope
-from .cluster import ClusterConfig, Cluster, run_cluster, mono_mode
+from .cluster import ClusterConfig, Cluster, mono_mode
 
-__all__ = ["Envelope", "ClusterConfig", "Cluster", "run_cluster", "mono_mode"]
+__all__ = ["Envelope", "ClusterConfig", "Cluster", "mono_mode"]

@@ -19,7 +19,7 @@ from typing import Optional
 from ..formula import Cnf
 from ..harness.report import RunReport, report_from_trace
 from ..sched import JobDescriptor, build_pe_graph, max_request_hops
-from ..util import MAX_SECONDS, MIN_PERIOD_S, derive_seed, is_real
+from ..util import MAX_SECONDS, MIN_BALANCE_PERIOD_S, MIN_PERIOD_S, derive_seed, is_real
 from .pe import CLIENT_ID, ClientPE, RunShared, WorkerPE
 from .transport import Context, RealContext, SimLoop, Trace, WallLoop
 
@@ -72,8 +72,8 @@ class ClusterConfig:
     share_period_s: float = knob(1.0, float, (">=", MIN_PERIOD_S), ("<=", MAX_SECONDS),
                                  flag="--share-period",
                                  help="seconds between clause-sharing epochs")
-    balance_period_s: float = knob(0.1, float, (">=", MIN_PERIOD_S), ("<=", MAX_SECONDS),
-                                   flag="--balance-period",
+    balance_period_s: float = knob(0.1, float, (">=", MIN_BALANCE_PERIOD_S),
+                                   ("<=", MAX_SECONDS), flag="--balance-period",
                                    help="seconds between balancing epochs")
     filter_halflife_s: Optional[float] = knob(  # None or 0: never forget
         None, float, (">=", 0), ("<=", MAX_SECONDS), flag="--filter-halflife",
@@ -163,23 +163,16 @@ class Cluster:
         timeout_us = int(self.cfg.timeout_s * 1e6)
         self.trace.add(0, -1, "CONFIG", None, json.dumps(
             self.cfg.public_dict(), sort_keys=True, separators=(",", ":")))
-        for pe in self.pes.values():
+        pes = self.pes
+        for pe in pes.values():
             pe.on_start()
-
-        def on_message(dst, env):
-            actor = self.pes.get(dst)
-            if actor is not None:
-                actor.on_envelope(env)
-
-        def on_timer(pe, tag, data):
-            actor = self.pes.get(pe)
-            if actor is not None:
-                actor.on_timer(tag, data)
-
-        loop.run(on_message, on_timer, lambda: self.client.finished, timeout_us)
+        # Every envelope and timer names a PE of this cluster.
+        loop.run(lambda dst, env: pes[dst].on_envelope(env),
+                 lambda pe, tag, data: pes[pe].on_timer(tag, data),
+                 lambda: self.client.finished, timeout_us)
         reason = "all-done" if self.client.finished else "timeout"
         end_us = loop.now  # read once: the wall loop's clock moves on
-        for pe in self.pes.values():  # in id order: the client first
+        for pe in pes.values():  # in id order: the client first
             pe.on_stop(end_us)
         self.trace.add(end_us, -1, "RUN_END", None, f"reason={reason}")
         report = report_from_trace(self.trace.lines())
@@ -187,24 +180,17 @@ class Cluster:
         return report
 
 
-def run_cluster(cfg: ClusterConfig, scenario) -> RunReport:
-    """Run a scheduling scenario (see harness.scenario) to completion."""
-    cluster = Cluster(replace(cfg, **scenario.overrides), scenario.jobs,
-                      scenario.demand_changes, scenario.max_jobs)
-    return cluster.run()
-
-
 # The fields mono mode fixes, whatever the config says: the idle reserve
 # makes no sense for a single job.
 MONO_FIXED = {"epsilon": 0.0, "max_jobs": 1}
 
 
-def mono_mode(cnf: Cnf, cfg: ClusterConfig, job_id: int = 1) -> RunReport:
+def mono_mode(cnf: Cnf, cfg: ClusterConfig) -> RunReport:
     """Solve one formula on the whole cluster (MONO_FIXED applied) and stop
     at the first result; the job asks for the full budget at once."""
     mono_cfg = replace(cfg, **MONO_FIXED)
     mono_cfg.validate()
-    desc = JobDescriptor(job=job_id, priority=0.5, arrival_s=0.0, cnf=cnf,
+    desc = JobDescriptor(job=1, priority=0.5, arrival_s=0.0, cnf=cnf,
                          demand=mono_cfg.budget)
     cluster = Cluster(mono_cfg, [desc])
     return cluster.run()

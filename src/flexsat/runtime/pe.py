@@ -34,7 +34,7 @@ from ..solver.cdcl import CdclSolver
 from ..solver.config import make_portfolio_config, throttled_thread_count
 from ..solver.ring import ImportRing
 from ..solver.sls import SlsSolver
-from ..util import derive_seed
+from ..util import MIN_BALANCE_PERIOD_S, derive_seed
 from . import transport as tp
 from .transport import Context, Envelope
 
@@ -150,7 +150,7 @@ class BasePE:
         self.red_children = tuple(
             c for c in (2 * self.pe_id + 1, 2 * self.pe_id + 2) if c < p)
         self.pending_events: dict[int, JobInfo] = {}
-        self.red: dict[int, dict] = {}
+        self.red: dict[int, tuple[dict[int, JobInfo], int]] = {}  # epoch -> (fold, missing)
         self.jobs_table: dict[int, Any] = {}
         self.volumes: dict[int, int] = {}  # deferred jobs at 0
 
@@ -180,49 +180,37 @@ class BasePE:
             handler(self, data)
 
     # -- balancing epochs --------------------------------------------------
-    def _red_entry(self, k: int) -> dict:
-        return self.red.setdefault(k, {"events": {}, "got": set(), "ready": False})
-
     def _t_balance(self, k: int) -> None:
-        st = self._red_entry(k)
-        st["events"] = consolidate(st["events"].values(), self.pending_events.values())
-        self.pending_events = {}
-        st["ready"] = True
-        self._try_reduce(k)
+        events, self.pending_events = self.pending_events, {}
+        self._reduce(k, events)
         self._on_balance_tick(k)
-        delay = max(1000, (k + 1) * self.shared.e_us - self.ctx.now_us())
+        floor_us = int(MIN_BALANCE_PERIOD_S * 1e6)
+        delay = max(floor_us, (k + 1) * self.shared.e_us - self.ctx.now_us())
         self.ctx.set_timer(delay, "balance", k + 1)
 
     def _h_event_reduce(self, env: Envelope) -> None:
-        k = env.payload["epoch"]
-        st = self._red_entry(k)
-        st["events"] = consolidate(st["events"].values(), env.payload["events"].values())
-        st["got"].add(env.src)
-        self._try_reduce(k)
+        self._reduce(env.payload["epoch"], env.payload["events"])
 
-    def _try_reduce(self, k: int) -> None:
-        st = self.red.get(k)
-        if st is None or not st["ready"] or not set(self.red_children) <= st["got"]:
+    def _reduce(self, k: int, events: dict[int, JobInfo]) -> None:
+        """Fold one contribution to epoch k: this PE's own or a reduction
+        child's.  The last one sends the fold up; the client broadcasts it."""
+        acc, missing = self.red.get(k, ({}, 1 + len(self.red_children)))
+        acc = consolidate(acc.values(), events.values())
+        if missing > 1:
+            self.red[k] = (acc, missing - 1)
             return
-        del self.red[k]
-        if self.pe_id == CLIENT_ID:
-            if st["events"]:
-                for c in self.red_children:
-                    self.send(c, tp.EVENT_BROADCAST, None,
-                              {"epoch": k, "events": st["events"]})
-                self._apply_broadcast(k, st["events"])
-        else:
-            self.send(self.red_parent, tp.EVENT_REDUCE, None,
-                      {"epoch": k, "events": st["events"]})
+        self.red.pop(k, None)
+        if self.pe_id != CLIENT_ID:
+            self.send(self.red_parent, tp.EVENT_REDUCE, None, {"epoch": k, "events": acc})
+        elif acc:
+            self._apply_broadcast(k, acc)
 
     def _h_event_broadcast(self, env: Envelope) -> None:
-        k = env.payload["epoch"]
-        events = env.payload["events"]
-        for c in self.red_children:
-            self.send(c, tp.EVENT_BROADCAST, None, {"epoch": k, "events": events})
-        self._apply_broadcast(k, events)
+        self._apply_broadcast(env.payload["epoch"], env.payload["events"])
 
     def _apply_broadcast(self, k: int, events: dict[int, JobInfo]) -> None:
+        for c in self.red_children:
+            self.send(c, tp.EVENT_BROADCAST, None, {"epoch": k, "events": events})
         self.jobs_table = apply_events(self.jobs_table, events)
         self.volumes = compute_volumes(self.jobs_table.values(), self.shared.cfg.budget)
         self._after_volumes(k, events)
@@ -334,22 +322,21 @@ class WorkerPE(BasePE):
             self.send(env.src, tp.ABORT, job, {"x": x})
             return
         pnode.requested.discard(x)
-        if x >= pnode.volume:
-            # demand shrank while the request was in flight
-            if env.payload["mode"] == "fresh":
-                # nothing to preserve; don't leave a PE stuck in PENDING
-                self.send(env.src, tp.ABORT, job, {"x": x})
-            else:
-                pnode.hints[x] = env.src
-                self.send(env.src, tp.VOLUME_UPDATE, job, {"x": x, "v": pnode.volume})
+        fresh = env.payload["mode"] == "fresh"
+        if fresh and x >= pnode.volume:
+            # demand shrank while the request was in flight: nothing to
+            # preserve; don't leave a PE stuck in PENDING
+            self.send(env.src, tp.ABORT, job, {"x": x})
             return
         pnode.links[x] = env.src
         pnode.hints.pop(x, None)
-        if env.payload["mode"] == "fresh":
+        if fresh:
             self.send(env.src, tp.JOB_PAYLOAD, job,
                       {"x": x, "desc": pnode.desc, "v": pnode.volume})
-        else:
+        elif x < pnode.volume:
             self.send(env.src, tp.VOLUME_UPDATE, job, {"x": x, "v": pnode.volume})
+        else:  # demand shrank while the request was in flight
+            self._release_child(pnode, x)
 
     def _h_job_payload(self, env: Envelope) -> None:
         job = env.job
@@ -541,15 +528,14 @@ class WorkerPE(BasePE):
             v = self.volumes.get(job, 0)
             self.log("VOLUME", job, f"v={v} epoch={k} demand={node.cur_demand}")
             if v >= 1:
-                node.volume = v  # before _activate: it applies the volume
-                if node.state != ACTIVE:
-                    self._activate(node)
+                node.volume = v
+                if node.ramp_on and v == node.cur_demand and node.cur_demand < node.ramp_cap:
+                    node.cur_demand = min(2 * node.cur_demand, node.ramp_cap)
+                    self._emit_event(node, node.cur_demand)
                 if node.state == ACTIVE:
-                    if (node.ramp_on and v == node.cur_demand
-                            and node.cur_demand < node.ramp_cap):
-                        node.cur_demand = min(2 * node.cur_demand, node.ramp_cap)
-                        self._emit_event(node, node.cur_demand)
                     self._apply_volume(node)
+                else:
+                    self._activate(node)  # it applies the volume
             elif node.state == ACTIVE:
                 node.volume = 0
                 self._suspend_node(node)

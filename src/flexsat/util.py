@@ -12,6 +12,10 @@ MASK64 = (1 << 64) - 1
 MIN_PERIOD_S = 1e-6
 MAX_SECONDS = 10 ** 9
 
+# A balancing epoch re-arms its timer no sooner than this, so the config
+# refuses a shorter balance_period_s, which would not run as written.
+MIN_BALANCE_PERIOD_S = 1e-3
+
 
 def mix64(x: int) -> int:
     """Avalanche-mix a 64-bit value (splitmix64 finalizer).

@@ -11,8 +11,10 @@ from flexsat.harness.metrics import hos_baseline, par2, speedups
 from flexsat.harness.report import (RunReport, parse_detail, parse_trace_line,
                                     report_from_trace)
 from flexsat.harness.scenario import ScenarioError, parse_scenario
-from flexsat.runtime import ClusterConfig
+from flexsat.runtime import Cluster, ClusterConfig
+from flexsat.runtime import pe as pe_mod
 from flexsat.runtime.cluster import MONO_FIXED
+from flexsat.sched import JobDescriptor
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -298,7 +300,7 @@ def test_parse_scenario_full(tmp_path):
     ('{"type": "config", "beta": 1500.0}\n{"type": "job", "synthetic": 1.0}',
      "line 1: beta 1500.0 is not an integer"),
     ('{"type": "job", "synthetic": 1.0}\n{"type": "config", "balance_period_s": 1e-9}',
-     "line 2: balance_period_s must be >= 1e-06"),
+     "line 2: balance_period_s must be >= 0.001"),
     ('{"type": "config", "share_period_s": 5e-7}\n{"type": "job", "synthetic": 1.0}',
      "line 1: share_period_s must be >= 1e-06"),
     ('{"type": "config", "balance_period_s": NaN}\n{"type": "job", "synthetic": 1.0}',
@@ -458,7 +460,7 @@ def test_cli_solve_bad_alpha(tmp_path, capsys):
 @pytest.mark.parametrize("flags,msg", [
     (["--timeout", "inf"], "timeout_s inf is not a finite number"),
     (["--alpha", "nan"], "alpha nan is not a finite number"),
-    (["--balance-period", "1e-9"], "balance_period_s must be >= 1e-06"),
+    (["--balance-period", "1e-9"], "balance_period_s must be >= 0.001"),
     (["--share-period", "0"], "share_period_s must be >= 1e-06"),
     (["--timeout", "1e308"], "timeout_s must be <= 1000000000"),
     (["--share-period", "1e308"], "share_period_s must be <= 1000000000"),
@@ -549,6 +551,63 @@ def test_cli_run_report_cycle(tmp_path, capsys):
     rc = main(["report", str(trace_file)])
     assert rc == 0
     assert capsys.readouterr().out == run_out
+
+
+def test_cli_run_flags_beat_the_scenario_config(tmp_path, capsys):
+    """`flexsat run` lays the flags over the file's config lines."""
+    scen = tmp_path / "scen.jsonl"
+    scen.write_text("\n".join([
+        '{"type": "config", "num_pes": 6, "seed": 9, "max_jobs": 1}',
+        '{"type": "job", "synthetic": 0.5, "demand": 2}',
+        '{"type": "job", "synthetic": 0.5, "demand": 2}',
+    ]) + "\n")
+    for flags, seed, second_request_ms in [
+            ((), 9, None),                                 # the file's config lines
+            (("--seed", "5", "--max-jobs", "2"), 5, 0.0),  # the flags win
+    ]:
+        trace = tmp_path / "run.trace"
+        assert main(["run", str(scen), "--trace", str(trace), *flags]) == 0
+        lines = [parse_trace_line(line) for line in trace.read_text().splitlines()]
+        config = json.loads(next(p[4] for p in lines if p[2] == "CONFIG"))
+        assert config["seed"] == seed
+        first_request = {}
+        for t_ms, _pe, kind, job, _detail in lines:
+            if kind == "REQUEST":
+                first_request.setdefault(job, t_ms)
+        if second_request_ms is None:  # max_jobs 1: job 2 waits for job 1
+            assert first_request[2] >= 500.0
+        else:
+            assert first_request[2] == second_request_ms
+    capsys.readouterr()
+
+
+def test_balance_period_floor_is_one_ms(tmp_path, capsys, monkeypatch):
+    # A shorter period would not run as written: an epoch re-arms no
+    # sooner than 1 ms.  Every way in refuses it.
+    msg = "balance_period_s must be >= 0.001"
+    with pytest.raises(ValueError, match=msg):
+        ClusterConfig(balance_period_s=1e-4).validate()
+    with pytest.raises(ScenarioError, match="line 1: " + msg):
+        parse_scenario('{"type": "config", "balance_period_s": 1e-4}\n'
+                       '{"type": "job", "synthetic": 1.0}')
+    f = tmp_path / "sat.cnf"
+    f.write_text(SAT_CNF)
+    assert main(["solve", str(f), "--balance-period", "1e-4"]) == 1
+    assert capsys.readouterr().err == f"flexsat: error: {msg}\n"
+    # At the floor, every PE's epoch k fires at k ms.
+    fired = []
+    orig = pe_mod.BasePE.on_timer
+
+    def on_timer(self, tag, data):
+        if tag == "balance":
+            fired.append((self.pe_id, data, self.ctx.now_us()))
+        orig(self, tag, data)
+
+    monkeypatch.setattr(pe_mod.BasePE, "on_timer", on_timer)
+    cfg = ClusterConfig(num_pes=4, balance_period_s=1e-3, timeout_s=0.05)
+    Cluster(cfg, [JobDescriptor(job=1, priority=0.5, arrival_s=0.0, synthetic_s=1.0)]).run()
+    assert len(fired) >= 4 * 45
+    assert all(at_us == 1000 * k for _pe, k, at_us in fired)
 
 
 def test_cli_run_names_the_scenario_line_and_the_job_files_line(tmp_path, capsys):

@@ -74,8 +74,9 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("kw,msg", [
-    # under 1 µs once converted, a period re-arms its timer forever
-    (dict(balance_period_s=1e-9), "balance_period_s must be >= 1e-06"),
+    # under 1 µs once converted, a period re-arms its timer forever; a
+    # balancing epoch re-arms no sooner than 1 ms
+    (dict(balance_period_s=1e-9), "balance_period_s must be >= 0.001"),
     (dict(share_period_s=9.99e-7), "share_period_s must be >= 1e-06"),
     # values are checked as written: bools are not ints, strings not numbers
     (dict(num_pes=8.5), "num_pes 8.5 is not an integer"),
@@ -120,10 +121,11 @@ def test_config_validate_rejects_as_written(kw, msg):
 
 
 def test_config_validate_accepts_floor_and_integral_reals():
-    cfg = ClusterConfig(balance_period_s=1e-6, share_period_s=1e-6,
+    cfg = ClusterConfig(balance_period_s=1e-3, share_period_s=1e-6,
                         timeout_s=60, epsilon=0, alpha=1, filter_halflife_s=2)
     cfg.validate()
-    assert int(cfg.balance_period_s * 1e6) == 1
+    assert int(cfg.balance_period_s * 1e6) == 1000
+    assert int(cfg.share_period_s * 1e6) == 1
 
 
 @pytest.mark.parametrize("cdcl_rate,slice_ms,budgets", [
@@ -373,6 +375,50 @@ def test_budget_respected_and_volumes_agree(monkeypatch):
     assert fanned_out, "no epoch reached several PEs"
     for group in fanned_out:
         assert all(g == group[0] for g in group)
+
+
+def test_balancing_round_sends_each_contribution_once(monkeypatch):
+    """Jobs arrive, ramp up and finish at p=16.  Each worker sends one
+    EVENT_REDUCE per epoch it completes, in epoch order; only epochs with
+    events are broadcast; and at the end no PE holds a fold for an epoch
+    older than the last one its own timer opened."""
+    sent, opened = [], {}
+    orig_send, orig_timer = pe_mod.BasePE.send, pe_mod.BasePE.on_timer
+
+    def send(self, dst, kind, job, payload, extra_delay_us=0):
+        if kind in (tp.EVENT_REDUCE, tp.EVENT_BROADCAST):
+            sent.append((kind, self.pe_id, dst, payload["epoch"], bool(payload["events"])))
+        orig_send(self, dst, kind, job, payload, extra_delay_us)
+
+    def on_timer(self, tag, data):
+        if tag == "balance":
+            opened[self.pe_id] = data
+        orig_timer(self, tag, data)
+
+    monkeypatch.setattr(pe_mod.BasePE, "send", send)
+    monkeypatch.setattr(pe_mod.BasePE, "on_timer", on_timer)
+    cfg = small_cfg(num_pes=16, seed=7, balance_period_s=0.05)
+    jobs = [JobDescriptor(job=j, priority=0.5, arrival_s=0.2 * j, synthetic_s=0.6)
+            for j in range(1, 6)]  # no demand: each root ramps up
+    cluster = Cluster(cfg, jobs, demand_changes=[(0.5, 1, 6)])
+    report = cluster.run()
+    assert report.aggregates["solved"] == 5
+    assert max(v["max_volume"] for v in report.jobs.values()) >= 4
+
+    reduces = [(src, k) for kind, src, _dst, k, _ in sent if kind == tp.EVENT_REDUCE]
+    assert len(reduces) == len(set(reduces))
+    for pe in cluster.workers:
+        epochs = [k for src, k in reduces if src == pe]
+        assert epochs == list(range(1, len(epochs) + 1))
+        assert len(epochs) >= opened[pe] - 1
+    broadcasts = [(src, dst, k) for kind, src, dst, k, has in sent
+                  if kind == tp.EVENT_BROADCAST and has]
+    assert len(broadcasts) == len([s for s in sent if s[0] == tp.EVENT_BROADCAST])
+    assert len(broadcasts) == len(set(broadcasts))
+    client_epochs = {k for src, _dst, k in broadcasts if src == pe_mod.CLIENT_ID}
+    assert 0 < len(client_epochs) < opened[pe_mod.CLIENT_ID] - 1  # some epochs had no events
+    for pe_id, pe in cluster.pes.items():
+        assert all(k >= opened[pe_id] for k in pe.red), (pe_id, list(pe.red))
 
 
 def test_demand_changes_shrink_and_regrow():
