@@ -13,9 +13,9 @@ from pathlib import Path
 from ..formula import DimacsError, parse_dimacs
 from ..runtime import Cluster, ClusterConfig, mono_mode
 from ..runtime.cluster import MONO_FIXED
-from ..util import MAX_SECONDS, MIN_PERIOD_S, is_real
+from ..util import is_real
 from .metrics import hos_baseline
-from .report import RunReport, busy_sample_times, parse_trace_line, report_from_trace
+from .report import RunReport, report_from_trace
 from .scenario import ScenarioError, parse_scenario
 
 EXIT_SAT = 10
@@ -142,29 +142,10 @@ def cmd_report(args: argparse.Namespace) -> int:
                 raise ValueError("report has no embedded trace")
         else:
             lines = text.splitlines()
-        period = end = None
-        for n, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            parsed = parse_trace_line(line)
-            if parsed is None:
-                raise ValueError(f"line {n}: not a trace line: {line[:60]!r}")
-            if parsed[2] == "RUN_END":
-                end = n, parsed[0]
-            elif parsed[2] == "CONFIG":
-                try:
-                    period = json.loads(parsed[4]).get("balance_period_s", period)
-                except (ValueError, AttributeError):
-                    pass  # report_from_trace names the line
         if not any(line.strip() for line in lines):
             raise ValueError("no trace lines")
-        if end is not None and is_real(period) and MIN_PERIOD_S <= period <= MAX_SECONDS:
-            n, end_ms = end
-            if busy_sample_times(int(period * 1e6), round(end_ms * 1000))[MAX_BUSY_SAMPLES:]:
-                raise ValueError(f"line {n}: RUN_END at {end_ms:g} ms with a {period:g} s "
-                                 f"balancing period gives more than {MAX_BUSY_SAMPLES} "
-                                 "busy samples")
-        report = report_from_trace(lines)  # blank lines kept: line numbers stay the file's
+        # blank lines kept: line numbers stay the file's
+        report = report_from_trace(lines, MAX_BUSY_SAMPLES)
     except ValueError as exc:
         raise CliError(f"{args.trace_file}: {exc}") from exc
     if args.out:

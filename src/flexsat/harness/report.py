@@ -113,37 +113,51 @@ class RunReport:
         return out
 
 
-def report_from_trace(lines: list[str]) -> RunReport:
-    """Fold a trace into a RunReport.
+def report_from_trace(lines: list[str],
+                      max_busy_samples: Optional[int] = None) -> RunReport:
+    """Fold a trace into a RunReport; blank lines are skipped.
 
-    A field that does not convert, or a CONFIG line that is not a JSON
-    object, raises ValueError naming its line (the first is line 1).
+    The first fault in line order raises ValueError naming its line (the
+    first is line 1): a line that is not a trace line, a field that does
+    not convert, a CONFIG line that is not a JSON object, or a CONFIG or
+    RUN_END line after which the busy series would take more than
+    max_busy_samples samples (None: no cap).
     """
     report = RunReport(trace=list(lines))
     jobs = report.jobs
     totals = report.solver_totals = dict.fromkeys(STATS_KEYS, 0)
     seats: list[tuple[int, int, str, int, Optional[str]]] = []
-    e_us = end_us = None
+    period = e_us = end_us = None
     share_count = 0
     share_lits = 0
     makespan = None
     end_reason = None
+
+    def check_samples() -> None:
+        if (max_busy_samples is not None and e_us and end_us is not None
+                and busy_sample_times(e_us, end_us)[max_busy_samples:]):
+            raise ValueError(f"RUN_END at {makespan:g} ms with a {period:g} s balancing "
+                             f"period gives more than {max_busy_samples} busy samples")
+
     for n, line in enumerate(lines, 1):
-        parsed = parse_trace_line(line)
-        if parsed is None:
+        if not line.strip():
             continue
-        t_ms, pe, kind, job, detail = parsed
+        parsed = parse_trace_line(line)
         try:
+            if parsed is None:
+                raise ValueError(f"not a trace line: {line[:60]!r}")
+            t_ms, pe, kind, job, detail = parsed
             if kind == "CONFIG":
                 report.config = json.loads(detail)
                 if not isinstance(report.config, dict):
                     raise ValueError("CONFIG is not a JSON object")
-                period = report.config.get("balance_period_s")
-                if period is not None:  # a period under 1 µs would never step the fold
-                    if not (is_real(period) and MIN_PERIOD_S <= period <= MAX_SECONDS):
-                        raise ValueError(f"balance_period_s {period!r} is not a number in "
+                given = report.config.get("balance_period_s")
+                if given is not None:  # a period under 1 µs would never step the fold
+                    if not (is_real(given) and MIN_PERIOD_S <= given <= MAX_SECONDS):
+                        raise ValueError(f"balance_period_s {given!r} is not a number in "
                                          f"[{MIN_PERIOD_S}, {MAX_SECONDS}]")
-                    e_us = int(period * 1e6)
+                    period, e_us = given, int(given * 1e6)
+                check_samples()
                 continue
             f = parse_detail(detail)
             if kind == "STATS":
@@ -154,6 +168,7 @@ def report_from_trace(lines: list[str]) -> RunReport:
                 makespan = t_ms
                 end_us = round(t_ms * 1000)
                 end_reason = f.get("reason")
+                check_samples()
                 continue
             if job is None:
                 continue

@@ -117,8 +117,7 @@ class JobNode:
     last_active: int = 0
     job_epoch: int = 0
     cur_demand: int = 1
-    ramp_on: bool = True
-    ramp_cap: int = 1
+    ramp_cap: int = 1    # a root ramps while its volume meets cur_demand < ramp_cap
     ever_active: bool = False
     result_reported: bool = False
 
@@ -299,8 +298,7 @@ class WorkerPE(BasePE):
         self.log("ADOPT", req.job, f"x={req.x} mode=fresh hops={req.hops}")
 
     def _request_returned(self, req: JobRequest) -> None:
-        if req.x == 0:
-            return
+        # Only a child request returns: a root request's origin is the client.
         pnode = self.nodes.get((req.job, parent_index(req.x)))
         if pnode is not None:
             pnode.requested.discard(req.x)  # repair pass retries next epoch
@@ -352,8 +350,7 @@ class WorkerPE(BasePE):
             node.ramp_cap = min(budget, desc.demand or budget, desc.max_volume or budget)
             # Ramping is for jobs of unknown parallelism; an explicit
             # demand (mono mode's is the budget) is posted in one go.
-            node.ramp_on = desc.demand is None
-            node.cur_demand = 1 if node.ramp_on else node.ramp_cap
+            node.cur_demand = 1 if desc.demand is None else node.ramp_cap
             # The root keeps its seat but stays pending until the next
             # balancing epoch grants it a volume; starting it right away
             # would push the busy count past the budget.
@@ -529,7 +526,7 @@ class WorkerPE(BasePE):
             self.log("VOLUME", job, f"v={v} epoch={k} demand={node.cur_demand}")
             if v >= 1:
                 node.volume = v
-                if node.ramp_on and v == node.cur_demand and node.cur_demand < node.ramp_cap:
+                if v == node.cur_demand < node.ramp_cap:
                     node.cur_demand = min(2 * node.cur_demand, node.ramp_cap)
                     self._emit_event(node, node.cur_demand)
                 if node.state == ACTIVE:
@@ -552,8 +549,7 @@ class WorkerPE(BasePE):
         want = max(1, env.payload["demand"])
         if node.desc.max_volume is not None:
             want = min(want, node.desc.max_volume)
-        node.cur_demand = want
-        node.ramp_on = False
+        node.cur_demand = node.ramp_cap = want
         self._emit_event(node, want)
 
     # -- clause sharing epochs ---------------------------------------------
@@ -759,6 +755,7 @@ class ClientPE(BasePE):
         self.waiting: list[int] = []
         self.outstanding: set[int] = set()
         self.root_pe: dict[int, int] = {}
+        self.early_demand: dict[int, int] = {}  # job -> latest demand before its root's placement
         self.results: dict[int, Any] = {}  # finished job -> its assignment, if any
         self.finished = False
 
@@ -819,6 +816,9 @@ class ClientPE(BasePE):
         size = desc.cnf.serialized_size if desc.cnf is not None else 0
         self.log("PLACED", job, f"pe={env.src} size={size}")
         self.send(env.src, tp.JOB_PAYLOAD, job, {"x": 0, "desc": desc, "v": 0})
+        if job in self.early_demand:  # per-pair FIFO: it lands after the payload
+            demand = self.early_demand.pop(job)
+            self.send(env.src, tp.DEMAND_SET, job, {"x": 0, "demand": demand})
 
     # -- completion --------------------------------------------------------
     def _record(self, job: int, verdict: str, model_state: str, detail: str,
@@ -827,6 +827,7 @@ class ClientPE(BasePE):
                        assignment)
         self.active.discard(job)
         self.root_pe.pop(job, None)
+        self.early_demand.pop(job, None)
         self.outstanding.discard(job)
         self._admit_next()
         if len(self.results) == len(self.descs):
@@ -865,7 +866,11 @@ class ClientPE(BasePE):
         job, demand = data
         root = self.root_pe.get(job)
         self.log("DEMAND", job, f"demand={demand} root={root}")
-        if root is not None and job not in self.results:
+        if job in self.results:
+            return
+        if root is None:
+            self.early_demand[job] = demand  # sent once the root is placed
+        else:
             self.send(root, tp.DEMAND_SET, job, {"x": 0, "demand": demand})
 
     def _log_done(self, job: int, verdict: str, model_state: str, detail: str,

@@ -2,12 +2,11 @@
 
 Both backends run cooperatively: work happens in bounded step() calls, so
 a cluster interleaves all its solvers on the one thread of its event loop
-under either clock, and a PE preempts a solver by not stepping it.  A
-blocking solve() is one step with the whole budget.
+under either clock, and a PE preempts a solver by not stepping it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -26,15 +25,6 @@ class SolverStats:
     imported: int = 0
 
 
-@dataclass
-class SolveResult:
-    """Outcome of one solver or one whole run."""
-
-    verdict: str  # SAT | UNSAT | UNKNOWN
-    model: dict[int, bool] | None = None
-    stats: SolverStats = field(default_factory=SolverStats)
-
-
 from .ring import ImportRing  # noqa: E402
 from .config import (  # noqa: E402
     CdclParams,
@@ -46,13 +36,13 @@ from .config import (  # noqa: E402
     throttled_thread_count,
 )
 from .cdcl import CdclSolver, cdcl_solve  # noqa: E402
-from .sls import SlsSolver, sls_solve  # noqa: E402
+from .sls import SlsSolver  # noqa: E402
 
 __all__ = [
     "SAT", "UNSAT", "UNKNOWN",
-    "SolverStats", "SolveResult",
+    "SolverStats",
     "ImportRing",
     "CdclParams", "SlsParams", "SolverConfig", "CDCL_PRESETS",
     "PORTFOLIO_CYCLE", "make_portfolio_config", "throttled_thread_count",
-    "CdclSolver", "cdcl_solve", "SlsSolver", "sls_solve",
+    "CdclSolver", "cdcl_solve", "SlsSolver",
 ]

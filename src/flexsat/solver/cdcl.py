@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from ..formula import Cnf
 from ..util import luby
-from . import SAT, UNKNOWN, UNSAT, SolveResult, SolverStats
+from . import SAT, UNSAT, SolverStats
 from .config import CdclParams
 
 ImportFn = Callable[[], "tuple[int, ...] | None"]
@@ -91,7 +91,7 @@ class CdclSolver:
         else:
             self.saved = [False] * (nv + 1)
 
-        self._verdict: str | None = None  # set once, by _finish
+        self.verdict: str | None = None  # set once, by _finish
         self.model: dict[int, bool] | None = None
 
         # load the formula; contradictory units surface at the first step
@@ -434,14 +434,11 @@ class CdclSolver:
 
     # -- outcomes ----------------------------------------------------------
     def _finish(self, verdict: str) -> str:
-        self._verdict = verdict
+        self.verdict = verdict
         if verdict == SAT:
             val = self.val
             self.model = {v: val[2 * v] > 0 for v in range(1, self.nv + 1)}
         return verdict
-
-    def result(self) -> SolveResult:
-        return SolveResult(self._verdict or UNKNOWN, self.model, self.stats)
 
     # -- main loop ----------------------------------------------------------
     def step(self, max_conflicts: int) -> str | None:
@@ -450,8 +447,8 @@ class CdclSolver:
         The outcome does not depend on how the conflicts are split into
         steps: a step ends only between two conflicts and keeps all state.
         """
-        if self._verdict is not None:
-            return self._verdict
+        if self.verdict is not None:
+            return self.verdict
         budget = max_conflicts
         while True:
             confl = self._propagate()
@@ -481,11 +478,6 @@ class CdclSolver:
                     return self._finish(SAT)
                 self._decide()
 
-    def solve(self) -> SolveResult:
-        """Blocking solve to a verdict: CDCL is complete, so one unbounded step."""
-        self.step(sys.maxsize)
-        return self.result()
-
 
 def cdcl_solve(
     cnf: Cnf,
@@ -493,6 +485,8 @@ def cdcl_solve(
     seed: int = 0,
     import_fn: ImportFn | None = None,
     export_fn: ExportFn | None = None,
-) -> SolveResult:
-    """One-shot CDCL solve of a formula."""
-    return CdclSolver(cnf, params, seed, import_fn, export_fn).solve()
+) -> CdclSolver:
+    """A solver stepped to its verdict: CDCL is complete, so one unbounded step."""
+    solver = CdclSolver(cnf, params, seed, import_fn, export_fn)
+    solver.step(sys.maxsize)
+    return solver

@@ -1,6 +1,6 @@
 """WalkSAT-style stochastic local search.
 
-Can only ever answer SAT (with a verified model) or UNKNOWN; an
+A step can only ever answer SAT, with a verified model in `model`; an
 unsatisfiable input just burns its flip budget.  The optional
 preprocessing pass fixes variables by unit propagation and pure literals
 before the walk starts, which is the diversification axis alternated
@@ -11,7 +11,7 @@ from __future__ import annotations
 from random import Random
 
 from ..formula import Cnf, check_model
-from . import SAT, UNKNOWN, SolveResult, SolverStats
+from . import SAT, SolverStats
 from .config import SlsParams
 
 
@@ -252,24 +252,3 @@ class SlsSolver:
         assert check_model(self.cnf, model)
         self.model = model
         return SAT
-
-    def result(self) -> SolveResult:
-        return SolveResult(SAT if self.model is not None else UNKNOWN, self.model, self.stats)
-
-    def solve(self, max_flips: int = 1_000_000) -> SolveResult:
-        """Blocking solve of at most max_flips flips, in one step.
-
-        SAT, or UNKNOWN when the budget runs out or preprocessing blocked it.
-        """
-        self.step(max_flips)
-        return self.result()
-
-
-def sls_solve(
-    cnf: Cnf,
-    params: SlsParams | None = None,
-    seed: int = 0,
-    max_flips: int = 1_000_000,
-) -> SolveResult:
-    """One-shot local-search attempt; SAT or UNKNOWN."""
-    return SlsSolver(cnf, params, seed).solve(max_flips)

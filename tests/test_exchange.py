@@ -11,7 +11,7 @@ from flexsat.exchange import (BufferFormatError, ClauseFilter, _stream, _write,
                               deserialize, merge, serialize)
 from flexsat.formula import canonical_literals, literal_key
 from flexsat.runtime import ClusterConfig
-from flexsat.solver import CdclSolver
+from flexsat.solver import cdcl_solve
 from helpers import clause_order, limit_oracle, merge_oracle, rand_clauses, random_3cnf
 
 
@@ -450,8 +450,7 @@ def test_exported_clauses_round_trip_and_are_rejected():
     the canonical order it left in: a solver's exports survive the
     exchange format unchanged, and the filter that saw them blocks them."""
     exported = []
-    CdclSolver(random_3cnf(Random(21), 40, 172), seed=3,
-               export_fn=exported.append).solve()
+    cdcl_solve(random_3cnf(Random(21), 40, 172), seed=3, export_fn=exported.append)
     assert len(set(exported)) > 20
     back = deserialize(serialize(exported))
     assert sorted(back) == sorted(set(exported))

@@ -94,7 +94,6 @@ TRACE = """\
 250.000 4 SUSPEND 1 x=1
 270.000 4 START 1 x=1 mode=resume
 300.000 0 DONE 1 verdict=SAT response_ms=299.9 model=ok
-this line is noise and must be skipped
 305.000 3 END 1 x=0 reason=done
 305.000 5 END 1 x=2 reason=done
 360.000 3 STATS - slots=2 conflicts=60 learned=50 exported=30 imported=10
@@ -114,12 +113,18 @@ def test_parse_trace_line():
 
 @pytest.mark.parametrize("line", ["inf 1 START 3 x=0", "nan 1 START 3 x=0",
                                   "-inf 1 START 3 x=0", "inf -1 RUN_END - reason=timeout"])
-def test_non_finite_trace_times_are_noise(line):
+def test_non_finite_trace_times_are_refused(line):
     assert parse_trace_line(line) is None
-    assert report_from_trace([line]).jobs == report_from_trace([]).jobs == {}
-    # Among real lines it is skipped like any other noise.
-    assert report_from_trace(TRACE[:3] + [line] + TRACE[3:]).jobs == \
-        report_from_trace(TRACE).jobs
+    for at in (0, 3):
+        with pytest.raises(ValueError) as err:
+            report_from_trace(TRACE[:at] + [line] + TRACE[at:])
+        assert str(err.value) == f"line {at + 1}: not a trace line: {line!r}"
+
+
+def test_report_from_trace_refuses_a_line_with_a_bad_job_field():
+    with pytest.raises(ValueError) as err:
+        report_from_trace(["0.100 0 INTRO 1 pri=0.5", "", "1.0 2 START abc x=1"])
+    assert str(err.value) == "line 3: not a trace line: '1.0 2 START abc x=1'"
 
 
 def test_parse_detail():
@@ -631,6 +636,7 @@ def test_cli_report_without_trace(tmp_path, capsys):
     ("nonsense\nmore nonsense\n", "line 1: not a trace line: 'nonsense'"),
     ("0.100 0 INTRO 1 pri=0.5\n\n1.0 2 START abc x=1\n",
      "line 3: not a trace line: '1.0 2 START abc x=1'"),
+    ("0.100 0 INTRO 1 pri=x\nnonsense\n", "line 1: could not convert string to float: 'x'"),
     ("", "no trace lines"),
     ("\n  \n", "no trace lines"),
     ("0.000 -1 CONFIG - [1,2]\n", "line 1: CONFIG is not a JSON object"),
@@ -651,8 +657,8 @@ def test_cli_report_without_trace(tmp_path, capsys):
      "line 2: not a trace line: 'inf 1 START 1 x=0'"),
     ("nan -1 RUN_END - reason=timeout\n",
      "line 1: not a trace line: 'nan -1 RUN_END - reason=timeout'"),
-], ids=["noise", "bad-job", "empty", "blank", "config-list", "config-json",
-        "config-period", "bad-float", "bad-int-after-blank", "report-trace-int",
+], ids=["noise", "bad-job", "field-before-noise", "empty", "blank", "config-list",
+        "config-json", "config-period", "bad-float", "bad-int-after-blank", "report-trace-int",
         "report-trace-item", "report-jobs-list", "report-bad-int", "inf-time",
         "nan-time"])
 def test_cli_report_rejects_non_trace_input(tmp_path, capsys, text, err):
@@ -682,6 +688,11 @@ def test_cli_report_refuses_a_busy_series_past_the_cap(tmp_path, capsys, monkeyp
     capsys.readouterr()
     assert main(["report", str(f)]) == 1
     assert "line 2: RUN_END at 0.002 ms" in capsys.readouterr().err
+    # A CONFIG line after the RUN_END is checked too; a live run has no cap.
+    lines = ["0.002 -1 RUN_END - reason=timeout", '0.000 -1 CONFIG - {"balance_period_s": 1e-6}']
+    with pytest.raises(ValueError, match="^line 2: RUN_END at 0.002 ms"):
+        report_from_trace(lines, 2)
+    assert len(report_from_trace(lines).aggregates["busy"]) == 3
 
 
 # A Latin-1 0xE9 byte in a comment: not UTF-8.

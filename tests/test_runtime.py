@@ -434,6 +434,17 @@ def test_demand_changes_shrink_and_regrow():
     assert report.jobs[1]["max_volume"] == 5
 
 
+def test_demand_lines_before_placement_apply_once_the_root_is_placed():
+    """The client holds the latest demand line that fires before the job's
+    root is placed and sends it after the root's payload."""
+    cfg = ClusterConfig(num_pes=9, seed=3)  # budget 7, which a ramp would reach
+    report = Cluster(cfg, [synth_job(1, 1.0, None, arrival=0.5)],
+                     demand_changes=[(0.1, 1, 5), (0.2, 1, 2)]).run()
+    assert "200.000 0 DEMAND 1 demand=2 root=None" in report.trace
+    assert report.jobs[1]["verdict"] == "DONE"
+    assert report.jobs[1]["max_volume"] == 2
+
+
 def test_solvers_step_only_while_their_node_is_active(monkeypatch):
     """Job 1's demand shrinks and regrows, suspending and resuming its two
     children; then three higher-priority jobs defer its root, which keeps

@@ -1,4 +1,5 @@
 """Solver backends: CDCL and local search against an exhaustive oracle."""
+import sys
 import tracemalloc
 from collections import Counter, deque
 from dataclasses import replace
@@ -8,10 +9,9 @@ from random import Random
 import pytest
 
 from flexsat.formula import Cnf, canonical_literals, check_model
-from flexsat.solver import (CDCL_PRESETS, PORTFOLIO_CYCLE, SAT, UNKNOWN,
-                            UNSAT, CdclParams, CdclSolver, ImportRing,
-                            SlsParams, SlsSolver, cdcl_solve,
-                            make_portfolio_config, sls_solve,
+from flexsat.solver import (CDCL_PRESETS, PORTFOLIO_CYCLE, SAT, UNSAT,
+                            CdclParams, CdclSolver, ImportRing, SlsParams,
+                            SlsSolver, cdcl_solve, make_portfolio_config,
                             throttled_thread_count)
 from flexsat.solver import cdcl as cdcl_mod
 from flexsat.solver.sls import _below, _preprocess
@@ -93,7 +93,7 @@ def test_cdcl_step_interface():
         steps += 1
     assert verdict == UNSAT
     assert s.step(10) == UNSAT  # stable after completion
-    assert s.result().verdict == UNSAT
+    assert s.verdict == UNSAT
     assert s.stats.conflicts > 0 and s.stats.learned > 0
 
 
@@ -139,7 +139,7 @@ def test_cdcl_exports_canonical_signed_tuples(monkeypatch):
         learnt_seen.append([_decode(c) for c in learnt])
         learn(learnt, bt, lbd)
     s._learn = recording_learn
-    s.solve()
+    s.step(sys.maxsize)
     assert len(exported) == len(learnt_seen) > 20
     for lits, learnt in zip(exported, learnt_seen):
         assert type(lits) is tuple and lits == canonical_literals(learnt)
@@ -153,30 +153,29 @@ IMPORT_CNF = Cnf.from_clauses(5, [[1], [-2], [3, 4, 5]])
 
 def _import_run(*clauses):
     pending = list(reversed(clauses))
-    s = CdclSolver(IMPORT_CNF, CdclParams(phase="pos"),
-                   import_fn=lambda: pending.pop() if pending else None)
-    return s, s.solve()
+    return cdcl_solve(IMPORT_CNF, CdclParams(phase="pos"),
+                      import_fn=lambda: pending.pop() if pending else None)
 
 
 def test_cdcl_import_with_negative_literals_at_level_zero():
     # Deciding positive sets 4 true unless an import says otherwise.
-    _s, res = _import_run()
-    assert res.verdict == SAT and res.model[4] is True
+    s = _import_run()
+    assert s.verdict == SAT and s.model[4] is True
     # satisfied by -2: skipped, nothing watched or kept
-    s, res = _import_run((-2, -4))
-    assert res.verdict == SAT and res.model[4] is True
-    assert res.stats.imported == 1 and s.learned_clauses == []
+    s = _import_run((-2, -4))
+    assert s.verdict == SAT and s.model[4] is True
+    assert s.stats.imported == 1 and s.learned_clauses == []
     # -1 false at level 0 leaves the unit -4: enqueued at level 0
-    s, res = _import_run((-1, -4))
-    assert res.verdict == SAT and res.model[4] is False
+    s = _import_run((-1, -4))
+    assert s.verdict == SAT and s.model[4] is False
     assert s.level_a[4] == 0 and s.learned_clauses == []
     # two live literals: watched and kept as a learned clause
-    s, res = _import_run((-1, -4, -5))
-    assert res.verdict == SAT and not (res.model[4] and res.model[5])
+    s = _import_run((-1, -4, -5))
+    assert s.verdict == SAT and not (s.model[4] and s.model[5])
     assert [len(c) for _lbd, c in s.learned_clauses] == [2]
     # every literal false at level 0: UNSAT
-    s, res = _import_run((-3, -4, -5), (-1, 2))
-    assert res.verdict == UNSAT and res.stats.imported == 2
+    s = _import_run((-3, -4, -5), (-1, 2))
+    assert s.verdict == UNSAT and s.stats.imported == 2
 
 
 def test_cdcl_export_length_gate(monkeypatch):
@@ -344,23 +343,22 @@ def test_sls_solves_easy_sat():
         cnf = random_3cnf(rng, 20, 60)
         if oracle_verdict(cnf) != SAT:
             continue
-        res = sls_solve(cnf, seed=trial, max_flips=300_000)
-        assert res.verdict == SAT
-        assert check_model(cnf, res.model)
+        s = SlsSolver(cnf, seed=trial)
+        assert s.step(300_000) == SAT
+        assert check_model(cnf, s.model)
         solved += 1
     assert solved >= 5
 
 
 def test_sls_never_claims_unsat():
-    res = sls_solve(php_cnf(3), max_flips=30_000)
-    assert res.verdict == UNKNOWN
-    assert res.model is None
+    s = SlsSolver(php_cnf(3))
+    assert s.step(30_000) is None
+    assert s.model is None and s.stats.flips == 30_000
 
 
 def test_sls_blocked_by_preprocess_contradiction():
     cnf = Cnf.from_clauses(2, [[1], [-1], [1, 2]])
-    res = sls_solve(cnf, max_flips=10_000)
-    assert res.verdict == UNKNOWN
+    assert SlsSolver(cnf).step(10_000) is None
 
 
 def test_sls_blocked_solver_is_never_stepped():
@@ -369,7 +367,7 @@ def test_sls_blocked_solver_is_never_stepped():
     cnf = Cnf.from_clauses(2, [[1], [-1], [1, 2]])
     solver = SlsSolver(cnf)
     assert solver.blocked
-    assert solver.solve(max_flips=10_000).verdict == UNKNOWN
+    assert solver.step(10_000) is None
     assert solver.stats.flips == 0
 
 
@@ -415,34 +413,33 @@ def test_below_draws_like_randrange():
 def test_sls_without_preprocess():
     cnf = random_3cnf(Random(8), 15, 40)
     assert oracle_verdict(cnf) == SAT
-    res = sls_solve(cnf, SlsParams(preprocess=False), seed=2,
-                    max_flips=300_000)
-    assert res.verdict == SAT and check_model(cnf, res.model)
+    s = SlsSolver(cnf, SlsParams(preprocess=False), seed=2)
+    assert s.step(300_000) == SAT and check_model(cnf, s.model)
 
 
 def test_sls_restart_path():
     cnf = random_3cnf(Random(12), 18, 55)
     if oracle_verdict(cnf) == SAT:
-        res = sls_solve(cnf, SlsParams(restart_flips=500), seed=4,
-                        max_flips=400_000)
-        assert res.verdict in (SAT, UNKNOWN)
-        if res.verdict == SAT:
-            assert check_model(cnf, res.model)
+        s = SlsSolver(cnf, SlsParams(restart_flips=500), seed=4)
+        verdict = s.step(400_000)
+        assert verdict in (SAT, None)
+        if verdict == SAT:
+            assert check_model(cnf, s.model)
 
 
 def test_sls_deterministic_per_seed():
     cnf = random_3cnf(Random(3), 16, 45)
 
     def run():
-        r = sls_solve(cnf, seed=9, max_flips=100_000)
-        return (r.verdict, r.model, r.stats.flips)
+        s = SlsSolver(cnf, seed=9)
+        return (s.step(100_000), s.model, s.stats.flips)
 
     assert run() == run()
 
 
 def test_sls_empty_formula():
-    res = sls_solve(Cnf.from_clauses(2, []))
-    assert res.verdict == SAT and set(res.model) == {1, 2}
+    s = SlsSolver(Cnf.from_clauses(2, []))
+    assert s.step(1) == SAT and set(s.model) == {1, 2}
 
 
 def test_preprocess_unit_propagation():
@@ -463,12 +460,11 @@ def test_preprocess_contradiction():
 
 
 # ---------------------------------------------------------------------------
-# step granularity: a PE steps in slices, solve() in one step
+# step granularity: a PE steps in slices, cdcl_solve in one step
 
 
 def _outcome(solver):
-    res = solver.result()
-    return res.verdict, res.model, res.stats, solver.rng.getstate()
+    return solver.model, solver.stats, solver.rng.getstate()
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -478,11 +474,11 @@ def _outcome(solver):
                          ids=["php4", "sat60", "unsat60"])
 def test_cdcl_outcome_independent_of_step_size(cnf, preset, chunk):
     exports = [], []
-    whole = CdclSolver(cnf, CDCL_PRESETS[preset], seed=3, export_fn=exports[0].append)
-    whole.solve()
+    whole = cdcl_solve(cnf, CDCL_PRESETS[preset], seed=3, export_fn=exports[0].append)
     stepped = CdclSolver(cnf, CDCL_PRESETS[preset], seed=3, export_fn=exports[1].append)
     while stepped.step(chunk) is None:
         pass
+    assert stepped.verdict == whole.verdict
     assert _outcome(stepped) == _outcome(whole)
     assert exports[1] == exports[0]
     assert whole.stats.conflicts > 7
@@ -490,18 +486,17 @@ def test_cdcl_outcome_independent_of_step_size(cnf, preset, chunk):
 
 @pytest.mark.parametrize("cnf,params,verdict", [
     (random_3cnf(Random(25), 60, 270), SlsParams(restart_flips=100), SAT),
-    (php_cnf(3), SlsParams(restart_flips=300, preprocess=False), UNKNOWN),
+    (php_cnf(3), SlsParams(restart_flips=300, preprocess=False), None),
 ], ids=["sat", "unsat"])
-def test_sls_solve_equals_one_flip_steps(cnf, params, verdict):
+def test_sls_outcome_independent_of_step_size(cnf, params, verdict):
     flips = 3000
     whole = SlsSolver(cnf, params, seed=4)
-    whole.solve(max_flips=flips)
+    assert whole.step(flips) == verdict
     stepped = SlsSolver(cnf, params, seed=4)
     for _ in range(flips):
         stepped.step(1)
     assert _outcome(stepped) == _outcome(whole)
     assert whole.stats.flips > params.restart_flips  # a restart happened
-    assert whole.result().verdict == verdict
 
 
 # ---------------------------------------------------------------------------
