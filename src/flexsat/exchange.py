@@ -6,7 +6,10 @@ n_l * l literals.  Groups appear in increasing length; a zero count is
 emitted only when a longer group follows, so trailing empty groups cost
 nothing.  Within a group, clauses are in canonical lexicographic order
 (literals compared by (|lit|, sign)).  A whole buffer is therefore sorted
-by (length, clause), which is what makes cheap k-way merging possible.
+by (length, clause), as Mallob ships it.  Only the buffer holds signed
+literals: elsewhere a shared clause is the sorted tuple of its literal
+keys (formula.literal_key, the CDCL kernel's literal code), whose tuple
+order is canonical order.
 
 Aggregation up a job tree carries a single counter u (how many buffers
 were folded in so far).  The size admitted at a node shrinks
@@ -16,14 +19,12 @@ beta, i.e. the root broadcast never exceeds a constant.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import struct
 from fractions import Fraction
-from itertools import repeat
 from operator import lt
 from random import Random
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .runtime.cluster import ClusterConfig
@@ -57,67 +58,58 @@ def buffer_limit(u: int, cfg: ClusterConfig) -> int:
 # ---------------------------------------------------------------------------
 # serialization and merging
 
-def _write(ordered: Iterable[tuple[int, ...]], limit: int | None) -> list[int]:
-    """Length-grouped buffer of clauses given in (length, canonical) order.
+def _write(groups: dict[int, Collection[tuple[int, ...]]], limit: int | None) -> list[int]:
+    """Length-grouped buffer of {length: non-empty distinct key tuples}.
 
-    Whole clauses are added until the next one would push the size, group
-    counts included, past the limit; everything from there on is dropped.
+    Groups are taken by increasing length, each sorted, which is canonical
+    order, and each written key is decoded to its signed literal.  Whole
+    clauses are added until the next one would push the size, group counts
+    included, past the limit; everything from there on is dropped, so only
+    the groups that still contribute a clause are sorted.
     """
     out: list[int] = []
-    head = 0
-    cur_len = 0
-    for lits in ordered:
-        n = len(lits)
-        cost = n + (n - cur_len if n > cur_len else 0)  # zero counts for skipped lengths + own
-        if limit is not None and len(out) + cost > limit:
+    prev = 0
+    for n in sorted(groups):
+        group = groups[n]
+        fit = len(group)
+        if limit is not None:
+            # zero counts for skipped lengths and the own count come first
+            fit = min(fit, (limit - len(out) - (n - prev)) // n)
+            if fit <= 0:
+                break
+        out += [0] * (n - prev - 1)
+        out.append(fit)
+        out += [-(k >> 1) if k & 1 else k >> 1  # signed literal per key
+                for keys in sorted(group)[:fit] for k in keys]
+        if fit < len(group):
             break
-        while cur_len < n:
-            cur_len += 1
-            head = len(out)
-            out.append(0)
-        out[head] += 1
-        out.extend(lits)
+        prev = n
     return out
 
 
-def _canonical_key(lits: Iterable[int]) -> list[int]:
-    return [2 * l if l > 0 else 1 - 2 * l for l in lits]  # literal_key per literal
-
-
-def serialize(clauses: Iterable[Sequence[int]], limit: int | None = None) -> list[int]:
+def serialize(clauses: Iterable[tuple[int, ...]], limit: int | None = None) -> list[int]:
     """Flatten a clause set into the length-grouped integer format.
 
-    Each clause is a canonical literal sequence.
-    Clauses are taken in (length, lexicographic) order.  If a limit is
-    given, clauses are added greedily until the next one would push the
-    serialized size (group counts included) past it; everything after
-    that point is discarded.  Only the length groups that can still
-    contribute a clause under the limit are sorted.
+    Each clause is a sorted tuple of literal keys (formula.literal_key);
+    the buffer holds their signed literals.  Clauses are taken in (length,
+    lexicographic) order.  If a limit is given, clauses are added greedily
+    until the next one would push the serialized size (group counts
+    included) past it; everything after that point is discarded.
     """
-    groups: dict[int, list[Sequence[int]]] = {}
+    groups: dict[int, list[tuple[int, ...]]] = {}
     for c in set(clauses):
         groups.setdefault(len(c), []).append(c)
-    ordered: list[Sequence[int]] = []
-    size = prev = 0
-    for n in sorted(groups):
-        size += 2 * n - prev  # zero counts for skipped lengths, own count, first clause
-        if limit is not None and size > limit:
-            break  # not even one clause of this length fits
-        group = groups[n]
-        ordered += sorted(group, key=_canonical_key)
-        size += n * (len(group) - 1)
-        prev = n
-    return _write(ordered, limit)
+    return _write(groups, limit)
 
 
 def _groups(buf: Sequence[int]):
-    """Yield (length, keys, clauses) per length group of a flat buffer, validating.
+    """Yield (length, keys) per length group of a flat buffer, validating.
 
-    clauses holds the group's literal tuples and keys their literal_key
-    tuples, index for index.  A whole group is checked at once: its count,
-    zero literals, canonical order within each clause (position k against
-    k + 1 over strided slices) and within the group.  BufferFormatError
-    names the fault that a clause-by-clause scan of the group meets first.
+    keys holds the group's clauses as literal_key tuples, in buffer order.
+    A whole group is checked at once: its count, zero literals, canonical
+    order within each clause (position k against k + 1 over strided
+    slices) and within the group.  BufferFormatError names the fault that
+    a clause-by-clause scan of the group meets first.
     """
     pos = 0
     length = 0
@@ -137,19 +129,18 @@ def _groups(buf: Sequence[int]):
         pos = end
         flat = [2 * l if l > 0 else 1 - 2 * l for l in group]  # literal_key
         keys = list(zip(*[iter(flat)] * length))
-        clauses = list(zip(*[iter(group)] * length))
         if (0 in group
                 or not all(map(lt, keys, keys[1:]))
                 or not all([all(map(lt, flat[k::length], flat[k + 1::length]))
                             for k in range(length - 1)])):
-            _raise_first_fault(keys, clauses)
-        yield length, keys, clauses
+            _raise_first_fault(keys, group, length)
+        yield length, keys
 
 
-def _raise_first_fault(keys: list[tuple], clauses: list[tuple]) -> None:
+def _raise_first_fault(keys: list[tuple], group: Sequence[int], length: int) -> None:
     """Raise for a rejected group's first faulty clause, in buffer order."""
     prev = None
-    for key, lits in zip(keys, clauses):
+    for key, lits in zip(keys, zip(*[iter(group)] * length)):
         if 0 in lits:
             raise BufferFormatError("zero literal inside clause")
         if not all(map(lt, key, key[1:])):
@@ -159,17 +150,11 @@ def _raise_first_fault(keys: list[tuple], clauses: list[tuple]) -> None:
         prev = key
 
 
-def _stream(buf: Sequence[int]):
-    """Yield (length, keys, lits) per clause of a flat buffer (see _groups)."""
-    for length, keys, clauses in _groups(buf):
-        yield from zip(repeat(length), keys, clauses)
-
-
 def deserialize(buf: Sequence[int]) -> list[tuple[int, ...]]:
-    """Canonical literal tuples of a buffer; inverse of serialize (see _groups)."""
+    """Literal_key tuples of a buffer's clauses; inverse of serialize (see _groups)."""
     out: list[tuple[int, ...]] = []
-    for _length, _keys, clauses in _groups(buf):
-        out += clauses
+    for _length, keys in _groups(buf):
+        out += keys
     return out
 
 
@@ -184,46 +169,26 @@ def buffer_from_bytes(raw: bytes) -> list[int]:
     return list(struct.unpack(f"<{len(raw) // 4}i", raw))
 
 
-def _merged(streams: list) -> Iterable[tuple[int, ...]]:
-    """Clauses of canonical streams in (length, canonical) order, each once.
-
-    literal_key is injective, so equal clauses leave the heap one after
-    another and comparing with the last one popped removes duplicates.  A
-    stream is advanced as soon as its clause is popped, before the caller
-    decides whether that clause still fits.
-    """
-    heap: list[tuple[int, tuple, tuple, int]] = []
-    for idx, st in enumerate(streams):
-        first = next(st, None)
-        if first is not None:
-            heapq.heappush(heap, (*first, idx))
-    prev = None
-    while heap:
-        _length, _keys, lits, idx = heapq.heappop(heap)
-        nxt = next(streams[idx], None)
-        if nxt is not None:
-            heapq.heappush(heap, (*nxt, idx))
-        if lits != prev:
-            prev = lits
-            yield lits
-
-
 def merge(
     buffers: Sequence[tuple[Sequence[int], int]],
     own_export: Sequence[int],
     cfg: ClusterConfig,
 ) -> tuple[list[int], int]:
-    """k-way merge of child buffers plus this node's own export.
+    """Merge of child buffers plus this node's own export.
 
     Each input is (flat buffer, u).  The output u counts this node too:
-    u_out = 1 + sum(u_in).  Duplicate clauses are emitted once.  The
-    output is truncated at buffer_limit(u_out): whole clauses only, and
-    once one clause does not fit nothing longer is admitted either.
+    u_out = 1 + sum(u_in).  Every input is decoded, and so checked, in
+    full; each length group is the union of the inputs' groups, so a
+    duplicate clause is emitted once.  The output is truncated at
+    buffer_limit(u_out): whole clauses only, and once one clause does not
+    fit nothing longer is admitted either.
     """
     u_out = 1 + sum(u for _, u in buffers)
-    streams = [_stream(buf) for buf, _ in buffers]
-    streams.append(_stream(own_export))
-    return _write(_merged(streams), buffer_limit(u_out, cfg)), u_out
+    groups: dict[int, set[tuple[int, ...]]] = {}
+    for buf in [*(buf for buf, _ in buffers), own_export]:
+        for length, keys in _groups(buf):
+            groups.setdefault(length, set()).update(keys)
+    return _write(groups, buffer_limit(u_out, cfg)), u_out
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +197,21 @@ def merge(
 class ClauseFilter:
     """Per-solver duplicate filter: exact sets of units and of clause tuples.
 
-    A non-unit clause is remembered as the canonical literal tuple it is
-    given, in one of two generations, so two clauses count as one only if
-    they are equal.  Memory grows with the clauses actually seen, up to
-    GEN_WORDS words per generation.  A record costs its length plus two,
-    for its tuple header and set slot: at plus one, a generation of binary
-    clauses crossed a set resize and a filter peaked at 8.9 MiB.  An insert
-    that would overfill the current generation retires it first, so
-    without forgetting a non-unit clause becomes admittable again after one
-    to two generations of newer distinct clauses.
+    Clauses are literal_key tuples, units their single key.  A non-unit
+    clause is remembered as the key tuple it is given, in one of two
+    generations, so two clauses count as one only if they are equal.
+    Memory grows with the clauses actually seen, up to GEN_WORDS words per
+    generation.  A record costs its length plus two, for its tuple header
+    and set slot: at plus one, a generation of binary clauses crossed a set
+    resize and a filter peaked at 8.9 MiB.  An insert that would overfill
+    the current generation retires it first, so without forgetting a
+    non-unit clause becomes admittable again after one to two generations
+    of newer distinct clauses.
     Forgetting is probabilistic with a half life: each call removes each
     unit with probability 1/2 and retires one generation, so a non-unit
-    clause becomes admittable again after at most two calls.
+    clause becomes admittable again after at most two calls.  The units'
+    coins are drawn in ascending signed-literal order, not key order, as
+    the pinned forgetting trace requires.
 
     Single-owner: exactly one execution context may mutate a filter.
     """
@@ -256,37 +224,38 @@ class ClauseFilter:
         self._old: set[tuple[int, ...]] = set()
         self._words = 0  # words held by _cur
 
-    def _test_and_add(self, lits: tuple[int, ...]) -> bool:
+    def _test_and_add(self, keys: tuple[int, ...]) -> bool:
         """Return True iff the clause was absent; inserts it either way."""
-        if len(lits) == 1:
-            (lit,) = lits
-            if lit in self.unit_set:
+        if len(keys) == 1:
+            (key,) = keys
+            if key in self.unit_set:
                 return False
-            self.unit_set.add(lit)
+            self.unit_set.add(key)
             return True
-        if lits in self._cur:
+        if keys in self._cur:
             return False
-        cost = len(lits) + 2
+        cost = len(keys) + 2
         self._words += cost
         if self._words > self.GEN_WORDS:
             self._old = self._cur
             self._cur = set()
             self._words = cost
-        self._cur.add(lits)
-        return lits not in self._old
+        self._cur.add(keys)
+        return keys not in self._old
 
     # -- public surface ----------------------------------------------------
-    def register_export(self, lits: tuple[int, ...]) -> bool:
+    def register_export(self, keys: tuple[int, ...]) -> bool:
         """Admit a locally learned clause; False if it was already seen."""
-        return self._test_and_add(lits)
+        return self._test_and_add(keys)
 
-    def check_import(self, lits: tuple[int, ...]) -> bool:
+    def check_import(self, keys: tuple[int, ...]) -> bool:
         """Admit an incoming clause; False blocks re-import of known ones."""
-        return self._test_and_add(lits)
+        return self._test_and_add(keys)
 
     def forget_half(self, rng: Random) -> None:
         """Half-life step: drop each unit with p=1/2, retire one generation."""
-        kept = {u for u in sorted(self.unit_set) if rng.getrandbits(1)}
+        kept = {u for u in sorted(self.unit_set, key=lambda k: -(k >> 1) if k & 1 else k >> 1)
+                if rng.getrandbits(1)}  # one coin per unit, in signed-literal order
         self.unit_set = kept
         self._old = self._cur
         self._cur = set()

@@ -413,9 +413,9 @@ class WorkerPE(BasePE):
     def _make_export(self, node: JobNode, slot: SolverSlot):
         sink, filt = node.sink, slot.filt
 
-        def export_fn(lits):
-            if filt.register_export(lits) and len(sink) < SINK_CAP:
-                sink.append(lits)
+        def export_fn(keys):
+            if filt.register_export(keys) and len(sink) < SINK_CAP:
+                sink.append(keys)
         return export_fn
 
     def _make_import(self, slot: SolverSlot):
@@ -423,11 +423,11 @@ class WorkerPE(BasePE):
 
         def import_fn():
             while True:
-                lits = ring.try_pop()
-                if lits is None:
+                keys = ring.try_pop()
+                if keys is None:
                     return None
-                if filt.check_import(lits):
-                    return lits
+                if filt.check_import(keys):
+                    return keys
         return import_fn
 
     def _release_child(self, node: JobNode, cx: int) -> None:
@@ -563,11 +563,9 @@ class WorkerPE(BasePE):
         self.ctx.set_timer(self.shared.share_us, "share", job)
 
     def _drain_exports(self, node: JobNode) -> list[int]:
-        out = []
-        sink = node.sink
-        while sink:
-            out.append(sink.popleft())
-        return serialize(out, buffer_limit(1, self.shared.cfg))
+        buf = serialize(node.sink, buffer_limit(1, self.shared.cfg))
+        node.sink.clear()
+        return buf
 
     def _prune_epochs(self, node: JobNode, n: int) -> None:
         for old in [e for e in node.epochs if e <= n - 4]:
@@ -651,8 +649,8 @@ class WorkerPE(BasePE):
         for slot in node.slots:
             if slot.ring is None:
                 continue
-            for lits in clauses:
-                slot.ring.try_push(lits)
+            for keys in clauses:
+                slot.ring.try_push(keys)
 
     # -- results -----------------------------------------------------------
     def _solver_finished(self, node: JobNode, slot: SolverSlot, verdict: str,

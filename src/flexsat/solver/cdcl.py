@@ -8,10 +8,11 @@ clause export fires as clauses are learned.
 
 Inside the kernel a literal is its code 2*|lit| + (lit < 0), the
 formula's literal_key (MiniSat's encoding): negation is code ^ 1, the
-variable is code >> 1, and val/watches are indexed by code.  Signed
-literals appear only at the boundary: formula clauses are copied from
-Cnf.codes at construction, imports are encoded as they are drained,
-exports are decoded, and the model is read back per variable.
+variable is code >> 1, and val/watches are indexed by code.  Shared
+clauses cross the boundary in the same codes: an export is the learned
+clause's sorted codes, an import is read code by code, and the exchange
+layer keeps them as such key tuples.  Formula clauses are copied from
+Cnf.codes at construction, and the model is read back per variable.
 """
 from __future__ import annotations
 
@@ -302,10 +303,8 @@ class CdclSolver:
             self._enqueue(learnt[0], learnt)
         self.stats.learned += 1
         if self.export_fn is not None and len(learnt) <= EXPORT_MAX_LEN:
-            # code order is canonical order; decode to signed literals
-            canon = tuple([-(c >> 1) if c & 1 else c >> 1 for c in sorted(learnt)])
             self.stats.exported += 1
-            self.export_fn(canon)
+            self.export_fn(tuple(sorted(learnt)))
         self.var_inc /= self.params.decay
 
     def _backtrack(self, lvl: int) -> None:
@@ -374,14 +373,13 @@ class CdclSolver:
             return None
         val = self.val
         while True:
-            lits = self.import_fn()
-            if lits is None:
+            codes = self.import_fn()
+            if codes is None:
                 return None
             self.stats.imported += 1
             live = []
             satisfied = False
-            for lit in lits:
-                c = 2 * lit if lit > 0 else 1 - 2 * lit  # literal_key
+            for c in codes:
                 v = val[c]
                 if v > 0:
                     satisfied = True

@@ -1,6 +1,6 @@
 """Bounded FIFO of incoming clauses for one solver.
 
-Records are the pushed literal tuples themselves, held in a deque: one
+Records are the pushed key tuples themselves, held in a deque: one
 tuple decoded from a sharing buffer sits in the queue of every solver of
 that node, with no per-slot copy in or out, so a queue holds only what it
 carries.  Capacity counts words: a record costs one length word plus its

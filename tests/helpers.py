@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the production algorithms: satisfiability
 is decided by exhaustive truth tables, buffer limits by arbitrary
-precision arithmetic with exact branches for the rational cases, merges
-by decode-everything-and-redo, volumes by bisection on the water level.
+precision arithmetic with exact branches for the rational cases, buffers
+by a clause-by-clause writer over signed literal tuples, merges by
+decode-everything-and-redo, volumes by bisection on the water level.
 Two exceptions are earlier production code, kept as exact differential
 oracles: `segment_scan_volumes`, the quadratic volume search, and
 `oracle_parse_dimacs`, the line-by-line DIMACS scanner.
@@ -15,7 +16,7 @@ from random import Random
 
 import mpmath as mp
 
-from flexsat.exchange import buffer_limit, serialize
+from flexsat.exchange import buffer_limit
 from flexsat.formula import Cnf, DimacsError, canonical_literals, literal_key
 from flexsat.runtime import ClusterConfig
 from flexsat.sched import JobInfo
@@ -43,7 +44,7 @@ def random_kcnf(rng: Random, n: int, m: int, k: int) -> Cnf:
 def rand_clauses(rng: Random, count: int, max_var: int = 40,
                  max_len: int = 6) -> list[tuple[int, ...]]:
     """Random canonical literal tuples of 1..max_len distinct variables,
-    repeats allowed: the clause form the exchange layer carries."""
+    repeats allowed: the clause form a flat buffer holds."""
     out = []
     for _ in range(count):
         k = rng.randrange(1, max_len + 1)
@@ -55,6 +56,27 @@ def rand_clauses(rng: Random, count: int, max_var: int = 40,
 def clause_order(lits: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Sort key of a canonical clause in a buffer: length, then literal_key codes."""
     return len(lits), tuple(map(literal_key, lits))
+
+
+def clause_keys(lits) -> tuple[int, ...]:
+    """A canonical literal tuple as the exchange layer carries it: its literal keys."""
+    return tuple(map(literal_key, lits))
+
+
+def key_literal(key: int) -> int:
+    """Signed literal of a literal key, 2*|lit| + (lit < 0)."""
+    return -(key >> 1) if key & 1 else key >> 1
+
+
+def rand_keys(rng: Random, count: int, max_var: int = 40,
+              max_len: int = 6) -> list[tuple[int, ...]]:
+    """rand_clauses as literal_key tuples, the clause form the exchange layer carries."""
+    return [clause_keys(c) for c in rand_clauses(rng, count, max_var, max_len)]
+
+
+def key_order(keys: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Sort key of a key tuple in a buffer: length, then the keys; clause_order's twin."""
+    return len(keys), keys
 
 
 def php_cnf(holes: int) -> Cnf:
@@ -291,33 +313,39 @@ def limit_oracle(u: int, alpha: Fraction, beta: int) -> int:
 # merge oracle
 
 
+def serialize_oracle(clauses, limit: int | None = None) -> list[int]:
+    """Reference serialize over signed literal tuples: sort the whole set by
+    clause_order, then write clause by clause until one would pass the limit."""
+    out: list[int] = []
+    head = 0
+    cur_len = 0
+    for lits in sorted(set(clauses), key=clause_order):
+        n = len(lits)
+        cost = n + (n - cur_len if n > cur_len else 0)  # zero counts for skipped lengths + own
+        if limit is not None and len(out) + cost > limit:
+            break
+        while cur_len < n:
+            cur_len += 1
+            head = len(out)
+            out.append(0)
+        out[head] += 1
+        out.extend(lits)
+    return out
+
+
 def merge_oracle(buffers, own_export, cfg: ClusterConfig) -> tuple[list[int], int]:
     """Decode everything, dedup, sort, refill greedily under the limit.
 
     Mirrors the documented contract (whole clauses, stop at the first
-    clause that does not fit) without reusing the streaming merge.
+    clause that does not fit) without reusing merge or serialize.
     """
     from flexsat.exchange import deserialize
 
     u_out = 1 + sum(u for _, u in buffers)
-    limit = buffer_limit(u_out, cfg)
-    seen = set()
-    clauses = []
-    for buf, _u in list(buffers) + [(own_export, 1)]:
-        for lits in deserialize(buf):
-            if lits not in seen:
-                seen.add(lits)
-                clauses.append(lits)
-    clauses.sort(key=clause_order)
-    out: list[int] = []
-    kept: list[tuple[int, ...]] = []
-    for c in clauses:
-        trial = serialize(kept + [c])
-        if len(trial) > limit:
-            break
-        kept.append(c)
-        out = trial
-    return out, u_out
+    clauses = {tuple(map(key_literal, keys))
+               for buf, _u in list(buffers) + [(own_export, 1)]
+               for keys in deserialize(buf)}
+    return serialize_oracle(clauses, buffer_limit(u_out, cfg)), u_out
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from random import Random
 
 import pytest
 
-from helpers import (clause_order, crafted_corpus, limit_oracle, merge_oracle,
-                     oracle_verdict, rand_clauses, random_3cnf, volume_oracle,
+from helpers import (crafted_corpus, key_order, limit_oracle, merge_oracle,
+                     oracle_verdict, rand_keys, random_3cnf, volume_oracle,
                      water_shares)
 from flexsat.exchange import (ClauseFilter, buffer_from_bytes, buffer_limit,
                               buffer_to_bytes, deserialize, merge, serialize)
@@ -79,10 +79,10 @@ def test_c02_codec_and_merge_exact(capsys):
     with criterion(capsys, 2, "buffer codec and 3-way merge") as c:
         rng = Random(2001)
         for trial in range(10_000):
-            cs = rand_clauses(rng, rng.randrange(0, 25))
+            cs = rand_keys(rng, rng.randrange(0, 25))
             buf = serialize(cs)
             back = deserialize(buf)
-            assert back == sorted(set(cs), key=clause_order), f"roundtrip trial {trial}"
+            assert back == sorted(set(cs), key=key_order), f"roundtrip trial {trial}"
             assert serialize(back) == buf, f"fixpoint trial {trial}"
             if trial % 10 == 0:
                 assert buffer_from_bytes(buffer_to_bytes(buf)) == buf
@@ -91,9 +91,9 @@ def test_c02_codec_and_merge_exact(capsys):
         for trial in range(1_000):
             cfg = ClusterConfig(alpha=rng.choice([0.5, 0.75, 0.875, 1.0]),
                                 beta=rng.choice([20, 40, 80, 400]))
-            buffers = [(serialize(rand_clauses(rng, rng.randrange(0, 25))),
+            buffers = [(serialize(rand_keys(rng, rng.randrange(0, 25))),
                         rng.randrange(1, 6)) for _ in range(2)]
-            own = serialize(rand_clauses(rng, rng.randrange(0, 25)))
+            own = serialize(rand_keys(rng, rng.randrange(0, 25)))
             got = merge(buffers, own, cfg)
             assert got == merge_oracle(buffers, own, cfg), f"merge trial {trial}"
         c["detail"] = "10000 roundtrips exact, 1000 merges bit-equal to oracle"

@@ -6,13 +6,15 @@ from random import Random
 
 import pytest
 
-from flexsat.exchange import (BufferFormatError, ClauseFilter, _stream, _write,
-                              buffer_from_bytes, buffer_limit, buffer_to_bytes,
-                              deserialize, merge, serialize)
-from flexsat.formula import canonical_literals, literal_key
+from flexsat.exchange import (BufferFormatError, ClauseFilter, buffer_from_bytes,
+                              buffer_limit, buffer_to_bytes, deserialize, merge,
+                              serialize)
+from flexsat.formula import canonical_literals
 from flexsat.runtime import ClusterConfig
 from flexsat.solver import cdcl_solve
-from helpers import clause_order, limit_oracle, merge_oracle, rand_clauses, random_3cnf
+from helpers import (clause_keys, clause_order, key_literal, key_order, limit_oracle,
+                     merge_oracle, rand_clauses, rand_keys, random_3cnf,
+                     serialize_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -70,19 +72,24 @@ def test_buffer_limit_reads_cluster_config_defaults():
 # codec
 
 
+def keys_of(*clauses):
+    """Signed literal tuples as the key tuples serialize takes."""
+    return [clause_keys(c) for c in clauses]
+
+
 def test_serialize_known_layout():
-    cs = [(1,), (2, -3), (1, 2, 3)]
+    cs = keys_of((1,), (2, -3), (1, 2, 3))
     assert serialize(cs) == [1, 1, 1, 2, -3, 1, 1, 2, 3]
 
 
 def test_serialize_zero_counts_only_before_longer_groups():
-    assert serialize([(1, 2, 3)]) == [0, 0, 1, 1, 2, 3]
-    assert serialize([(4,)]) == [1, 4]
+    assert serialize(keys_of((1, 2, 3))) == [0, 0, 1, 1, 2, 3]
+    assert serialize(keys_of((4,))) == [1, 4]
     assert serialize([]) == []
 
 
 def test_serialize_limit_counts_headers():
-    cs = [(1,), (2,), (1, 2)]
+    cs = keys_of((1,), (2,), (1, 2))
     # the binary clause costs 2 literals + 1 new group header = 3 more
     assert serialize(cs, limit=3) == [2, 1, 2]
     assert serialize(cs, limit=5) == [2, 1, 2]
@@ -90,22 +97,20 @@ def test_serialize_limit_counts_headers():
 
 
 def test_serialize_orders_canonically():
-    cs = [(-1, 5), (2,), (-1, 3)]
+    cs = keys_of((-1, 5), (2,), (-1, 3))
     assert serialize(cs) == [1, 2, 2, -1, 3, -1, 5]
 
 
-def serialize_full_sort(clauses, limit=None):
-    """Reference serialize: sort the whole clause set, then write under the limit."""
-    return _write(sorted(set(clauses), key=clause_order), limit)
-
-
 def test_serialize_matches_full_sort():
+    """serialize of key tuples writes what the clause-by-clause writer
+    writes for the same clauses as signed literal tuples, at every limit."""
     rng = Random(606)
     mid_cuts = 0
     for _ in range(300):
         cs = rand_clauses(rng, rng.randrange(0, 60), max_len=8)
         cs += cs[:rng.randrange(0, 5)]  # duplicates collapse
-        full = serialize_full_sort(cs)
+        keys = keys_of(*cs)
+        full = serialize_oracle(cs)
         limits = [None, 0, len(full), len(full) - 1, rng.randrange(len(full) + 2)]
         ordered = sorted(set(cs), key=clause_order)
         same_len = [i for i in range(len(ordered) - 1)
@@ -114,23 +119,23 @@ def test_serialize_matches_full_sort():
             # one literal short of a group's next clause: the cut falls
             # inside that group, after its first i + 1 clauses overall
             i = rng.choice(same_len)
-            prefix = serialize_full_sort(ordered[:i + 1])
+            prefix = serialize_oracle(ordered[:i + 1])
             cut = len(prefix) + len(ordered[i + 1]) - 1
-            assert serialize(cs, cut) == prefix
+            assert serialize(keys, cut) == prefix
             limits.append(cut)
             mid_cuts += 1
         for limit in limits:
-            assert serialize(cs, limit) == serialize_full_sort(cs, limit), limit
+            assert serialize(keys, limit) == serialize_oracle(cs, limit), limit
     assert mid_cuts > 200
 
 
 def test_roundtrip_randomized():
     rng = Random(202)
     for _ in range(300):
-        cs = rand_clauses(rng, rng.randrange(0, 40))
+        cs = rand_keys(rng, rng.randrange(0, 40))
         buf = serialize(cs)
         back = deserialize(buf)
-        assert back == sorted(set(cs), key=clause_order)
+        assert back == sorted(set(cs), key=key_order)
         assert serialize(back) == buf
 
 
@@ -225,19 +230,38 @@ def test_groups_decode_like_per_clause_oracle():
     rng = Random(808)
     faults = set()
     for trial in range(1500):
-        cs = rand_clauses(rng, rng.randrange(1, 40), max_var=rng.choice((8, 40)))
+        cs = rand_keys(rng, rng.randrange(1, 40), max_var=rng.choice((8, 40)))
         buf = serialize(cs)
         for _ in range(trial % 3):  # 0, 1 or 2 edits
             buf = mutate(rng, buf) if buf else buf
         want = decode_or_error(stream_per_clause, buf)
-        assert decode_or_error(_stream, buf) == want
+        got = decode_or_error(deserialize, buf)
         if isinstance(want, str):
+            assert got == want
             faults.add(want.split()[0])
             with pytest.raises(BufferFormatError):
                 merge([(buf, 1)], [], ClusterConfig())
         else:
-            assert deserialize(buf) == [lits for _n, _k, lits in want]
+            assert got == [keys for _n, keys, _lits in want]
     assert faults == {"negative", "truncated", "zero", "clause", "group"}
+
+
+@pytest.mark.parametrize("tail,match", [
+    ([1, 0, 5], "zero literal"),
+    ([1, 5, 4], "not canonical"),
+    ([2, 4, 5, 1, 2], "group not in canonical order"),
+], ids=["zero", "clause", "group"])
+def test_merge_checks_groups_past_the_limit(tail, match):
+    """merge decodes every input group in full, also those past the
+    truncation point, and refuses a bad one as deserialize does."""
+    buf = [3, 1, 2, 3] + tail  # three units, then a bad binary group
+    cfg = ClusterConfig(alpha=1.0, beta=1)  # limit 2: one unit fits
+    with pytest.raises(BufferFormatError, match=match) as by_deserialize:
+        deserialize(buf)
+    with pytest.raises(BufferFormatError, match=match) as by_merge:
+        merge([(buf, 1)], [], cfg)
+    assert str(by_merge.value) == str(by_deserialize.value)
+    assert merge([([3, 1, 2, 3], 1)], [], cfg) == ([1, 1], 2)
 
 
 def test_bytes_roundtrip():
@@ -262,16 +286,16 @@ def test_merge_matches_oracle_randomized():
                             beta=rng.choice([20, 40, 80, 400]))
         buffers = []
         for _ in range(rng.randrange(0, 4)):
-            cs = rand_clauses(rng, rng.randrange(0, 25))
+            cs = rand_keys(rng, rng.randrange(0, 25))
             buffers.append((serialize(cs), rng.randrange(1, 6)))
-        own = serialize(rand_clauses(rng, rng.randrange(0, 25)))
+        own = serialize(rand_keys(rng, rng.randrange(0, 25)))
         got = merge(buffers, own, cfg)
         assert got == merge_oracle(buffers, own, cfg), trial
 
 
 def test_merge_dedups_across_sources():
     cfg = ClusterConfig(alpha=1.0, beta=100)
-    c = (3, -5)
+    c = clause_keys((3, -5))
     buf = serialize([c])
     out, u_out = merge([(buf, 1), (buf, 1)], buf, cfg)
     assert u_out == 3
@@ -280,7 +304,7 @@ def test_merge_dedups_across_sources():
 
 def test_merge_truncates_whole_clauses():
     cfg = ClusterConfig(alpha=1.0, beta=2)  # limit = u_out * 2
-    cs = [(1,), (2,), (3,), (1, 2)]
+    cs = keys_of((1,), (2,), (3,), (1, 2))
     out, u_out = merge([], serialize(cs), cfg)
     assert u_out == 1
     # limit 2 admits the header plus one unit; nothing longer sneaks in
@@ -296,15 +320,13 @@ def test_merge_empty_inputs():
 # streams and filters
 
 
-def test_stream_keys_are_literal_keys():
+def test_deserialize_returns_literal_keys():
     rng = Random(17)
     cs = rand_clauses(rng, 300)
-    buf = serialize(cs)
-    got = [(length, keys, lits) for length, keys, lits in _stream(buf)]
-    assert [lits for _l, _k, lits in got] == sorted(set(cs), key=clause_order)
-    for length, keys, lits in got:
-        assert (length, keys) == clause_order(lits)
-        assert keys == tuple(literal_key(l) for l in lits)
+    buf = serialize(keys_of(*cs))
+    ordered = sorted(set(cs), key=clause_order)
+    assert buf == serialize_oracle(cs)
+    assert deserialize(buf) == keys_of(*ordered)
 
 
 def test_filter_units_are_exact():
@@ -413,10 +435,10 @@ def test_filter_nonunits_are_exact():
 
 def test_filter_matches_generation_oracle():
     """Across overfull generations and forget_half calls, the filter admits a
-    canonical tuple exactly when a plain two-generation model does: units in
-    one set, halved in sorted order one random bit each; a non-unit costs its
-    length plus two words, and an insert that would overfill the current
-    generation retires it first."""
+    key tuple exactly when a plain two-generation model does: units in one
+    set, halved in signed-literal order one random bit each; a non-unit
+    costs its length plus two words, and an insert that would overfill the
+    current generation retires it first."""
     f = ClauseFilter()
     f.GEN_WORDS = 40
     units: set[int] = set()
@@ -424,10 +446,10 @@ def test_filter_matches_generation_oracle():
     old: set[tuple[int, ...]] = set()
     words = 0
     rng, f_rng, o_rng = Random(35), Random(6), Random(6)
-    for op, c in enumerate(rand_clauses(rng, 3000, max_var=10, max_len=3)):
+    for op, c in enumerate(rand_keys(rng, 3000, max_var=10, max_len=3)):
         if op % 250 == 249:
             f.forget_half(f_rng)
-            units = {u for u in sorted(units) if o_rng.getrandbits(1)}
+            units = {u for u in sorted(units, key=key_literal) if o_rng.getrandbits(1)}
             old, cur, words = cur, set(), 0
         if len(c) == 1:
             want = c[0] not in units

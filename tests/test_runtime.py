@@ -826,12 +826,22 @@ def multi_cnf_sharing_run():
                    max_jobs=3).run()
 
 
+def forgetting_mono_run():
+    """Slow simulated solvers whose filters forget every 10 ms: forget_half
+    draws its unit coins in signed-literal order, and the trace shows it."""
+    cfg = ClusterConfig(num_pes=8, threads=2, seed=1, share_period_s=0.02,
+                        timeout_s=30.0, cdcl_rate=1.0, sls_rate=20.0,
+                        filter_halflife_s=0.01)
+    return mono_mode(random_3cnf(Random(3), 120, 515), cfg)
+
+
 @pytest.mark.parametrize("run,digest", [
     (criterion9_run, "fc67f44270b149c74ec24877ac69e17cdb198c816e21e1c28db55c562f1a4532"),
     (eviction_run, "fb39a0284b0d1a6e944082365474fc1833b0545e5c6f1889e50587e6178957d0"),
     (sharing_mono_run, "106361b4c59be5de0eb2a49a13965756f8e0cd465635f9fd22d480aa60bf2a8d"),
     (multi_cnf_sharing_run, "4030f505bdaaa94201d14909e4380ebe67fb21c5e13554b16ee8c3beca56f82a"),
-], ids=["criterion9", "eviction", "sharing_mono", "multi_cnf_sharing"])
+    (forgetting_mono_run, "9670a805afc18579964f386917f8b7fa42d6aff11bc33644e263ad10656c70c6"),
+], ids=["criterion9", "eviction", "sharing_mono", "multi_cnf_sharing", "forgetting_mono"])
 def test_trace_digests_pinned(run, digest):
     """Simulated traces are part of the contract: a refactor must keep them byte-exact.
 

@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from flexsat.formula import Cnf, canonical_literals, check_model
+from flexsat.formula import Cnf, check_model
 from flexsat.solver import (CDCL_PRESETS, PORTFOLIO_CYCLE, SAT, UNSAT,
                             CdclParams, CdclSolver, ImportRing, SlsParams,
                             SlsSolver, cdcl_solve, make_portfolio_config,
@@ -16,7 +16,7 @@ from flexsat.solver import (CDCL_PRESETS, PORTFOLIO_CYCLE, SAT, UNSAT,
 from flexsat.solver import cdcl as cdcl_mod
 from flexsat.solver.sls import _below, _preprocess
 from flexsat.util import luby
-from helpers import oracle_verdict, php_cnf, random_3cnf, xor_chain_cnf
+from helpers import clause_keys, oracle_verdict, php_cnf, random_3cnf, xor_chain_cnf
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ def test_cdcl_step_interface():
 
 
 def test_cdcl_import_falsified_unit_gives_unsat():
-    pending = [(-1,)]
+    pending = [clause_keys((-1,))]
     res = cdcl_solve(Cnf.from_clauses(2, [[1]]),
                      import_fn=lambda: pending.pop() if pending else None)
     assert res.verdict == UNSAT
@@ -106,7 +106,7 @@ def test_cdcl_import_falsified_unit_gives_unsat():
 
 
 def test_cdcl_import_shapes_model():
-    pending = [(-1,)]
+    pending = [clause_keys((-1,))]
     res = cdcl_solve(Cnf.from_clauses(2, [[1, 2]]),
                      import_fn=lambda: pending.pop() if pending else None)
     assert res.verdict == SAT
@@ -118,17 +118,14 @@ def test_cdcl_export_learned_clauses():
     got: list[tuple[int, ...]] = []
     res = cdcl_solve(cnf, seed=3, export_fn=got.append)
     assert res.stats.exported == len(got) > 0
-    for lits in got:
-        assert len(lits) <= 30
-        assert list(lits) == sorted(lits, key=lambda l: (abs(l), l < 0))
+    for keys in got:
+        assert len(keys) <= 30
+        assert list(keys) == sorted(keys)
 
 
-def _decode(code):
-    """Signed literal of a kernel literal code, 2*|lit| + (lit < 0)."""
-    return -(code >> 1) if code & 1 else code >> 1
-
-
-def test_cdcl_exports_canonical_signed_tuples(monkeypatch):
+def test_cdcl_exports_sorted_key_tuples(monkeypatch):
+    """An export is the learned clause's codes, sorted: its literal_key
+    tuple, in canonical order, with no decoding."""
     monkeypatch.setattr(cdcl_mod, "EXPORT_MAX_LEN", 10 ** 9)  # export every learned clause
     cnf = random_3cnf(Random(21), 40, 172)
     learnt_seen, exported = [], []
@@ -136,15 +133,15 @@ def test_cdcl_exports_canonical_signed_tuples(monkeypatch):
     learn = s._learn
 
     def recording_learn(learnt, bt, lbd):
-        learnt_seen.append([_decode(c) for c in learnt])
+        learnt_seen.append(list(learnt))
         learn(learnt, bt, lbd)
     s._learn = recording_learn
     s.step(sys.maxsize)
     assert len(exported) == len(learnt_seen) > 20
-    for lits, learnt in zip(exported, learnt_seen):
-        assert type(lits) is tuple and lits == canonical_literals(learnt)
-    assert any(l < 0 for lits in exported for l in lits)
-    assert any(l > 0 for lits in exported for l in lits)
+    for keys, learnt in zip(exported, learnt_seen):
+        assert type(keys) is tuple and keys == tuple(sorted(learnt))
+    assert any(k & 1 for keys in exported for k in keys)  # a negative literal
+    assert any(not k & 1 for keys in exported for k in keys)  # a positive one
 
 
 # Level 0 after the formula's units: 1 true, 2 false; 3, 4, 5 free.
@@ -152,7 +149,8 @@ IMPORT_CNF = Cnf.from_clauses(5, [[1], [-2], [3, 4, 5]])
 
 
 def _import_run(*clauses):
-    pending = list(reversed(clauses))
+    """Solve IMPORT_CNF importing the given signed clauses as literal_key tuples."""
+    pending = [clause_keys(c) for c in reversed(clauses)]
     return cdcl_solve(IMPORT_CNF, CdclParams(phase="pos"),
                       import_fn=lambda: pending.pop() if pending else None)
 
