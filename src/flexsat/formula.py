@@ -180,7 +180,7 @@ def parse_dimacs(source: str | bytes) -> Cnf:
         _raise_first_fault(lines)
     if toks and (toks[-1] or max(toks) > num_vars or -min(toks) > num_vars):
         _raise_first_fault(lines)
-    count = zeros = toks.count(0)
+    zeros = toks.count(0)
     buf: list[int] = []
     for lits in _runs(toks, zeros, 0):
         lits.sort(key=abs)  # a fresh slice of toks
@@ -193,19 +193,16 @@ def parse_dimacs(source: str | bytes) -> Cnf:
     var += map(abs, buf)
     if any(map(eq, var, islice(var, 1, None))):
         # Rare: rebuild clause by clause, dropping duplicates and tautologies.
-        buf, count = [], 0
-        for lits in _runs(toks, zeros, 0):
-            if not lits:
-                _raise_first_fault(lines)  # an empty clause
-            canon = canonical_literals(lits)
-            if canon is not None:
-                buf += canon
-                buf.append(0)
-                count += 1
-    if declared != count:
+        try:
+            cnf = Cnf.from_clauses(num_vars, _runs(toks, zeros, 0))
+        except ValueError:
+            _raise_first_fault(lines)  # an empty clause
+    else:
+        cnf = Cnf(num_vars, tuple(buf), zeros)
+    if declared != cnf.num_clauses:
         log.warning("header declared %d clauses, parsed %d (tautologies dropped?)",
-                    declared, count)
-    return Cnf(num_vars, tuple(buf), count)
+                    declared, cnf.num_clauses)
+    return cnf
 
 
 def _read_header(line: str, lineno: int) -> tuple[int, int]:

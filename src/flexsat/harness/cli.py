@@ -109,7 +109,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if verdict == "SAT":
         print("s SATISFIABLE")
         model = report.models.get(job)
-        if model:
+        if model is not None:  # {} for a formula with no variables: "v 0"
             _print_model(model)
         return EXIT_SAT
     if verdict == "UNSAT":

@@ -94,7 +94,6 @@ class SolverSlot:
         self.ring = ring
         self.filt = filt
         self.forget_rng = forget_rng
-        self.next_forget_us: Optional[int] = None
 
 
 @dataclass(eq=False)
@@ -111,6 +110,7 @@ class JobNode:
     requested: set[int] = field(default_factory=set)     # child indices with a request in flight
     volume: int = 0
     slots: Optional[list[SolverSlot]] = None
+    next_forget_us: Optional[int] = None   # when the slots' filters next forget
     sink: deque = field(default_factory=deque)
     epochs: dict[int, EpochState] = field(default_factory=dict)
     share_count: int = 0
@@ -229,7 +229,6 @@ class WorkerPE(BasePE):
         super().__init__(ctx, shared)
         self.neighbors = neighbors
         self.nodes: dict[tuple[int, int], JobNode] = {}
-        self.occupied: Optional[tuple[int, int]] = None
         self._step_on = False
         # SolverStats of every slot this PE started; not the slot itself,
         # so a torn-down node frees its solvers and filters.
@@ -252,7 +251,7 @@ class WorkerPE(BasePE):
         node = self.nodes.get((req.job, req.x))
         # A hint for child x lives on its parent node, if this PE holds it.
         pnode = self.nodes.get((req.job, parent_index(req.x))) if req.x else None
-        idle = self.occupied is None
+        idle = self._seat() is None
         holds = node is not None and node.state == SUSPENDED
         view = PeView(self.pe_id, idle, holds, idle and self._cache_admits(),
                       pnode.hints.get(req.x) if pnode is not None else None,
@@ -265,10 +264,18 @@ class WorkerPE(BasePE):
         else:  # park or forward: both just move the request along
             self.send(dec.dst, tp.JOB_REQUEST, req.job, {"req": req})
 
+    def _seat(self) -> Optional[JobNode]:
+        """The one node holding this PE: pending, active, or a root suspended
+        by deferral, which keeps its seat so it can resume in place."""
+        for node in self.nodes.values():
+            if node.state != SUSPENDED or node.x == 0:
+                return node
+        return None
+
     def _evictable(self) -> list[tuple[int, int, int]]:
         """(last_active, job, x) of the cached nodes an adoption may evict."""
         return [(n.last_active, n.job, n.x) for n in self.nodes.values()
-                if n.state == SUSPENDED and not n.epochs and n.key != self.occupied]
+                if n.state == SUSPENDED and n.x != 0 and not n.epochs]
 
     def _cache_admits(self) -> bool:
         return len(self.nodes) < CACHE_SIZE or bool(self._evictable())
@@ -293,7 +300,6 @@ class WorkerPE(BasePE):
         node.parent_pe = req.origin
         node.last_active = self.ctx.now_us()
         self.nodes[node.key] = node
-        self.occupied = node.key
         self.send(req.origin, tp.ADOPT_ACK, req.job, {"x": req.x, "mode": "fresh"})
         self.log("ADOPT", req.job, f"x={req.x} mode=fresh hops={req.hops}")
 
@@ -367,7 +373,6 @@ class WorkerPE(BasePE):
         node.ever_active = True
         node.state = ACTIVE
         node.last_active = self.ctx.now_us()
-        self.occupied = node.key
         self.log("START", node.job, f"x={node.x} mode={mode}")
         desc = node.desc
         if desc is not None and desc.cnf is not None and node.slots is None:
@@ -385,6 +390,8 @@ class WorkerPE(BasePE):
         cfg = self.shared.cfg
         t = throttled_thread_count(desc.cnf.serialized_size, HUGE_SIZE, cfg.threads)
         nonce = derive_seed(cfg.seed, "job", node.job)
+        if self.shared.filter_halflife_us:
+            node.next_forget_us = self.ctx.now_us() + self.shared.filter_halflife_us
         node.slots = []
         for i in range(t):
             scfg = make_portfolio_config(node.x, t, i, nonce)
@@ -402,8 +409,6 @@ class WorkerPE(BasePE):
                 solver = SlsSolver(desc.cnf, scfg.sls, seed=scfg.seed)
                 slot = SolverSlot(i, "sls", solver, None, None, None)
                 slot.done = solver.blocked
-            if self.shared.filter_halflife_us and slot.filt is not None:
-                slot.next_forget_us = self.ctx.now_us() + self.shared.filter_halflife_us
             node.slots.append(slot)
             self.slot_stats.append(slot.solver.stats)
 
@@ -444,9 +449,6 @@ class WorkerPE(BasePE):
             self._release_child(node, cx)
         node.state = SUSPENDED
         node.last_active = self.ctx.now_us()
-        # A deferred root keeps its seat so it can resume in place.
-        if x != 0 and self.occupied == node.key:
-            self.occupied = None
         self.log("SUSPEND", job, f"x={x}{detail}")
 
     def _apply_volume(self, node: JobNode) -> None:
@@ -488,8 +490,6 @@ class WorkerPE(BasePE):
                 dst = node.links.get(cx, node.hints.get(cx))
                 if dst is not None:
                     self.send(dst, tp.ABORT, job, {"x": cx})
-        if self.occupied == node.key:
-            self.occupied = None
         self.log("END", job, f"x={x} reason={reason}")
 
     def _h_abort(self, env: Envelope) -> None:
@@ -505,8 +505,7 @@ class WorkerPE(BasePE):
     # -- balancing hooks ---------------------------------------------------
     def _on_balance_tick(self, k: int) -> None:
         # repair pass: re-emit child requests that got parked or lost
-        key = self.occupied
-        node = self.nodes.get(key) if key else None
+        node = self._seat()
         if node is None or node.state != ACTIVE:
             return
         for cx in child_indices(node.x):
@@ -695,15 +694,6 @@ class WorkerPE(BasePE):
         self._pass_result(node, "DONE", None, None, f"pe{self.pe_id}.x0.synth")
 
     # -- solver driving ----------------------------------------------------
-    def _forget_check(self, slot: SolverSlot) -> None:
-        hl = self.shared.filter_halflife_us
-        if not hl or slot.filt is None or slot.next_forget_us is None:
-            return
-        now = self.ctx.now_us()
-        while now >= slot.next_forget_us:
-            slot.filt.forget_half(slot.forget_rng)
-            slot.next_forget_us += hl
-
     def _ensure_step(self) -> None:
         if not self._step_on:
             self._step_on = True
@@ -711,15 +701,21 @@ class WorkerPE(BasePE):
 
     def _t_step(self, _data) -> None:
         self._step_on = False
-        key = self.occupied
-        node = self.nodes.get(key) if key else None
+        node = self._seat()
         if node is None or node.state != ACTIVE or not node.slots:
             return
+        hl = self.shared.filter_halflife_us
+        if hl:
+            now = self.ctx.now_us()
+            while now >= node.next_forget_us:
+                for slot in node.slots:
+                    if slot.filt is not None and not slot.done:
+                        slot.filt.forget_half(slot.forget_rng)
+                node.next_forget_us += hl
         any_live = False
         for slot in node.slots:
             if slot.done:
                 continue
-            self._forget_check(slot)
             stats = slot.solver.stats
             # A slot moves only one of its two counters, and a budget is >= 1.
             before = stats.conflicts + stats.flips
@@ -730,7 +726,7 @@ class WorkerPE(BasePE):
                 frac = min(1.0, (stats.conflicts + stats.flips - before) / budget)
                 self._solver_finished(node, slot, verdict,
                                       delay_us=int(self.shared.slice_us * frac))
-                if self.nodes.get(key) is not node:
+                if self.nodes.get(node.key) is not node:
                     return  # the node tore itself down
             else:
                 any_live = True
@@ -769,17 +765,18 @@ class ClientPE(BasePE):
         desc = self.descs[job]
         kind = "cnf" if desc.cnf is not None else "synth"
         self.log("INTRO", job, f"pri={desc.priority:g} kind={kind}")
-        if len(self.active) < self.max_jobs:
-            self._introduce(job)
-        else:
-            self.waiting.append(job)
+        self.waiting.append(job)
+        self._admit_next()
 
-    def _introduce(self, job: int) -> None:
-        desc = self.descs[job]
-        self.active.add(job)
-        self._emit_root_request(job)
-        if desc.wallclock_limit_s is not None:
-            self.ctx.set_timer(int(desc.wallclock_limit_s * 1e6), "deadline", job)
+    def _admit_next(self) -> None:
+        """Admit waiting jobs, oldest first, while fewer than max_jobs are active."""
+        while self.waiting and len(self.active) < self.max_jobs:
+            job = self.waiting.pop(0)
+            self.active.add(job)
+            self._emit_root_request(job)
+            limit = self.descs[job].wallclock_limit_s
+            if limit is not None:
+                self.ctx.set_timer(int(limit * 1e6), "deadline", job)
 
     def _emit_root_request(self, job: int) -> None:
         req = JobRequest(job, 0, hops=0, origin=self.pe_id)
@@ -787,10 +784,6 @@ class ClientPE(BasePE):
         self.outstanding.add(job)
         self.log("REQUEST", job, f"x=0 dst={dst}")
         self.send(dst, tp.JOB_REQUEST, job, {"req": req})
-
-    def _admit_next(self) -> None:
-        while self.waiting and len(self.active) < self.max_jobs:
-            self._introduce(self.waiting.pop(0))
 
     def _on_balance_tick(self, k: int) -> None:
         # re-emit requests that came back parked

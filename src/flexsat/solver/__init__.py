@@ -25,24 +25,5 @@ class SolverStats:
     imported: int = 0
 
 
-from .ring import ImportRing  # noqa: E402
-from .config import (  # noqa: E402
-    CdclParams,
-    SlsParams,
-    SolverConfig,
-    CDCL_PRESETS,
-    PORTFOLIO_CYCLE,
-    make_portfolio_config,
-    throttled_thread_count,
-)
-from .cdcl import CdclSolver, cdcl_solve  # noqa: E402
-from .sls import SlsSolver  # noqa: E402
-
-__all__ = [
-    "SAT", "UNSAT", "UNKNOWN",
-    "SolverStats",
-    "ImportRing",
-    "CdclParams", "SlsParams", "SolverConfig", "CDCL_PRESETS",
-    "PORTFOLIO_CYCLE", "make_portfolio_config", "throttled_thread_count",
-    "CdclSolver", "cdcl_solve", "SlsSolver",
-]
+# Last: cdcl imports the names above from this package.
+from .cdcl import cdcl_solve  # noqa: E402

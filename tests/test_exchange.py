@@ -11,7 +11,7 @@ from flexsat.exchange import (BufferFormatError, ClauseFilter, buffer_from_bytes
                               serialize)
 from flexsat.formula import canonical_literals
 from flexsat.runtime import ClusterConfig
-from flexsat.solver import cdcl_solve
+from flexsat.solver.cdcl import cdcl_solve
 from helpers import (clause_keys, clause_order, key_literal, key_order, limit_oracle,
                      merge_oracle, rand_clauses, rand_keys, random_3cnf,
                      serialize_oracle)

@@ -10,7 +10,7 @@ from flexsat import formula as formula_mod
 from flexsat.formula import (Clause, Cnf, DimacsError, ModelError,
                              canonical_literals, check_model, literal_key,
                              parse_dimacs, write_dimacs)
-from flexsat.solver import CdclSolver
+from flexsat.solver.cdcl import CdclSolver
 from helpers import oracle_model, oracle_parse_dimacs, random_3cnf
 
 

@@ -429,6 +429,13 @@ def test_cli_solve_sat(tmp_path, capsys):
     assert check_model(parse_dimacs(SAT_CNF), model)
 
 
+def test_cli_solve_prints_the_empty_model_of_a_formula_with_no_variables(tmp_path, capsys):
+    f = tmp_path / "empty.cnf"
+    f.write_text("p cnf 0 0\n")
+    assert main(["solve", str(f)]) == 10
+    assert capsys.readouterr().out.splitlines() == ["s SATISFIABLE", "v 0"]
+
+
 def test_cli_solve_unsat(tmp_path, capsys):
     f = tmp_path / "unsat.cnf"
     f.write_text(UNSAT_CNF)

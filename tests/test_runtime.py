@@ -20,8 +20,9 @@ from flexsat.runtime import cluster as cluster_mod
 from flexsat.runtime import pe as pe_mod
 from flexsat.runtime import transport as tp
 from flexsat.runtime.transport import RealContext, SimLoop, Trace, WallLoop, format_time_ms
-from flexsat.sched import JobDescriptor, JobRequest
-from flexsat.solver import CdclSolver, SlsSolver, cdcl_solve
+from flexsat.sched import JobDescriptor, JobInfo, JobRequest
+from flexsat.solver.cdcl import CdclSolver, cdcl_solve
+from flexsat.solver.sls import SlsSolver
 from helpers import php_cnf, random_3cnf
 
 
@@ -445,18 +446,27 @@ def test_demand_lines_before_placement_apply_once_the_root_is_placed():
     assert report.jobs[1]["max_volume"] == 2
 
 
-def test_solvers_step_only_while_their_node_is_active(monkeypatch):
+def deferral_cluster():
     """Job 1's demand shrinks and regrows, suspending and resuming its two
     children; then three higher-priority jobs defer its root, which keeps
-    its seat while suspended.  No solver steps while its node is not ACTIVE,
-    and every slot of a resumed node steps again before the node next
-    suspends or ends."""
+    its seat while suspended."""
     descs = [JobDescriptor(job=1, priority=0.3, demand=3, cnf=php_cnf(7))]
     descs += [JobDescriptor(job=j, priority=0.7, arrival_s=0.5, demand=1,
                             synthetic_s=0.3) for j in (2, 3, 4)]
     cfg = ClusterConfig(num_pes=8, threads=2, epsilon=0.5, seed=5,
                         balance_period_s=0.05, timeout_s=1.2, cdcl_rate=1.0)
-    cluster = Cluster(cfg, descs, demand_changes=[(0.2, 1, 1), (0.35, 1, 3)])
+    return Cluster(cfg, descs, demand_changes=[(0.2, 1, 1), (0.35, 1, 3)])
+
+
+def deferral_run():
+    return deferral_cluster().run()
+
+
+def test_solvers_step_only_while_their_node_is_active(monkeypatch):
+    """In the deferral scenario no solver steps while its node is not ACTIVE,
+    and every slot of a resumed node steps again before the node next
+    suspends or ends."""
+    cluster = deferral_cluster()
     events = []  # (kind, pe, node key, slot index or detail), in run order
 
     def spy_step(cls):
@@ -769,6 +779,36 @@ def test_released_child_is_the_first_hop_until_its_parent_goes():
     assert dst in (2, 3, 4) and not req.hint_used
 
 
+def test_a_deferred_root_keeps_its_seat():
+    """The lone worker of a budget-1 cluster hosts job 1's root; job 2 outranks
+    and defers it.  The suspended root keeps the seat, so a request for job 2
+    walks on, and the root resumes in place once job 2 is done."""
+    shared = Cluster(small_cfg(num_pes=2), [synth_job(1, 1.0, 1)]).shared
+    ctx = _Outbox(1)
+    w = pe_mod.WorkerPE(ctx, shared, neighbors=(2, 3))
+
+    def deliver(kind, job, **payload):
+        ctx.sent = []
+        w.on_envelope(Envelope(kind, 0, 1, job, payload))
+        return [e.kind for e in ctx.sent]
+
+    def broadcast(epoch, *events):
+        deliver(tp.EVENT_BROADCAST, None, epoch=epoch, events={e.job: e for e in events})
+
+    assert deliver(tp.JOB_REQUEST, 1, req=JobRequest(1, 0, origin=0)) == [tp.ADOPT_ACK]
+    deliver(tp.JOB_PAYLOAD, 1, x=0, v=0,
+            desc=JobDescriptor(job=1, priority=0.3, synthetic_s=1.0))
+    root = w.nodes[(1, 0)]
+    broadcast(1, JobInfo(1, 0.3, 0.0, 1))
+    assert root.state == pe_mod.ACTIVE
+    broadcast(2, JobInfo(2, 0.7, 0.0, 1))
+    assert root.state == pe_mod.SUSPENDED
+    assert deliver(tp.JOB_REQUEST, 2, req=JobRequest(2, 0, origin=0)) == [tp.JOB_REQUEST]
+    assert list(w.nodes) == [(1, 0)]
+    broadcast(3, JobInfo(2, 0.7, 0.0, 0, 1))
+    assert root.state == pe_mod.ACTIVE
+
+
 def test_equally_old_suspended_nodes_evict_the_lowest_job_first(monkeypatch):
     """Worker PE 1 holds three nodes that suspended at the same instant; an
     adoption into its full cache evicts the one of the lowest job id."""
@@ -911,6 +951,30 @@ def test_one_owner_per_tree_node(run):
     assert done and done == Counter(dict.fromkeys(jobs, 1))
     assert report.aggregates["busy"]
     assert all(busy <= budget for _t, busy, _a in report.aggregates["busy"])
+
+
+@pytest.mark.parametrize("run", [
+    criterion9_run, eviction_run, sharing_mono_run, multi_cnf_sharing_run, deferral_run,
+], ids=["criterion9", "eviction", "sharing_mono", "multi_cnf_sharing", "deferral"])
+def test_one_seat_per_worker(run):
+    """Read from the trace: a worker computes for at most one node.  A node
+    takes its worker's seat on ADOPT or START, only while no other node
+    holds it, and frees it on END or SUSPEND; only the holder suspends, and
+    a suspended root (x=0) keeps the seat, so a deferred root resumes in
+    place and the worker takes no other node meanwhile."""
+    seat: dict[int, tuple[int, int]] = {}  # worker -> the node holding it
+    for _t, pe, kind, job, detail in map(parse_trace_line, run().trace):
+        if kind not in ("ADOPT", "START", "SUSPEND", "END"):
+            continue
+        key = (job, int(detail.split()[0].removeprefix("x=")))
+        if kind in ("ADOPT", "START"):
+            assert seat.setdefault(pe, key) == key, f"{key} seated beside {seat[pe]} on {pe}"
+        elif kind == "SUSPEND":
+            assert seat.get(pe) == key, f"{key} suspended without the seat of {pe}"
+            if key[1] != 0:
+                del seat[pe]
+        elif seat.get(pe) == key:
+            del seat[pe]
 
 
 def test_cluster_reads_no_worker_and_posts_no_timer(monkeypatch):

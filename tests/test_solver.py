@@ -9,12 +9,13 @@ from random import Random
 import pytest
 
 from flexsat.formula import Cnf, check_model
-from flexsat.solver import (CDCL_PRESETS, PORTFOLIO_CYCLE, SAT, UNSAT,
-                            CdclParams, CdclSolver, ImportRing, SlsParams,
-                            SlsSolver, cdcl_solve, make_portfolio_config,
-                            throttled_thread_count)
+from flexsat.solver import SAT, UNSAT
 from flexsat.solver import cdcl as cdcl_mod
-from flexsat.solver.sls import _below, _preprocess
+from flexsat.solver.cdcl import CdclSolver, cdcl_solve
+from flexsat.solver.config import (CDCL_PRESETS, PORTFOLIO_CYCLE, CdclParams, SlsParams,
+                                   make_portfolio_config, throttled_thread_count)
+from flexsat.solver.ring import ImportRing
+from flexsat.solver.sls import SlsSolver, _below, _preprocess
 from flexsat.util import luby
 from helpers import clause_keys, oracle_verdict, php_cnf, random_3cnf, xor_chain_cnf
 

@@ -11,7 +11,9 @@ from random import Random
 
 import pytest
 
-from flexsat.solver import CDCL_PRESETS, CdclSolver, SlsParams, SlsSolver
+from flexsat.solver.cdcl import CdclSolver
+from flexsat.solver.config import CDCL_PRESETS, SlsParams
+from flexsat.solver.sls import SlsSolver
 from helpers import random_3cnf
 
 FORMULAS = {
