@@ -72,9 +72,12 @@ class CdclSolver:
         self.var_inc = 1.0
         # Lazy max-activity heap of (-activity, var).  An entry is current
         # while its activity equals act[var]; in_heap[var] is 1 iff var has
-        # a current entry, and every unassigned variable has one.  Stale
-        # entries are dropped when popped, or all at once by a rebuild when
-        # the heap grows past heap_limit.
+        # a current entry, and every unassigned variable has one.  A bump
+        # leaves var's entry stale and clears in_heap[var]; _backtrack
+        # pushes a fresh entry when it unassigns a variable without one,
+        # as MiniSat's cancelUntil re-inserts.  Stale entries are dropped
+        # when popped, or all at once by a rebuild when the heap grows past
+        # heap_limit.
         self.heap: list[tuple[float, int]] = []
         self.in_heap = bytearray(nv + 1)
         self.heap_limit = HEAP_COMPACT_FACTOR * nv + HEAP_COMPACT_SLACK
@@ -176,27 +179,38 @@ class CdclSolver:
                     wl[j] = lits
                     j += 1
                     continue
-                for k in range(2, len(lits)):
-                    lk = lits[k]
-                    if val[lk] >= 0:
+                # a new watch: lits[2] first, a loop only past a false one
+                n = len(lits)
+                if n > 2:
+                    k = 2
+                    lk = lits[2]
+                    if val[lk] < 0:
+                        k = 0
+                        if n > 3:
+                            for k in range(3, n):
+                                lk = lits[k]
+                                if val[lk] >= 0:
+                                    break
+                            else:
+                                k = 0
+                    if k:
                         lits[1] = lk
                         lits[k] = false_lit
                         watches[lk].append(lits)
                         moved += 1
-                        break
-                else:
-                    wl[j] = lits
-                    j += 1
-                    if fv < 0:
-                        confl = lits
-                        break
-                    # enqueue first, implied by this clause
-                    val[first] = 1
-                    val[first ^ 1] = -1
-                    level_a[first >> 1] = dlevel
-                    reason[first >> 1] = lits
-                    trail.append(first)
-                    props += 1
+                        continue
+                wl[j] = lits
+                j += 1
+                if fv < 0:
+                    confl = lits
+                    break
+                # enqueue first, implied by this clause
+                val[first] = 1
+                val[first ^ 1] = -1
+                level_a[first >> 1] = dlevel
+                reason[first >> 1] = lits
+                trail.append(first)
+                props += 1
             if confl is not None:
                 del wl[j:j + moved]  # keep the untouched tail
                 break
@@ -212,7 +226,6 @@ class CdclSolver:
         level_a = self.level_a
         trail = self.trail
         act = self.act
-        heap = self.heap
         in_heap = self.in_heap
         var_inc = self.var_inc
         rescale = _RESCALE
@@ -235,13 +248,10 @@ class CdclSolver:
                         to_clear.append(v)
                         a = act[v] + var_inc
                         act[v] = a
+                        in_heap[v] = 0  # v's entry is stale; _backtrack pushes it anew
                         if a > rescale:
                             self._rescale()
-                            heap = self.heap
                             var_inc = self.var_inc
-                        else:
-                            heappush(heap, (-a, v))
-                            in_heap[v] = 1
                         if lv >= dlevel:
                             counter += 1
                         else:

@@ -11,7 +11,7 @@ import pytest
 from flexsat.formula import Cnf, check_model
 from flexsat.solver import SAT, UNSAT
 from flexsat.solver import cdcl as cdcl_mod
-from flexsat.solver.cdcl import CdclSolver, cdcl_solve
+from flexsat.solver.cdcl import _RESCALE, CdclSolver, cdcl_solve
 from flexsat.solver.config import (CDCL_PRESETS, PORTFOLIO_CYCLE, CdclParams, SlsParams,
                                    make_portfolio_config, throttled_thread_count)
 from flexsat.solver.ring import ImportRing
@@ -239,7 +239,8 @@ class LazyHeapCdcl(CdclSolver):
         self._enqueue(2 * var + (not self.saved[var]), None)
 
 
-def _decisions(cls, cnf, params, seed, conflicts):
+def _recording(cls, cnf, params, seed):
+    """A solver that appends the literal of each decision to `picked`."""
     solver = cls(cnf, params, seed=seed)
     picked = []
     decide = solver._decide
@@ -248,6 +249,11 @@ def _decisions(cls, cnf, params, seed, conflicts):
         decide()
         picked.append(solver.trail[-1])
     solver._decide = recording_decide
+    return solver, picked
+
+
+def _decisions(cls, cnf, params, seed, conflicts):
+    solver, picked = _recording(cls, cnf, params, seed)
     verdict = solver.step(conflicts)
     return picked, verdict, solver.stats
 
@@ -286,9 +292,12 @@ def test_cdcl_heap_has_one_current_entry_per_unassigned_var():
             assert len(s.heap) == sum(s.val[2 * v] == 0 for v in range(1, s.nv + 1))
             assert_heap_invariant(s)
     s._rebuild_heap = checked_rebuild
-    s.step(300)
+    for _ in range(300):  # bumps stale entries, backtracks push fresh ones
+        verdict = s.step(1)
+        assert_heap_invariant(s)
+        if verdict is not None:
+            break
     assert len(compactions) >= 2
-    assert_heap_invariant(s)
 
 
 @pytest.mark.parametrize("decay", [0.95, 0.99])
@@ -296,7 +305,9 @@ def test_cdcl_heap_stays_bounded(decay):
     """Stale heap entries never pile up: compaction caps the heap near 4*nv."""
     s = CdclSolver(random_3cnf(Random(43), 200, 860),
                    replace(CDCL_PRESETS[0], decay=decay), seed=5)
-    # Between two decisions, one conflict pushes each variable at most once.
+    # Only backtracks push, and only variables with no current entry: the
+    # backtracks of one conflict (a restart's included) push each variable
+    # at most once after the last decision's compaction.
     bound = s.heap_limit + s.nv
     peak = 0
     while s.stats.conflicts < 3000:
@@ -304,6 +315,234 @@ def test_cdcl_heap_stays_bounded(decay):
         peak = max(peak, len(s.heap))
         assert len(s.heap) <= bound
     assert peak > 2 * s.nv  # stale entries did accumulate between compactions
+
+
+class ReferenceKernelCdcl(CdclSolver):
+    """The kernel's earlier `_propagate` and `_analyze`, verbatim: the watch
+    search loops over lits[2:], and every bump pushes a heap entry."""
+
+    def _propagate(self) -> list[int] | None:
+        val = self.val
+        watches = self.watches
+        trail = self.trail
+        level_a = self.level_a
+        reason = self.reason
+        dlevel = self.dlevel
+        qhead = self.qhead
+        props = 0
+        confl = None
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            wl = watches[false_lit]
+            j = moved = 0  # kept watches are compacted into wl[:j]
+            for lits in wl:
+                if lits[0] == false_lit:
+                    lits[0] = lits[1]
+                    lits[1] = false_lit
+                first = lits[0]
+                fv = val[first]
+                if fv > 0:
+                    wl[j] = lits
+                    j += 1
+                    continue
+                for k in range(2, len(lits)):
+                    lk = lits[k]
+                    if val[lk] >= 0:
+                        lits[1] = lk
+                        lits[k] = false_lit
+                        watches[lk].append(lits)
+                        moved += 1
+                        break
+                else:
+                    wl[j] = lits
+                    j += 1
+                    if fv < 0:
+                        confl = lits
+                        break
+                    # enqueue first, implied by this clause
+                    val[first] = 1
+                    val[first ^ 1] = -1
+                    level_a[first >> 1] = dlevel
+                    reason[first >> 1] = lits
+                    trail.append(first)
+                    props += 1
+            if confl is not None:
+                del wl[j:j + moved]  # keep the untouched tail
+                break
+            del wl[j:]
+        self.qhead = qhead
+        self.stats.propagations += props
+        return confl
+
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int, int]:
+        """1-UIP clause, backtrack level, LBD."""
+        seen = self.seen
+        level_a = self.level_a
+        trail = self.trail
+        act = self.act
+        heap = self.heap
+        in_heap = self.in_heap
+        var_inc = self.var_inc
+        rescale = _RESCALE
+        learnt = [0]
+        to_clear: list[int] = []
+        counter = 0
+        p = 0
+        idx = len(trail) - 1
+        dlevel = self.dlevel
+        while True:
+            lits = iter(confl)
+            if p:
+                next(lits)  # a reason clause holds its asserted literal first
+            for q in lits:
+                v = q >> 1
+                if not seen[v]:
+                    lv = level_a[v]
+                    if lv > 0:
+                        seen[v] = 1
+                        to_clear.append(v)
+                        a = act[v] + var_inc
+                        act[v] = a
+                        if a > rescale:
+                            self._rescale()
+                            heap = self.heap
+                            var_inc = self.var_inc
+                        else:
+                            heappush(heap, (-a, v))
+                            in_heap[v] = 1
+                        if lv >= dlevel:
+                            counter += 1
+                        else:
+                            learnt.append(q)
+            while True:
+                p = trail[idx]
+                idx -= 1
+                pv = p >> 1
+                if seen[pv]:
+                    break
+            counter -= 1
+            if counter == 0:
+                break
+            confl = self.reason[pv]  # type: ignore[assignment]
+        learnt[0] = p ^ 1
+
+        # local minimization: drop lits whose reason is subsumed by the rest
+        if len(learnt) > 2:
+            kept = [learnt[0]]
+            reason = self.reason
+            for q in learnt[1:]:
+                r = reason[q >> 1]
+                if r is not None:
+                    lits = iter(r)
+                    next(lits)
+                    for x in lits:
+                        v = x >> 1
+                        if not seen[v] and level_a[v]:
+                            break
+                    else:
+                        continue
+                kept.append(q)
+            learnt = kept
+
+        if len(learnt) == 1:
+            bt = 0
+        else:
+            mi = 1
+            ml = level_a[learnt[1] >> 1]
+            for i in range(2, len(learnt)):
+                l = level_a[learnt[i] >> 1]
+                if l > ml:
+                    ml, mi = l, i
+            learnt[1], learnt[mi] = learnt[mi], learnt[1]
+            bt = ml
+        lbd = len({level_a[q >> 1] for q in learnt})
+        for v in to_clear:
+            seen[v] = 0
+        return learnt, bt, lbd
+
+
+def _mixed_width_cnf(rng, n, widths):
+    clauses = []
+    for k in widths:
+        vs = rng.sample(range(1, n + 1), k)
+        clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+    return Cnf.from_clauses(n, clauses)
+
+
+def _import_source(solver, seed):
+    """Binary, ternary and 7-key tuples, three per drain; most carry a
+    literal of the level-0 trail, true or false.  Nothing implies them:
+    both kernels import the same clauses, and only the search is compared."""
+    rng = Random(seed)
+    calls = fixed = 0
+
+    def pull():
+        nonlocal calls, fixed
+        calls += 1
+        if calls % 4 == 0:
+            return None
+        width = rng.choice((2, 3, 7))
+        codes = []
+        if solver.trail and rng.random() < 0.6:  # drained at level 0 only
+            codes.append(rng.choice(solver.trail) ^ rng.getrandbits(1))
+            fixed += 1
+        taken = {c >> 1 for c in codes}
+        vs = rng.sample([v for v in range(1, solver.nv + 1) if v not in taken],
+                        width - len(codes))
+        codes += [2 * v + rng.getrandbits(1) for v in vs]
+        return tuple(sorted(codes))
+    return pull, lambda: fixed
+
+
+def _kernel_case(name):
+    """(formula, params, with an import source) of one equivalence case."""
+    rng = Random(47)
+    if name == "3cnf":
+        return random_3cnf(rng, 150, 640), CDCL_PRESETS[0], False
+    if name == "mixed":
+        widths = [2] * 15 + [3] * 600 + [rng.randint(4, 9) for _ in range(150)]
+        rng.shuffle(widths)
+        return _mixed_width_cnf(rng, 150, widths), CDCL_PRESETS[4], False
+    if name == "imports":  # restarts every 32 conflicts or so: many drains
+        return random_3cnf(rng, 150, 640), CDCL_PRESETS[6], True
+    return random_3cnf(rng, 150, 640), replace(CDCL_PRESETS[6], decay=0.5), False
+
+
+@pytest.mark.parametrize("case", ["3cnf", "mixed", "imports", "rescale"])
+def test_cdcl_kernel_searches_like_reference(case):
+    """Conflict by conflict, the kernel keeps the reference's trail,
+    decisions, learned clauses and watch lists (content and order)."""
+    cnf, params, imports = _kernel_case(case)
+    s, picks = _recording(CdclSolver, cnf, params, 9)
+    r, ref_picks = _recording(ReferenceKernelCdcl, cnf, params, 9)
+    if imports:
+        s.import_fn, fixed = _import_source(s, 13)
+        r.import_fn, _ = _import_source(r, 13)
+    rescales = 0
+    rescale = s._rescale
+
+    def counted_rescale():
+        nonlocal rescales
+        rescales += 1
+        rescale()
+    s._rescale = counted_rescale
+    for _ in range(700):
+        verdict = s.step(1)
+        assert r.step(1) == verdict
+        assert s.trail == r.trail and s.trail_lim == r.trail_lim
+        assert picks == ref_picks
+        assert s.learned_clauses == r.learned_clauses
+        assert s.watches == r.watches
+        assert s.stats == r.stats
+        if verdict is not None:
+            break
+    assert s.stats.conflicts >= 300
+    assert any(len(lits) > 3 for _lbd, lits in s.learned_clauses)
+    if case == "imports":
+        assert s.stats.imported >= 50 and fixed() >= 20
+    if case == "rescale":
+        assert rescales >= 1
 
 
 def test_cdcl_reduce_db_keeps_watches_exact():
