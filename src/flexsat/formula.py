@@ -1,4 +1,4 @@
-"""CNF formulas: one flat literal buffer, DIMACS parsing and writing, model checks.
+"""CNF formulas: one flat literal buffer, DIMACS parsing, model checks.
 
 Literals are nonzero ints (v or -v).  A formula is one flat tuple of
 literals, each clause followed by a 0, as Mallob ships formulas.  Clauses
@@ -255,14 +255,6 @@ def _raise_first_fault(lines: list[str]) -> NoReturn:
     if open_line:
         raise DimacsError("clause missing 0 terminator", open_line)
     raise AssertionError("rejected DIMACS input has no fault")
-
-
-def write_dimacs(cnf: Cnf) -> str:
-    """Render a formula back to DIMACS text (canonical clause order kept)."""
-    out = [f"p cnf {cnf.num_vars} {cnf.num_clauses}"]
-    for c in cnf.clause_lits():
-        out.append(" ".join(map(str, c)) + " 0")
-    return "\n".join(out) + "\n"
 
 
 def check_model(cnf: Cnf, assignment: Mapping[int, bool]) -> bool:

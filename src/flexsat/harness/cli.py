@@ -86,7 +86,7 @@ def _write_outputs(report: RunReport, args: argparse.Namespace) -> None:
     if args.out:
         Path(args.out).write_text(report.to_json(include_trace=True) + "\n")
     if args.trace:
-        Path(args.trace).write_text("\n".join(report.trace) + "\n")
+        Path(args.trace).write_text(report.trace_text)
 
 
 def _print_model(model: dict) -> None:

@@ -65,8 +65,14 @@ class RunReport:
     jobs: dict[int, dict] = field(default_factory=dict)
     aggregates: dict = field(default_factory=dict)
     solver_totals: dict = field(default_factory=dict)
-    trace: list[str] = field(default_factory=list, repr=False)
+    # The trace as one text, each line followed by "\n": the bytes --trace writes.
+    trace_text: str = field(default="", repr=False)
     models: dict[int, Optional[dict]] = field(default_factory=dict, repr=False)
+
+    @property
+    def trace(self) -> list[str]:
+        """The trace's lines, as a new list on each read."""
+        return self.trace_text.split("\n")[:-1]
 
     def to_json(self, include_trace: bool = False) -> str:
         body = {
@@ -92,8 +98,10 @@ class RunReport:
         trace = body.get("trace", [])
         if not (isinstance(trace, list) and all(isinstance(line, str) for line in trace)):
             raise ValueError("trace is not a list of strings")
+        if any("\n" in line for line in trace):
+            raise ValueError("a trace line holds a newline")
         parts["jobs"] = {int(k): v for k, v in parts["jobs"].items()}
-        return RunReport(trace=trace, **parts)
+        return RunReport(trace_text=_trace_text(trace), **parts)
 
     def summary_lines(self) -> list[str]:
         agg = self.aggregates
@@ -113,6 +121,12 @@ class RunReport:
         return out
 
 
+def _trace_text(lines: list[str]) -> str:
+    """The lines as one text, each followed by "\n".  No line may hold a
+    "\n": a run writes none, and a trace file or a saved report gives none."""
+    return "\n".join(lines) + "\n" if lines else ""
+
+
 def report_from_trace(lines: list[str],
                       max_busy_samples: Optional[int] = None) -> RunReport:
     """Fold a trace into a RunReport; blank lines are skipped.
@@ -123,7 +137,7 @@ def report_from_trace(lines: list[str],
     RUN_END line after which the busy series would take more than
     max_busy_samples samples (None: no cap).
     """
-    report = RunReport(trace=list(lines))
+    report = RunReport(trace_text=_trace_text(lines))
     jobs = report.jobs
     totals = report.solver_totals = dict.fromkeys(STATS_KEYS, 0)
     seats: list[tuple[int, int, str, int, Optional[str]]] = []

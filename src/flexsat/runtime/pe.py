@@ -151,7 +151,7 @@ class BasePE:
         self.pending_events: dict[int, JobInfo] = {}
         self.red: dict[int, tuple[dict[int, JobInfo], int]] = {}  # epoch -> (fold, missing)
         self.jobs_table: dict[int, Any] = {}
-        self.volumes: dict[int, int] = {}  # deferred jobs at 0
+        self._volumes: Optional[dict[int, int]] = None  # None: not read since the last broadcast
 
     # -- plumbing ----------------------------------------------------------
     def send(self, dst: int, kind: str, job: Optional[int], payload: dict,
@@ -211,8 +211,16 @@ class BasePE:
         for c in self.red_children:
             self.send(c, tp.EVENT_BROADCAST, None, {"epoch": k, "events": events})
         self.jobs_table = apply_events(self.jobs_table, events)
-        self.volumes = compute_volumes(self.jobs_table.values(), self.shared.cfg.budget)
+        self._volumes = None
         self._after_volumes(k, events)
+
+    @property
+    def volumes(self) -> dict[int, int]:
+        """The volume map of jobs_table, deferred jobs at 0.  Every PE can
+        compute it; one computes it on its first read after each broadcast."""
+        if self._volumes is None:
+            self._volumes = compute_volumes(self.jobs_table.values(), self.shared.cfg.budget)
+        return self._volumes
 
     # hooks
     def _on_balance_tick(self, k: int) -> None:

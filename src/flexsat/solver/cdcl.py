@@ -424,17 +424,15 @@ class CdclSolver:
             heap = self.heap
             act = self.act
             in_heap = self.in_heap
-            while heap:
+            # Every unassigned variable has a current entry, so this stops
+            # before the heap runs dry; an empty heap raises IndexError.
+            while True:
                 a, v = heappop(heap)
                 if -a == act[v]:  # current entry; stale ones are dropped
                     in_heap[v] = 0
                     if val[2 * v] == 0:
                         var = v
                         break
-            if var == 0:
-                self._rebuild_heap()
-                a, var = heappop(self.heap)
-                self.in_heap[var] = 0
         self.stats.decisions += 1
         self.dlevel += 1
         self.trail_lim.append(len(self.trail))

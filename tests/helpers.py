@@ -33,6 +33,14 @@ def random_3cnf(rng: Random, n: int, m: int) -> Cnf:
     return Cnf.from_clauses(n, clauses)
 
 
+def write_dimacs(cnf: Cnf) -> str:
+    """Render a formula back to DIMACS text (canonical clause order kept)."""
+    out = [f"p cnf {cnf.num_vars} {cnf.num_clauses}"]
+    for c in cnf.clause_lits():
+        out.append(" ".join(map(str, c)) + " 0")
+    return "\n".join(out) + "\n"
+
+
 def random_kcnf(rng: Random, n: int, m: int, k: int) -> Cnf:
     clauses = []
     for _ in range(m):

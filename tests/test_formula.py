@@ -9,9 +9,9 @@ import pytest
 from flexsat import formula as formula_mod
 from flexsat.formula import (Clause, Cnf, DimacsError, ModelError,
                              canonical_literals, check_model, literal_key,
-                             parse_dimacs, write_dimacs)
+                             parse_dimacs)
 from flexsat.solver.cdcl import CdclSolver
-from helpers import oracle_model, oracle_parse_dimacs, random_3cnf
+from helpers import oracle_model, oracle_parse_dimacs, random_3cnf, write_dimacs
 
 
 def test_literal_key_orders_positive_first():

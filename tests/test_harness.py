@@ -1,6 +1,9 @@
 """Harness layer: metrics, reports, scenarios, and the command line."""
+import gc
 import json
+import tracemalloc
 from dataclasses import fields, replace
+from random import Random
 
 import pytest
 
@@ -185,6 +188,87 @@ def test_report_json_roundtrip():
     assert back.solver_totals == rep.solver_totals
     assert back.trace == rep.trace
     assert back.models == {}  # deliberately not serialized
+
+
+def synth_cluster(num_jobs: int, num_pes: int, seed: int = 1) -> Cluster:
+    """Synthetic jobs arriving over 3 s, in the shape of perfbench's sched_synth."""
+    rng = Random(seed)
+    jobs = [JobDescriptor(job=j, priority=rng.choice([0.2, 0.4, 0.6, 0.8]),
+                          arrival_s=3.0 * (j - 1 + rng.random()) / num_jobs,
+                          demand=rng.choice([1, 2, 4, 8, 16]),
+                          synthetic_s=rng.uniform(0.3, 1.2))
+            for j in range(1, num_jobs + 1)]
+    cfg = ClusterConfig(num_pes=num_pes, threads=1, epsilon=0.05, seed=seed, timeout_s=60.0)
+    return Cluster(cfg, jobs, demand_changes=[(1.0, 2, 12), (1.5, 3, 1)])
+
+
+def test_report_holds_the_run_trace_as_one_text():
+    cluster = synth_cluster(8, 8)
+    rep = cluster.run()
+    lines = cluster.trace.lines()
+    assert rep.aggregates["solved"] == 8
+    assert rep.trace_text == "".join(line + "\n" for line in lines)
+    assert rep.trace == lines and rep.trace[-1] in rep.trace
+    # each read is a new list, and the report cannot be rebound through it
+    assert rep.trace is not rep.trace
+    rep.trace.clear()
+    assert rep.trace == lines
+    with pytest.raises(AttributeError):
+        rep.trace = []
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n\n", "a\n", " x \n\ny\n", "\u2028\r\x0b\n"])
+def test_report_json_roundtrip_keeps_the_trace_text_exactly(text):
+    rep = RunReport(config={"seed": 1}, trace_text=text)
+    back = RunReport.from_json(rep.to_json(include_trace=True))
+    assert back == rep and back.trace == rep.trace
+    assert json.loads(rep.to_json(include_trace=True))["trace"] == text.split("\n")[:-1]
+
+
+def test_report_json_roundtrip_of_a_run():
+    rep = synth_cluster(8, 8).run()
+    back = RunReport.from_json(rep.to_json(include_trace=True))
+    assert back.trace_text == rep.trace_text
+    assert back.to_json(include_trace=True) == rep.to_json(include_trace=True)
+
+
+def test_a_saved_trace_line_holding_a_newline_is_refused():
+    body = json.loads(RunReport().to_json())
+    for trace in (["a\nb"], ["0.000 -1 CONFIG - {}", "\n"]):
+        with pytest.raises(ValueError, match="newline"):
+            RunReport.from_json(json.dumps(dict(body, trace=trace)))
+
+
+def test_cli_trace_file_is_the_report_trace_text(tmp_path, capsys):
+    scen = tmp_path / "scen.jsonl"
+    scen.write_text("\n".join([
+        '{"type": "config", "num_pes": 6, "seed": 4, "timeout_s": 30.0}',
+        '{"type": "job", "synthetic": 0.8, "demand": 3, "priority": 0.6}',
+        '{"type": "job", "synthetic": 0.5, "demand": 2, "arrival": 0.4}',
+    ]) + "\n")
+    out_json, out_trace = tmp_path / "report.json", tmp_path / "run.trace"
+    assert main(["run", str(scen), "--out", str(out_json), "--trace", str(out_trace)]) == 0
+    capsys.readouterr()
+    lines = json.loads(out_json.read_text())["trace"]
+    assert len(lines) > 10
+    assert out_trace.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_retained_report_memory_is_bounded():
+    """A report of a 64-job run on 64 PEs keeps under 0.16 MiB: its trace
+    is one text, not some 1 900 line objects (about 0.23 MiB in all)."""
+    cluster = synth_cluster(64, 64)
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        rep = cluster.run()
+        del cluster
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rep.aggregates["solved"] == 64 and len(rep.trace) > 1500
+    assert held <= 0.16 * 2 ** 20
 
 
 def test_summary_lines_shape():

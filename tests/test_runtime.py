@@ -378,6 +378,60 @@ def test_budget_respected_and_volumes_agree(monkeypatch):
         assert all(g == group[0] for g in group)
 
 
+def test_volume_maps_are_computed_only_where_read(monkeypatch):
+    """Every PE applies every broadcast, but a PE computes its volume map
+    only on the first read after one: the client never, a worker at most
+    once per epoch and only while it holds a root node.  Every map read is
+    the one a fresh computation over that epoch's job table gives."""
+    real = pe_mod.compute_volumes
+    applying = {}  # the broadcast being applied: its epoch and PE
+    applied, computed, reads = Counter(), Counter(), []
+
+    def counting(jobs, budget):
+        assert applying, "a map was computed outside a broadcast"
+        k, pe = applying["k"], applying["pe"]
+        computed[pe.pe_id, k] += 1
+        assert any(x == 0 for _job, x in getattr(pe, "nodes", ())), \
+            f"pe {pe.pe_id} holds no root node in epoch {k}"
+        return real(jobs, budget)
+
+    orig_apply = pe_mod.BasePE._apply_broadcast
+
+    def apply(self, k, events):
+        applied[self.pe_id] += 1
+        applying.update(k=k, pe=self)
+        orig_apply(self, k, events)
+        applying.clear()
+
+    lazy = pe_mod.BasePE.volumes.fget
+
+    def read(self):
+        vm = lazy(self)
+        fresh = real(self.jobs_table.values(), self.shared.cfg.budget)
+        reads.append((self.pe_id, applying.get("k"), vm == fresh))
+        return vm
+
+    monkeypatch.setattr(pe_mod, "compute_volumes", counting)
+    monkeypatch.setattr(pe_mod.BasePE, "_apply_broadcast", apply)
+    monkeypatch.setattr(pe_mod.BasePE, "volumes", property(read))
+    srng = Random(55)
+    jobs = [synth_job(j, srng.uniform(0.5, 1.5), srng.choice([2, 4, 8]),
+                      pri=srng.choice([0.3, 0.5, 0.8]), arrival=srng.uniform(0.0, 1.0))
+            for j in range(1, 9)]
+    report = Cluster(small_cfg(num_pes=16, seed=3), jobs,
+                     demand_changes=[(0.6, 2, 1), (0.9, 2, 6)]).run()
+
+    stale = [(pe, k) for pe, k, fresh in reads if not fresh]
+    assert reads and not stale, f"stale maps read (pe, epoch): {stale[:5]}"
+    assert applied[pe_mod.CLIENT_ID] > 0 and len(applied) == 16
+    assert all(pe != pe_mod.CLIENT_ID for pe, _k in computed)
+    assert set(computed.values()) == {1}, "a map computed twice in one epoch"
+    assert report.aggregates["solved"] == 8
+    # Most PEs hold no root in most epochs: at most one broadcast in three
+    # computes a map here (the eager map computed one at every broadcast).
+    assert len(computed) <= sum(applied.values()) / 3
+
+
 def test_balancing_round_sends_each_contribution_once(monkeypatch):
     """Jobs arrive, ramp up and finish at p=16.  Each worker sends one
     EVENT_REDUCE per epoch it completes, in epoch order; only epochs with

@@ -300,6 +300,18 @@ def test_cdcl_heap_has_one_current_entry_per_unassigned_var():
     assert len(compactions) >= 2
 
 
+def test_cdcl_decide_on_a_dry_heap_raises():
+    """A heap with no current entry for an unassigned variable breaks the
+    invariant: _decide raises instead of picking variable 0."""
+    s = CdclSolver(random_3cnf(Random(41), 20, 80),
+                   replace(CDCL_PRESETS[0], random_freq=0.0), seed=2)
+    for heap in ([], [(-1.0, 3)]):  # empty; one stale entry
+        s.heap[:] = heap
+        with pytest.raises(IndexError):
+            s._decide()
+        assert s.stats.decisions == 0 and not s.trail_lim
+
+
 @pytest.mark.parametrize("decay", [0.95, 0.99])
 def test_cdcl_heap_stays_bounded(decay):
     """Stale heap entries never pile up: compaction caps the heap near 4*nv."""
