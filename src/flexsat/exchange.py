@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import struct
-from fractions import Fraction
 from operator import lt
 from random import Random
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
@@ -39,8 +38,8 @@ def buffer_limit(u: int, cfg: ClusterConfig) -> int:
 
     ceil(u * alpha^log2(u) * beta), with log2 over the reals, for the run's
     cfg.alpha and cfg.beta.  Powers of two are computed exactly in
-    rationals so the ceiling never suffers float rounding right at an
-    integer boundary.
+    integers, from alpha's integer ratio, so the ceiling never suffers
+    float rounding right at an integer boundary.
     """
     if u < 1:
         raise ValueError("u must be >= 1")
@@ -50,8 +49,8 @@ def buffer_limit(u: int, cfg: ClusterConfig) -> int:
         return cfg.beta  # (1/2)^log2(u) = 1/u exactly, for every u
     if u & (u - 1) == 0:  # power of two: alpha^log2(u) is rational
         k = u.bit_length() - 1
-        exact = Fraction(cfg.alpha) ** k * u * cfg.beta
-        return -(-exact.numerator // exact.denominator)
+        num, den = cfg.alpha.as_integer_ratio()
+        return -(-(num**k * u * cfg.beta) // den**k)
     return math.ceil(u * cfg.alpha ** math.log2(u) * cfg.beta)
 
 

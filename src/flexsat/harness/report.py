@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -65,7 +66,10 @@ class RunReport:
     jobs: dict[int, dict] = field(default_factory=dict)
     aggregates: dict = field(default_factory=dict)
     solver_totals: dict = field(default_factory=dict)
-    # The trace as one text, each line followed by "\n": the bytes --trace writes.
+    # The trace as one text, each line followed by "\n": the bytes --trace
+    # writes.  A report holds it as zlib level-1 bytes, under a third of its
+    # size: the property bound below the class compresses on each write and
+    # decompresses on each read.
     trace_text: str = field(default="", repr=False)
     models: dict[int, Optional[dict]] = field(default_factory=dict, repr=False)
 
@@ -119,6 +123,20 @@ class RunReport:
                            job, rec["verdict"], rec["response_ms"],
                            rec["latency_ms"], rec["max_volume"], rec["model"]))
         return out
+
+
+def _get_trace_text(report: RunReport) -> str:
+    return zlib.decompress(report._trace_z).decode("utf-8", "surrogatepass")
+
+
+def _set_trace_text(report: RunReport, text: str) -> None:
+    report._trace_z = zlib.compress(text.encode("utf-8", "surrogatepass"), 1)
+
+
+# Bound over the dataclass field once the class is made, so that __init__'s
+# trace_text= keyword and __eq__ go through it too.  "surrogatepass" lets
+# any str through, as a saved report's JSON can hold a lone surrogate.
+RunReport.trace_text = property(_get_trace_text, _set_trace_text)
 
 
 def _trace_text(lines: list[str]) -> str:

@@ -5,14 +5,14 @@ event set: each active job j gets v_j = clamp(lambda * pi_j * d_j, 1, d_j)
 with lambda chosen so the volumes fill the worker budget, then fractional
 shares are rounded by largest remainder.  The water level lambda comes
 from one sweep over the jobs' sorted breakpoints, O(n log n) per call.
-All arithmetic is exact (fractions), so the result is bit-identical
+All arithmetic is exact, in integers (1/lambda scaled by the common
+denominator of the priorities), so the result is bit-identical
 everywhere.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
@@ -122,8 +122,9 @@ def compute_volumes(jobs: Iterable[JobInfo], budget: int) -> dict[int, int]:
     the segments between them are walked in order while the floored count,
     capped demand and mid weight are updated from the jobs crossing each
     breakpoint.  The first segment that holds the level gives lambda; the
-    jobs are classified once, at that segment's midpoint.  Sorting
-    dominates: O(n log n) exact fraction operations per call.
+    jobs are classified once, against that segment's ends.  The sweep runs
+    in 1/lambda scaled to integers, so every breakpoint, weight and share
+    is an exact integer; sorting dominates: O(n log n) per call.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -148,61 +149,57 @@ def compute_volumes(jobs: Iterable[JobInfo], budget: int) -> dict[int, int]:
     if budget >= total_d:
         return {j.job: j.demand for j in active}
 
-    # Job j (weight w_j = pi_j d_j) leaves the floor at lam = 1/w_j and
-    # reaches its cap at lam = d_j/w_j = 1/pi_j.  Per distinct breakpoint,
-    # `steps` counts the jobs leaving the floor there and sums the demand
-    # of those capped there.
-    hi = {j.job: 1 / Fraction(j.priority) for j in active}
-    lo = {j.job: hi[j.job] / j.demand for j in active}
-    steps: dict[Fraction, list[int]] = {}
-    for j in active:
-        steps.setdefault(lo[j.job], [0, 0])[0] += 1
-        steps.setdefault(hi[j.job], [0, 0])[1] += j.demand
+    # In mu = 1/lambda, scaled by the common denominator of the priorities,
+    # every breakpoint is an integer: job j (pi_j = p_j / scale) reaches its
+    # cap at p_j and leaves the floor at w_j = p_j d_j.  Per distinct
+    # breakpoint, `steps` counts the jobs leaving the floor there and sums
+    # the demand of those capped there.
+    ratios = [j.priority.as_integer_ratio() for j in active]
+    scale = math.lcm(*(den for _, den in ratios))
+    caps = [num * (scale // den) for num, den in ratios]
+    leaves = [p * j.demand for p, j in zip(caps, active)]
+    steps: dict[int, list[int]] = {}
+    for j, w, p in zip(active, leaves, caps):
+        steps.setdefault(w, [0, 0])[0] += 1
+        steps.setdefault(p, [0, 0])[1] += j.demand
 
-    # Sweep the segments (0, p0), (p0, p1), ... in order; below p0 every
-    # job sits on the floor.  The first segment that holds the level wins.
-    # Crossing b moves weight 1/b per job leaving the floor into the mid
-    # weight, and d_j/b per job capped at b out of it.
-    floored, capped, wm = n, 0, Fraction(0)
-    a = Fraction(0)
-    lam = m = None
-    for b, (leaving, cap_demand) in sorted(steps.items(), key=lambda kv: kv[0]):
-        base = floored + capped
-        if not wm:
-            if base == budget:
-                lam = m = (a + b) / 2
-                break
-        else:
-            cand = (budget - base) / wm
-            if a <= cand <= b:
-                lam, m = cand, (a + b) / 2
-                break
+    # Sweep the segments (lower, upper) from the top breakpoint down; above
+    # it every job sits on the floor.  With r PEs left beside the floored
+    # and capped jobs, the level is mu = wm / r, so the first segment with
+    # lower * r <= wm <= upper * r holds it.  Crossing k moves weight k per
+    # job leaving the floor into the mid weight, and k d_j per job capped
+    # at k out of it.
+    floored, capped, wm = n, 0, 0
+    upper = None  # the top segment is unbounded, and only ever has wm == 0
+    for lower, (leaving, cap_demand) in sorted(steps.items(), reverse=True):
+        r = budget - floored - capped
+        if (lower * r <= wm <= upper * r) if wm else r == 0:
+            break
         floored -= leaving
         capped += cap_demand
-        if leaving != cap_demand:
-            wm += (leaving - cap_demand) / b
-        a = b
-    assert lam is not None, "water level must exist for n <= budget < total demand"
+        wm += lower * (leaving - cap_demand)
+        upper = lower
+    else:
+        raise AssertionError("water level must exist for n <= budget < total demand")
 
+    # No breakpoint lies inside the segment, so each job is classified by
+    # its own breakpoints against the segment's ends.  A mid job's share
+    # r w_j / wm is one divmod: its floor, and its remainder over wm.
     vols: dict[int, int] = {}
+    rem: dict[int, int] = {}
     mid_set: list[JobInfo] = []
-    for j in active:
-        if m < lo[j.job]:
+    for j, w, p in zip(active, leaves, caps):
+        if w <= lower:
             vols[j.job] = 1
-        elif hi[j.job] < m:
+        elif upper is not None and p >= upper:
             vols[j.job] = j.demand
         else:
             mid_set.append(j)
-    shares = {j.job: lam / lo[j.job] for j in mid_set}  # lam * w_j
-    floors = {job: int(s) for job, s in shares.items()}  # Fraction floor
-    leftover = budget - base - sum(floors.values())
-    by_remainder = sorted(
-        mid_set,
-        key=lambda j: (-(shares[j.job] - floors[j.job]),) + _tie_key(j),
-    )
+            vols[j.job], rem[j.job] = divmod(r * w, wm)
+    leftover = r - sum(vols[j.job] for j in mid_set)
+    by_remainder = sorted(mid_set, key=lambda j: (-rem[j.job],) + _tie_key(j))
     for j in by_remainder[:leftover]:
-        floors[j.job] += 1
-    vols.update(floors)
+        vols[j.job] += 1
     return {j.job: vols[j.job] for j in active}
 
 

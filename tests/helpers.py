@@ -1,4 +1,4 @@
-"""Shared test fixtures: formula generators and independent oracles.
+"""Shared test fixtures: formula and run generators, and independent oracles.
 
 Oracles here deliberately avoid the production algorithms: satisfiability
 is decided by exhaustive truth tables, buffer limits by arbitrary
@@ -18,11 +18,11 @@ import mpmath as mp
 
 from flexsat.exchange import buffer_limit
 from flexsat.formula import Cnf, DimacsError, canonical_literals, literal_key
-from flexsat.runtime import ClusterConfig
-from flexsat.sched import JobInfo
+from flexsat.runtime import Cluster, ClusterConfig
+from flexsat.sched import JobDescriptor, JobInfo
 
 # ---------------------------------------------------------------------------
-# formula generators
+# formula and run generators
 
 
 def random_3cnf(rng: Random, n: int, m: int) -> Cnf:
@@ -31,6 +31,18 @@ def random_3cnf(rng: Random, n: int, m: int) -> Cnf:
         vs = rng.sample(range(1, n + 1), 3)
         clauses.append([v if rng.random() < 0.5 else -v for v in vs])
     return Cnf.from_clauses(n, clauses)
+
+
+def synth_cluster(num_jobs: int, num_pes: int, seed: int = 1) -> Cluster:
+    """Synthetic jobs arriving over 3 s, in the shape of perfbench's sched_synth."""
+    rng = Random(seed)
+    jobs = [JobDescriptor(job=j, priority=rng.choice([0.2, 0.4, 0.6, 0.8]),
+                          arrival_s=3.0 * (j - 1 + rng.random()) / num_jobs,
+                          demand=rng.choice([1, 2, 4, 8, 16]),
+                          synthetic_s=rng.uniform(0.3, 1.2))
+            for j in range(1, num_jobs + 1)]
+    cfg = ClusterConfig(num_pes=num_pes, threads=1, epsilon=0.05, seed=seed, timeout_s=60.0)
+    return Cluster(cfg, jobs, demand_changes=[(1.0, 2, 12), (1.5, 3, 1)])
 
 
 def write_dimacs(cnf: Cnf) -> str:

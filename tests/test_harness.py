@@ -3,7 +3,6 @@ import gc
 import json
 import tracemalloc
 from dataclasses import fields, replace
-from random import Random
 
 import pytest
 
@@ -18,6 +17,7 @@ from flexsat.runtime import Cluster, ClusterConfig
 from flexsat.runtime import pe as pe_mod
 from flexsat.runtime.cluster import MONO_FIXED
 from flexsat.sched import JobDescriptor
+from helpers import synth_cluster
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -190,18 +190,6 @@ def test_report_json_roundtrip():
     assert back.models == {}  # deliberately not serialized
 
 
-def synth_cluster(num_jobs: int, num_pes: int, seed: int = 1) -> Cluster:
-    """Synthetic jobs arriving over 3 s, in the shape of perfbench's sched_synth."""
-    rng = Random(seed)
-    jobs = [JobDescriptor(job=j, priority=rng.choice([0.2, 0.4, 0.6, 0.8]),
-                          arrival_s=3.0 * (j - 1 + rng.random()) / num_jobs,
-                          demand=rng.choice([1, 2, 4, 8, 16]),
-                          synthetic_s=rng.uniform(0.3, 1.2))
-            for j in range(1, num_jobs + 1)]
-    cfg = ClusterConfig(num_pes=num_pes, threads=1, epsilon=0.05, seed=seed, timeout_s=60.0)
-    return Cluster(cfg, jobs, demand_changes=[(1.0, 2, 12), (1.5, 3, 1)])
-
-
 def test_report_holds_the_run_trace_as_one_text():
     cluster = synth_cluster(8, 8)
     rep = cluster.run()
@@ -232,6 +220,17 @@ def test_report_json_roundtrip_of_a_run():
     assert back.to_json(include_trace=True) == rep.to_json(include_trace=True)
 
 
+def test_report_keeps_any_trace_text_through_its_compressed_bytes():
+    """The trace is held compressed, and a saved report's JSON may hold a
+    lone surrogate: the text read back is the text written, and equal texts
+    make equal reports."""
+    rep = RunReport.from_json(json.dumps({"trace": ["a\ud800b", "\u00e9"]}))
+    assert rep.trace == ["a\ud800b", "\u00e9"]
+    assert rep == RunReport(trace_text="a\ud800b\n\u00e9\n")
+    rep.trace_text = "x\n"
+    assert rep.trace == ["x"] and rep != RunReport()
+
+
 def test_a_saved_trace_line_holding_a_newline_is_refused():
     body = json.loads(RunReport().to_json())
     for trace in (["a\nb"], ["0.000 -1 CONFIG - {}", "\n"]):
@@ -255,8 +254,9 @@ def test_cli_trace_file_is_the_report_trace_text(tmp_path, capsys):
 
 
 def test_retained_report_memory_is_bounded():
-    """A report of a 64-job run on 64 PEs keeps under 0.16 MiB: its trace
-    is one text, not some 1 900 line objects (about 0.23 MiB in all)."""
+    """A report of a 64-job run on 64 PEs keeps under 0.09 MiB: its trace is
+    one zlib-compressed text, not one plain text (about 0.13 MiB in all)
+    nor some 1 900 line objects (about 0.23 MiB)."""
     cluster = synth_cluster(64, 64)
     tracemalloc.start()
     try:
@@ -268,7 +268,7 @@ def test_retained_report_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert rep.aggregates["solved"] == 64 and len(rep.trace) > 1500
-    assert held <= 0.16 * 2 ** 20
+    assert held <= 0.09 * 2 ** 20
 
 
 def test_summary_lines_shape():

@@ -23,7 +23,7 @@ from flexsat.runtime.transport import RealContext, SimLoop, Trace, WallLoop, for
 from flexsat.sched import JobDescriptor, JobInfo, JobRequest
 from flexsat.solver.cdcl import CdclSolver, cdcl_solve
 from flexsat.solver.sls import SlsSolver
-from helpers import php_cnf, random_3cnf
+from helpers import php_cnf, random_3cnf, synth_cluster
 
 
 def small_cfg(**kw):
@@ -929,13 +929,21 @@ def forgetting_mono_run():
     return mono_mode(random_3cnf(Random(3), 120, 515), cfg)
 
 
+def wide_synth_run():
+    """128 synthetic jobs on 128 PEs with tied priorities and two demand
+    changes: many jobs per volume map, at p = 128."""
+    return synth_cluster(128, 128).run()
+
+
 @pytest.mark.parametrize("run,digest", [
     (criterion9_run, "fc67f44270b149c74ec24877ac69e17cdb198c816e21e1c28db55c562f1a4532"),
     (eviction_run, "fb39a0284b0d1a6e944082365474fc1833b0545e5c6f1889e50587e6178957d0"),
     (sharing_mono_run, "106361b4c59be5de0eb2a49a13965756f8e0cd465635f9fd22d480aa60bf2a8d"),
     (multi_cnf_sharing_run, "4030f505bdaaa94201d14909e4380ebe67fb21c5e13554b16ee8c3beca56f82a"),
     (forgetting_mono_run, "9670a805afc18579964f386917f8b7fa42d6aff11bc33644e263ad10656c70c6"),
-], ids=["criterion9", "eviction", "sharing_mono", "multi_cnf_sharing", "forgetting_mono"])
+    (wide_synth_run, "e4ad89874204c9284b1711de0cdf9f7be45abc404fc1b93c732191953d90de73"),
+], ids=["criterion9", "eviction", "sharing_mono", "multi_cnf_sharing", "forgetting_mono",
+        "wide_synth"])
 def test_trace_digests_pinned(run, digest):
     """Simulated traces are part of the contract: a refactor must keep them byte-exact.
 

@@ -225,6 +225,37 @@ def test_volumes_sweep_matches_segment_scan_512(kind):
         assert compute_volumes(jobs, budget) == segment_scan_volumes(jobs, budget)
 
 
+EXTREME = (5e-324, 2.0 ** -60, 0.1, 1 / 3, 1 - 2.0 ** -53)
+
+
+def test_volumes_sweep_extreme_priorities():
+    """Priorities from the least subnormal to just under 1, demands up to
+    10**6: the sweep's common denominator reaches 2**1074, and its integers
+    must still give the oracle's maps, at n, at total - 1 and with the
+    level exactly on a breakpoint."""
+    rng = Random(1074)
+    seen = dict.fromkeys(("subnormal", "budget==n", "budget==total-1",
+                          "on_breakpoint", "demand>1000"), 0)
+    for trial in range(300):
+        n = rng.randrange(1, 9)
+        jobs = [J(job, rng.choice(EXTREME),
+                  rng.choice((1, 2, 3, 10 ** 6, rng.randrange(1, 10 ** 6 + 1))),
+                  rng.choice((0.0, 1.0)))
+                for job in rng.sample(range(1, 50), n)]
+        total = sum(j.demand for j in jobs)
+        on_point = _breakpoint_budgets(rng, jobs)
+        budgets = {n, total - 1, rng.randrange(n, total + 1)} | on_point
+        for budget in sorted(budgets):
+            assert compute_volumes(jobs, budget) == segment_scan_volumes(jobs, budget), \
+                (trial, budget)
+            seen["budget==n"] += budget == n < total
+            seen["budget==total-1"] += n <= budget == total - 1
+            seen["on_breakpoint"] += budget in on_point and n <= budget < total
+        seen["subnormal"] += any(j.priority == 5e-324 for j in jobs)
+        seen["demand>1000"] += any(j.demand > 1000 for j in jobs)
+    assert min(seen.values()) >= 100, seen
+
+
 # ---------------------------------------------------------------------------
 # trees, hops, routing
 
