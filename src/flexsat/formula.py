@@ -143,11 +143,11 @@ def parse_dimacs(source: str | bytes) -> Cnf:
     but accepted.  Structural problems raise DimacsError with a line number.
 
     One pass over the lines finds the header and the clause lines; the
-    clause lines are tokenized, converted and range-checked at once, cut
-    into clauses at their zeros and sorted by variable.  Only a formula
-    with a repeated variable or an empty clause is rebuilt clause by
-    clause, and only rejected input is scanned again, line by line, to
-    name the first fault.
+    clause lines are tokenized, each distinct token is converted and
+    range-checked once, and the literals are cut into clauses at their
+    zeros and sorted by variable.  Only a formula with a repeated variable
+    or an empty clause is rebuilt clause by clause, and only rejected input
+    is scanned again, line by line, to name the first fault.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
@@ -174,11 +174,14 @@ def parse_dimacs(source: str | bytes) -> Cnf:
     if num_vars is None:
         _raise_first_fault(lines)  # no header
 
+    words = " ".join(body).split()
     try:
-        toks = list(map(int, " ".join(body).split()))
+        value = {w: int(w) for w in set(words)}
     except ValueError:
         _raise_first_fault(lines)
-    if toks and (toks[-1] or max(toks) > num_vars or -min(toks) > num_vars):
+    toks = list(map(value.__getitem__, words))
+    if toks and (toks[-1] or max(value.values()) > num_vars
+                 or -min(value.values()) > num_vars):
         _raise_first_fault(lines)
     zeros = toks.count(0)
     buf: list[int] = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable, Optional
 
-from ..util import derive_seed
+from ..util import below, derive_seed
 
 # Message kinds.
 JOB_REQUEST = "JOB_REQUEST"
@@ -89,7 +89,7 @@ class SimLoop:
         heapq.heappush(self._heap, (t, self._seq, ev, pe, a, b))
 
     def post_message(self, env: Envelope, extra_delay_us: int = 0) -> None:
-        jitter = self._rng.randrange(JITTER_US + 1) if JITTER_US else 0
+        jitter = below(self._rng.getrandbits, JITTER_US + 1)
         t = self.now + extra_delay_us + LATENCY_US + jitter
         # Clamp to preserve per-pair FIFO despite jitter.
         key = (env.src, env.dst)

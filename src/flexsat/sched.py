@@ -17,7 +17,7 @@ from random import Random
 from typing import Iterable, Mapping, Sequence
 
 from .formula import Cnf
-from .util import MAX_SECONDS, is_real
+from .util import MAX_SECONDS, below, is_real
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def next_hop(req: JobRequest, hint: int | None, pe_id: int,
         return hint
     if not neighbors:
         return None
-    return neighbors[rng.randrange(len(neighbors))]
+    return neighbors[below(rng.getrandbits, len(neighbors))]
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +302,36 @@ def build_pe_graph(
         return {ids[0]: ()}
     deg = max(1, min(degree, n - 1))
     rng = Random(seed)
+    getrandbits = rng.getrandbits
     edges: dict[int, list[int]] = {w: [] for w in ids}
+    rows = [edges[w] for w in ids]
+    # Each candidate takes Random.shuffle's draws, inlined: util.below(
+    # getrandbits, i + 1) for i from n - 1 down to 1.  Position i is final
+    # once swapped, so it is checked then; after the first clash the rest
+    # of the draws are taken without swapping, so every later draw, and the
+    # graph, are what shuffling whole candidates gives.
+    draws = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
     for _ in range(deg):
         perm = None
         for _try in range(200):
             cand = ids[:]
-            rng.shuffle(cand)
-            if all(cand[i] != ids[i] and cand[i] not in edges[ids[i]]
-                   for i in range(n)):
-                perm = cand
-                break
+            rest = iter(draws)
+            for i, k in rest:
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                w = cand[j]
+                cand[j] = cand[i]
+                cand[i] = w
+                if w == ids[i] or w in rows[i]:
+                    break
+            else:
+                if cand[0] != ids[0] and cand[0] not in rows[0]:
+                    perm = cand
+                    break
+            for i, k in rest:  # empty unless a position clashed
+                while getrandbits(k) > i:
+                    pass
         if perm is None:
             perm = _repair_permutation(ids, edges, rng)
         for i in range(n):

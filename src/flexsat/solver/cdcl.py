@@ -22,7 +22,7 @@ from random import Random
 from typing import Callable, Sequence
 
 from ..formula import Cnf
-from ..util import luby
+from ..util import below, luby
 from . import SAT, UNSAT, SolverStats
 from .config import CdclParams
 
@@ -414,7 +414,7 @@ class CdclSolver:
         p = self.params
         if p.random_freq > 0.0 and self.rng.random() < p.random_freq:
             for _ in range(8):
-                cand = self.rng.randrange(1, self.nv + 1)
+                cand = 1 + below(self.rng.getrandbits, self.nv)
                 if val[2 * cand] == 0:
                     var = cand
                     break

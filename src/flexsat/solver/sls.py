@@ -11,6 +11,7 @@ from __future__ import annotations
 from random import Random
 
 from ..formula import Cnf, check_model
+from ..util import below
 from . import SAT, SolverStats
 from .config import SlsParams
 
@@ -72,15 +73,6 @@ def _preprocess(cnf: Cnf) -> tuple[dict[int, bool] | None, list[list[int]]]:
                 assign(v if mask == 1 else -v)
                 changed = True
     return fixed, clauses
-
-
-def _below(getrandbits, n: int) -> int:
-    """Random.randrange(n) for n >= 1, drawing the same getrandbits calls."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
 
 
 class SlsSolver:
@@ -189,9 +181,9 @@ class SlsSolver:
             for _ in range(max_flips):
                 if not unsat:
                     return self._finish()
-                vs = cvars[unsat[_below(getrandbits, len(unsat))]]
+                vs = cvars[unsat[below(getrandbits, len(unsat))]]
                 if random() < noise:
-                    v = vs[_below(getrandbits, len(vs))]
+                    v = vs[below(getrandbits, len(vs))]
                 else:
                     best: list[int] = []
                     best_break = above
@@ -202,7 +194,7 @@ class SlsSolver:
                             best_break = b
                         elif b == best_break:
                             best.append(u)
-                    v = best[_below(getrandbits, len(best))]
+                    v = best[below(getrandbits, len(best))]
 
                 old_lit = v if value[v] else -v
                 value[v] = not value[v]

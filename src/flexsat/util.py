@@ -61,3 +61,12 @@ def luby(i: int) -> int:
 def is_real(value) -> bool:
     """An int or a float, not a bool (nor a numeric string)."""
     return type(value) in (int, float)
+
+
+def below(getrandbits, n: int) -> int:
+    """Random.randrange(n) for n >= 1, drawing the same getrandbits calls."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r

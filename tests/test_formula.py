@@ -341,6 +341,37 @@ def test_parse_dimacs_first_clause_bare_zero():
     assert (str(err.value), err.value.line) == ("line 2: empty clause", 2)
 
 
+def _oracle_outcome(source: str):
+    """What oracle_parse_dimacs gives, and what parse_dimacs gives, as
+    comparable values: (num_vars, clauses) or (message, line)."""
+    try:
+        want = oracle_parse_dimacs(source)
+    except DimacsError as err:
+        want = (str(err), err.line)
+    try:
+        cnf = parse_dimacs(source)
+        got = (cnf.num_vars, tuple(cnf.clause_lits()))
+    except DimacsError as err:
+        got = (str(err), err.line)
+    return got, want
+
+
+def test_parse_dimacs_converts_each_spelling_as_the_scanner_does():
+    # The parser converts each distinct token once: 3, 03 and +3 are three
+    # tokens for one literal, and 0, -0 and 00 all end a clause.
+    text = ("p cnf 3 5\n3 -1 0\n03 +2 -0\n+3 -2 00\n-03 1 0\n"
+            "3 +3 03 -2 0\n")
+    got, want = _oracle_outcome(text)
+    assert got == want == (3, ((-1, 3), (2, 3), (-2, 3), (1, -3), (-2, 3)))
+    # A rejected token is named where it first occurs in the text, whatever
+    # order the distinct tokens are converted or range-checked in.
+    for body in ("1 x 0\n2 0\nx 0\n", "1 y 0\n2 x 0\nx y 0\n", "1 x 0\n2 y 0\ny x 0\n",
+                 "1 4 0\n2 0\n4 0\n", "1 -5 0\n4 0\n-5 4 0\n", "1 4 0\n-5 0\n4 -5 0\n",
+                 "1 04 0\n+4 0\n"):
+        got, want = _oracle_outcome("c faults\np cnf 3 3\n" + body)
+        assert got == want and want[1] == 3, body
+
+
 def test_clauses_view_is_the_scanner_clause_tuple():
     text = write_dimacs(random_3cnf(Random(8), 30, 120))
     cnf = parse_dimacs(text)

@@ -1,4 +1,5 @@
 """Scheduling: volumes vs an independent oracle, events, routing, PE graph."""
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -9,7 +10,7 @@ from flexsat.sched import (JobDescriptor, JobInfo, JobRequest,
                            PeView, apply_events, build_pe_graph,
                            child_indices, compute_volumes, consolidate,
                            max_request_hops, parent_index, route_request)
-from helpers import segment_scan_volumes, volume_oracle
+from helpers import reference_pe_graph, segment_scan_volumes, volume_oracle
 
 
 def J(job, pri, demand, arrival=0.0, epoch=0):
@@ -362,3 +363,22 @@ def test_graph_tiny_cases():
     assert build_pe_graph([], 4, 0) == {}
     assert build_pe_graph([9], 4, 0) == {9: ()}
     assert build_pe_graph([1, 2], 4, 0) == {1: (2,), 2: (1,)}
+
+
+def test_pe_graph_matches_the_rejection_sampler():
+    # Every request walk, and so every simulated trace, runs on this graph:
+    # it must be the shuffle-and-check sampler's graph, which it is only if
+    # each candidate takes all of Random.shuffle's draws, rejected or not.
+    # Small worker counts at high degree run out of tries, so the sweep also
+    # covers the swap repair and its per-node fallback (a 7-worker cluster,
+    # as mono mode builds at p=8, needs the repair for some seeds).
+    rng = Random(4242)
+    paths: Counter = Counter()
+    for n in [*range(71), 127]:
+        ids = rng.sample(range(1, 4 * n + 1), n)
+        for degree in range(1, 7):
+            for _ in range(12 if n <= 12 else 1):
+                seed = rng.getrandbits(64)
+                assert build_pe_graph(ids, degree, seed) == \
+                    reference_pe_graph(ids, degree, seed, paths), (n, degree, seed)
+    assert paths["repair"] >= 100 and paths["fallback"] >= 20

@@ -15,8 +15,8 @@ from flexsat.solver.cdcl import _RESCALE, CdclSolver, cdcl_solve
 from flexsat.solver.config import (CDCL_PRESETS, PORTFOLIO_CYCLE, CdclParams, SlsParams,
                                    make_portfolio_config, throttled_thread_count)
 from flexsat.solver.ring import ImportRing
-from flexsat.solver.sls import SlsSolver, _below, _preprocess
-from flexsat.util import luby
+from flexsat.solver.sls import SlsSolver, _preprocess
+from flexsat.util import below, luby
 from helpers import clause_keys, oracle_verdict, php_cnf, random_3cnf, xor_chain_cnf
 
 
@@ -651,12 +651,18 @@ def test_sls_incremental_state_matches_recount():
     assert restarts >= 5 and s.stats.flips == 3000
 
 
-def test_below_draws_like_randrange():
+def test_below_draws_as_randrange():
+    # util.below stands in for Random.randrange(n) in local search, CDCL's
+    # random decisions, message jitter and request routing, and the PE graph
+    # inlines it: the pins and trace digests hold only while it draws what
+    # this interpreter's randrange draws.
+    ns = [*range(1, 301)]
+    ns += [m for k in range(1, 41) for m in (2 ** k - 1, 2 ** k, 2 ** k + 1)]
     for seed in (0, 1, 7, 2 ** 40 + 3):
         mine, ref = Random(seed), Random(seed)
-        for n in range(1, 71):
+        for n in ns:
             for _ in range(5):
-                assert _below(mine.getrandbits, n) == ref.randrange(n)
+                assert below(mine.getrandbits, n) == ref.randrange(n), (seed, n)
         assert mine.getstate() == ref.getstate()
 
 
