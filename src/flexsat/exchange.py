@@ -180,14 +180,18 @@ def merge(
     full; each length group is the union of the inputs' groups, so a
     duplicate clause is emitted once.  The output is truncated at
     buffer_limit(u_out): whole clauses only, and once one clause does not
-    fit nothing longer is admitted either.
+    fit nothing longer is admitted either.  Writing a clause of length L
+    takes a count for each length up to L and its L literals, 2L integers
+    at least, so a group with 2L past the limit is checked but not collected.
     """
     u_out = 1 + sum(u for _, u in buffers)
+    limit = buffer_limit(u_out, cfg)
     groups: dict[int, set[tuple[int, ...]]] = {}
     for buf in [*(buf for buf, _ in buffers), own_export]:
         for length, keys in _groups(buf):
-            groups.setdefault(length, set()).update(keys)
-    return _write(groups, buffer_limit(u_out, cfg)), u_out
+            if 2 * length <= limit:
+                groups.setdefault(length, set()).update(keys)
+    return _write(groups, limit), u_out
 
 
 # ---------------------------------------------------------------------------

@@ -166,10 +166,14 @@ class Cluster:
         pes = self.pes
         for pe in pes.values():
             pe.on_start()
-        # Every envelope and timer names a PE of this cluster.
-        loop.run(lambda dst, env: pes[dst].on_envelope(env),
-                 lambda pe, tag, data: pes[pe].on_timer(tag, data),
-                 lambda: self.client.finished, timeout_us)
+        # Every envelope and timer names a PE of this cluster, and the ids
+        # run 0..p-1: each event is one list index and one handler call.
+        on_envelope = [pes[pe].on_envelope for pe in range(len(pes))]
+        on_timer = [pes[pe].on_timer for pe in range(len(pes))]
+        client = self.client
+        loop.run(lambda dst, env: on_envelope[dst](env),
+                 lambda pe, tag, data: on_timer[pe](tag, data),
+                 lambda: client.finished, timeout_us)
         reason = "all-done" if self.client.finished else "timeout"
         end_us = loop.now  # read once: the wall loop's clock moves on
         for pe in pes.values():  # in id order: the client first

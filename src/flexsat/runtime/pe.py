@@ -54,6 +54,9 @@ RING_CAPACITY = 1 << 16    # words in a CDCL slot's import ring
 SINK_CAP = 4096            # exported clauses a node holds between sharing epochs
 CACHE_SIZE = 3             # job-tree nodes a worker holds, active or suspended
 
+# A balancing epoch's timer re-arms no sooner than this.
+_BALANCE_FLOOR_US = int(MIN_BALANCE_PERIOD_S * 1e6)
+
 
 @dataclass
 class RunShared:
@@ -141,6 +144,7 @@ class BasePE:
 
     def __init__(self, ctx: Context, shared: RunShared):
         self.ctx = ctx
+        self._post = ctx.send
         self.shared = shared
         self.pe_id = ctx.pe_id
         self.rng = ctx.rng
@@ -156,7 +160,7 @@ class BasePE:
     # -- plumbing ----------------------------------------------------------
     def send(self, dst: int, kind: str, job: Optional[int], payload: dict,
              extra_delay_us: int = 0) -> None:
-        self.ctx.send(Envelope(kind, self.pe_id, dst, job, payload), extra_delay_us)
+        self._post(Envelope(kind, self.pe_id, dst, job, payload), extra_delay_us)
 
     def log(self, kind: str, job: Optional[int], detail: str = "",
             at_us: Optional[int] = None) -> None:
@@ -183,8 +187,7 @@ class BasePE:
         events, self.pending_events = self.pending_events, {}
         self._reduce(k, events)
         self._on_balance_tick(k)
-        floor_us = int(MIN_BALANCE_PERIOD_S * 1e6)
-        delay = max(floor_us, (k + 1) * self.shared.e_us - self.ctx.now_us())
+        delay = max(_BALANCE_FLOOR_US, (k + 1) * self.shared.e_us - self.ctx.now_us())
         self.ctx.set_timer(delay, "balance", k + 1)
 
     def _h_event_reduce(self, env: Envelope) -> None:
@@ -194,7 +197,8 @@ class BasePE:
         """Fold one contribution to epoch k: this PE's own or a reduction
         child's.  The last one sends the fold up; the client broadcasts it."""
         acc, missing = self.red.get(k, ({}, 1 + len(self.red_children)))
-        acc = consolidate(acc.values(), events.values())
+        if events:  # most contributions are empty, and fold to acc itself
+            acc = consolidate(acc.values(), events.values())
         if missing > 1:
             self.red[k] = (acc, missing - 1)
             return
@@ -521,6 +525,8 @@ class WorkerPE(BasePE):
                 self._emit_child_request(node, cx)
 
     def _after_volumes(self, k: int, events: dict[int, JobInfo]) -> None:
+        if not self.nodes:  # no node to end or to hand a volume
+            return
         for ev in events.values():
             if ev.demand <= 0:
                 for key in [key for key in self.nodes if key[0] == ev.job]:

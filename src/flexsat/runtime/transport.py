@@ -8,14 +8,14 @@ Per (src, dst) pair delivery is FIFO in both modes.
 """
 from __future__ import annotations
 
-import heapq
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from random import Random
 from typing import Any, Callable, Optional
 
-from ..util import below, derive_seed
+from ..util import derive_seed
 
 # Message kinds.
 JOB_REQUEST = "JOB_REQUEST"
@@ -32,7 +32,7 @@ ABORT = "ABORT"
 DEMAND_SET = "DEMAND_SET"
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """One message between PEs.  payload is a kind-specific dict."""
 
@@ -79,39 +79,45 @@ class SimLoop:
 
     def __init__(self, seed: int):
         self.now = 0
-        self._rng = Random(derive_seed(seed, "sim-latency"))
+        self._getrandbits = Random(derive_seed(seed, "sim-latency")).getrandbits
         self._heap: list[tuple[int, int, int, int, Any, Any]] = []
         self._seq = 0
         self._pair_last: dict[tuple[int, int], int] = {}
 
-    def _push(self, t: int, ev: int, pe: int, a: Any, b: Any) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, ev, pe, a, b))
-
     def post_message(self, env: Envelope, extra_delay_us: int = 0) -> None:
-        jitter = below(self._rng.getrandbits, JITTER_US + 1)
+        # The jitter takes util.below's getrandbits calls, inlined: a draw
+        # from [0, JITTER_US], redrawn while above it.
+        bits = (JITTER_US + 1).bit_length()
+        getrandbits = self._getrandbits
+        jitter = getrandbits(bits)
+        while jitter > JITTER_US:
+            jitter = getrandbits(bits)
         t = self.now + extra_delay_us + LATENCY_US + jitter
         # Clamp to preserve per-pair FIFO despite jitter.
         key = (env.src, env.dst)
-        t = max(t, self._pair_last.get(key, 0))
+        last = self._pair_last.get(key, 0)
+        if t < last:
+            t = last
         self._pair_last[key] = t
-        self._push(t, _EV_MSG, env.dst, env, None)
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (t, seq, _EV_MSG, env.dst, env, None))
 
     def post_timer(self, pe: int, delay_us: int, tag: str, data: Any) -> None:
-        self._push(self.now + delay_us, _EV_TIMER, pe, tag, data)
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self.now + delay_us, seq, _EV_TIMER, pe, tag, data))
 
     def run(self, on_message: Callable[[int, Envelope], None],
             on_timer: Callable[[int, str, Any], None],
             should_stop: Callable[[], bool],
             timeout_us: int) -> None:
-        while self._heap:
+        heap = self._heap
+        while heap:
             if should_stop():
                 return
-            t = self._heap[0][0]
-            if t > timeout_us:
+            if heap[0][0] > timeout_us:
                 self.now = timeout_us
                 return
-            t, _seq, ev, pe, a, b = heapq.heappop(self._heap)
+            t, _seq, ev, pe, a, b = heappop(heap)
             self.now = t
             if ev == _EV_MSG:
                 on_message(pe, a)
@@ -141,8 +147,8 @@ class WallLoop:
 
     def post_timer(self, pe: int, delay_us: int, tag: str, data: Any) -> None:
         self._seq += 1
-        heapq.heappush(self._steps if tag == "step" else self._timers,
-                       (self.now + delay_us, self._seq, pe, tag, data))
+        heappush(self._steps if tag == "step" else self._timers,
+                 (self.now + delay_us, self._seq, pe, tag, data))
 
     def run(self, on_message: Callable[[int, Envelope], None],
             on_timer: Callable[[int, str, Any], None],
@@ -157,10 +163,10 @@ class WallLoop:
                 env = inbox.popleft()
                 on_message(env.dst, env)
             elif timers and timers[0][0] <= now:
-                _t, _seq, pe, tag, data = heapq.heappop(timers)
+                _t, _seq, pe, tag, data = heappop(timers)
                 on_timer(pe, tag, data)
             elif steps and steps[0][0] <= now:
-                _t, _seq, pe, tag, data = heapq.heappop(steps)
+                _t, _seq, pe, tag, data = heappop(steps)
                 on_timer(pe, tag, data)
             else:
                 until = min([timeout_us] + [h[0][0] for h in (timers, steps) if h])

@@ -12,9 +12,11 @@ everywhere.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import attrgetter
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .formula import Cnf
 from .util import MAX_SECONDS, below, is_real
@@ -68,6 +70,9 @@ class JobInfo:
     epoch: int = 0
 
 
+_job = attrgetter("job")
+
+
 def consolidate(*event_sets: Iterable[JobInfo]) -> dict[int, JobInfo]:
     """Fold event sets; per job the highest epoch wins."""
     out: dict[int, JobInfo] = {}
@@ -90,7 +95,7 @@ def apply_events(
     if isinstance(events, Mapping):
         events = events.values()
     out = dict(table)
-    for ev in sorted(events, key=lambda e: e.job):
+    for ev in sorted(events, key=_job):
         cur = out.get(ev.job)
         if cur is not None and ev.epoch <= cur.epoch:
             continue
@@ -128,40 +133,41 @@ def compute_volumes(jobs: Iterable[JobInfo], budget: int) -> dict[int, int]:
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    active = sorted(jobs, key=lambda j: j.job)
+    active = sorted(jobs, key=_job)
+    total_d, prev, dup = 0, None, False
     for j in active:
         if not (0.0 < j.priority < 1.0):
             raise ValueError(f"job {j.job}: priority {j.priority} out of (0,1)")
         if j.demand < 1:
             raise ValueError(f"job {j.job}: demand must be >= 1")
-    if len({j.job for j in active}) != len(active):
+        total_d += j.demand
+        dup = dup or j.job == prev  # sorted: equal ids are neighbours
+        prev = j.job
+    if dup:
         raise ValueError("duplicate job ids")
     n = len(active)
-    if n == 0:
-        return {}
-
-    if budget < n:
-        order = sorted(active, key=_tie_key)
-        vols = {j.job: 1 for j in order[:budget]}
-        return {j.job: vols.get(j.job, 0) for j in active}
-
-    total_d = sum(j.demand for j in active)
     if budget >= total_d:
         return {j.job: j.demand for j in active}
+    if budget < n:
+        vols = dict.fromkeys([j.job for j in active], 0)
+        for j in sorted(active, key=_tie_key)[:budget]:
+            vols[j.job] = 1
+        return vols
 
     # In mu = 1/lambda, scaled by the common denominator of the priorities,
     # every breakpoint is an integer: job j (pi_j = p_j / scale) reaches its
     # cap at p_j and leaves the floor at w_j = p_j d_j.  Per distinct
-    # breakpoint, `steps` counts the jobs leaving the floor there and sums
-    # the demand of those capped there.
+    # breakpoint, `leaving` counts the jobs leaving the floor there and
+    # `capping` sums the demand of those capped there.
     ratios = [j.priority.as_integer_ratio() for j in active]
-    scale = math.lcm(*(den for _, den in ratios))
+    scale = math.lcm(*[den for _, den in ratios])
     caps = [num * (scale // den) for num, den in ratios]
     leaves = [p * j.demand for p, j in zip(caps, active)]
-    steps: dict[int, list[int]] = {}
+    leaving: dict[int, int] = {}
+    capping: dict[int, int] = {}
     for j, w, p in zip(active, leaves, caps):
-        steps.setdefault(w, [0, 0])[0] += 1
-        steps.setdefault(p, [0, 0])[1] += j.demand
+        leaving[w] = leaving.get(w, 0) + 1
+        capping[p] = capping.get(p, 0) + j.demand
 
     # Sweep the segments (lower, upper) from the top breakpoint down; above
     # it every job sits on the floor.  With r PEs left beside the floored
@@ -171,36 +177,39 @@ def compute_volumes(jobs: Iterable[JobInfo], budget: int) -> dict[int, int]:
     # at k out of it.
     floored, capped, wm = n, 0, 0
     upper = None  # the top segment is unbounded, and only ever has wm == 0
-    for lower, (leaving, cap_demand) in sorted(steps.items(), reverse=True):
+    for lower in sorted(leaving.keys() | capping.keys(), reverse=True):
         r = budget - floored - capped
         if (lower * r <= wm <= upper * r) if wm else r == 0:
             break
-        floored -= leaving
+        out, cap_demand = leaving.get(lower, 0), capping.get(lower, 0)
+        floored -= out
         capped += cap_demand
-        wm += lower * (leaving - cap_demand)
+        wm += lower * (out - cap_demand)
         upper = lower
     else:
         raise AssertionError("water level must exist for n <= budget < total demand")
 
     # No breakpoint lies inside the segment, so each job is classified by
     # its own breakpoints against the segment's ends.  A mid job's share
-    # r w_j / wm is one divmod: its floor, and its remainder over wm.
+    # r w_j / wm is one divmod: its floor, and its remainder over wm, which
+    # leads its rounding key.  The map is filled in job order.
     vols: dict[int, int] = {}
-    rem: dict[int, int] = {}
-    mid_set: list[JobInfo] = []
+    by_remainder: list[tuple] = []
+    leftover = r
     for j, w, p in zip(active, leaves, caps):
         if w <= lower:
             vols[j.job] = 1
         elif upper is not None and p >= upper:
             vols[j.job] = j.demand
         else:
-            mid_set.append(j)
-            vols[j.job], rem[j.job] = divmod(r * w, wm)
-    leftover = r - sum(vols[j.job] for j in mid_set)
-    by_remainder = sorted(mid_set, key=lambda j: (-rem[j.job],) + _tie_key(j))
-    for j in by_remainder[:leftover]:
-        vols[j.job] += 1
-    return {j.job: vols[j.job] for j in active}
+            share, rem = divmod(r * w, wm)
+            vols[j.job] = share
+            leftover -= share
+            by_remainder.append((-rem,) + _tie_key(j))
+    by_remainder.sort()
+    for key in by_remainder[:leftover]:
+        vols[key[-1]] += 1  # the tie key ends in the job id
+    return vols
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +241,7 @@ class JobRequest:
     hint_used: bool = False
 
 
-@dataclass(frozen=True)
-class PeView:
+class PeView(NamedTuple):
     """The slice of PE state the routing policy needs."""
 
     pe_id: int
@@ -245,8 +253,7 @@ class PeView:
     h_max: int
 
 
-@dataclass(frozen=True)
-class RouteDecision:
+class RouteDecision(NamedTuple):
     action: str             # "resume" | "adopt" | "park" | "forward"
     dst: int | None = None
 

@@ -5,16 +5,20 @@ is decided by exhaustive truth tables, buffer limits by arbitrary
 precision arithmetic with exact branches for the rational cases, buffers
 by a clause-by-clause writer over signed literal tuples, merges by
 decode-everything-and-redo, volumes by bisection on the water level.
-Three exceptions are earlier production code, kept as exact differential
+Five exceptions are earlier production code, kept as exact differential
 oracles: `segment_scan_volumes`, the quadratic volume search,
+`reference_compute_volumes`, the integer sweep before it took fewer passes,
+`reference_merge`, the merge that collected every group,
 `oracle_parse_dimacs`, the line-by-line DIMACS scanner, and
 `reference_pe_graph`, the shuffle-and-check PE graph sampler.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from random import Random
+from typing import Iterable
 
 import mpmath as mp
 
@@ -430,6 +434,19 @@ def merge_oracle(buffers, own_export, cfg: ClusterConfig) -> tuple[list[int], in
     return serialize_oracle(clauses, buffer_limit(u_out, cfg)), u_out
 
 
+def reference_merge(buffers, own_export, cfg: ClusterConfig) -> tuple[list[int], int]:
+    """merge as it was before it stopped collecting groups too long for the
+    limit: every group of every input is decoded, checked and collected."""
+    from flexsat.exchange import _groups, _write
+
+    u_out = 1 + sum(u for _, u in buffers)
+    groups: dict[int, set[tuple[int, ...]]] = {}
+    for buf in [*(buf for buf, _ in buffers), own_export]:
+        for length, keys in _groups(buf):
+            groups.setdefault(length, set()).update(keys)
+    return _write(groups, buffer_limit(u_out, cfg)), u_out
+
+
 # ---------------------------------------------------------------------------
 # volume oracle
 
@@ -565,4 +582,93 @@ def segment_scan_volumes(jobs: list[JobInfo], budget: int) -> dict[int, int]:
     for j in by_remainder[:leftover]:
         floors[j.job] += 1
     vols.update(floors)
+    return {j.job: vols[j.job] for j in active}
+
+
+# ---------------------------------------------------------------------------
+# volume reference: the earlier production sweep
+
+
+def _reference_tie_key(j: JobInfo) -> tuple:
+    return (-j.priority, j.arrival, j.job)
+
+
+def reference_compute_volumes(jobs: Iterable[JobInfo], budget: int) -> dict[int, int]:
+    """compute_volumes as it was before its sweep took fewer passes: the
+    differential oracle for its maps, their key order and its ValueErrors.
+    """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    active = sorted(jobs, key=lambda j: j.job)
+    for j in active:
+        if not (0.0 < j.priority < 1.0):
+            raise ValueError(f"job {j.job}: priority {j.priority} out of (0,1)")
+        if j.demand < 1:
+            raise ValueError(f"job {j.job}: demand must be >= 1")
+    if len({j.job for j in active}) != len(active):
+        raise ValueError("duplicate job ids")
+    n = len(active)
+    if n == 0:
+        return {}
+
+    if budget < n:
+        order = sorted(active, key=_reference_tie_key)
+        vols = {j.job: 1 for j in order[:budget]}
+        return {j.job: vols.get(j.job, 0) for j in active}
+
+    total_d = sum(j.demand for j in active)
+    if budget >= total_d:
+        return {j.job: j.demand for j in active}
+
+    # In mu = 1/lambda, scaled by the common denominator of the priorities,
+    # every breakpoint is an integer: job j (pi_j = p_j / scale) reaches its
+    # cap at p_j and leaves the floor at w_j = p_j d_j.  Per distinct
+    # breakpoint, `steps` counts the jobs leaving the floor there and sums
+    # the demand of those capped there.
+    ratios = [j.priority.as_integer_ratio() for j in active]
+    scale = math.lcm(*(den for _, den in ratios))
+    caps = [num * (scale // den) for num, den in ratios]
+    leaves = [p * j.demand for p, j in zip(caps, active)]
+    steps: dict[int, list[int]] = {}
+    for j, w, p in zip(active, leaves, caps):
+        steps.setdefault(w, [0, 0])[0] += 1
+        steps.setdefault(p, [0, 0])[1] += j.demand
+
+    # Sweep the segments (lower, upper) from the top breakpoint down; above
+    # it every job sits on the floor.  With r PEs left beside the floored
+    # and capped jobs, the level is mu = wm / r, so the first segment with
+    # lower * r <= wm <= upper * r holds it.  Crossing k moves weight k per
+    # job leaving the floor into the mid weight, and k d_j per job capped
+    # at k out of it.
+    floored, capped, wm = n, 0, 0
+    upper = None  # the top segment is unbounded, and only ever has wm == 0
+    for lower, (leaving, cap_demand) in sorted(steps.items(), reverse=True):
+        r = budget - floored - capped
+        if (lower * r <= wm <= upper * r) if wm else r == 0:
+            break
+        floored -= leaving
+        capped += cap_demand
+        wm += lower * (leaving - cap_demand)
+        upper = lower
+    else:
+        raise AssertionError("water level must exist for n <= budget < total demand")
+
+    # No breakpoint lies inside the segment, so each job is classified by
+    # its own breakpoints against the segment's ends.  A mid job's share
+    # r w_j / wm is one divmod: its floor, and its remainder over wm.
+    vols: dict[int, int] = {}
+    rem: dict[int, int] = {}
+    mid_set: list[JobInfo] = []
+    for j, w, p in zip(active, leaves, caps):
+        if w <= lower:
+            vols[j.job] = 1
+        elif upper is not None and p >= upper:
+            vols[j.job] = j.demand
+        else:
+            mid_set.append(j)
+            vols[j.job], rem[j.job] = divmod(r * w, wm)
+    leftover = r - sum(vols[j.job] for j in mid_set)
+    by_remainder = sorted(mid_set, key=lambda j: (-rem[j.job],) + _reference_tie_key(j))
+    for j in by_remainder[:leftover]:
+        vols[j.job] += 1
     return {j.job: vols[j.job] for j in active}

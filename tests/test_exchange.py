@@ -14,7 +14,7 @@ from flexsat.runtime import ClusterConfig
 from flexsat.solver.cdcl import cdcl_solve
 from helpers import (clause_keys, clause_order, key_literal, key_order, limit_oracle,
                      merge_oracle, rand_clauses, rand_keys, random_3cnf,
-                     serialize_oracle)
+                     reference_merge, serialize_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +291,49 @@ def test_merge_matches_oracle_randomized():
         own = serialize(rand_keys(rng, rng.randrange(0, 25)))
         got = merge(buffers, own, cfg)
         assert got == merge_oracle(buffers, own, cfg), trial
+
+
+def merge_or_error(merge_fn, buffers, own, cfg):
+    try:
+        return merge_fn(buffers, own, cfg)
+    except BufferFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("beta", [1, 7, 40, 1500])
+def test_merge_matches_the_reference_merge(beta):
+    """merge against the merge that collected every group, kept in the
+    tests: the same buffer and u, or the same first error, at tight and
+    default beta, with groups too long for the limit and malformed inputs
+    (a fault in such a group included)."""
+    rng = Random(beta)
+    seen = dict.fromkeys(("error", "long_group", "emitted"), 0)
+    for trial in range(300):
+        cfg = ClusterConfig(alpha=rng.choice([0.5, 0.875, 1.0]), beta=beta)
+        max_len = rng.choice((3, 12, 40))
+        buffers = [(serialize(rand_keys(rng, rng.randrange(0, 30), max_len=max_len)),
+                    rng.randrange(1, 6)) for _ in range(rng.randrange(0, 4))]
+        own = serialize(rand_keys(rng, rng.randrange(0, 30), max_len=max_len))
+        if trial % 4 == 3:  # one edit to one non-empty input
+            inputs = [i for i, (buf, _u) in enumerate(buffers) if buf]
+            k = rng.choice(inputs + [-1] if own else inputs or [None])
+            if k == -1:
+                own = mutate(rng, own)
+            elif k is not None:
+                buffers[k] = (mutate(rng, buffers[k][0]), buffers[k][1])
+        got = merge_or_error(merge, buffers, own, cfg)
+        assert got == merge_or_error(reference_merge, buffers, own, cfg), trial
+        if isinstance(got, str):
+            seen["error"] += 1
+            continue
+        limit = buffer_limit(got[1], cfg)
+        seen["long_group"] += any(2 * len(keys) > limit
+                                  for buf in [b for b, _u in buffers] + [own]
+                                  for keys in deserialize(buf))
+        seen["emitted"] += bool(got[0])
+    if beta == 1500:  # clauses of at most 40 literals: no group is too long
+        assert seen.pop("long_group") == 0
+    assert min(seen.values()) >= 20, seen
 
 
 def test_merge_dedups_across_sources():

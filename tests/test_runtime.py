@@ -1,6 +1,7 @@
 """Cluster runtime: transports, mono runs, malleability, determinism."""
 import gc
 import hashlib
+import heapq
 import json
 import math
 import threading
@@ -23,6 +24,7 @@ from flexsat.runtime.transport import RealContext, SimLoop, Trace, WallLoop, for
 from flexsat.sched import JobDescriptor, JobInfo, JobRequest
 from flexsat.solver.cdcl import CdclSolver, cdcl_solve
 from flexsat.solver.sls import SlsSolver
+from flexsat.util import below
 from helpers import php_cnf, random_3cnf, synth_cluster
 
 
@@ -218,6 +220,101 @@ def test_simloop_deterministic_per_seed():
 
     assert run(9) == run(9)
     assert run(9) != run(10)
+
+
+class ReferencePostLoop(SimLoop):
+    """SimLoop with post_message as it was before the jitter draw, the FIFO
+    clamp and the push were inlined: util.below, max and a push helper."""
+
+    def post_message(self, env, extra_delay_us=0):
+        jitter = below(self._getrandbits, tp.JITTER_US + 1)
+        t = self.now + extra_delay_us + tp.LATENCY_US + jitter
+        key = (env.src, env.dst)
+        t = max(t, self._pair_last.get(key, 0))
+        self._pair_last[key] = t
+        self._seq += 1
+        heapq.heappush(self._heap, (t, self._seq, tp._EV_MSG, env.dst, env, None))
+
+
+@pytest.mark.parametrize("jitter_us", [0, 1, 50, 63, 64, 80])
+def test_simloop_posts_like_the_reference_post_message(monkeypatch, jitter_us):
+    """The inlined post_message against the one it replaced, on twin loops:
+    over 3 000 posts among three PEs, with extra delays that force FIFO
+    clamps and partial drains that move the clock, every delivery time and
+    order and the latency generator's state stay the same."""
+    monkeypatch.setattr(tp, "JITTER_US", jitter_us)
+    rng = Random(jitter_us)
+    loops = [SimLoop(seed=11), ReferencePostLoop(seed=11)]
+    got = [[], []]
+    clamps = 0
+
+    def deliver(loop, out, until):
+        loop.run(lambda pe, env: out.append((loop.now, pe, env.payload["i"])),
+                 lambda pe, tag, data: None, lambda: False, until)
+
+    for i in range(3000):
+        src, dst = rng.randrange(3), rng.randrange(3)
+        extra = rng.choice((0, 0, 0, 30, rng.randrange(1000)))
+        ref = loops[1]
+        clamps += (ref.now + extra + tp.LATENCY_US + jitter_us
+                   < ref._pair_last.get((src, dst), -1))
+        for loop in loops:
+            loop.post_message(Envelope("K", src, dst, None, {"i": i}), extra)
+        if i % 7 == 6:  # move both clocks, as handled events do
+            until = loops[0].now + rng.randrange(400)
+            for loop, out in zip(loops, got):
+                deliver(loop, out, until)
+    for loop, out in zip(loops, got):
+        deliver(loop, out, 10 ** 12)
+    assert got[0] == got[1] and len(got[0]) == 3000
+    assert loops[0]._getrandbits.__self__.getstate() == loops[1]._getrandbits.__self__.getstate()
+    assert clamps >= 300
+
+
+# One seeded pass in the sched_synth shape at p=64, counted on the code
+# before the hot path was inlined: events handled by kind and timer tag,
+# and messages posted by kind.  A posted message that the run never
+# handles is one still in flight when the client finishes.
+SYNTH_COUNTS = {
+    1: ({"ABORT": 230, "ADOPT_ACK": 337, "EVENT_BROADCAST": 2331, "EVENT_REDUCE": 2457,
+         "JOB_PAYLOAD": 328, "JOB_REQUEST": 2984, "RESULT": 64, "VOLUME_UPDATE": 1255,
+         "balance": 2496, "demand": 2, "intro": 64, "step": 337, "synth": 64},
+        {"ABORT": 234, "ADOPT_ACK": 337, "EVENT_BROADCAST": 2331, "EVENT_REDUCE": 2457,
+         "JOB_PAYLOAD": 328, "JOB_REQUEST": 2984, "RESULT": 64, "VOLUME_UPDATE": 1255}),
+    5: ({"ABORT": 235, "ADOPT_ACK": 337, "EVENT_BROADCAST": 2457, "EVENT_REDUCE": 2457,
+         "JOB_PAYLOAD": 329, "JOB_REQUEST": 2642, "RESULT": 64, "VOLUME_UPDATE": 1309,
+         "balance": 2496, "demand": 2, "intro": 64, "step": 337, "synth": 64},
+        {"ABORT": 239, "ADOPT_ACK": 337, "EVENT_BROADCAST": 2457, "EVENT_REDUCE": 2457,
+         "JOB_PAYLOAD": 329, "JOB_REQUEST": 2642, "RESULT": 64, "VOLUME_UPDATE": 1309}),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SYNTH_COUNTS))
+def test_synth_run_handles_and_posts_the_pinned_counts(monkeypatch, seed):
+    """A lost, extra or re-routed message leaves the trace digests blind
+    when it changes no logged line; these counts see it."""
+    handled, posted = Counter(), Counter()
+    orig_env, orig_timer = pe_mod.BasePE.on_envelope, pe_mod.BasePE.on_timer
+    orig_post = SimLoop.post_message
+
+    def on_envelope(self, env):
+        handled[env.kind] += 1
+        orig_env(self, env)
+
+    def on_timer(self, tag, data):
+        handled[tag] += 1
+        orig_timer(self, tag, data)
+
+    def post_message(self, env, extra_delay_us=0):
+        posted[env.kind] += 1
+        orig_post(self, env, extra_delay_us)
+
+    monkeypatch.setattr(pe_mod.BasePE, "on_envelope", on_envelope)
+    monkeypatch.setattr(pe_mod.BasePE, "on_timer", on_timer)
+    monkeypatch.setattr(SimLoop, "post_message", post_message)
+    report = synth_cluster(64, 64, seed).run()
+    assert report.aggregates["solved"] == 64
+    assert (dict(handled), dict(posted)) == SYNTH_COUNTS[seed]
 
 
 def test_wall_loop_timers_inbox_stop_and_timeout():
