@@ -9,8 +9,10 @@ sharing epochs over each job tree.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from random import Random
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..exchange import ClauseFilter, buffer_limit, deserialize, merge, serialize
@@ -60,7 +62,8 @@ _BALANCE_FLOOR_US = int(MIN_BALANCE_PERIOD_S * 1e6)
 
 @dataclass
 class RunShared:
-    """The run's config and what the cluster derives from it."""
+    """The run's config, what the cluster derives from it, and the last
+    volume map, which the run's PEs share (see BasePE.volumes)."""
 
     cfg: ClusterConfig
     h_max: int
@@ -71,6 +74,8 @@ class RunShared:
     slice_us: int                  # solver time slice; 0 on the wall clock
     cdcl_per_slice: int            # conflicts per slice
     sls_per_slice: int             # flips per slice
+    # The job-table entries the last map was computed from, and that map.
+    volume_memo: Optional[tuple[tuple[JobInfo, ...], Mapping[int, int]]] = None
 
 
 @dataclass
@@ -155,7 +160,6 @@ class BasePE:
         self.pending_events: dict[int, JobInfo] = {}
         self.red: dict[int, tuple[dict[int, JobInfo], int]] = {}  # epoch -> (fold, missing)
         self.jobs_table: dict[int, Any] = {}
-        self._volumes: Optional[dict[int, int]] = None  # None: not read since the last broadcast
 
     # -- plumbing ----------------------------------------------------------
     def send(self, dst: int, kind: str, job: Optional[int], payload: dict,
@@ -215,16 +219,20 @@ class BasePE:
         for c in self.red_children:
             self.send(c, tp.EVENT_BROADCAST, None, {"epoch": k, "events": events})
         self.jobs_table = apply_events(self.jobs_table, events)
-        self._volumes = None
         self._after_volumes(k, events)
 
     @property
-    def volumes(self) -> dict[int, int]:
-        """The volume map of jobs_table, deferred jobs at 0.  Every PE can
-        compute it; one computes it on its first read after each broadcast."""
-        if self._volumes is None:
-            self._volumes = compute_volumes(self.jobs_table.values(), self.shared.cfg.budget)
-        return self._volumes
+    def volumes(self) -> Mapping[int, int]:
+        """The volume map of jobs_table, deferred jobs at 0, read-only.  A PE
+        whose table holds the entries of the run's last map (the very JobInfo
+        objects that the broadcasts carried) shares that map; any other
+        computes its own, which becomes the run's last."""
+        entries = tuple(self.jobs_table.values())
+        memo = self.shared.volume_memo
+        if memo is None or memo[0] != entries:
+            memo = self.shared.volume_memo = (entries, MappingProxyType(
+                compute_volumes(entries, self.shared.cfg.budget)))
+        return memo[1]
 
     # hooks
     def _on_balance_tick(self, k: int) -> None:
