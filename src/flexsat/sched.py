@@ -12,6 +12,7 @@ everywhere.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import attrgetter
@@ -296,79 +297,63 @@ def next_hop(req: JobRequest, hint: int | None, pe_id: int,
 def build_pe_graph(
     worker_ids: Sequence[int], degree: int, seed: int
 ) -> dict[int, tuple[int, ...]]:
-    """r-regular directed neighbor lists from r seeded permutations.
+    """Exactly r-regular directed neighbour lists, r = min(degree, n - 1) >= 1.
 
-    Permutations with self-loops or duplicate edges are redrawn; a swap
-    repair kicks in for tiny worker counts where rejection is hopeless.
+    The lists are the union of r permutations of the n workers.  Each is
+    one seeded `shuffle` of the worker indices, repaired: every position
+    whose worker clashes (the position itself, or a neighbour it already
+    has) is freed, then given a worker along a breadth-first augmenting
+    path over the allowed (position, worker) pairs.  One always exists:
+    after k clean permutations every position allows n - 1 - k workers and
+    every worker allows n - 1 - k positions, so for k < r that bipartite
+    graph is regular and has a perfect matching (Hall's theorem), and a
+    free position of a matching that is not perfect starts an augmenting
+    path.  So every worker has r distinct out-neighbours and r
+    in-neighbours, none of them itself.
     """
     ids = list(worker_ids)
     n = len(ids)
-    if n == 0:
-        return {}
-    if n == 1:
-        return {ids[0]: ()}
-    deg = max(1, min(degree, n - 1))
+    if n < 2:
+        return {w: () for w in ids}
     rng = Random(seed)
-    getrandbits = rng.getrandbits
-    edges: dict[int, list[int]] = {w: [] for w in ids}
-    rows = [edges[w] for w in ids]
-    # Each candidate takes Random.shuffle's draws, inlined: util.below(
-    # getrandbits, i + 1) for i from n - 1 down to 1.  Position i is final
-    # once swapped, so it is checked then; after the first clash the rest
-    # of the draws are taken without swapping, so every later draw, and the
-    # graph, are what shuffling whole candidates gives.
-    draws = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
-    for _ in range(deg):
-        perm = None
-        for _try in range(200):
-            cand = ids[:]
-            rest = iter(draws)
-            for i, k in rest:
-                j = getrandbits(k)
-                while j > i:
-                    j = getrandbits(k)
-                w = cand[j]
-                cand[j] = cand[i]
-                cand[i] = w
-                if w == ids[i] or w in rows[i]:
-                    break
+    rows = [[i] for i in range(n)]  # position i: itself, then its neighbours
+    for _ in range(max(1, min(degree, n - 1))):
+        match = list(range(n))
+        rng.shuffle(match)
+        owner = [-1] * n  # the position each worker fills; -1 when free
+        free = []
+        for i, w in enumerate(match):
+            if w in rows[i]:
+                free.append(i)
             else:
-                if cand[0] != ids[0] and cand[0] not in rows[0]:
-                    perm = cand
-                    break
-            for i, k in rest:  # empty unless a position clashed
-                while getrandbits(k) > i:
-                    pass
-        if perm is None:
-            perm = _repair_permutation(ids, edges, rng)
-        for i in range(n):
-            edges[ids[i]].append(perm[i])
-    return {w: tuple(vs) for w, vs in edges.items()}
+                owner[w] = i
+        spare = [match[i] for i in free]
+        for i in free:
+            _augment(i, match, owner, rows, spare)
+        for row, w in zip(rows, match):
+            row.append(w)
+    return {ids[i]: tuple(ids[w] for w in row[1:]) for i, row in enumerate(rows)}
 
 
-def _repair_permutation(
-    ids: list[int], edges: dict[int, list[int]], rng: Random
-) -> list[int]:
-    """Swap conflicting positions pairwise until the permutation is clean."""
-    n = len(ids)
-    cand = ids[:]
-    rng.shuffle(cand)
-
-    def bad(i: int) -> bool:
-        return cand[i] == ids[i] or cand[i] in edges[ids[i]]
-
-    for _round in range(4 * n):
-        conflicts = [i for i in range(n) if bad(i)]
-        if not conflicts:
-            return cand
-        for i in conflicts:
-            for off in range(1, n):
-                j = (i + off) % n
-                cand[i], cand[j] = cand[j], cand[i]
-                if not bad(i) and not bad(j):
-                    break
-                cand[i], cand[j] = cand[j], cand[i]
-    # pathological tiny configurations: fall back to per-node sampling,
-    # which keeps out-degree exact but may skew in-degree
-    return [rng.choice([w for w in ids if w != ids[i] and w not in edges[ids[i]]])
-            for i in range(n)]
+def _augment(root: int, match: list[int], owner: list[int],
+             rows: list[list[int]], spare: list[int]) -> None:
+    """Give free position root a worker: search breadth first from root for
+    a free worker, each step going from a position to one of its allowed
+    workers and on to the position that holds it, then move every position
+    on the path to the worker it reached.  Each position tries the workers
+    freed by the repair (spare) before all the others."""
+    via = {root: -1}
+    queue = [root]
+    for p in queue:
+        for w in chain(spare, range(len(owner))):
+            q = owner[w]
+            if q in via or w in rows[p]:
+                continue
+            if q < 0:
+                while p >= 0:
+                    owner[w] = p
+                    match[p], w = w, match[p]
+                    p = via[p]
+                return
+            via[q] = p
+            queue.append(q)

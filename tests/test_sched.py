@@ -410,20 +410,27 @@ def test_route_no_neighbors_parks():
 # PE graph
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 33])
-def test_graph_regularity(n):
-    ids = list(range(1, n + 1))
-    g = build_pe_graph(ids, 4, seed=7)
-    deg = min(4, n - 1)
-    indeg = {w: 0 for w in ids}
-    for w, outs in g.items():
-        assert len(outs) == deg
-        assert w not in outs
-        assert len(set(outs)) == deg
-        for v in outs:
-            assert v in indeg
-            indeg[v] += 1
-    assert all(c == deg for c in indeg.values())  # permutations keep in-degree
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_graph_regularity(degree):
+    # Every worker has exactly min(degree, n - 1) distinct out-neighbours
+    # and as many in-neighbours, all of them other workers.  Small clusters
+    # at high degree leave a permutation the fewest choices (a 7-worker
+    # cluster is what every p=8 run builds), so they get many seeds.
+    rng = Random(4242 + degree)
+    for n in [*range(71), 127]:
+        ids = rng.sample(range(1, 4 * n + 1), n)
+        deg = min(degree, n - 1)
+        for _ in range(40 if n <= 12 else 1):
+            seed = rng.getrandbits(64)
+            g = build_pe_graph(ids, degree, seed)
+            assert sorted(g) == sorted(ids)
+            indeg = dict.fromkeys(ids, 0)
+            for w, outs in g.items():
+                assert len(set(outs) & indeg.keys()) == len(outs) == deg, (n, seed)
+                assert w not in outs, (n, seed)
+                for v in outs:
+                    indeg[v] += 1
+            assert set(indeg.values()) <= {deg}, (n, seed)
 
 
 def test_graph_edges_and_determinism():
