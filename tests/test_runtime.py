@@ -271,21 +271,21 @@ def test_simloop_posts_like_the_reference_post_message(monkeypatch, jitter_us):
     assert clamps >= 300
 
 
-# One seeded pass in the sched_synth shape at p=64, counted on the code
-# before the hot path was inlined: events handled by kind and timer tag,
-# and messages posted by kind.  A posted message that the run never
-# handles is one still in flight when the client finishes.
+# One seeded pass in the sched_synth shape at p=64, counted on the exactly
+# regular PE graph: events handled by kind and timer tag, and messages
+# posted by kind.  A posted message that the run never handles is one
+# still in flight when the client finishes.
 SYNTH_COUNTS = {
     1: ({"ABORT": 230, "ADOPT_ACK": 337, "EVENT_BROADCAST": 2331, "EVENT_REDUCE": 2457,
-         "JOB_PAYLOAD": 328, "JOB_REQUEST": 2984, "RESULT": 64, "VOLUME_UPDATE": 1255,
+         "JOB_PAYLOAD": 329, "JOB_REQUEST": 2574, "RESULT": 64, "VOLUME_UPDATE": 1254,
          "balance": 2496, "demand": 2, "intro": 64, "step": 337, "synth": 64},
         {"ABORT": 234, "ADOPT_ACK": 337, "EVENT_BROADCAST": 2331, "EVENT_REDUCE": 2457,
-         "JOB_PAYLOAD": 328, "JOB_REQUEST": 2984, "RESULT": 64, "VOLUME_UPDATE": 1255}),
-    5: ({"ABORT": 235, "ADOPT_ACK": 337, "EVENT_BROADCAST": 2457, "EVENT_REDUCE": 2457,
-         "JOB_PAYLOAD": 329, "JOB_REQUEST": 2642, "RESULT": 64, "VOLUME_UPDATE": 1309,
-         "balance": 2496, "demand": 2, "intro": 64, "step": 337, "synth": 64},
-        {"ABORT": 239, "ADOPT_ACK": 337, "EVENT_BROADCAST": 2457, "EVENT_REDUCE": 2457,
-         "JOB_PAYLOAD": 329, "JOB_REQUEST": 2642, "RESULT": 64, "VOLUME_UPDATE": 1309}),
+         "JOB_PAYLOAD": 329, "JOB_REQUEST": 2574, "RESULT": 64, "VOLUME_UPDATE": 1254}),
+    5: ({"ABORT": 233, "ADOPT_ACK": 337, "EVENT_BROADCAST": 2457, "EVENT_REDUCE": 2457,
+         "JOB_PAYLOAD": 326, "JOB_REQUEST": 2539, "RESULT": 64, "VOLUME_UPDATE": 1312,
+         "balance": 2496, "demand": 2, "intro": 64, "step": 336, "synth": 64},
+        {"ABORT": 235, "ADOPT_ACK": 337, "EVENT_BROADCAST": 2457, "EVENT_REDUCE": 2457,
+         "JOB_PAYLOAD": 326, "JOB_REQUEST": 2539, "RESULT": 64, "VOLUME_UPDATE": 1312}),
 }
 
 
@@ -1110,12 +1110,12 @@ def wide_synth_run():
 
 
 @pytest.mark.parametrize("run,digest", [
-    (criterion9_run, "fc67f44270b149c74ec24877ac69e17cdb198c816e21e1c28db55c562f1a4532"),
-    (eviction_run, "fb39a0284b0d1a6e944082365474fc1833b0545e5c6f1889e50587e6178957d0"),
-    (sharing_mono_run, "106361b4c59be5de0eb2a49a13965756f8e0cd465635f9fd22d480aa60bf2a8d"),
-    (multi_cnf_sharing_run, "4030f505bdaaa94201d14909e4380ebe67fb21c5e13554b16ee8c3beca56f82a"),
-    (forgetting_mono_run, "9670a805afc18579964f386917f8b7fa42d6aff11bc33644e263ad10656c70c6"),
-    (wide_synth_run, "e4ad89874204c9284b1711de0cdf9f7be45abc404fc1b93c732191953d90de73"),
+    (criterion9_run, "5446e5324c99858afeb13ffbb2b7e9e85b07b72a47d7515801545e2b3b0b0d79"),
+    (eviction_run, "2d16d8e2f5cecd485bd5b81755e3b3aadfc0028d1725f9da28c42947159fd7b1"),
+    (sharing_mono_run, "a7a5e620e53ac1cf8d37f97acb0dcfdf7db4f7c2748378c5f4b355c640f9032a"),
+    (multi_cnf_sharing_run, "652df45f24072bf67d8cde61840aae09058eb26167154db87910609d8b75dc28"),
+    (forgetting_mono_run, "2b36d0973f160fdc359a574012af0ddf664b4df712de459026f867c7f00d977e"),
+    (wide_synth_run, "73ab4849160d71cf982e5de04f60e9bf3def35496213e005aa4feeab82392c0a"),
 ], ids=["criterion9", "eviction", "sharing_mono", "multi_cnf_sharing", "forgetting_mono",
         "wide_synth"])
 def test_trace_digests_pinned(run, digest):
@@ -1133,27 +1133,27 @@ def _sha(text: str) -> str:
 
 
 @pytest.mark.parametrize("run,digests", [
-    (criterion9_run, ("5a82fa8a92191334436ffc14e6a886ff162210df2489a75192f5227d5e2fa77a",
+    (criterion9_run, ("ce774eef2cc62fec3ae365ca5b03ea42c08a7723fe792891e4c2357603997959",
                       "96c93a3524d22ee072428867bb863bb16a5700536336b6ad20c01a93955007f4",
                       "264a4db89a704a8dd94e8808e6c851601ee1b718720c2f7317d984bbb7d6165e")),
-    (eviction_run, ("8d9bcb2b27489fcb0ae1680a9bb55b54fd4df30ea94ab2c10d0a2d447b885094",
+    (eviction_run, ("a156a272b9eb403283df16b63352b74b1ea0900ef1822d1eccf190732be9dc15",
                     "377e4f745ccd76d09fabc08c03665f389795b179dd65cf09a5d4aca4475e0e4a",
                     "f7427d4835dbe5cc6d34f032221a46650097dd3efe9b0e95d7fd363966e6248c")),
-    (sharing_mono_run, ("392711f7cdc8c88966701822e3353743bf1a6304404dff54ccf93b59da7be5f3",
+    (sharing_mono_run, ("841573059d7438285e9fd1e379d1d030b1d5ac91079c980fbc6908d456b7c4f6",
                         "e3c2402b76857e03bcd784d3a38f194858d860f9efd3b928c07033a35a4dcf73",
-                        "f398f55970be3e964079c0bfb4ab27e4ace9d60457e073e27dba55e6920b5e10")),
-    (multi_cnf_sharing_run, ("7401b36bbcc2f2ca884224cd070cbf7575edc7dc7eff9d1b8c45929cadb258a0",
+                        "b5cf11247ab1862bc2672c8ed5d3b80effe445cbc39388afa1aa21c200d37ef0")),
+    (multi_cnf_sharing_run, ("1c0612823e1127b57aca67f742d34f4f9a4ec1df3bd2afa3aabd0d1e879cf1aa",
                              "48d20582e74c013a200c5f6ca670c9177eae071e526b7f069591ece2811b2552",
-                             "08fd1c484d62c3279cfbd838ccd9893103c148b777e6778fe804ab9eacf641f0")),
+                             "540e490357f767234e071a69ba2cf06cb9ab33244cb79acdcfb34c2aa80de170")),
 ], ids=["criterion9", "eviction", "sharing_mono", "multi_cnf_sharing"])
 def test_busy_and_totals_folds_keep_the_tick_era_values(run, digests):
-    """Audit of the one re-pin that dropped the cluster's TICK and STATS lines.
+    """The folds of the pinned runs: the trace without its CONFIG lines (and
+    without TICK and STATS lines, which no run writes any more), the busy
+    series folded from the PEs' own lines, and the solver totals.
 
-    The digests were taken when the cluster still sampled its workers (TICK
-    lines) and summed the run's solver counters (one PE -1 STATS line), and
-    a mono run ramped to the budget by a config knob: the trace without its
-    TICK, STATS and CONFIG lines, the busy series, and the solver totals.
-    Folding the PEs' own lines gives all three unchanged.
+    These digests audited the re-pin that dropped the cluster's TICK and
+    STATS lines until the exactly regular PE graph moved every trace; they
+    now pin the folds of the runs that the trace digests pin.
     """
     report = run()
     rest = [line for line in report.trace
