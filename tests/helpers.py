@@ -5,17 +5,15 @@ is decided by exhaustive truth tables, buffer limits by arbitrary
 precision arithmetic with exact branches for the rational cases, buffers
 by a clause-by-clause writer over signed literal tuples, merges by
 decode-everything-and-redo, volumes by bisection on the water level.
-Five exceptions are earlier production code, kept as exact differential
+Four exceptions are earlier production code, kept as exact differential
 oracles: `segment_scan_volumes`, the quadratic volume search,
 `reference_compute_volumes`, the integer sweep before it took fewer passes,
-`reference_merge`, the merge that collected every group,
-`oracle_parse_dimacs`, the line-by-line DIMACS scanner, and
-`reference_pe_graph`, the shuffle-and-check PE graph sampler.
+`reference_merge`, the merge that collected every group, and
+`oracle_parse_dimacs`, the line-by-line DIMACS scanner.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from random import Random
 from typing import Iterable
@@ -249,66 +247,6 @@ def oracle_parse_dimacs(source: str | bytes) -> tuple[int, tuple[tuple[int, ...]
     if pending:
         raise DimacsError("clause missing 0 terminator", pending_line)
     return num_vars, tuple(clauses)
-
-
-# ---------------------------------------------------------------------------
-# PE graph oracle: the earlier sampler, one Random.shuffle per candidate
-
-
-def reference_pe_graph(worker_ids: list[int], degree: int, seed: int,
-                       paths: Counter) -> dict[int, tuple[int, ...]]:
-    """build_pe_graph as it was: each candidate permutation is a whole
-    Random.shuffle, checked afterwards.  paths counts the permutations that
-    needed the swap repair ("repair") and its per-node fallback ("fallback")."""
-    ids = list(worker_ids)
-    n = len(ids)
-    if n == 0:
-        return {}
-    if n == 1:
-        return {ids[0]: ()}
-    deg = max(1, min(degree, n - 1))
-    rng = Random(seed)
-    edges: dict[int, list[int]] = {w: [] for w in ids}
-    for _ in range(deg):
-        perm = None
-        for _try in range(200):
-            cand = ids[:]
-            rng.shuffle(cand)
-            if all(cand[i] != ids[i] and cand[i] not in edges[ids[i]]
-                   for i in range(n)):
-                perm = cand
-                break
-        if perm is None:
-            paths["repair"] += 1
-            perm = _reference_repair(ids, edges, rng, paths)
-        for i in range(n):
-            edges[ids[i]].append(perm[i])
-    return {w: tuple(vs) for w, vs in edges.items()}
-
-
-def _reference_repair(ids: list[int], edges: dict[int, list[int]], rng: Random,
-                      paths: Counter) -> list[int]:
-    n = len(ids)
-    cand = ids[:]
-    rng.shuffle(cand)
-
-    def bad(i: int) -> bool:
-        return cand[i] == ids[i] or cand[i] in edges[ids[i]]
-
-    for _round in range(4 * n):
-        conflicts = [i for i in range(n) if bad(i)]
-        if not conflicts:
-            return cand
-        for i in conflicts:
-            for off in range(1, n):
-                j = (i + off) % n
-                cand[i], cand[j] = cand[j], cand[i]
-                if not bad(i) and not bad(j):
-                    break
-                cand[i], cand[j] = cand[j], cand[i]
-    paths["fallback"] += 1
-    return [rng.choice([w for w in ids if w != ids[i] and w not in edges[ids[i]]])
-            for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
