@@ -12,9 +12,9 @@ everywhere.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
@@ -297,7 +297,7 @@ def next_hop(req: JobRequest, hint: int | None, pe_id: int,
 def build_pe_graph(
     worker_ids: Sequence[int], degree: int, seed: int
 ) -> dict[int, tuple[int, ...]]:
-    """Exactly r-regular directed neighbour lists, r = min(degree, n - 1) >= 1.
+    """Exactly r-regular directed neighbour lists, r = min(max(degree, 1), n - 1).
 
     The lists are the union of r permutations of the n workers.  Each is
     one seeded `shuffle` of the worker indices, repaired: every position
