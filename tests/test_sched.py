@@ -442,3 +442,37 @@ def test_graph_tiny_cases():
     assert build_pe_graph([], 4, 0) == {}
     assert build_pe_graph([9], 4, 0) == {9: ()}
     assert build_pe_graph([1, 2], 4, 0) == {1: (2,), 2: (1,)}
+
+
+def test_pe_graph_draws_one_shuffle_per_permutation(monkeypatch):
+    # Every request walk, and so every simulated trace, runs on this graph:
+    # its generator must give r = min(max(degree, 1), n - 1) shuffles of
+    # the worker indices and nothing else, so the repair consumes no draws.
+    # The sweep includes the 5-7-worker clusters whose first shuffles clash
+    # most, and one large cluster, which the iterative repair handles too.
+    made: list = []
+
+    class Recording(Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.shuffled: list[int] = []
+            made.append(self)
+
+        def shuffle(self, x):
+            self.shuffled.append(len(x))
+            super().shuffle(x)
+
+    monkeypatch.setattr("flexsat.sched.Random", Recording)
+    rng = Random(3131)
+    for n, degree in [*((n, d) for n in range(2, 13) for d in range(0, 7)),
+                      (1000, 6)]:
+        seed = rng.getrandbits(64)
+        made.clear()
+        g = build_pe_graph(rng.sample(range(1, 4 * n + 1), n), degree, seed)
+        r = max(1, min(degree, n - 1))
+        assert len(made) == 1 and made[0].shuffled == [n] * r, (n, degree)
+        twin = Random(seed)
+        for _ in range(r):
+            twin.shuffle(list(range(n)))
+        assert made[0].getstate() == twin.getstate(), (n, degree, seed)
+        assert all(len(outs) == r for outs in g.values())
