@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from random import Random
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Optional
@@ -63,7 +64,8 @@ _BALANCE_FLOOR_US = int(MIN_BALANCE_PERIOD_S * 1e6)
 @dataclass
 class RunShared:
     """The run's config, what the cluster derives from it, and the last
-    volume map, which the run's PEs share (see BasePE.volumes)."""
+    volume map and decoded broadcast, which the run's PEs share (see
+    BasePE.volumes and WorkerPE._apply_import)."""
 
     cfg: ClusterConfig
     h_max: int
@@ -76,6 +78,8 @@ class RunShared:
     sls_per_slice: int             # flips per slice
     # The job-table entries the last map was computed from, and that map.
     volume_memo: Optional[tuple[tuple[JobInfo, ...], Mapping[int, int]]] = None
+    # The last broadcast buffer, its clauses and their running word counts.
+    decode_memo: Optional[tuple[list[int], tuple[tuple[int, ...], ...], tuple[int, ...]]] = None
 
 
 @dataclass
@@ -634,7 +638,9 @@ class WorkerPE(BasePE):
 
     def _complete_epoch(self, node: JobNode, n: int, st: EpochState) -> None:
         ins = [(buf, u) for _cx, (buf, u) in sorted(st.got.items()) if u > 0]
-        merged, u_out = merge(ins, st.own, self.shared.cfg)
+        # A leaf's own export was written under b(1) = u_out's limit, so
+        # merging it alone would return it unchanged.
+        merged, u_out = merge(ins, st.own, self.shared.cfg) if ins else (st.own, 1)
         st.participants = [(cx, st.expected[cx])
                            for cx, (_b, u) in sorted(st.got.items()) if u > 0]
         if st.reply_to is None:  # root: turn around and broadcast
@@ -666,12 +672,17 @@ class WorkerPE(BasePE):
     def _apply_import(self, node: JobNode, buf: list[int]) -> None:
         if not buf or not node.slots:
             return
-        clauses = deserialize(buf)
+        # Every node of the tree imports the same buffer object, so the run
+        # decodes it once; the memo holds the buffer, so its id stays unique.
+        memo = self.shared.decode_memo
+        if memo is None or memo[0] is not buf:
+            clauses = tuple(deserialize(buf))
+            memo = self.shared.decode_memo = (
+                buf, clauses, tuple(accumulate(len(keys) + 1 for keys in clauses)))
+        _buf, clauses, words = memo
         for slot in node.slots:
-            if slot.ring is None:
-                continue
-            for keys in clauses:
-                slot.ring.try_push(keys)
+            if slot.ring is not None:
+                slot.ring.push_prefix(clauses, words)
 
     # -- results -----------------------------------------------------------
     def _solver_finished(self, node: JobNode, slot: SolverSlot, verdict: str,

@@ -288,9 +288,16 @@ def test_merge_matches_oracle_randomized():
         for _ in range(rng.randrange(0, 4)):
             cs = rand_keys(rng, rng.randrange(0, 25))
             buffers.append((serialize(cs), rng.randrange(1, 6)))
-        own = serialize(rand_keys(rng, rng.randrange(0, 25)))
+        keys = rand_keys(rng, rng.randrange(0, 25))
+        own = serialize(keys)
         got = merge(buffers, own, cfg)
         assert got == merge_oracle(buffers, own, cfg), trial
+        # A leaf's export, written under b(1), merges alone to itself: a
+        # leaf sends it as is.  Tight betas truncate it mid-group.
+        for beta in (1, 7, cfg.beta):
+            leaf_cfg = ClusterConfig(alpha=cfg.alpha, beta=beta)
+            leaf = serialize(keys, buffer_limit(1, leaf_cfg))
+            assert merge([], leaf, leaf_cfg) == (leaf, 1), (trial, beta)
 
 
 def merge_or_error(merge_fn, buffers, own, cfg):

@@ -4,6 +4,7 @@ import hashlib
 import heapq
 import json
 import math
+import operator
 import threading
 import time
 import weakref
@@ -604,6 +605,51 @@ def test_volume_map_is_shared_only_between_equal_tables(monkeypatch):
     assert all(vm != own[0] for vm in peers)
     assert all(vm == peers[0] for vm in peers)
     assert report.aggregates["solved"] == 8
+
+
+def test_broadcast_is_decoded_once_per_buffer(monkeypatch):
+    """Every node of a job tree imports the one buffer object that its root
+    broadcast, and the run decodes each such buffer once: the slots of the
+    tree's nodes, on different PEs, queue the very same clause tuples, held
+    in a tuple that no PE can change, and each ring's fill grows by a
+    length word plus the literals of each clause it took."""
+    real = pe_mod.deserialize
+    decoded = []
+    imports = []   # (buffer, PE, node key, the decoded clauses)
+
+    def counting(buf):
+        decoded.append(buf)
+        return real(buf)
+
+    orig_import = pe_mod.WorkerPE._apply_import
+
+    def apply_import(self, node, buf):
+        rings = [slot.ring for slot in node.slots or () if slot.ring is not None]
+        before = [(len(ring._records), len(ring)) for ring in rings]
+        orig_import(self, node, buf)
+        if not buf or not rings:
+            return
+        _buf, clauses, _words = self.shared.decode_memo
+        assert _buf is buf and type(clauses) is tuple
+        for ring, (n, words) in zip(rings, before):
+            taken = list(ring._records)[n:]
+            assert len(taken) == len(clauses)  # no workload here fills a ring
+            assert all(map(operator.is_, taken, clauses))
+            assert len(ring) - words == sum(len(keys) + 1 for keys in taken)
+        imports.append((buf, self.pe_id, node.key, clauses))
+
+    monkeypatch.setattr(pe_mod, "deserialize", counting)
+    monkeypatch.setattr(pe_mod.WorkerPE, "_apply_import", apply_import)
+    multi_cnf_sharing_run()
+
+    by_buf: dict[int, list] = {}
+    for entry in imports:  # every buffer stays alive in imports, so ids are unique
+        by_buf.setdefault(id(entry[0]), []).append(entry)
+    assert len(decoded) == len(by_buf) >= 2
+    assert all(any(d is group[0][0] for d in decoded) for group in by_buf.values())
+    for group in by_buf.values():
+        assert all(clauses is group[0][3] for _b, _pe, _key, clauses in group)
+        assert len({pe for _b, pe, _key, _c in group}) >= 2  # a tree over several PEs
 
 
 def test_balancing_round_sends_each_contribution_once(monkeypatch):

@@ -4,10 +4,12 @@ import tracemalloc
 from collections import Counter, deque
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from random import Random
 
 import pytest
 
+from flexsat.exchange import deserialize, serialize
 from flexsat.formula import Cnf, check_model
 from flexsat.solver import SAT, UNSAT
 from flexsat.solver import cdcl as cdcl_mod
@@ -17,7 +19,7 @@ from flexsat.solver.config import (CDCL_PRESETS, PORTFOLIO_CYCLE, CdclParams, Sl
 from flexsat.solver.ring import ImportRing
 from flexsat.solver.sls import SlsSolver, _preprocess
 from flexsat.util import below, luby
-from helpers import clause_keys, oracle_verdict, php_cnf, random_3cnf, xor_chain_cnf
+from helpers import clause_keys, oracle_verdict, php_cnf, rand_keys, random_3cnf, xor_chain_cnf
 
 
 # ---------------------------------------------------------------------------
@@ -791,24 +793,50 @@ def test_ring_wraparound():
 
 
 def test_ring_matches_fifo_model_across_wraps():
+    """ImportRing against a deque of at most cap words, a length word per
+    clause: single pushes, whole serialized-then-decoded buffers through
+    push_prefix, which the model pushes clause by clause, and pops.  Fill,
+    drops and pop order agree after every step, also when a buffer
+    overflows mid-group, at a group boundary or fits exactly."""
     rng = Random(9)
-    for cap in (4, 5, 7, 16, 33):
-        ring, model, words = ImportRing(cap), deque(), 0
-        for _ in range(400):
-            if rng.random() < 0.55:
+    seen = Counter()
+    for cap in (4, 5, 7, 16, 33, 64):
+        ring, model, words, dropped = ImportRing(cap), deque(), 0, 0
+
+        def model_push(lits):
+            nonlocal words, dropped
+            fits = words + len(lits) + 1 <= cap
+            if fits:
+                model.append(lits)
+                words += len(lits) + 1
+            else:
+                dropped += 1
+            return fits
+
+        for _ in range(600):
+            r = rng.random()
+            if r < 0.35:
                 lits = tuple(rng.choice([-1, 1]) * rng.randrange(1, 50)
                              for _ in range(rng.randrange(1, cap)))
-                fits = words + len(lits) + 1 <= cap
-                assert ring.try_push(lits) is fits
-                if fits:
-                    model.append(lits)
-                    words += len(lits) + 1
+                assert ring.try_push(lits) is model_push(lits)
+            elif r < 0.55:
+                clauses = deserialize(serialize(rand_keys(rng, rng.randrange(0, 10),
+                                                          max_var=8, max_len=4)))
+                running = list(accumulate(len(keys) + 1 for keys in clauses))
+                free = cap - words
+                fit = sum([model_push(keys) for keys in clauses])
+                assert ring.push_prefix(clauses, running) == fit
+                if 0 < fit < len(clauses):
+                    seen["mid_group" if len(clauses[fit - 1]) == len(clauses[fit])
+                         else "boundary"] += 1
+                seen["exact"] += bool(fit) and running[fit - 1] == free
             else:
                 got = ring.try_pop()
                 assert got == (model.popleft() if model else None)
                 if got is not None:
                     words -= len(got) + 1
-            assert len(ring) == words
+            assert len(ring) == words and ring.dropped == dropped
+    assert min(seen[k] for k in ("mid_group", "boundary", "exact")) >= 5, seen
 
 
 def test_ring_pops_the_pushed_tuple():
