@@ -59,13 +59,15 @@ CACHE_SIZE = 3             # job-tree nodes a worker holds, active or suspended
 
 # A balancing epoch's timer re-arms no sooner than this.
 _BALANCE_FLOOR_US = int(MIN_BALANCE_PERIOD_S * 1e6)
+# The one job table every PE starts from; every later table is read-only too.
+_EMPTY_TABLE: Mapping[int, JobInfo] = MappingProxyType({})
 
 
 @dataclass
 class RunShared:
-    """The run's config, what the cluster derives from it, and the last
-    volume map and decoded broadcast, which the run's PEs share (see
-    BasePE.volumes and WorkerPE._apply_import)."""
+    """The run's config, what the cluster derives from it, and the last job
+    table, volume map and decoded broadcast, which the run's PEs share (see
+    BasePE._apply_broadcast, BasePE.volumes and WorkerPE._apply_import)."""
 
     cfg: ClusterConfig
     h_max: int
@@ -76,6 +78,9 @@ class RunShared:
     slice_us: int                  # solver time slice; 0 on the wall clock
     cdcl_per_slice: int            # conflicts per slice
     sls_per_slice: int             # flips per slice
+    # The last broadcast's input table, its events and the table they gave.
+    table_memo: Optional[tuple[Mapping[int, JobInfo], dict[int, JobInfo],
+                               Mapping[int, JobInfo]]] = None
     # The job-table entries the last map was computed from, and that map.
     volume_memo: Optional[tuple[tuple[JobInfo, ...], Mapping[int, int]]] = None
     # The last broadcast buffer, its clauses and their running word counts.
@@ -163,7 +168,7 @@ class BasePE:
             c for c in (2 * self.pe_id + 1, 2 * self.pe_id + 2) if c < p)
         self.pending_events: dict[int, JobInfo] = {}
         self.red: dict[int, tuple[dict[int, JobInfo], int]] = {}  # epoch -> (fold, missing)
-        self.jobs_table: dict[int, Any] = {}
+        self.jobs_table: Mapping[int, JobInfo] = _EMPTY_TABLE
 
     # -- plumbing ----------------------------------------------------------
     def send(self, dst: int, kind: str, job: Optional[int], payload: dict,
@@ -222,7 +227,14 @@ class BasePE:
     def _apply_broadcast(self, k: int, events: dict[int, JobInfo]) -> None:
         for c in self.red_children:
             self.send(c, tp.EVENT_BROADCAST, None, {"epoch": k, "events": events})
-        self.jobs_table = apply_events(self.jobs_table, events)
+        # Every PE gets a broadcast's one events dict, so a PE whose table
+        # equals the last input takes the last result; the memo keeps its
+        # input and events alive, so their ids stay unique.
+        table, memo = self.jobs_table, self.shared.table_memo
+        if memo is None or memo[1] is not events or not (memo[0] is table or memo[0] == table):
+            memo = self.shared.table_memo = (
+                table, events, MappingProxyType(apply_events(table, events)))
+        self.jobs_table = memo[2]
         self._after_volumes(k, events)
 
     @property

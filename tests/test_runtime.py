@@ -11,6 +11,7 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 from random import Random
+from types import MappingProxyType
 
 import pytest
 
@@ -604,6 +605,78 @@ def test_volume_map_is_shared_only_between_equal_tables(monkeypatch):
     assert own and len(peers) >= 2
     assert all(vm != own[0] for vm in peers)
     assert all(vm == peers[0] for vm in peers)
+    assert report.aggregates["solved"] == 8
+
+
+def test_job_table_is_shared_only_between_equal_tables(monkeypatch):
+    """The run applies each balancing broadcast once while the PEs' job
+    tables agree, and every PE holds the very table that application gave,
+    read-only.  In one epoch one worker's table gets a job its peers' tables
+    lack: that worker applies the broadcast to its own table, whose result
+    differs from the table its peers share.  Its table is then put back to a
+    copy of its peers', equal to theirs but not the same object, and the
+    next epochs apply each broadcast once again."""
+    real = pe_mod.apply_events
+    current = {}   # the broadcast being applied: its epoch and input table
+    calls = []     # (epoch, input table) of every application
+    broadcasts = {}   # epoch -> its events
+    held = []      # (epoch, PE, previous table, table after the broadcast)
+    skewed = {}    # the one (epoch, PE, table) whose input was changed
+
+    def counting(table, events):
+        assert current, "a table was built outside a broadcast"
+        calls.append((current["k"], table))
+        return real(table, events)
+
+    orig_apply = pe_mod.BasePE._apply_broadcast
+
+    def apply(self, k, events):
+        assert broadcasts.setdefault(k, events) is events, f"epoch {k} has two broadcasts"
+        prev = self.jobs_table
+        if not skewed and self.pe_id != pe_mod.CLIENT_ID and prev and len(broadcasts) >= 4:
+            info = next(iter(prev.values()))
+            skewed.update(k=k, pe=self.pe_id, peers=prev)
+            prev = self.jobs_table = skewed["table"] = {**prev, 999: replace(info, job=999)}
+        current.update(k=k, prev=prev)
+        orig_apply(self, k, events)
+        current.clear()
+
+    def hooked(orig_after):
+        def after(self, k, events):
+            held.append((k, self.pe_id, current["prev"], self.jobs_table))
+            if skewed.get("pe") == self.pe_id and skewed["k"] == k:
+                # back to its peers' table, by value, before the run reads it
+                self.jobs_table = MappingProxyType(real(skewed["peers"], events))
+            orig_after(self, k, events)
+        return after
+
+    monkeypatch.setattr(pe_mod, "apply_events", counting)
+    monkeypatch.setattr(pe_mod.BasePE, "_apply_broadcast", apply)
+    for cls in (pe_mod.BasePE, pe_mod.WorkerPE):
+        monkeypatch.setattr(cls, "_after_volumes", hooked(cls.__dict__["_after_volumes"]))
+    report = Cluster(small_cfg(num_pes=16, seed=3), _random_synth_jobs(),
+                     demand_changes=[(0.6, 2, 1), (0.9, 2, 6)]).run()
+
+    assert skewed, "no worker held a table after three broadcasts"
+    assert max(broadcasts) > skewed["k"], "no broadcast followed the skewed one"
+    for k, pe, prev, table in held:
+        assert table == real(prev, broadcasts[k]), f"pe {pe} holds a stale table in epoch {k}"
+        with pytest.raises(TypeError):
+            table[-1] = None
+    per_epoch = Counter(k for k, _t in calls)
+    assert set(per_epoch) == {k for k, events in broadcasts.items() if events}
+    assert all(n == 1 for k, n in per_epoch.items() if k != skewed["k"]), per_epoch
+    for k in broadcasts:
+        tables = [table for kk, _pe, _p, table in held if kk == k]
+        assert len(tables) >= 2
+        if k != skewed["k"]:
+            assert all(table is tables[0] for table in tables), f"epoch {k} built two tables"
+    in_epoch = [(pe, table) for k, pe, _p, table in held if k == skewed["k"]]
+    own = [table for pe, table in in_epoch if pe == skewed["pe"]]
+    peers = [table for pe, table in in_epoch if pe != skewed["pe"]]
+    assert sum(table is skewed["table"] for _k, table in calls) == 1
+    assert len(own) == 1 and 999 in own[0] and len(peers) == 15
+    assert all(table == peers[0] != own[0] for table in peers)
     assert report.aggregates["solved"] == 8
 
 
