@@ -163,9 +163,8 @@ class BasePE:
         self.pe_id = ctx.pe_id
         self.rng = ctx.rng
         p = shared.cfg.num_pes
-        self.red_parent = (self.pe_id - 1) // 2 if self.pe_id > 0 else None
-        self.red_children = tuple(
-            c for c in (2 * self.pe_id + 1, 2 * self.pe_id + 2) if c < p)
+        self.red_parent = parent_index(self.pe_id) if self.pe_id > 0 else None
+        self.red_children = tuple(c for c in child_indices(self.pe_id) if c < p)
         self.pending_events: dict[int, JobInfo] = {}
         self.red: dict[int, tuple[dict[int, JobInfo], int]] = {}  # epoch -> (fold, missing)
         self.jobs_table: Mapping[int, JobInfo] = _EMPTY_TABLE
@@ -437,12 +436,12 @@ class WorkerPE(BasePE):
                 slot = SolverSlot(i, "cdcl", None, ring, filt,
                                   Random(derive_seed(scfg.seed, "forget")))
                 solver = CdclSolver(
-                    desc.cnf, scfg.cdcl, seed=scfg.seed,
+                    desc.cnf, scfg.params, seed=scfg.seed,
                     import_fn=self._make_import(slot),
                     export_fn=self._make_export(node, slot))
                 slot.solver = solver
             else:
-                solver = SlsSolver(desc.cnf, scfg.sls, seed=scfg.seed)
+                solver = SlsSolver(desc.cnf, scfg.params, seed=scfg.seed)
                 slot = SolverSlot(i, "sls", solver, None, None, None)
                 slot.done = solver.blocked
             node.slots.append(slot)

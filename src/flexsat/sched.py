@@ -89,22 +89,12 @@ def apply_events(
     table: Mapping[int, JobInfo],
     events: Iterable[JobInfo] | Mapping[int, JobInfo],
 ) -> dict[int, JobInfo]:
-    """New job table with the events applied (stale epochs ignored).
-
-    A live job's entry is the (frozen) event that last updated it.
-    """
+    """New job table: the table's entries and the events consolidated, per
+    job the highest epoch winning (a table entry over an equal epoch), less
+    every job whose winner announces completion (demand 0)."""
     if isinstance(events, Mapping):
         events = events.values()
-    out = dict(table)
-    for ev in sorted(events, key=_job):
-        cur = out.get(ev.job)
-        if cur is not None and ev.epoch <= cur.epoch:
-            continue
-        if ev.demand <= 0:
-            out.pop(ev.job, None)
-        else:
-            out[ev.job] = ev
-    return out
+    return {j: ev for j, ev in consolidate(table.values(), events).items() if ev.demand > 0}
 
 
 # ---------------------------------------------------------------------------

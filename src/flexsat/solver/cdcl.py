@@ -118,7 +118,7 @@ class CdclSolver:
     # -- tiny helpers ------------------------------------------------------
     def _next_restart_len(self) -> int:
         p = self.params
-        if p.restart == "luby":
+        if p.restart_factor is None:
             return p.restart_base * luby(self.stats.restarts + 1)
         return min(1 << 30, int(p.restart_base * p.restart_factor ** self.stats.restarts))
 

@@ -17,9 +17,8 @@ from ..util import mix64
 
 @dataclass(frozen=True)
 class CdclParams:
-    restart: str = "luby"        # "luby" | "geom"
     restart_base: int = 64
-    restart_factor: float = 1.2  # geometric growth; unused for luby
+    restart_factor: float | None = None  # geometric growth; None: Luby sequence
     decay: float = 0.95          # EVSIDS activity decay in [0.85, 0.99]
     phase: str = "neg"           # initial phase: "neg" | "pos" | "rand"
     random_freq: float = 0.0     # probability of a random decision
@@ -28,37 +27,37 @@ class CdclParams:
 
 @dataclass(frozen=True)
 class SlsParams:
-    noise: float = 0.5
     preprocess: bool = True      # unit propagation + pure literals first
     restart_flips: int = 100_000
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    index: int                   # diversification index x
     seed: int                    # 64-bit RNG seed
-    kind: str                    # "cdcl" | "sls"
-    cdcl: CdclParams | None = None
-    sls: SlsParams | None = None
+    params: CdclParams | SlsParams
+
+    @property
+    def kind(self) -> str:
+        """The engine, read off the type of params: "cdcl" or "sls"."""
+        return "sls" if isinstance(self.params, SlsParams) else "cdcl"
 
 
 CDCL_PRESETS: tuple[CdclParams, ...] = (
     CdclParams(),
     CdclParams(phase="pos"),
     CdclParams(phase="rand", random_freq=0.01),
-    CdclParams(restart="geom", restart_base=100, decay=0.99),
-    CdclParams(restart="geom", restart_base=100, decay=0.85, phase="pos",
+    CdclParams(restart_base=100, restart_factor=1.2, decay=0.99),
+    CdclParams(restart_base=100, restart_factor=1.2, decay=0.85, phase="pos",
                random_freq=0.02),
     CdclParams(restart_base=256, decay=0.92, phase="rand"),
     CdclParams(restart_base=32, decay=0.99, random_freq=0.05),
-    CdclParams(restart="geom", restart_base=64, restart_factor=1.5,
-               decay=0.90, phase="rand"),
+    CdclParams(restart_base=64, restart_factor=1.5, decay=0.90, phase="rand"),
     CdclParams(restart_base=128, decay=0.97, phase="pos", random_freq=0.01),
-    CdclParams(restart="geom", restart_base=256, restart_factor=1.1,
+    CdclParams(restart_base=256, restart_factor=1.1,
                decay=0.95, phase="rand", random_freq=0.02),
     CdclParams(decay=0.88, random_freq=0.03),
     CdclParams(restart_base=512, phase="rand"),
-    CdclParams(restart="geom", restart_base=32, restart_factor=1.3,
+    CdclParams(restart_base=32, restart_factor=1.3,
                decay=0.93, phase="pos", random_freq=0.05),
 )
 
@@ -74,8 +73,8 @@ def make_portfolio_config(k: int, t: int, i: int, nonce: int = 0) -> SolverConfi
     slot = x % PORTFOLIO_CYCLE
     if slot == len(CDCL_PRESETS):
         pre = (x // PORTFOLIO_CYCLE) % 2 == 0
-        return SolverConfig(x, seed, "sls", sls=SlsParams(preprocess=pre))
-    return SolverConfig(x, seed, "cdcl", cdcl=CDCL_PRESETS[slot])
+        return SolverConfig(seed, SlsParams(preprocess=pre))
+    return SolverConfig(seed, CDCL_PRESETS[slot])
 
 
 def throttled_thread_count(s: int, s_hat: int, t: int) -> int:

@@ -15,6 +15,9 @@ from ..util import below
 from . import SAT, SolverStats
 from .config import SlsParams
 
+# Chance that a walk step flips a random variable of its clause, not a least-breaking one.
+NOISE = 0.5
+
 
 def _preprocess(cnf: Cnf) -> tuple[dict[int, bool] | None, list[list[int]]]:
     """Unit propagation + pure literal fixpoint.
@@ -169,7 +172,7 @@ class SlsSolver:
             return None
         random = self.rng.random
         getrandbits = self.rng.getrandbits
-        noise = self.params.noise
+        noise = NOISE
         restart_flips = self.params.restart_flips
         cvars, occ, value = self.cvars, self.occ, self.value
         ntrue, tsum, brk = self.ntrue, self.tsum, self.brk

@@ -5,15 +5,18 @@ is decided by exhaustive truth tables, buffer limits by arbitrary
 precision arithmetic with exact branches for the rational cases, buffers
 by a clause-by-clause writer over signed literal tuples, merges by
 decode-everything-and-redo, volumes by bisection on the water level.
-Four exceptions are earlier production code, kept as exact differential
+Five exceptions are earlier production code, kept as exact differential
 oracles: `segment_scan_volumes`, the quadratic volume search,
 `reference_compute_volumes`, the integer sweep before it took fewer passes,
-`reference_merge`, the merge that collected every group, and
-`oracle_parse_dimacs`, the line-by-line DIMACS scanner.
+`reference_merge`, the merge that collected every group,
+`reference_apply_events`, the event loop before the table update became a
+`consolidate` fold, and `oracle_parse_dimacs`, the line-by-line DIMACS
+scanner.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from random import Random
 from typing import Iterable
@@ -610,3 +613,28 @@ def reference_compute_volumes(jobs: Iterable[JobInfo], budget: int) -> dict[int,
     for j in by_remainder[:leftover]:
         vols[j.job] += 1
     return {j.job: vols[j.job] for j in active}
+
+
+# ---------------------------------------------------------------------------
+# job-table reference: the earlier apply_events
+
+
+def reference_apply_events(
+    table: Mapping[int, JobInfo],
+    events: Iterable[JobInfo] | Mapping[int, JobInfo],
+) -> dict[int, JobInfo]:
+    """apply_events as it was before it became a consolidate fold: events
+    applied one by one in job order, each skipped unless its epoch is above
+    the entry's, a completion (demand 0) popping the job."""
+    if isinstance(events, Mapping):
+        events = events.values()
+    out = dict(table)
+    for ev in sorted(events, key=lambda e: e.job):
+        cur = out.get(ev.job)
+        if cur is not None and ev.epoch <= cur.epoch:
+            continue
+        if ev.demand <= 0:
+            out.pop(ev.job, None)
+        else:
+            out[ev.job] = ev
+    return out

@@ -3,6 +3,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from random import Random
+from types import MappingProxyType
 
 import pytest
 
@@ -11,7 +12,8 @@ from flexsat.sched import (JobDescriptor, JobInfo, JobRequest,
                            PeView, apply_events, build_pe_graph,
                            child_indices, compute_volumes, consolidate,
                            max_request_hops, parent_index, route_request)
-from helpers import reference_compute_volumes, segment_scan_volumes, volume_oracle
+from helpers import (reference_apply_events, reference_compute_volumes, segment_scan_volumes,
+                     volume_oracle)
 
 
 def J(job, pri, demand, arrival=0.0, epoch=0):
@@ -66,6 +68,54 @@ def test_apply_events_add_update_remove_stale():
     assert 5 not in out2 and 6 in out2
     out3 = apply_events(out, consolidate([JobInfo(6, 0.7, 1.0, 8, 2)]))
     assert out3[6].demand == 8  # mapping form accepted
+
+
+def test_apply_events_matches_the_reference_apply_events():
+    """apply_events against the event loop it replaced, kept in the tests,
+    compared as mappings: tables (plain and read-only) and event sets with
+    at most one event per job, as a balancing fold delivers them, given as
+    a mapping or as a shuffled list; stale, equal and newer epochs, and
+    completions of jobs the table holds and of jobs it lacks."""
+    rng = Random(40)
+    seen = Counter()
+    for _trial in range(3000):
+        table = {j: J(j, rng.choice([0.25, 0.5, 0.75]), rng.randrange(1, 5),
+                      arrival=rng.randrange(3), epoch=rng.randrange(5))
+                 for j in rng.sample(range(1, 13), rng.randrange(0, 9))}
+        events = []
+        for j in rng.sample(range(1, 16), rng.randrange(0, 9)):
+            ev = J(j, rng.choice([0.25, 0.5, 0.75]), rng.choice([0, 0, 1, 2, 7]),
+                   arrival=rng.randrange(3), epoch=rng.randrange(6))
+            cur = table.get(j)
+            seen["absent_done" if cur is None and ev.demand == 0
+                 else "absent" if cur is None
+                 else "stale" if ev.epoch < cur.epoch
+                 else "equal" if ev.epoch == cur.epoch
+                 else "done" if ev.demand == 0 else "newer"] += 1
+            events.append(ev)
+        if rng.getrandbits(1):
+            events = {ev.job: ev for ev in events}
+            seen["mapping"] += 1
+        else:
+            seen["list"] += 1
+        if rng.getrandbits(1):
+            table = MappingProxyType(table)
+        got = apply_events(table, events)
+        assert type(got) is dict
+        assert got == reference_apply_events(table, events)
+        assert all(ev.demand > 0 for ev in got.values())
+    assert min(seen.values()) >= 500, seen
+
+
+def test_apply_events_takes_the_highest_epoch_of_a_job_listed_twice():
+    """A list naming one job twice: the highest epoch wins, as in
+    consolidate, so an older event cannot bring back a completed job."""
+    table = {5: J(5, 0.5, 4, epoch=1)}
+    done, stale = JobInfo(5, 0.5, 0.0, 0, 4), JobInfo(5, 0.5, 0.0, 3, 2)
+    assert apply_events(table, [done, stale]) == {}
+    assert apply_events(table, [stale, done]) == {}
+    newer = JobInfo(5, 0.5, 0.0, 6, 5)
+    assert apply_events(table, [newer, done, stale]) == {5: newer}
 
 
 # ---------------------------------------------------------------------------

@@ -189,10 +189,41 @@ def test_cdcl_export_length_gate(monkeypatch):
 
 def test_cdcl_geometric_restarts_run():
     cnf = random_3cnf(Random(4), 24, 110)
-    res = cdcl_solve(cnf, CdclParams(restart="geom", restart_base=4,
-                                     restart_factor=1.1), seed=2)
+    res = cdcl_solve(cnf, CdclParams(restart_base=4, restart_factor=1.1), seed=2)
     assert res.verdict == oracle_verdict(cnf)
     assert res.stats.restarts > 0
+
+
+# The first 12 restart lengths of each CDCL preset: restart_base times the
+# Luby sequence, or restart_base grown geometrically by restart_factor.
+RESTART_SCHEDULES = (
+    (64, 64, 128, 64, 64, 128, 256, 64, 64, 128, 64, 64),
+    (64, 64, 128, 64, 64, 128, 256, 64, 64, 128, 64, 64),
+    (64, 64, 128, 64, 64, 128, 256, 64, 64, 128, 64, 64),
+    (100, 120, 144, 172, 207, 248, 298, 358, 429, 515, 619, 743),
+    (100, 120, 144, 172, 207, 248, 298, 358, 429, 515, 619, 743),
+    (256, 256, 512, 256, 256, 512, 1024, 256, 256, 512, 256, 256),
+    (32, 32, 64, 32, 32, 64, 128, 32, 32, 64, 32, 32),
+    (64, 96, 144, 216, 324, 486, 729, 1093, 1640, 2460, 3690, 5535),
+    (128, 128, 256, 128, 128, 256, 512, 128, 128, 256, 128, 128),
+    (256, 281, 309, 340, 374, 412, 453, 498, 548, 603, 663, 730),
+    (64, 64, 128, 64, 64, 128, 256, 64, 64, 128, 64, 64),
+    (512, 512, 1024, 512, 512, 1024, 2048, 512, 512, 1024, 512, 512),
+    (32, 41, 54, 70, 91, 118, 154, 200, 261, 339, 441, 573),
+)
+
+
+@pytest.mark.parametrize("preset", range(len(CDCL_PRESETS)))
+def test_preset_restart_schedules_are_pinned(preset):
+    """Each preset restarts by the Luby sequence unless it names a growth
+    factor; the solver pins reach at most 10 restarts, so the first 12
+    lengths of every preset are pinned here."""
+    solver = CdclSolver(Cnf.from_clauses(1, [[1]]), CDCL_PRESETS[preset])
+    lengths = []
+    for r in range(12):
+        solver.stats.restarts = r
+        lengths.append(solver._next_restart_len())
+    assert tuple(lengths) == RESTART_SCHEDULES[preset]
 
 
 class LazyHeapCdcl(CdclSolver):
@@ -873,18 +904,17 @@ def test_portfolio_cycle_layout():
     assert PORTFOLIO_CYCLE == 14
     for x in range(28):
         cfg = make_portfolio_config(0, 28, x)
-        assert cfg.index == x
         if x % 14 == 13:
-            assert cfg.kind == "sls" and cfg.cdcl is None
+            assert cfg.kind == "sls" and isinstance(cfg.params, SlsParams)
         else:
             assert cfg.kind == "cdcl"
-            assert cfg.cdcl == CDCL_PRESETS[x % 14]
+            assert cfg.params == CDCL_PRESETS[x % 14]
 
 
 def test_portfolio_sls_preprocess_alternates():
-    assert make_portfolio_config(13, 1, 0).sls.preprocess is True    # x=13
-    assert make_portfolio_config(27, 1, 0).sls.preprocess is False   # x=27
-    assert make_portfolio_config(41, 1, 0).sls.preprocess is True    # x=41
+    assert make_portfolio_config(13, 1, 0).params.preprocess is True    # x=13
+    assert make_portfolio_config(27, 1, 0).params.preprocess is False   # x=27
+    assert make_portfolio_config(41, 1, 0).params.preprocess is True    # x=41
 
 
 def test_portfolio_seeds_distinct():
@@ -897,7 +927,8 @@ def test_portfolio_seeds_distinct():
 
 
 def test_portfolio_index_is_global_slot():
-    assert make_portfolio_config(3, 4, 2).index == 14
+    # slot 2 of node 3 at t = 4 is global slot x = 14, as slot 0 of node 14 at t = 1
+    assert make_portfolio_config(3, 4, 2) == make_portfolio_config(14, 1, 0)
 
 
 def test_portfolio_rejects_bad_coordinates():
