@@ -101,16 +101,14 @@ def serialize(clauses: Iterable[tuple[int, ...]], limit: int | None = None) -> l
     return _write(groups, limit)
 
 
-def _groups(buf: Sequence[int], keep: float = math.inf):
+def _groups(buf: Sequence[int]):
     """Yield (length, keys) per length group of a flat buffer, validating.
 
     keys holds the group's clauses as literal_key tuples, in buffer order.
     A whole group is checked at once: its count, zero literals, canonical
     order within each clause (position k against k + 1 over strided
     slices) and within the group.  BufferFormatError names the fault that
-    a clause-by-clause scan of the group meets first.  A group longer than
-    keep is checked all the same but not yielded, and in place on its
-    signed literals (_in_order) unless that check finds something amiss.
+    a clause-by-clause scan of the group meets first.
     """
     pos = 0
     length = 0
@@ -128,8 +126,6 @@ def _groups(buf: Sequence[int], keep: float = math.inf):
             raise BufferFormatError(f"truncated group of length {length}")
         group = buf[pos:end]
         pos = end
-        if length > keep and _in_order(group, length):
-            continue
         flat = [2 * l if l > 0 else 1 - 2 * l for l in group]  # literal_key
         keys = list(zip(*[iter(flat)] * length))
         if (0 in group
@@ -137,36 +133,7 @@ def _groups(buf: Sequence[int], keep: float = math.inf):
                 or not all([all(map(lt, flat[k::length], flat[k + 1::length]))
                             for k in range(length - 1)])):
             _raise_first_fault(keys, group, length)
-        if length <= keep:
-            yield length, keys
-
-
-def _in_order(group: Sequence[int], length: int) -> bool:
-    """Whether a group is canonical, judged on its signed literals in place.
-
-    True means no zero literal, magnitudes strictly rising within each
-    clause, and each clause above the one before: at their first differing
-    position a smaller variable, or the same variable positive.  False
-    means a fault, or a clause holding a literal and its negation, which
-    only the check on literal keys can order.
-    """
-    if 0 in group:
-        return False
-    mags = list(map(abs, group))
-    rising = list(map(lt, mags, mags[1:]))
-    del rising[length - 1::length]  # a clause's last literal against the next one's first
-    if False in rising:
-        return False
-    for i in range(length, len(group), length):  # the clause at i against the one before
-        k = i - length
-        while group[k] == group[k + length]:
-            k += 1
-            if k == i:
-                return False  # a repeated clause
-        a, b = mags[k], mags[k + length]
-        if a > b or a == b and group[k] < 0:
-            return False
-    return True
+        yield length, keys
 
 
 def _raise_first_fault(keys: list[tuple], group: Sequence[int], length: int) -> None:
@@ -209,20 +176,21 @@ def merge(
     """Merge of child buffers plus this node's own export.
 
     Each input is (flat buffer, u).  The output u counts this node too:
-    u_out = 1 + sum(u_in).  Every input is checked in full; each length
-    group is the union of the inputs' groups, so a duplicate clause is
-    emitted once.  The output is truncated at buffer_limit(u_out): whole
-    clauses only, and once one clause does not fit nothing longer is
-    admitted either.  Writing a clause of length L takes a count for each
-    length up to L and its L literals, 2L integers at least, so a group
-    with 2L past the limit is checked in place (_in_order) but not collected.
+    u_out = 1 + sum(u_in).  Every input is decoded, and so checked, in
+    full; each length group is the union of the inputs' groups, so a
+    duplicate clause is emitted once.  The output is truncated at
+    buffer_limit(u_out): whole clauses only, and once one clause does not
+    fit nothing longer is admitted either.  Writing a clause of length L
+    takes a count for each length up to L and its L literals, 2L integers
+    at least, so a group with 2L past the limit is checked but not collected.
     """
     u_out = 1 + sum(u for _, u in buffers)
     limit = buffer_limit(u_out, cfg)
     groups: dict[int, set[tuple[int, ...]]] = {}
     for buf in [*(buf for buf, _ in buffers), own_export]:
-        for length, keys in _groups(buf, limit // 2):
-            groups.setdefault(length, set()).update(keys)
+        for length, keys in _groups(buf):
+            if 2 * length <= limit:
+                groups.setdefault(length, set()).update(keys)
     return _write(groups, limit), u_out
 
 

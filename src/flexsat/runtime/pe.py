@@ -34,7 +34,7 @@ from ..sched import (
 )
 from ..solver import SAT, UNKNOWN, SolverStats
 from ..solver.cdcl import CdclSolver
-from ..solver.config import make_portfolio_config, throttled_thread_count
+from ..solver.config import CdclParams, make_portfolio_config, throttled_thread_count
 from ..solver.ring import ImportRing
 from ..solver.sls import SlsSolver
 from ..util import MIN_BALANCE_PERIOD_S, derive_seed
@@ -430,7 +430,7 @@ class WorkerPE(BasePE):
         node.slots = []
         for i in range(t):
             scfg = make_portfolio_config(node.x, t, i, nonce)
-            if scfg.kind == "cdcl":
+            if isinstance(scfg.params, CdclParams):
                 ring = ImportRing(RING_CAPACITY)
                 filt = ClauseFilter()
                 slot = SolverSlot(i, "cdcl", None, ring, filt,

@@ -34,12 +34,7 @@ class SlsParams:
 @dataclass(frozen=True)
 class SolverConfig:
     seed: int                    # 64-bit RNG seed
-    params: CdclParams | SlsParams
-
-    @property
-    def kind(self) -> str:
-        """The engine, read off the type of params: "cdcl" or "sls"."""
-        return "sls" if isinstance(self.params, SlsParams) else "cdcl"
+    params: CdclParams | SlsParams  # its type names the engine
 
 
 CDCL_PRESETS: tuple[CdclParams, ...] = (

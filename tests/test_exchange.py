@@ -1,14 +1,12 @@
 """Clause exchange: buffer limits, flat codec, merging, duplicate filters."""
-import math
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 from operator import lt
 from random import Random
 
 import pytest
 
-from flexsat.exchange import (BufferFormatError, ClauseFilter, _groups, buffer_from_bytes,
+from flexsat.exchange import (BufferFormatError, ClauseFilter, buffer_from_bytes,
                               buffer_limit, buffer_to_bytes, deserialize, merge,
                               serialize)
 from flexsat.formula import canonical_literals
@@ -246,74 +244,6 @@ def test_groups_decode_like_per_clause_oracle():
         else:
             assert got == [keys for _n, keys, _lits in want]
     assert faults == {"negative", "truncated", "zero", "clause", "group"}
-
-
-def regroup(rng: Random, buf: list[int]) -> list[int]:
-    """buf with one edit inside a group that keeps every count: a literal's
-    sign flipped, two neighbouring clauses swapped, a clause copied over
-    its successor, or two neighbouring literals of a clause swapped."""
-    buf = list(buf)
-    spans = []  # (start, count, length) of each non-empty group
-    pos = length = 0
-    while pos < len(buf):
-        length += 1
-        n = buf[pos]
-        pos += 1
-        if n:
-            spans.append((pos, n, length))
-        pos += n * length
-    start, n, length = rng.choice(spans)
-    a = start + length * rng.randrange(n)  # a clause
-    b = a + length                         # and its successor, if any
-    kind = rng.randrange(4)
-    if kind == 0:
-        i = a + rng.randrange(length)
-        buf[i] = -buf[i]
-    elif kind == 1 and b < start + n * length:
-        buf[a:b], buf[b:b + length] = buf[b:b + length], buf[a:b]
-    elif kind == 2 and b < start + n * length:
-        buf[b:b + length] = buf[a:b]
-    elif length > 1:
-        i = a + rng.randrange(length - 1)
-        buf[i], buf[i + 1] = buf[i + 1], buf[i]
-    return buf
-
-
-def test_groups_past_keep_are_checked_like_per_clause_oracle():
-    """A group longer than keep is checked on its signed literals in place:
-    _groups(buf, keep) rejects what the clause-by-clause scan rejects, with
-    the same first error, and yields exactly the scan's groups no longer
-    than keep.  Few variables tie clauses on their first literals, and a
-    clause may hold a literal and its negation, which only keys order."""
-    rng = Random(4040)
-    seen = Counter()
-    for trial in range(2000):
-        max_key = 2 * rng.choice((2, 3, 6, 40)) + 1
-        widths = [rng.randint(1, min(6, max_key - 1)) for _ in range(rng.randrange(1, 40))]
-        cs = [tuple(sorted(rng.sample(range(2, max_key + 1), w))) for w in widths]
-        buf = serialize(cs)
-        for _ in range(trial % 3):  # 0, 1 or 2 edits that keep the counts
-            buf = regroup(rng, buf)
-        if trial % 4 == 3:  # and one that may not
-            buf = mutate(rng, buf)
-        want = decode_or_error(stream_per_clause, buf)
-        if isinstance(want, str):
-            seen[want.split()[0]] += 1
-        else:
-            groups: dict[int, list[tuple[int, ...]]] = {}
-            for n, keys, _lits in want:
-                groups.setdefault(n, []).append(keys)
-            seen["accepted"] += 1
-            seen["negation"] += any((k ^ 1) in keys for _n, keys, _lits in want for k in keys)
-        for keep in (0, 1, 2, 4, math.inf):
-            got = decode_or_error(lambda buf: list(_groups(buf, keep)), buf)
-            if isinstance(want, str):
-                assert got == want, (trial, keep)
-            else:
-                assert got == [(n, keys) for n, keys in groups.items() if n <= keep], (trial, keep)
-    assert min(seen.values()) >= 20, seen
-    assert set(seen) == {"accepted", "negation", "negative", "truncated", "zero", "clause",
-                         "group"}, seen
 
 
 @pytest.mark.parametrize("tail,match", [

@@ -905,9 +905,9 @@ def test_portfolio_cycle_layout():
     for x in range(28):
         cfg = make_portfolio_config(0, 28, x)
         if x % 14 == 13:
-            assert cfg.kind == "sls" and isinstance(cfg.params, SlsParams)
+            assert isinstance(cfg.params, SlsParams)
         else:
-            assert cfg.kind == "cdcl"
+            assert isinstance(cfg.params, CdclParams)
             assert cfg.params == CDCL_PRESETS[x % 14]
 
 
